@@ -6,19 +6,17 @@ from .aggregate import (
     ENSEMBLE,
     MCD,
     AggregationScheme,
-    PredictiveSummary,
+    Summaries,
     aggregate,
     emcd_scheme,
     load_summaries,
     pass_variance,
     predictive_entropy,
-    predictive_mean,
     save_summaries,
 )
 from .calibration import (
     CalibrationBin,
     CalibrationReport,
-    bin_assign,
     calibration_report,
     reliability_diagram_data,
 )
@@ -58,7 +56,6 @@ from .stats import (
 from .tensor import (
     LabelSet,
     PredictionTensor,
-    align,
     aligned_labels,
     load_labels,
     load_predictions,
@@ -70,7 +67,6 @@ from .ucm import (
     SweepCurve,
     UncertaintyConfusion,
     build_ucm,
-    classify_outcome,
     separation_report,
     threshold_sweep,
     uacc,

@@ -1,4 +1,4 @@
-"""Collapse prediction tensors into per-sample predictive summaries.
+"""Collapse prediction tensors into columnar per-sample predictive summaries.
 
 All three aggregation schemes (MC-dropout, ensemble, ensemble-MC-dropout)
 reduce the pass axis to a single predictive mean per sample and score its
@@ -7,6 +7,10 @@ first averages within each member's passes and then averages the member
 means, which coincides with the grand mean when every member contributed
 the same number of passes.
 
+The result is one :class:`Summaries`: a struct of arrays with one row per
+sample id, validated once as a whole. :meth:`Summaries.correct` matches it
+to labels through :func:`uqeval.tensor.aligned_labels`.
+
 Entropy defaults to base 2 and is reported both raw and normalized by
 ``log2(C)`` so uncertainty thresholds live on [0, 1] for any class count.
 """
@@ -14,13 +18,20 @@ Entropy defaults to base 2 and is reported both raw and normalized by
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .tensor import PredictionTensor
+from .tensor import (
+    LabelSet,
+    PredictionTensor,
+    aligned_labels,
+    csv_fields,
+    data_lines,
+    validate_ids,
+    write_artifact,
+)
 
 MEAN_SUM_TOL = 1e-9
 
@@ -66,55 +77,100 @@ def emcd_scheme(member_pass_counts) -> AggregationScheme:
     return AggregationScheme("emcd", tuple(member_pass_counts))
 
 
-@dataclass(frozen=True, eq=False)
-class PredictiveSummary:
-    """Per-sample aggregate: predictive mean, predicted class, entropy."""
+def _column(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
-    sample_id: str
-    mean: np.ndarray
-    predicted_class: int
-    confidence: float
-    entropy: float
-    normalized_entropy: float
+
+def _require(ok: np.ndarray, ids, message: str, values=None) -> None:
+    """Raise ``message`` for the first sample where ``ok`` is false."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        value = None if values is None else values[i]
+        raise ValidationError(message.format(id=repr(ids[i]), value=value))
+
+
+@dataclass(frozen=True, eq=False)
+class Summaries:
+    """Per-sample aggregates as columns: row ``i`` describes ``sample_ids[i]``.
+
+    ``means`` is the (samples, classes) predictive mean, ``predicted_class``
+    its argmax (ties break low), ``confidence`` the argmax component, and
+    ``entropy``/``normalized_entropy`` its predictive entropy, raw and divided
+    by ``log(C)``. Columns are read-only copies, checked against each other
+    on construction.
+    """
+
+    sample_ids: tuple[str, ...]
+    means: np.ndarray
+    predicted_class: np.ndarray
+    confidence: np.ndarray
+    entropy: np.ndarray
+    normalized_entropy: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        if abs(float(mean.sum()) - 1.0) > MEAN_SUM_TOL:
+        ids = validate_ids(self.sample_ids)
+        if not ids:
+            raise ValidationError("need at least one sample")
+        means = _column(self.means, np.float64)
+        if means.ndim != 2 or means.shape[0] != len(ids) or means.shape[1] < 2:
             raise ValidationError(
-                f"summary mean for {self.sample_id!r} sums to {mean.sum():.12g}"
+                f"means must have shape ({len(ids)}, classes >= 2), got {means.shape}"
             )
-        if self.predicted_class != int(np.argmax(mean)):
-            raise ValidationError("predicted_class must be the argmax of the mean")
-        if self.confidence != float(mean[self.predicted_class]):
-            raise ValidationError("confidence must be the mean's argmax component")
-        if not 0.0 <= self.normalized_entropy <= 1.0:
+        predicted = _column(self.predicted_class, np.int64)
+        confidence = _column(self.confidence, np.float64)
+        entropy = _column(self.entropy, np.float64)
+        normalized = _column(self.normalized_entropy, np.float64)
+        if {c.shape for c in (predicted, confidence, entropy, normalized)} != {(len(ids),)}:
+            raise ValidationError(f"every per-sample column must have shape ({len(ids)},)")
+        sums = means.sum(axis=1)
+        _require(np.all(means >= 0.0, axis=1), ids,
+                 "summary mean for {id} has a negative or NaN component")
+        _require(np.abs(sums - 1.0) <= MEAN_SUM_TOL, ids,
+                 "summary mean for {id} sums to {value:.12g}", sums)
+        _require(predicted == np.argmax(means, axis=1), ids,
+                 "predicted_class of {id} is not the argmax of its mean")
+        _require(confidence == means[np.arange(len(ids)), predicted], ids,
+                 "confidence of {id} is not its mean's argmax component")
+        _require((normalized >= 0.0) & (normalized <= 1.0), ids,
+                 "normalized entropy {value} of {id} outside [0, 1]", normalized)
+        _require(entropy >= 0.0, ids, "entropy {value} of {id} is negative", entropy)
+        for name, value in (("sample_ids", ids), ("means", means), ("predicted_class", predicted),
+                            ("confidence", confidence), ("entropy", entropy),
+                            ("normalized_entropy", normalized)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_means(cls, sample_ids, means, base: str = "2") -> Summaries:
+        """Summaries of already-aggregated mean rows, each summing to 1."""
+        means = np.asarray(means, dtype=np.float64)
+        if means.ndim != 2 or means.shape[1] < 2:
             raise ValidationError(
-                f"normalized entropy {self.normalized_entropy} outside [0, 1]"
+                f"means must have shape (samples, classes >= 2), got {means.shape}"
             )
-        if self.entropy < 0.0:
-            raise ValidationError(f"entropy {self.entropy} is negative")
+        predicted = np.argmax(means, axis=1)
+        entropy = _entropy(means, base)
+        normalized = entropy / max_entropy(means.shape[1], base)
+        return cls(
+            sample_ids=sample_ids,
+            means=means,
+            predicted_class=predicted,
+            confidence=means[np.arange(len(means)), predicted],
+            entropy=entropy,
+            normalized_entropy=np.where(normalized > 1.0, 1.0, normalized),
+        )
 
+    def __len__(self) -> int:
+        return len(self.sample_ids)
 
-def predictive_mean(rows: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of T probability rows, renormalized to sum exactly 1.
+    @property
+    def n_classes(self) -> int:
+        return self.means.shape[1]
 
-    Input rows may individually deviate from sum 1 by the ingestion
-    tolerance; dividing the mean by its own sum restores the tighter
-    summary-level invariant without moving any component more than the
-    ingestion tolerance allows.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[np.newaxis, :]
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ValidationError("need at least one probability row")
-    mean = rows.mean(axis=0)
-    total = float(mean.sum())
-    if abs(total - 1.0) > 1e-5:
-        raise ValidationError(f"mean of rows sums to {total:.9g}, not 1")
-    return mean / total
+    def correct(self, labels: LabelSet) -> np.ndarray:
+        """Whether each predicted class equals its sample's label."""
+        return self.predicted_class == aligned_labels(self.sample_ids, labels, self.n_classes)
 
 
 def predictive_entropy(mean: np.ndarray, base: str = "2") -> float:
@@ -127,9 +183,14 @@ def predictive_entropy(mean: np.ndarray, base: str = "2") -> float:
     mean = np.asarray(mean, dtype=np.float64)
     if abs(float(mean.sum()) - 1.0) > MEAN_SUM_TOL or np.any(mean < 0):
         raise ValidationError(f"entropy input must be a normalized probability vector, got sum {mean.sum():.12g}")
+    return float(_entropy(mean, base))
+
+
+def _entropy(means: np.ndarray, base: str) -> np.ndarray:
+    """Entropy along the last axis; a rounding-negative value becomes 0."""
     log = _log_fn(base)
-    value = float(-np.sum(mean * log(np.clip(mean, LOG_CLAMP, 1.0))))
-    return max(value, 0.0)
+    value = -np.sum(means * log(np.clip(means, LOG_CLAMP, 1.0)), axis=-1)
+    return np.where(0.0 > value, 0.0, value)
 
 
 def max_entropy(n_classes: int, base: str = "2") -> float:
@@ -144,23 +205,8 @@ def _log_fn(base: str):
     raise ValueError(f"log base must be one of {LOG_BASES}, got {base!r}")
 
 
-def summarize_mean(sample_id: str, mean: np.ndarray, n_classes: int, base: str = "2") -> PredictiveSummary:
-    """Build a validated summary from an already-aggregated mean vector."""
-    predicted = int(np.argmax(mean))  # np.argmax already breaks ties low
-    entropy = predictive_entropy(mean, base)
-    normalized = min(entropy / max_entropy(n_classes, base), 1.0)
-    return PredictiveSummary(
-        sample_id=str(sample_id),
-        mean=mean,
-        predicted_class=predicted,
-        confidence=float(mean[predicted]),
-        entropy=entropy,
-        normalized_entropy=normalized,
-    )
-
-
-def aggregate(tensor: PredictionTensor, scheme: AggregationScheme, base: str = "2") -> list[PredictiveSummary]:
-    """One :class:`PredictiveSummary` per sample under the given scheme."""
+def aggregate(tensor: PredictionTensor, scheme: AggregationScheme, base: str = "2") -> Summaries:
+    """The :class:`Summaries` of every sample under the given scheme."""
     if scheme.kind == "emcd":
         parts = scheme.member_pass_counts
         if sum(parts) != tensor.n_passes:
@@ -176,10 +222,7 @@ def aggregate(tensor: PredictionTensor, scheme: AggregationScheme, base: str = "
     else:
         means = tensor.probs.mean(axis=1)
     means = means / means.sum(axis=1, keepdims=True)
-    return [
-        summarize_mean(sid, means[i], tensor.n_classes, base)
-        for i, sid in enumerate(tensor.sample_ids)
-    ]
+    return Summaries.from_means(tensor.sample_ids, means, base)
 
 
 def pass_variance(rows: np.ndarray) -> np.ndarray:
@@ -191,63 +234,55 @@ def pass_variance(rows: np.ndarray) -> np.ndarray:
 
 
 SUMMARY_FLOAT_FORMAT = "%.17g"
+SUMMARY_COLUMNS = ("sample_id", "predicted_class", "confidence", "entropy", "normalized_entropy")
 
 
-def save_summaries(summaries: list[PredictiveSummary], path, header_comment: str | None = None) -> None:
+def save_summaries(summaries: Summaries, path, header_comment: str | None = None) -> None:
     """CSV export: ``sample_id,predicted_class,confidence,entropy,normalized_entropy,p_0..p_{C-1}``."""
-    if not summaries:
-        raise ValidationError("no summaries to save")
-    n_classes = len(summaries[0].mean)
-    buf = io.StringIO()
-    if header_comment is not None:
-        buf.write(f"# {header_comment}\n")
-    cols = ",".join(f"p_{c}" for c in range(n_classes))
-    buf.write(f"sample_id,predicted_class,confidence,entropy,normalized_entropy,{cols}\n")
     fmt = SUMMARY_FLOAT_FORMAT
-    for s in summaries:
-        mean = ",".join(fmt % v for v in s.mean)
-        buf.write(
-            f"{s.sample_id},{s.predicted_class},{fmt % s.confidence},"
-            f"{fmt % s.entropy},{fmt % s.normalized_entropy},{mean}\n"
+    header = SUMMARY_COLUMNS + tuple(f"p_{c}" for c in range(summaries.n_classes))
+    rows = [",".join(header) + "\n"]
+    for sid, predicted, confidence, entropy, normalized, mean in zip(
+        csv_fields(summaries.sample_ids), summaries.predicted_class.tolist(),
+        summaries.confidence.tolist(), summaries.entropy.tolist(),
+        summaries.normalized_entropy.tolist(), summaries.means.tolist(),
+    ):
+        rendered = ",".join(fmt % v for v in mean)
+        rows.append(
+            f"{sid},{predicted},{fmt % confidence},{fmt % entropy},{fmt % normalized},{rendered}\n"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_artifact(path, "".join(rows), header_comment)
 
 
-def load_summaries(path) -> list[PredictiveSummary]:
+def load_summaries(path) -> Summaries:
     """Parse a summaries CSV written by :func:`save_summaries`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [
-            (i, line.rstrip("\r\n"))
-            for i, line in enumerate(fh, start=1)
-            if line.strip() and not line.startswith("#")
-        ]
+    lines = list(data_lines(path))
     if not lines:
         raise FormatError(f"{path}: empty summaries file")
     header = next(csv.reader([lines[0][1]]))
-    fixed = ["sample_id", "predicted_class", "confidence", "entropy", "normalized_entropy"]
+    fixed = list(SUMMARY_COLUMNS)
     if header[: len(fixed)] != fixed or len(header) < len(fixed) + 2:
         raise FormatError(f"{path}: unexpected summaries header {header}")
-    n_classes = len(header) - len(fixed)
-    out = []
+    ids, predicted, values = [], [], []
     for lineno, raw in lines[1:]:
         cells = next(csv.reader([raw]))
         if len(cells) != len(header):
             raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
         try:
-            mean = np.array([float(c) for c in cells[len(fixed):]], dtype=np.float64)
-            out.append(
-                PredictiveSummary(
-                    sample_id=cells[0],
-                    mean=mean,
-                    predicted_class=int(cells[1]),
-                    confidence=float(cells[2]),
-                    entropy=float(cells[3]),
-                    normalized_entropy=float(cells[4]),
-                )
-            )
-        except (ValueError, ValidationError) as exc:
+            predicted.append(int(cells[1]))
+            values.append([float(c) for c in cells[2:]])
+        except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    if any(len(s.mean) != n_classes for s in out):
-        raise FormatError(f"{path}: inconsistent class counts")
-    return out
+        ids.append(cells[0])
+    table = np.array(values, dtype=np.float64).reshape(len(values), len(header) - 2)
+    try:
+        return Summaries(
+            sample_ids=tuple(ids),
+            means=table[:, 3:],
+            predicted_class=predicted,
+            confidence=table[:, 0],
+            entropy=table[:, 1],
+            normalized_entropy=table[:, 2],
+        )
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

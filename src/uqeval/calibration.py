@@ -8,14 +8,13 @@ per-bin confidence; empty bins carry weight 0.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import PredictiveSummary
+from .aggregate import Summaries
 from .errors import ValidationError
-from .tensor import LabelSet, aligned_labels
+from .tensor import LabelSet, write_artifact
 
 
 def bin_edges(n_bins: int) -> np.ndarray:
@@ -23,16 +22,6 @@ def bin_edges(n_bins: int) -> np.ndarray:
     if n_bins < 1:
         raise ValidationError("need at least one bin")
     return np.arange(n_bins + 1, dtype=np.float64) / n_bins
-
-
-def bin_assign(confidence: float, n_bins: int) -> int:
-    """1-based bin index of a confidence in [0, 1]."""
-    if not 0.0 <= confidence <= 1.0:
-        raise ValidationError(f"confidence {confidence} outside [0, 1]")
-    edges = bin_edges(n_bins)
-    # smallest m >= 1 with confidence <= edges[m]
-    idx = int(np.searchsorted(edges[1:], confidence, side="left")) + 1
-    return min(idx, n_bins)
 
 
 @dataclass(frozen=True)
@@ -84,20 +73,13 @@ class CalibrationReport:
             )
 
 
-def calibration_report(summaries: list[PredictiveSummary], labels: LabelSet,
+def calibration_report(summaries: Summaries, labels: LabelSet,
                        n_bins: int = 10) -> CalibrationReport:
     """Bin samples by confidence and compute per-bin accuracy, confidence, ECE."""
-    if not summaries:
-        raise ValidationError("no summaries to calibrate")
-    if n_bins < 1:
-        raise ValidationError("need at least one bin")
-    ids = [s.sample_id for s in summaries]
-    truth = aligned_labels(ids, labels)
-    predicted = np.array([s.predicted_class for s in summaries], dtype=np.int64)
-    confidence = np.array([s.confidence for s in summaries], dtype=np.float64)
-    correct = (predicted == truth).astype(np.float64)
-
     edges = bin_edges(n_bins)
+    correct = summaries.correct(labels).astype(np.float64)
+    confidence = summaries.confidence
+    # bin m is the smallest m >= 1 with confidence <= m/M
     indices = np.minimum(np.searchsorted(edges[1:], confidence, side="left") + 1, n_bins)
 
     n = len(summaries)
@@ -143,17 +125,13 @@ def save_reliability(report: CalibrationReport, path, header_comment: str | None
     def cell(value):
         return "n/a" if value is None else "%.17g" % value
 
-    buf = io.StringIO()
-    if header_comment is not None:
-        buf.write(f"# {header_comment}\n")
-    buf.write(RELIABILITY_HEADER + "\n")
+    rows = [RELIABILITY_HEADER + "\n"]
     for row in reliability_diagram_data(report):
-        buf.write(
+        rows.append(
             f"{row['bin']},{cell(row['lo'])},{cell(row['hi'])},{row['count']},"
             f"{cell(row['accuracy'])},{cell(row['confidence'])},{cell(row['gap'])}\n"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_artifact(path, "".join(rows), header_comment)
 
 
 def calibration_as_dict(report: CalibrationReport) -> dict:

@@ -34,13 +34,14 @@ from .demo import (
 from .errors import UqevalError, ValidationError
 from .manifest import build_manifest, canonical_json, manifest_digest, write_manifest
 from .stats import compare_models, comparison_values_csv
-from .svg import histogram_svg, reliability_svg, sweep_svg, violin_svg
-from .tensor import aligned_labels, load_labels, load_predictions, save_labels, save_predictions
+from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
+from .tensor import load_labels, load_predictions, save_labels, save_predictions
 from .ucm import (
     SWEEP_HEADER,
     build_ucm,
     format_metric,
     render_sweep_rows,
+    save_sweep,
     separation_as_dict,
     separation_report,
     threshold_sweep,
@@ -289,10 +290,7 @@ def cmd_sweep(args) -> int:
     manifest = build_manifest("sweep", _flags_dict(args), args.seed,
                               {"summaries": args.summaries, "labels": args.labels})
     digest = manifest_digest(manifest)
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest_digest={digest}\n")
-        fh.write(SWEEP_HEADER + "\n")
-        fh.write(render_sweep_rows(curve))
+    save_sweep(curve, out / "sweep.csv", header_comment=f"manifest_digest={digest}")
     sweep_json = canonical_json(
         {"points": [ucm_as_dict(p.ucm) for p in curve], "manifest_digest": digest}
     )
@@ -321,13 +319,7 @@ def cmd_ece(args) -> int:
     (out / "calibration.json").write_text(canonical_json(payload), encoding="utf-8")
     save_reliability(report, out / "reliability.csv",
                      header_comment=f"manifest_digest={digest}")
-    rows = [
-        {"lo": b.lo, "hi": b.hi, "count": b.count, "accuracy": b.accuracy}
-        for b in report.bins
-    ]
-    (out / "reliability.svg").write_text(
-        reliability_svg(rows, report.ece, digest), encoding="utf-8"
-    )
+    (out / "reliability.svg").write_text(reliability_svg(report, digest), encoding="utf-8")
     write_manifest(manifest, out / "manifest.json")
     if args.format == "json":
         _print(canonical_json(payload).rstrip("\n"))
@@ -348,14 +340,7 @@ def cmd_separate(args) -> int:
     payload = separation_as_dict(report)
     payload["manifest_digest"] = digest
     (out / "separation.json").write_text(canonical_json(payload), encoding="utf-8")
-    truth = aligned_labels([s.sample_id for s in summaries], labels)
-    u = np.array([s.normalized_entropy for s in summaries])
-    correct = np.array([s.predicted_class for s in summaries]) == truth
-    (out / "separation.svg").write_text(
-        histogram_svg({"correct": u[correct], "incorrect": u[~correct]},
-                      "normalized entropy", digest),
-        encoding="utf-8",
-    )
+    (out / "separation.svg").write_text(separation_svg(report, digest), encoding="utf-8")
     write_manifest(manifest, out / "manifest.json")
     if args.format == "json":
         _print(canonical_json(payload).rstrip("\n"))

@@ -7,12 +7,12 @@ train/test split (default 75/25) and stable row ids.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
+from .tensor import write_artifact
 
 GENERATORS = ("two-moons", "gaussian-blobs")
 
@@ -141,14 +141,8 @@ def save_dataset(dataset: SyntheticDataset, path, header_comment: str | None = N
     split = np.empty(dataset.n, dtype=object)
     split[dataset.train_idx] = "train"
     split[dataset.test_idx] = "test"
-    buf = io.StringIO()
-    if header_comment is not None:
-        buf.write(f"# {header_comment}\n")
-    buf.write("x0,x1,label,split\n")
-    for i in range(dataset.n):
-        buf.write(
-            "%.17g,%.17g,%d,%s\n"
-            % (dataset.x[i, 0], dataset.x[i, 1], dataset.y[i], split[i])
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    rows = "".join(
+        "%.17g,%.17g,%d,%s\n" % (dataset.x[i, 0], dataset.x[i, 1], dataset.y[i], split[i])
+        for i in range(dataset.n)
+    )
+    write_artifact(path, "x0,x1,label,split\n" + rows, header_comment)

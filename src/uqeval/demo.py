@@ -39,6 +39,7 @@ from .stats import accuracy, auc_binary, compare_models, positive_class_scores
 from .tensor import LabelSet, aligned_labels, save_labels, save_predictions
 from .ucm import (
     build_ucm,
+    save_sweep,
     separation_as_dict,
     separation_report,
     threshold_sweep,
@@ -103,6 +104,8 @@ class DemoResult:
     summaries: dict
     report: dict
     sweeps: dict
+    calibrations: dict
+    separations: dict
 
 
 def _sub_seeds(seed: int) -> dict[str, int]:
@@ -209,16 +212,17 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
     dataset, labels, tensors, schemes, summaries, seeds, _ = build_demo_models(
         seed, preset, log_base
     )
-    per_scheme = {}
-    sweeps = {}
+    per_scheme, sweeps, calibrations, separations = {}, {}, {}, {}
     for name in SCHEMES:
         s = summaries[name]
-        truth = aligned_labels([x.sample_id for x in s], labels)
+        truth = aligned_labels(s.sample_ids, labels, s.n_classes)
         sweeps[name] = threshold_sweep(s, labels, grid)
+        calibrations[name] = calibration_report(s, labels, preset.bins)
+        separations[name] = separation_report(s, labels)
         per_scheme[name] = {
             "ucm": ucm_as_dict(build_ucm(s, labels, threshold)),
-            "calibration": calibration_as_dict(calibration_report(s, labels, preset.bins)),
-            "separation": separation_as_dict(separation_report(s, labels)),
+            "calibration": calibration_as_dict(calibrations[name]),
+            "separation": separation_as_dict(separations[name]),
             "point": {
                 "accuracy": accuracy(s, labels),
                 "auc": auc_binary(positive_class_scores(s), truth),
@@ -242,14 +246,15 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
             "auc": comparison["auc"].as_dict(),
         }
         comparison_runs = comparison
-    return DemoResult(dataset, labels, tensors, schemes, summaries, report, sweeps), comparison_runs
+    result = DemoResult(dataset, labels, tensors, schemes, summaries, report, sweeps,
+                        calibrations, separations)
+    return result, comparison_runs
 
 
 def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -> list[str]:
     """Write the declared artifact files plus labels and plots; returns paths."""
     from .manifest import canonical_json
-    from .svg import reliability_svg, histogram_svg, sweep_svg, violin_svg
-    from .ucm import render_sweep_rows, SWEEP_HEADER
+    from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,11 +273,8 @@ def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -
         save_summaries(result.summaries[name], record(f"summaries_{name}.csv"),
                        header_comment=stamp)
 
-    with open(record("sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {stamp}\n")
-        fh.write("scheme," + SWEEP_HEADER + "\n")
-        for name in SCHEMES:
-            fh.write(render_sweep_rows(result.sweeps[name], scheme=name))
+    save_sweep({name: result.sweeps[name] for name in SCHEMES}, record("sweep.csv"),
+               header_comment=stamp)
 
     report = dict(result.report)
     report["manifest_digest"] = digest
@@ -283,24 +285,11 @@ def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -
         (out / f"sweep_{name}.svg").write_text(
             sweep_svg(result.sweeps[name], digest), encoding="utf-8"
         )
-        cal = result.report["schemes"][name]["calibration"]
-        rows = [
-            {"lo": b["lo"], "hi": b["hi"], "count": b["count"], "accuracy": b["accuracy"]}
-            for b in cal["bins"]
-        ]
         (out / f"reliability_{name}.svg").write_text(
-            reliability_svg(rows, cal["ece"], digest), encoding="utf-8"
+            reliability_svg(result.calibrations[name], digest), encoding="utf-8"
         )
-        s = result.summaries[name]
-        truth = aligned_labels([x.sample_id for x in s], result.labels)
-        u = np.array([x.normalized_entropy for x in s])
-        correct = np.array([x.predicted_class for x in s]) == truth
         (out / f"separation_{name}.svg").write_text(
-            histogram_svg(
-                {"correct": u[correct], "incorrect": u[~correct]},
-                "normalized entropy", digest,
-            ),
-            encoding="utf-8",
+            separation_svg(result.separations[name], digest), encoding="utf-8"
         )
 
     if comparison is not None:

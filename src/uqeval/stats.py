@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import PredictiveSummary
+from .aggregate import Summaries
 from .errors import ValidationError
 from .tensor import LabelSet, aligned_labels
 
@@ -22,13 +22,9 @@ BETA_TOL = 1e-14
 BETA_MAX_ITER = 300
 
 
-def accuracy(summaries: list[PredictiveSummary], labels: LabelSet) -> float:
+def accuracy(summaries: Summaries, labels: LabelSet) -> float:
     """Fraction of samples whose predicted class equals the label."""
-    if not summaries:
-        raise ValidationError("no summaries to score")
-    truth = aligned_labels([s.sample_id for s in summaries], labels)
-    predicted = np.array([s.predicted_class for s in summaries], dtype=np.int64)
-    return float(np.mean(predicted == truth))
+    return float(np.mean(summaries.correct(labels)))
 
 
 def auc_binary(scores, labels) -> float:
@@ -57,17 +53,9 @@ def auc_binary(scores, labels) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean rank of their group."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # 1-based rank of each tie group's last member
+    return (last - 0.5 * (counts - 1))[group]
 
 
 def log_beta(a: float, b: float) -> float:
@@ -250,11 +238,11 @@ class ModelComparison:
         }
 
 
-def positive_class_scores(summaries: list[PredictiveSummary]) -> np.ndarray:
-    """Probability of class 1 from each summary's predictive mean."""
-    if any(len(s.mean) != 2 for s in summaries):
+def positive_class_scores(summaries: Summaries) -> np.ndarray:
+    """Probability of class 1 from each sample's predictive mean."""
+    if summaries.n_classes != 2:
         raise ValidationError("AUC is defined here for binary tasks only")
-    return np.array([s.mean[1] for s in summaries], dtype=np.float64)
+    return summaries.means[:, 1]
 
 
 def comparison_values_csv(comparisons: dict[str, "ModelComparison"]) -> str:
@@ -281,8 +269,8 @@ def compare_models(runs_a, runs_b) -> dict[str, ModelComparison]:
         seeds, accs, aucs = [], [], []
         for seed, summaries, labels in runs:
             seeds.append(int(seed))
-            accs.append(accuracy(summaries, labels))
-            truth = aligned_labels([s.sample_id for s in summaries], labels)
+            truth = aligned_labels(summaries.sample_ids, labels, summaries.n_classes)
+            accs.append(float(np.mean(summaries.predicted_class == truth)))
             aucs.append(auc_binary(positive_class_scores(summaries), truth))
         return (
             MetricDistribution(f"accuracy_{side}", tuple(accs), tuple(seeds)),

@@ -133,19 +133,19 @@ def sweep_svg(curve, digest: str | None = None) -> str:
     return canvas.render()
 
 
-def reliability_svg(rows, ece: float, digest: str | None = None) -> str:
-    """Reliability diagram: accuracy bars vs. the identity line; empty bins skipped."""
+def reliability_svg(report, digest: str | None = None) -> str:
+    """Reliability diagram of a calibration report: accuracy bars vs. the identity line."""
     canvas = _Canvas(PANEL_W, PANEL_H, digest)
     axes = _Axes(
         canvas, 0, 0, (0.0, 1.0), (0.0, 1.0),
-        "reliability (ECE %.4f)" % ece, "confidence", "accuracy",
+        "reliability (ECE %.4f)" % report.ece, "confidence", "accuracy",
     )
-    for row in rows:
-        if row["count"] == 0:
+    for b in report.bins:
+        if b.count == 0:
             continue
-        x_lo = axes.x(row["lo"])
-        x_hi = axes.x(row["hi"])
-        y_acc = axes.y(row["accuracy"])
+        x_lo = axes.x(b.lo)
+        x_hi = axes.x(b.hi)
+        y_acc = axes.y(b.accuracy)
         canvas.rect(x_lo + 1, y_acc, x_hi - x_lo - 2, axes.y(0.0) - y_acc,
                     fill="#1f6fb4", opacity=0.7)
     canvas.line(axes.x(0), axes.y(0), axes.x(1), axes.y(1), stroke="#b03030", dash="4,3")
@@ -178,6 +178,12 @@ def histogram_svg(groups: dict[str, np.ndarray], x_label: str,
             canvas.rect(x_lo, y_top, x_hi - x_lo, axes.y(0.0) - y_top, color, opacity=0.45)
         canvas.text(axes.px[1] - 4, axes.py[1] + 12 + 12 * k, name, anchor="end", size=10)
     return canvas.render()
+
+
+def separation_svg(report, digest: str | None = None) -> str:
+    """Histogram of a separation report's correct vs. incorrect entropies."""
+    groups = {"correct": report.correct_entropies, "incorrect": report.incorrect_entropies}
+    return histogram_svg(groups, "normalized entropy", digest)
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:

@@ -13,8 +13,14 @@ File formats (all UTF-8, ``.`` decimal separator):
   object per line;
 * labels CSV: header ``sample_id,label``.
 
-Lines starting with ``#`` are treated as comments and skipped on load; the
-CLI uses them to stamp a run-manifest digest into CSV artifacts.
+Sample ids are unique strings without line breaks; CSV writers quote them
+by the csv module's minimal rules, so ids such as ``a,1`` or ``#x`` load
+back unchanged. Only a ``#`` line at the very top of a file is a comment:
+the CLI uses it to stamp a run-manifest digest into CSV artifacts.
+
+Labels meet predictions in one place, :func:`aligned_labels`, which every
+evaluation calls once to reorder a :class:`LabelSet` to its sample order and
+to reject ids that do not match and labels outside the class range.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +51,34 @@ def quantize_probs(values: np.ndarray) -> np.ndarray:
     """Map probabilities onto the exact values their file rendering parses to."""
     flat = [float(render_prob(v)) for v in np.asarray(values, dtype=np.float64).ravel()]
     return np.array(flat, dtype=np.float64).reshape(np.shape(values))
+
+
+def validate_ids(sample_ids) -> tuple[str, ...]:
+    """Sample ids as strings; they must be unique and free of line breaks."""
+    ids = tuple(map(str, sample_ids))
+    if len(set(ids)) != len(ids):
+        duplicate = next(s for s, n in Counter(ids).items() if n > 1)
+        raise ValidationError(f"duplicate sample id {duplicate!r}")
+    joined = "".join(ids)
+    if "\n" in joined or "\r" in joined:
+        broken = next(s for s in ids if "\n" in s or "\r" in s)
+        raise ValidationError(f"sample id {broken!r} contains a line break")
+    return ids
+
+
+def csv_fields(values) -> list[str]:
+    """Each string rendered as one CSV field, quoted where the csv module would."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(zip(values))
+    return buf.getvalue().split("\n")[:-1]
+
+
+def write_artifact(path, text: str, header_comment: str | None = None) -> None:
+    """Write ``text`` as UTF-8 with ``\\n`` line ends, after ``# header_comment`` if given."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header_comment is not None:
+            fh.write(f"# {header_comment}\n")
+        fh.write(text)
 
 
 def _validate_rows(probs: np.ndarray, renormalize: bool) -> np.ndarray:
@@ -99,13 +134,11 @@ class PredictionTensor:
             raise ValidationError("need at least one forward pass")
         if n_classes < 2:
             raise ValidationError("need at least two classes")
-        ids = tuple(str(s) for s in self.sample_ids)
+        ids = validate_ids(self.sample_ids)
         if len(ids) != n_samples:
             raise ValidationError(
                 f"{len(ids)} sample ids for {n_samples} samples"
             )
-        if len(set(ids)) != len(ids):
-            raise ValidationError("sample ids must be unique")
         probs = _validate_rows(probs, self.renormalize)
         probs = np.ascontiguousarray(probs)
         probs.flags.writeable = False
@@ -134,7 +167,7 @@ class LabelSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(str(s) for s in self.sample_ids)
+        ids = validate_ids(self.sample_ids)
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != len(ids):
             raise ValidationError(
@@ -146,8 +179,6 @@ class LabelSet:
         labels = labels.astype(np.int64)
         if np.any(labels < 0):
             raise ValidationError("labels must be nonnegative class indices")
-        if len(set(ids)) != len(ids):
-            raise ValidationError("sample ids must be unique")
         labels.flags.writeable = False
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "labels", labels)
@@ -159,46 +190,45 @@ class LabelSet:
         return {s: int(l) for s, l in zip(self.sample_ids, self.labels)}
 
 
-def align(tensor: PredictionTensor, labels: LabelSet) -> np.ndarray:
-    """Label array reordered to match the tensor's sample axis.
+def aligned_labels(sample_ids, labels: LabelSet, n_classes: int) -> np.ndarray:
+    """Labels reordered to ``sample_ids``, each a valid index for ``n_classes``.
 
     The id sets must match exactly; a mismatch raises :class:`AlignmentError`
-    reporting the symmetric difference. Labels must be valid class indices
-    for the tensor's class count.
+    reporting the symmetric difference. A label outside ``0..n_classes-1``
+    raises :class:`ValidationError` naming its sample.
     """
-    arr = aligned_labels(tensor.sample_ids, labels)
-    if np.any(arr >= tensor.n_classes):
-        bad = int(np.argmax(arr >= tensor.n_classes))
+    wanted = tuple(sample_ids)
+    if wanted == labels.sample_ids:
+        arr = labels.labels
+    else:
+        have, want = set(labels.sample_ids), set(wanted)
+        if have != want:
+            only_left = sorted(want - have)
+            only_right = sorted(have - want)
+            parts = []
+            if only_left:
+                parts.append(f"missing labels for {only_left}")
+            if only_right:
+                parts.append(f"labels without predictions for {only_right}")
+            raise AlignmentError("; ".join(parts), only_left, only_right)
+        position = dict(zip(labels.sample_ids, range(len(labels))))
+        arr = labels.labels[np.fromiter(map(position.__getitem__, wanted), np.intp, len(wanted))]
+    out_of_range = arr >= n_classes
+    if out_of_range.any():
+        bad = int(np.argmax(out_of_range))
         raise ValidationError(
-            f"label {int(arr[bad])} for sample {tensor.sample_ids[bad]!r} is out of "
-            f"range for {tensor.n_classes} classes"
+            f"label {int(arr[bad])} for sample {wanted[bad]!r} is out of range for "
+            f"{n_classes} classes"
         )
     return arr
 
 
-def aligned_labels(sample_ids, labels: LabelSet) -> np.ndarray:
-    """Labels reordered to ``sample_ids``; id sets must match exactly."""
-    wanted = tuple(str(s) for s in sample_ids)
-    have = set(labels.sample_ids)
-    want = set(wanted)
-    if have != want:
-        only_left = sorted(want - have)
-        only_right = sorted(have - want)
-        parts = []
-        if only_left:
-            parts.append(f"missing labels for {only_left}")
-        if only_right:
-            parts.append(f"labels without predictions for {only_right}")
-        raise AlignmentError("; ".join(parts), only_left, only_right)
-    by_id = labels.as_dict()
-    return np.array([by_id[s] for s in wanted], dtype=np.int64)
-
-
-def _data_lines(path):
+def data_lines(path):
+    """Numbered non-blank lines of a text artifact, minus a leading ``#`` line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.rstrip("\r\n")
-            if not stripped or stripped.startswith("#"):
+            if not stripped or (lineno == 1 and stripped.startswith("#")):
                 continue
             yield lineno, stripped
 
@@ -247,7 +277,7 @@ def _rows_to_tensor(rows, path, renormalize):
 
 
 def _parse_csv_predictions(path, renormalize):
-    lines = list(_data_lines(path))
+    lines = list(data_lines(path))
     if not lines:
         raise FormatError(f"{path}: empty predictions file")
     header = next(csv.reader([lines[0][1]]))
@@ -279,7 +309,7 @@ def _parse_csv_predictions(path, renormalize):
 
 def _parse_jsonl_predictions(path):
     rows = []
-    for lineno, raw in _data_lines(path):
+    for lineno, raw in data_lines(path):
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -316,29 +346,27 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
     """
     fmt = format or infer_format(path)
     buf = io.StringIO()
-    if header_comment is not None:
-        buf.write(f"# {header_comment}\n")
     if fmt == "csv":
         cols = ",".join(f"p_{c}" for c in range(tensor.n_classes))
         buf.write(f"sample_id,pass_id,{cols}\n")
-        for i, sid in enumerate(tensor.sample_ids):
+        for i, sid in enumerate(csv_fields(tensor.sample_ids)):
             for t in range(tensor.n_passes):
                 rendered = ",".join(render_prob(v) for v in tensor.probs[i, t])
                 buf.write(f"{sid},{t},{rendered}\n")
     elif fmt == "jsonl":
-        for i, sid in enumerate(tensor.sample_ids):
+        for i, sample_id in enumerate(tensor.sample_ids):
+            sid = json.dumps(sample_id)
             for t in range(tensor.n_passes):
                 p = "[" + ", ".join(render_prob(v) for v in tensor.probs[i, t]) + "]"
-                buf.write('{"sample_id": %s, "pass_id": %d, "p": %s}\n' % (json.dumps(sid), t, p))
+                buf.write('{"sample_id": %s, "pass_id": %d, "p": %s}\n' % (sid, t, p))
     else:
         raise ValueError(f"unknown predictions format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_artifact(path, buf.getvalue(), header_comment)
 
 
 def load_labels(path) -> LabelSet:
     """Parse a ``sample_id,label`` CSV file."""
-    lines = list(_data_lines(path))
+    lines = list(data_lines(path))
     if not lines:
         raise FormatError(f"{path}: empty labels file")
     header = next(csv.reader([lines[0][1]]))
@@ -368,12 +396,9 @@ def load_labels(path) -> LabelSet:
 
 
 def save_labels(labels: LabelSet, path, header_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        fh.write("sample_id,label\n")
-        for sid, label in zip(labels.sample_ids, labels.labels):
-            fh.write(f"{sid},{int(label)}\n")
+    ids = csv_fields(labels.sample_ids)
+    rows = "".join(f"{sid},{label}\n" for sid, label in zip(ids, labels.labels.tolist()))
+    write_artifact(path, "sample_id,label\n" + rows, header_comment)
 
 
 def infer_format(path) -> str:

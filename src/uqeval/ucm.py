@@ -15,33 +15,24 @@ text and ``null`` in JSON), never coerced to a number.
 
 Thresholds are interpreted on the normalized-entropy scale by default;
 ``normalized=False`` switches to raw entropy for binary-task emulation.
+
+Every evaluation aligns labels once. A sweep then counts all thresholds
+from one sort of each correctness group: the certain members of a group at
+threshold ``t`` are those sorted before ``t``. This is the ROC construction
+with uncertainty as the score (Fawcett 2006, *An introduction to ROC
+analysis*, Alg. 1).
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import median
 
 import numpy as np
 
-from .aggregate import PredictiveSummary
+from .aggregate import Summaries
 from .errors import ValidationError
-from .tensor import LabelSet, aligned_labels
-
-OUTCOMES = ("TC", "TU", "FU", "FC")
-
-
-def classify_outcome(correct: bool, uncertainty: float, threshold: float) -> str:
-    """Outcome cell for one prediction; uncertain iff ``uncertainty >= threshold``."""
-    if not 0.0 <= uncertainty <= 1.0:
-        raise ValidationError(f"uncertainty {uncertainty} outside [0, 1]")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"threshold {threshold} outside [0, 1]")
-    uncertain = uncertainty >= threshold
-    if correct:
-        return "FU" if uncertain else "TC"
-    return "TU" if uncertain else "FC"
+from .tensor import LabelSet, write_artifact
 
 
 @dataclass(frozen=True)
@@ -90,34 +81,29 @@ def _ratio(num: int, den: int) -> float | None:
     return num / den
 
 
-def _uncertainties(summaries: list[PredictiveSummary], normalized: bool) -> np.ndarray:
-    if normalized:
-        return np.array([s.normalized_entropy for s in summaries], dtype=np.float64)
-    return np.array([s.entropy for s in summaries], dtype=np.float64)
+def _confusions(summaries: Summaries, labels: LabelSet, thresholds: list[float],
+                normalized: bool) -> list[UncertaintyConfusion]:
+    """Outcome counts at each threshold; uncertain iff ``u >= threshold``."""
+    for threshold in thresholds:
+        _check_threshold(threshold, normalized)
+    correct = summaries.correct(labels)
+    u = summaries.normalized_entropy if normalized else summaries.entropy
+    # searchsorted(side="left") counts the values strictly below each threshold
+    certain_right = np.searchsorted(np.sort(u[correct]), thresholds, side="left").tolist()
+    certain_wrong = np.searchsorted(np.sort(u[~correct]), thresholds, side="left").tolist()
+    n_right = int(np.count_nonzero(correct))
+    n_wrong = len(summaries) - n_right
+    return [
+        UncertaintyConfusion(threshold=t, tc=tc, tu=n_wrong - fc, fu=n_right - tc, fc=fc)
+        for t, tc, fc in zip(thresholds, certain_right, certain_wrong)
+    ]
 
 
-def _correctness(summaries: list[PredictiveSummary], labels: LabelSet) -> np.ndarray:
-    ids = [s.sample_id for s in summaries]
-    truth = aligned_labels(ids, labels)
-    predicted = np.array([s.predicted_class for s in summaries], dtype=np.int64)
-    return predicted == truth
-
-
-def build_ucm(summaries: list[PredictiveSummary], labels: LabelSet, threshold: float,
+def build_ucm(summaries: Summaries, labels: LabelSet, threshold: float,
               normalized: bool = True) -> UncertaintyConfusion:
     """Count the four outcomes over all samples at one threshold."""
-    if not summaries:
-        raise ValidationError("no summaries to evaluate")
-    _check_threshold(threshold, normalized)
-    correct = _correctness(summaries, labels)
-    uncertain = _uncertainties(summaries, normalized) >= threshold
-    return UncertaintyConfusion(
-        threshold=float(threshold),
-        tc=int(np.sum(correct & ~uncertain)),
-        tu=int(np.sum(~correct & uncertain)),
-        fu=int(np.sum(correct & uncertain)),
-        fc=int(np.sum(~correct & ~uncertain)),
-    )
+    (ucm,) = _confusions(summaries, labels, [float(threshold)], normalized)
+    return ucm
 
 
 def _check_threshold(threshold: float, normalized: bool) -> None:
@@ -165,7 +151,7 @@ def metrics_point(ucm: UncertaintyConfusion) -> SweepPoint:
     return SweepPoint(ucm.threshold, ucm, uacc(ucm), usen(ucm), uspe(ucm), upre(ucm))
 
 
-def threshold_sweep(summaries: list[PredictiveSummary], labels: LabelSet, thresholds,
+def threshold_sweep(summaries: Summaries, labels: LabelSet, thresholds,
                     normalized: bool = True) -> SweepCurve:
     """Evaluate the confusion metrics at every threshold of an increasing grid."""
     thresholds = [float(t) for t in thresholds]
@@ -173,15 +159,18 @@ def threshold_sweep(summaries: list[PredictiveSummary], labels: LabelSet, thresh
         raise ValidationError("empty threshold grid")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValidationError("thresholds must be strictly increasing")
-    points = tuple(
-        metrics_point(build_ucm(summaries, labels, t, normalized)) for t in thresholds
-    )
-    return SweepCurve(points)
+    return SweepCurve(tuple(
+        metrics_point(ucm) for ucm in _confusions(summaries, labels, thresholds, normalized)
+    ))
 
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Normalized-entropy statistics of the correct vs. incorrect groups."""
+    """Normalized-entropy statistics of the correct vs. incorrect groups.
+
+    ``correct_entropies`` and ``incorrect_entropies`` hold the group values
+    the statistics summarize, for plotting.
+    """
 
     n_correct: int
     n_incorrect: int
@@ -191,16 +180,18 @@ class SeparationReport:
     incorrect_median: float | None
     mean_difference: float | None
     median_difference: float | None
+    correct_entropies: np.ndarray = field(repr=False, compare=False)
+    incorrect_entropies: np.ndarray = field(repr=False, compare=False)
 
 
-def separation_report(summaries: list[PredictiveSummary], labels: LabelSet) -> SeparationReport:
+def separation_report(summaries: Summaries, labels: LabelSet) -> SeparationReport:
     """Group statistics of normalized entropy split by prediction correctness.
 
     Differences are incorrect minus correct; a positive value means errors
     carry higher uncertainty. Statistics of an empty group are None.
     """
-    correct = _correctness(summaries, labels)
-    u = _uncertainties(summaries, normalized=True)
+    correct = summaries.correct(labels)
+    u = summaries.normalized_entropy
     groups = {True: u[correct], False: u[~correct]}
 
     def stats(values):
@@ -220,6 +211,8 @@ def separation_report(summaries: list[PredictiveSummary], labels: LabelSet) -> S
         incorrect_median=i_median,
         mean_difference=(i_mean - c_mean) if both else None,
         median_difference=(i_median - c_median) if both else None,
+        correct_entropies=groups[True],
+        incorrect_entropies=groups[False],
     )
 
 
@@ -230,20 +223,20 @@ def format_metric(value: float | None) -> str:
     return "n/a" if value is None else "%.17g" % value
 
 
-def save_sweep(curve: SweepCurve, path, header_comment: str | None = None,
-               scheme: str | None = None) -> None:
+def save_sweep(curves: SweepCurve | dict[str, SweepCurve], path,
+               header_comment: str | None = None) -> None:
     """Sweep CSV with ``n/a`` for undefined ratios.
 
-    ``scheme`` prepends a scheme column so several sweeps can share a file.
+    ``curves`` is one curve, or a dict of curves by scheme name; a dict adds
+    a leading ``scheme`` column so the sweeps share one file.
     """
-    buf = io.StringIO()
-    if header_comment is not None:
-        buf.write(f"# {header_comment}\n")
-    header = SWEEP_HEADER if scheme is None else "scheme," + SWEEP_HEADER
-    buf.write(header + "\n")
-    buf.write(render_sweep_rows(curve, scheme))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    if isinstance(curves, SweepCurve):
+        text = SWEEP_HEADER + "\n" + render_sweep_rows(curves)
+    else:
+        text = "scheme," + SWEEP_HEADER + "\n" + "".join(
+            render_sweep_rows(curve, scheme) for scheme, curve in curves.items()
+        )
+    write_artifact(path, text, header_comment)
 
 
 def render_sweep_rows(curve: SweepCurve, scheme: str | None = None) -> str:

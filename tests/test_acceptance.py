@@ -14,6 +14,7 @@ import numpy as np
 from uqeval import (
     LabelSet,
     MetricDistribution,
+    Summaries,
     UncertaintyConfusion,
     auc_binary,
     build_ucm,
@@ -27,7 +28,6 @@ from uqeval import (
     usen,
     uspe,
 )
-from uqeval.aggregate import summarize_mean
 from uqeval.cli import main
 from uqeval.demo import DEMO_ARTIFACTS
 from uqeval.models import Mlp, MlpSpec, cross_entropy
@@ -48,14 +48,18 @@ def criterion(number, description, budget_seconds):
     assert elapsed < budget_seconds
 
 
+def summaries_of(means):
+    """Summaries of the given rows after renormalizing each, ids s0, s1, ..."""
+    means = np.asarray(means, dtype=np.float64)
+    return Summaries.from_means([f"s{i}" for i in range(len(means))],
+                                means / means.sum(axis=1, keepdims=True))
+
+
 def random_binary_summaries(rng, n):
     confidences = rng.uniform(0.5, 1.0, n)
     predicted = rng.integers(0, 2, n)
-    out = []
-    for i, (c, k) in enumerate(zip(confidences, predicted)):
-        mean = np.array([c, 1.0 - c]) if k == 0 else np.array([1.0 - c, c])
-        out.append(summarize_mean(f"s{i}", mean / mean.sum(), 2))
-    return out
+    pairs = np.stack([confidences, 1.0 - confidences], axis=1)
+    return summaries_of(np.where(predicted[:, None] == 0, pairs, pairs[:, ::-1]))
 
 
 def test_criterion_01_metric_oracle_suite():
@@ -79,9 +83,7 @@ def test_criterion_01_metric_oracle_suite():
         for _ in range(1000):
             n = int(rng.integers(1, 40))
             summaries = random_binary_summaries(rng, n)
-            labels = LabelSet(
-                tuple(s.sample_id for s in summaries), rng.integers(0, 2, n)
-            )
+            labels = LabelSet(summaries.sample_ids, rng.integers(0, 2, n))
             ucm = build_ucm(summaries, labels, float(rng.uniform(0, 1)))
             assert ucm.tc + ucm.tu + ucm.fu + ucm.fc == n
 
@@ -93,7 +95,7 @@ def test_criterion_02_sweep_monotonicity(demo_run):
         for _ in range(100):
             n = int(rng.integers(5, 60))
             summaries = random_binary_summaries(rng, n)
-            labels = LabelSet(tuple(s.sample_id for s in summaries), rng.integers(0, 2, n))
+            labels = LabelSet(summaries.sample_ids, rng.integers(0, 2, n))
             curve = threshold_sweep(summaries, labels, grid)
             uspes = [p.uspe for p in curve if p.uspe is not None]
             usens = [p.usen for p in curve if p.usen is not None]
@@ -128,11 +130,8 @@ def test_criterion_03_entropy_correctness():
 
 def test_criterion_04_ece():
     with criterion(4, "single-bin ECE exactly 0.3; calibrated generator ECE < 0.01", 10):
-        mean = np.array([0.2, 0.8])
-        summaries = [summarize_mean(f"s{i}", mean / mean.sum(), 2) for i in range(10)]
-        labels = LabelSet(
-            tuple(s.sample_id for s in summaries), np.array([1] * 5 + [0] * 5)
-        )
+        summaries = summaries_of([[0.2, 0.8]] * 10)
+        labels = LabelSet(summaries.sample_ids, np.array([1] * 5 + [0] * 5))
         report = calibration_report(summaries, labels, 1)
         assert abs(report.ece - 0.3) <= 1e-15
 
@@ -140,14 +139,9 @@ def test_criterion_04_ece():
         n = 100_000
         confidences = rng.uniform(0.5, 1.0, n)
         correct = rng.random(n) < confidences
-        summaries = []
-        truth = np.empty(n, dtype=np.int64)
-        for i, (c, ok) in enumerate(zip(confidences, correct)):
-            mean = np.array([1.0 - c, c])
-            s = summarize_mean(f"s{i}", mean / mean.sum(), 2)
-            summaries.append(s)
-            truth[i] = s.predicted_class if ok else 1 - s.predicted_class
-        labels = LabelSet(tuple(s.sample_id for s in summaries), truth)
+        summaries = summaries_of(np.stack([1.0 - confidences, confidences], axis=1))
+        predicted = summaries.predicted_class
+        labels = LabelSet(summaries.sample_ids, np.where(correct, predicted, 1 - predicted))
         report = calibration_report(summaries, labels, 10)
         assert report.ece < 0.01
 

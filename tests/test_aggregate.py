@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 from uqeval import (
     ENSEMBLE,
     MCD,
+    FormatError,
     PredictionTensor,
+    Summaries,
     ValidationError,
     aggregate,
     emcd_scheme,
     load_summaries,
     pass_variance,
     predictive_entropy,
-    predictive_mean,
     save_summaries,
 )
-from uqeval.aggregate import AggregationScheme, max_entropy, summarize_mean
+from uqeval.aggregate import AggregationScheme, max_entropy
 
 from conftest import random_prob_rows
+from scalar_oracles import predictive_mean, summarize_mean
 
 
 def entropy_oracle(mean, base="2"):
@@ -128,25 +130,25 @@ def tensor_from_rows(rows_by_sample):
 class TestAggregate:
     def test_ensemble_identical_members(self):
         t = tensor_from_rows([[[0.8, 0.2]] * 4])
-        (summary,) = aggregate(t, ENSEMBLE, "2")
-        assert np.allclose(summary.mean, [0.8, 0.2], atol=1e-12)
-        assert summary.entropy == pytest.approx(entropy_oracle([0.8, 0.2]), abs=1e-12)
+        summary = aggregate(t, ENSEMBLE, "2")
+        assert np.allclose(summary.means[0], [0.8, 0.2], atol=1e-12)
+        assert summary.entropy[0] == pytest.approx(entropy_oracle([0.8, 0.2]), abs=1e-12)
 
     def test_emcd_uniform(self):
         t = tensor_from_rows([[[0.5, 0.5]] * 4])
-        (summary,) = aggregate(t, emcd_scheme((2, 2)), "2")
-        assert np.allclose(summary.mean, [0.5, 0.5])
-        assert summary.entropy == 1.0
+        summary = aggregate(t, emcd_scheme((2, 2)), "2")
+        assert np.allclose(summary.means[0], [0.5, 0.5])
+        assert summary.entropy[0] == 1.0
 
     def test_emcd_unequal_parts_two_stage_oracle(self):
         rng = np.random.default_rng(21)
         rows = random_prob_rows(rng, 4, 3)
         t = tensor_from_rows([rows])
-        (summary,) = aggregate(t, emcd_scheme((1, 3)), "2")
+        summary = aggregate(t, emcd_scheme((1, 3)), "2")
         member_a = rows[0]
         member_b = (rows[1] + rows[2] + rows[3]) / 3.0
         oracle = (member_a + member_b) / 2.0
-        assert np.max(np.abs(summary.mean - oracle)) < 1e-12
+        assert np.max(np.abs(summary.means[0] - oracle)) < 1e-12
 
     def test_emcd_partition_mismatch(self):
         t = tensor_from_rows([[[0.5, 0.5]] * 4])
@@ -157,27 +159,27 @@ class TestAggregate:
         rng = np.random.default_rng(22)
         rows = random_prob_rows(rng, 12, 3)
         t = tensor_from_rows([rows])
-        (emcd,) = aggregate(t, emcd_scheme((4, 4, 4)), "2")
-        (mcd,) = aggregate(t, MCD, "2")
-        assert np.max(np.abs(emcd.mean - mcd.mean)) < 1e-15
+        emcd = aggregate(t, emcd_scheme((4, 4, 4)), "2")
+        mcd = aggregate(t, MCD, "2")
+        assert np.max(np.abs(emcd.means - mcd.means)) < 1e-15
 
     def test_argmax_tie_breaks_low(self):
-        summary = summarize_mean("s", np.array([0.5, 0.5]), 2)
-        assert summary.predicted_class == 0
-        assert summary.confidence == 0.5
+        summary = Summaries.from_means(["s"], np.array([[0.5, 0.5]]))
+        assert summary.predicted_class[0] == 0
+        assert summary.confidence[0] == 0.5
 
     def test_normalized_entropy_binary_equals_raw(self):
         rng = np.random.default_rng(23)
         t = tensor_from_rows(random_prob_rows(rng, 12, 2).reshape(4, 3, 2))
-        for s in aggregate(t, MCD, "2"):
-            assert s.normalized_entropy == s.entropy
+        s = aggregate(t, MCD, "2")
+        assert np.array_equal(s.normalized_entropy, s.entropy)
 
     def test_normalized_entropy_in_unit_interval(self):
         rng = np.random.default_rng(24)
         t = tensor_from_rows(random_prob_rows(rng, 40, 5).reshape(8, 5, 5))
         for base in ("2", "e"):
-            for s in aggregate(t, MCD, base):
-                assert 0.0 <= s.normalized_entropy <= 1.0
+            s = aggregate(t, MCD, base)
+            assert np.all((0.0 <= s.normalized_entropy) & (s.normalized_entropy <= 1.0))
 
     def test_class_permutation_invariance(self):
         rng = np.random.default_rng(25)
@@ -185,8 +187,8 @@ class TestAggregate:
         t = tensor_from_rows(probs)
         perm = rng.permutation(4)
         t_perm = tensor_from_rows(probs[:, :, perm])
-        for a, b in zip(aggregate(t, MCD, "2"), aggregate(t_perm, MCD, "2")):
-            assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
+        a, b = aggregate(t, MCD, "2"), aggregate(t_perm, MCD, "2")
+        assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
 
     def test_duplicate_pass_moves_mean_toward_row(self):
         rng = np.random.default_rng(26)
@@ -242,10 +244,63 @@ class TestSummariesFile:
         path = tmp_path / "s.csv"
         save_summaries(summaries, path, header_comment="manifest_digest=sha256:t")
         back = load_summaries(path)
-        assert [s.sample_id for s in back] == [s.sample_id for s in summaries]
-        for a, b in zip(summaries, back):
-            assert np.array_equal(a.mean, b.mean)
-            assert a.entropy == b.entropy
-            assert a.normalized_entropy == b.normalized_entropy
-            assert a.predicted_class == b.predicted_class
-            assert a.confidence == b.confidence
+        assert back.sample_ids == summaries.sample_ids
+        assert np.array_equal(back.means, summaries.means)
+        assert np.array_equal(back.entropy, summaries.entropy)
+        assert np.array_equal(back.normalized_entropy, summaries.normalized_entropy)
+        assert np.array_equal(back.predicted_class, summaries.predicted_class)
+        assert np.array_equal(back.confidence, summaries.confidence)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "sample_id,predicted_class,confidence,entropy,normalized_entropy,p_0,p_1\n"
+            "a,0,0.5,1,1,0.5,0.5\na,0,0.5,1,1,0.5,0.5\nb,0,0.5,1,1,0.5,0.5\n"
+        )
+        with pytest.raises(FormatError, match=r"dup\.csv: duplicate sample id 'a'"):
+            load_summaries(path)
+
+    def test_inconsistent_columns_rejected(self, tmp_path):
+        header = "sample_id,predicted_class,confidence,entropy,normalized_entropy,p_0,p_1\n"
+        for row, message in (
+            ("a,1,0.9,0.469,0.469,0.9,0.1", "predicted_class of 'a'"),
+            ("a,0,0.8,0.469,0.469,0.9,0.1", "confidence of 'a'"),
+            ("a,0,0.9,0.469,1.5,0.9,0.1", "normalized entropy 1.5 of 'a'"),
+            ("a,0,0.9,-0.1,0.469,0.9,0.1", "entropy -0.1 of 'a'"),
+            ("a,0,0.9,0.469,0.469,0.9,0.2", "mean for 'a' sums to 1.1"),
+            ("a,0,1.1,0.469,0.469,1.1,-0.1", "mean for 'a' has a negative or NaN component"),
+        ):
+            path = tmp_path / "bad.csv"
+            path.write_text(header + row + "\n")
+            with pytest.raises(FormatError, match=message):
+                load_summaries(path)
+
+
+class TestColumnarOracle:
+    """The columnar aggregate against the per-sample scalar oracles."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 10])
+    @pytest.mark.parametrize("base", ["2", "e"])
+    @pytest.mark.parametrize("parts", [None, (12,), (4, 4, 4), (1, 5, 6), (2, 10)])
+    def test_matches_per_sample_oracle(self, parts, base, n_classes):
+        n_passes = 12
+        rng = np.random.default_rng(7 + n_classes)
+        probs = random_prob_rows(rng, 40 * n_passes, n_classes).reshape(40, n_passes, n_classes)
+        probs[0] = np.full(n_classes, 1.0 / n_classes)  # a maximal-entropy sample
+        probs[1] = np.eye(n_classes)[1]  # a zero-entropy sample
+        t = tensor_from_rows(probs)
+        got = aggregate(t, MCD if parts is None else emcd_scheme(parts), base)
+        # Both sides sum at most T terms in [0, 1] and divide by sums near 1,
+        # so in float64 they can differ by a few rounding steps per term.
+        mean_tol = (n_passes + 8) * np.finfo(np.float64).eps
+        bounds = np.cumsum((0,) + (parts or (n_passes,)))
+        for i, sid in enumerate(t.sample_ids):
+            members = [predictive_mean(t.probs[i, a:b]) for a, b in zip(bounds, bounds[1:])]
+            assert np.max(np.abs(got.means[i] - predictive_mean(np.array(members)))) <= mean_tol
+            # on the same mean row the per-sample arithmetic is unchanged: exact
+            oracle = summarize_mean(sid, got.means[i], n_classes, base)
+            assert got.sample_ids[i] == oracle.sample_id
+            assert got.predicted_class[i] == oracle.predicted_class
+            assert got.confidence[i] == oracle.confidence
+            assert got.entropy[i] == oracle.entropy
+            assert got.normalized_entropy[i] == oracle.normalized_entropy

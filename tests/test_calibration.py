@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from uqeval import LabelSet, ValidationError, bin_assign, calibration_report
-from uqeval.aggregate import summarize_mean
+from uqeval import LabelSet, Summaries, ValidationError, calibration_report
 from uqeval.calibration import (
     CalibrationBin,
     CalibrationReport,
@@ -10,18 +9,17 @@ from uqeval.calibration import (
     save_reliability,
 )
 
+from scalar_oracles import bin_assign, take
 
-def summaries_from_confidences(confidences, correct_flags):
+
+def summaries_from_confidences(confidences, correct_flags, prefix="s"):
     """Binary summaries with the given max-probability confidences (>= 0.5)."""
-    summaries = []
-    labels = []
-    for i, (c, ok) in enumerate(zip(confidences, correct_flags)):
-        mean = np.array([1.0 - c, c])
-        mean = mean / mean.sum()
-        s = summarize_mean(f"s{i}", mean, 2)
-        summaries.append(s)
-        labels.append(s.predicted_class if ok else 1 - s.predicted_class)
-    return summaries, LabelSet(tuple(f"s{i}" for i in range(len(labels))), np.array(labels))
+    confidences = np.asarray(confidences, dtype=np.float64)
+    means = np.stack([1.0 - confidences, confidences], axis=1)
+    ids = tuple(f"{prefix}{i}" for i in range(len(means)))
+    summaries = Summaries.from_means(ids, means / means.sum(axis=1, keepdims=True))
+    predicted = summaries.predicted_class
+    return summaries, LabelSet(ids, np.where(correct_flags, predicted, 1 - predicted))
 
 
 class TestBinAssign:
@@ -74,13 +72,14 @@ class TestCalibrationReport:
             [0.6] * 10, [True] * 5 + [False] * 5
         )  # acc 0.5, conf 0.6, gap 0.1
         summaries_b, labels_b = summaries_from_confidences(
-            [0.9] * 10, [True] * 6 + [False] * 4
+            [0.9] * 10, [True] * 6 + [False] * 4, prefix="t"
         )  # acc 0.6, conf 0.9, gap 0.3
-        summaries = summaries_a + [
-            summarize_mean(f"t{i}", s.mean, 2) for i, s in enumerate(summaries_b)
-        ]
+        summaries = Summaries.from_means(
+            summaries_a.sample_ids + summaries_b.sample_ids,
+            np.concatenate([summaries_a.means, summaries_b.means]),
+        )
         labels = LabelSet(
-            tuple(s.sample_id for s in summaries),
+            summaries.sample_ids,
             np.concatenate([labels_a.labels, labels_b.labels]),
         )
         report = calibration_report(summaries, labels, 10)
@@ -110,7 +109,7 @@ class TestCalibrationReport:
         summaries, labels = summaries_from_confidences(confidences, ok)
         base = calibration_report(summaries, labels, 10)
         perm = rng.permutation(200)
-        again = calibration_report([summaries[i] for i in perm], labels, 10)
+        again = calibration_report(take(summaries, perm), labels, 10)
         assert again.ece == base.ece
 
     def test_split_recombination_law(self):
@@ -123,8 +122,8 @@ class TestCalibrationReport:
             return LabelSet(labels.sample_ids[lo:hi], labels.labels[lo:hi])
 
         whole = calibration_report(summaries, labels, 10)
-        part_a = calibration_report(summaries[:120], sliced(0, 120), 10)
-        part_b = calibration_report(summaries[120:], sliced(120, 300), 10)
+        part_a = calibration_report(take(summaries, range(120)), sliced(0, 120), 10)
+        part_b = calibration_report(take(summaries, range(120, 300)), sliced(120, 300), 10)
         # per-bin counts add; count-weighted accuracies and confidences recombine
         for m in range(10):
             w, a, b = whole.bins[m], part_a.bins[m], part_b.bins[m]
@@ -145,8 +144,19 @@ class TestCalibrationReport:
 
     def test_zero_samples_rejected(self):
         labels = LabelSet(("a",), np.array([0]))
-        with pytest.raises(ValidationError):
-            calibration_report([], labels, 10)
+        with pytest.raises(ValidationError, match="at least one sample"):
+            calibration_report(Summaries.from_means((), np.empty((0, 2))), labels, 10)
+
+    def test_bin_counts_match_scalar_oracle(self):
+        rng = np.random.default_rng(17)
+        confidences = rng.uniform(0.5, 1.0, 500)
+        confidences[:4] = (0.5, 0.6, 0.7, 1.0)  # values on bin edges
+        summaries, labels = summaries_from_confidences(confidences, rng.random(500) < 0.7)
+        for m_bins in (1, 3, 10, 17):
+            report = calibration_report(summaries, labels, m_bins)
+            oracle = np.bincount([bin_assign(float(c), m_bins) for c in summaries.confidence],
+                                 minlength=m_bins + 1)[1:]
+            assert [b.count for b in report.bins] == oracle.tolist()
 
     def test_report_recomposition_enforced(self):
         bins = (CalibrationBin(1, 0.0, 1.0, 2, 0.5, 0.9),)

@@ -67,10 +67,9 @@ class TestArtifacts:
         assert code == 0
         again = load_summaries(tmp_path / "summaries.csv")
         emitted = load_summaries(quick_demo_dir / "summaries_emcd.csv")
-        assert [s.sample_id for s in again] == [s.sample_id for s in emitted]
-        for a, b in zip(again, emitted):
-            assert np.max(np.abs(a.mean - b.mean)) < 1e-8
-            assert abs(a.entropy - b.entropy) < 1e-7
+        assert again.sample_ids == emitted.sample_ids
+        assert np.max(np.abs(again.means - emitted.means)) < 1e-8
+        assert np.max(np.abs(again.entropy - emitted.entropy)) < 1e-7
 
     def test_svgs_are_valid_xml(self, quick_demo_dir):
         manifest = json.loads((quick_demo_dir / "manifest.json").read_text())

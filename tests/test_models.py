@@ -244,7 +244,7 @@ class TestEnsemble:
         models = train_ensemble(spec, TrainConfig(epochs=60, seed=1), ds)
         tensor = ensemble_predict(models, ds.test_x, ds.test_ids)
         summaries = aggregate(tensor, ENSEMBLE)
-        predicted = np.array([s.predicted_class for s in summaries])
+        predicted = summaries.predicted_class
         ensemble_acc = (predicted == ds.test_y).mean()
         member_accs = [
             (m.predict_proba(ds.test_x).argmax(axis=1) == ds.test_y).mean()
@@ -261,8 +261,7 @@ class TestEmcd:
         ens_tensor = ensemble_predict(models, x)
         emcd_summaries = aggregate(emcd_tensor, scheme)
         ens_summaries = aggregate(ens_tensor, ENSEMBLE)
-        for a, b in zip(emcd_summaries, ens_summaries):
-            assert np.max(np.abs(a.mean - b.mean)) < 1e-12
+        assert np.max(np.abs(emcd_summaries.means - ens_summaries.means)) < 1e-12
 
     def test_partition_sums_to_pass_count(self):
         rng = np.random.default_rng(13)

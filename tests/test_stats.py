@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from uqeval import (
     LabelSet,
     MetricDistribution,
+    Summaries,
     ValidationError,
     accuracy,
     auc_binary,
@@ -18,8 +19,7 @@ from uqeval import (
     student_t_cdf,
     student_t_two_sided_p,
 )
-from uqeval.aggregate import summarize_mean
-from uqeval.stats import positive_class_scores
+from uqeval.stats import _average_ranks, positive_class_scores
 
 
 def auc_pair_oracle(scores, labels):
@@ -51,11 +51,10 @@ def paired_p_oracle(d):
 
 
 def binary_summaries(p1_values):
-    out = []
-    for i, p1 in enumerate(p1_values):
-        mean = np.array([1.0 - p1, p1])
-        out.append(summarize_mean(f"s{i}", mean / mean.sum(), 2))
-    return out
+    p1 = np.asarray(p1_values, dtype=np.float64)
+    means = np.stack([1.0 - p1, p1], axis=1)
+    ids = [f"s{i}" for i in range(len(p1))]
+    return Summaries.from_means(ids, means / means.sum(axis=1, keepdims=True))
 
 
 class TestAccuracy:
@@ -76,7 +75,7 @@ class TestAccuracy:
         summaries = binary_summaries(p1)
         labels = LabelSet(tuple(f"s{i}" for i in range(111)), truth)
         expected = sum(
-            1 for s, y in zip(summaries, truth) if s.predicted_class == y
+            1 for predicted, y in zip(summaries.predicted_class, truth) if predicted == y
         ) / 111
         assert accuracy(summaries, labels) == expected
 
@@ -116,6 +115,31 @@ class TestAucBinary:
         assert auc_binary(scores, labels) == pytest.approx(
             auc_binary(transformed, labels), abs=1e-12
         )
+
+
+def average_ranks_oracle(values):
+    """1-based ranks by the tie-group walk over the stably sorted values."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    def test_matches_tie_walk_oracle(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 80))
+            values = np.round(rng.uniform(0, 1, n), int(rng.integers(0, 3)))
+            assert np.array_equal(_average_ranks(values), average_ranks_oracle(values))
+        assert np.array_equal(_average_ranks(np.array([0.0, -0.0, 1.0])), [1.5, 1.5, 3.0])
 
 
 class TestIncompleteBeta:
@@ -273,9 +297,9 @@ class TestCompareModels:
         assert d["df"] == 5
 
     def test_positive_scores_need_binary(self):
-        summary = summarize_mean("x", np.array([0.2, 0.3, 0.5]), 3)
+        summary = Summaries.from_means(["x"], np.array([[0.2, 0.3, 0.5]]))
         with pytest.raises(ValidationError):
-            positive_class_scores([summary])
+            positive_class_scores(summary)
 
 
 class TestCrossModule:
@@ -287,7 +311,7 @@ class TestCrossModule:
         summaries = binary_summaries(p1)
         truth = rng.integers(0, 2, 60)
         labels = LabelSet(tuple(f"s{i}" for i in range(60)), truth)
-        max_u = max(s.normalized_entropy for s in summaries)
+        max_u = max(summaries.normalized_entropy)
         threshold = min(1.0, max_u + 1e-9)
         ucm = build_ucm(summaries, labels, threshold)
         assert uacc(ucm) == accuracy(summaries, labels)

@@ -1,23 +1,38 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqeval import (
+    MCD,
     AlignmentError,
     FormatError,
     LabelSet,
     PredictionTensor,
+    Summaries,
     ValidationError,
-    align,
+    accuracy,
+    aggregate,
+    aligned_labels,
+    build_ucm,
+    calibration_report,
+    compare_models,
     load_labels,
     load_predictions,
+    load_summaries,
     save_labels,
     save_predictions,
+    save_summaries,
+    separation_report,
+    threshold_sweep,
 )
 from uqeval.tensor import quantize_probs
 
 from conftest import random_prob_rows
+
+
+def align(tensor, labels):
+    return aligned_labels(tensor.sample_ids, labels, tensor.n_classes)
 
 
 def make_tensor(probs, ids=None, **kw):
@@ -131,6 +146,11 @@ class TestCsvFormat:
         path.write_text("# manifest_digest=sha256:x\nsample_id,pass_id,p_0,p_1\ns0,0,0.7,0.3\n")
         assert load_predictions(path).n_samples == 1
 
+    def test_only_leading_comment_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("# manifest\nsample_id,pass_id,p_0,p_1\n#x,0,0.7,0.3\n")
+        assert load_predictions(path).sample_ids == ("#x",)
+
 
 class TestRoundTrip:
     def test_save_then_load_bytes_stable(self, tmp_path):
@@ -173,6 +193,43 @@ class TestRoundTrip:
         back = load_predictions(path)
         assert np.array_equal(back.probs, t.probs)
         assert back.sample_ids == t.sample_ids
+
+
+# Any text without a line break is a valid sample id.
+SAMPLE_IDS = st.lists(
+    st.text(st.characters(exclude_characters="\r\n"), max_size=8),
+    min_size=1, max_size=6, unique=True,
+)
+
+
+class TestSampleIds:
+    @given(SAMPLE_IDS)
+    @settings(max_examples=60, deadline=None)
+    @example(["#x", "y"])
+    @example(["a,1", 'q"uote', "", " lead", "\x00"])
+    def test_ids_round_trip_through_every_csv(self, tmp_path_factory, ids):
+        rng = np.random.default_rng(len(ids))
+        probs = quantize_probs(random_prob_rows(rng, 2 * len(ids), 2)).reshape(len(ids), 2, 2)
+        tensor = make_tensor(probs, ids=ids)
+        labels = LabelSet(ids, np.arange(len(ids)) % 2)
+        summaries = aggregate(tensor, MCD)
+        tmp = tmp_path_factory.mktemp("ids")
+        stamp = "manifest_digest=sha256:x"
+        save_predictions(tensor, tmp / "p.csv", header_comment=stamp)
+        save_labels(labels, tmp / "l.csv", header_comment=stamp)
+        save_summaries(summaries, tmp / "s.csv", header_comment=stamp)
+        assert load_predictions(tmp / "p.csv").sample_ids == tensor.sample_ids
+        assert load_labels(tmp / "l.csv").as_dict() == labels.as_dict()
+        assert load_summaries(tmp / "s.csv").sample_ids == summaries.sample_ids
+
+    @pytest.mark.parametrize("bad", ["a\nb", "a\r", "\r\n"])
+    def test_line_breaks_rejected(self, bad):
+        with pytest.raises(ValidationError, match="line break"):
+            make_tensor([[[0.5, 0.5]]], ids=(bad,))
+        with pytest.raises(ValidationError, match="line break"):
+            LabelSet((bad,), np.array([0]))
+        with pytest.raises(ValidationError, match="line break"):
+            Summaries.from_means((bad,), np.array([[0.5, 0.5]]))
 
 
 class TestLabels:
@@ -218,6 +275,21 @@ class TestAlign:
         labels = LabelSet(("a",), np.array([2]))
         with pytest.raises(ValidationError, match="out of range"):
             align(t, labels)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda s, labels: build_ucm(s, labels, 0.3),
+        lambda s, labels: threshold_sweep(s, labels, [0.1, 0.5]),
+        lambda s, labels: calibration_report(s, labels, 10),
+        separation_report,
+        accuracy,
+        lambda s, labels: compare_models([(0, s, labels)] * 2, [(0, s, labels)] * 2),
+    ], ids=["build_ucm", "threshold_sweep", "calibration_report", "separation_report",
+            "accuracy", "compare_models"])
+    def test_evaluation_rejects_out_of_range_label(self, evaluate):
+        summaries = Summaries.from_means(("a", "b"), np.array([[0.9, 0.1], [0.2, 0.8]]))
+        labels = LabelSet(("b", "a"), np.array([7, 0]))
+        with pytest.raises(ValidationError, match="label 7 for sample 'b' is out of range"):
+            evaluate(summaries, labels)
 
     def test_permuted_file_gives_same_view(self, tmp_path):
         sorted_path = tmp_path / "sorted.csv"

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from uqeval import (
     LabelSet,
+    Summaries,
     UncertaintyConfusion,
     ValidationError,
     build_ucm,
-    classify_outcome,
     separation_report,
     threshold_sweep,
     uacc,
@@ -18,12 +18,13 @@ from uqeval import (
     usen,
     uspe,
 )
-from uqeval.aggregate import summarize_mean
-from uqeval.ucm import SweepCurve, metrics_point, render_sweep_rows, ucm_as_dict
+from uqeval.ucm import SweepCurve, metrics_point, render_sweep_rows, save_sweep, ucm_as_dict
+
+from scalar_oracles import classify_outcome, take
 
 
-def summary_with(uncertainty: float, predicted: int, sample_id: str):
-    """Binary summary whose base-2 entropy equals the requested uncertainty."""
+def mean_with(uncertainty: float, predicted: int):
+    """Binary mean row whose base-2 entropy equals the requested uncertainty."""
     # binary entropy is invertible on [0.5, 1]; bisect for the confidence
     lo, hi = 0.5, 1.0 - 1e-15
     target = float(uncertainty)
@@ -36,20 +37,15 @@ def summary_with(uncertainty: float, predicted: int, sample_id: str):
             hi = mid
     p = 0.5 * (lo + hi)
     mean = np.array([1.0 - p, p]) if predicted == 1 else np.array([p, 1.0 - p])
-    mean = mean / mean.sum()
-    return summarize_mean(sample_id, mean, 2)
+    return mean / mean.sum()
 
 
 def make_case(uncertainties, correct_flags):
     """Summaries plus labels realizing the given uncertainty/correctness lists."""
-    summaries = []
-    labels = []
-    for i, (u, ok) in enumerate(zip(uncertainties, correct_flags)):
-        s = summary_with(u, predicted=1, sample_id=f"s{i}")
-        summaries.append(s)
-        labels.append(s.predicted_class if ok else 1 - s.predicted_class)
-    label_set = LabelSet(tuple(f"s{i}" for i in range(len(labels))), np.array(labels))
-    return summaries, label_set
+    ids = tuple(f"s{i}" for i in range(len(uncertainties)))
+    summaries = Summaries.from_means(ids, [mean_with(u, predicted=1) for u in uncertainties])
+    predicted = summaries.predicted_class
+    return summaries, LabelSet(ids, np.where(correct_flags, predicted, 1 - predicted))
 
 
 class TestClassifyOutcome:
@@ -81,6 +77,16 @@ class TestClassifyOutcome:
         assert (outcome in ("TU", "FU")) == (u >= thr)
 
 
+def scalar_counts(summaries, labels, threshold):
+    """(TC, TU, FU, FC) recounted one sample at a time by the scalar oracle."""
+    counts = {"TC": 0, "TU": 0, "FU": 0, "FC": 0}
+    truth = labels.as_dict()
+    for sid, predicted, u in zip(summaries.sample_ids, summaries.predicted_class,
+                                 summaries.normalized_entropy):
+        counts[classify_outcome(predicted == truth[sid], float(u), threshold)] += 1
+    return counts["TC"], counts["TU"], counts["FU"], counts["FC"]
+
+
 class TestBuildUcm:
     def test_two_correct_split_by_threshold(self):
         summaries, labels = make_case([0.1, 0.9], [True, True])
@@ -100,14 +106,7 @@ class TestBuildUcm:
         # recount with scalar classification on the summaries' own uncertainty
         for thr in (0.0, 0.3, 0.74, 1.0):
             ucm = build_ucm(summaries, labels, thr)
-            counts = {"TC": 0, "TU": 0, "FU": 0, "FC": 0}
-            truth = labels.as_dict()
-            for s in summaries:
-                correct = s.predicted_class == truth[s.sample_id]
-                counts[classify_outcome(correct, s.normalized_entropy, thr)] += 1
-            assert (ucm.tc, ucm.tu, ucm.fu, ucm.fc) == (
-                counts["TC"], counts["TU"], counts["FU"], counts["FC"],
-            )
+            assert (ucm.tc, ucm.tu, ucm.fu, ucm.fc) == scalar_counts(summaries, labels, thr)
 
     def test_partition_law_random_instances(self):
         rng = np.random.default_rng(18)
@@ -122,7 +121,7 @@ class TestBuildUcm:
         summaries, labels = make_case(rng.uniform(0, 1, 30), rng.random(30) < 0.7)
         base = build_ucm(summaries, labels, 0.4)
         perm = rng.permutation(30)
-        shuffled = [summaries[i] for i in perm]
+        shuffled = take(summaries, perm)
         again = build_ucm(shuffled, labels, 0.4)
         assert (base.tc, base.tu, base.fu, base.fc) == (again.tc, again.tu, again.fu, again.fc)
 
@@ -213,6 +212,9 @@ class TestThresholdSweep:
             assert (point.ucm.tc, point.ucm.tu, point.ucm.fu, point.ucm.fc) == (
                 single.tc, single.tu, single.fu, single.fc,
             )
+            assert (point.ucm.tc, point.ucm.tu, point.ucm.fu, point.ucm.fc) == scalar_counts(
+                summaries, labels, point.threshold
+            )
 
     def test_threshold_zero_limit(self):
         rng = np.random.default_rng(55)
@@ -275,3 +277,17 @@ class TestSweepRendering:
         text = render_sweep_rows(curve)
         assert "n/a" in text
         assert text.startswith("0.5,3,0,0,0,")
+
+    def test_save_sweep_single_and_by_scheme(self, tmp_path):
+        a = SweepCurve((metrics_point(UncertaintyConfusion(0.5, tc=3, tu=0, fu=0, fc=0)),))
+        b = SweepCurve((metrics_point(UncertaintyConfusion(0.5, tc=1, tu=1, fu=1, fc=1)),))
+        save_sweep(a, tmp_path / "one.csv", header_comment="manifest_digest=x")
+        assert (tmp_path / "one.csv").read_text() == (
+            "# manifest_digest=x\nthreshold,tc,tu,fu,fc,uacc,usen,uspe,upre\n"
+            + render_sweep_rows(a)
+        )
+        save_sweep({"mcd": a, "emcd": b}, tmp_path / "two.csv")
+        assert (tmp_path / "two.csv").read_text() == (
+            "scheme,threshold,tc,tu,fu,fc,uacc,usen,uspe,upre\n"
+            + render_sweep_rows(a, "mcd") + render_sweep_rows(b, "emcd")
+        )
