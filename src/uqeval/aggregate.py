@@ -276,7 +276,7 @@ def load_summaries(path) -> Summaries:
         ids.append(cells[0])
     table = np.array(values, dtype=np.float64).reshape(len(values), len(header) - 2)
     try:
-        return Summaries(
+        summaries = Summaries(
             sample_ids=tuple(ids),
             means=table[:, 3:],
             predicted_class=predicted,
@@ -284,5 +284,36 @@ def load_summaries(path) -> Summaries:
             entropy=table[:, 1],
             normalized_entropy=table[:, 2],
         )
+        _check_stored_entropies(summaries)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    return summaries
+
+
+# Rendering a value at 9 significant digits changes it by a relative 5e-9 at
+# most. Over the C means and the stored value that moves an entropy by at most
+# 5e-9 * (2 * log2(C) + 1/ln 2), and a normalized entropy by at most 2e-8; both
+# stay under this bound for any C below 2**99.
+ENTROPY_TOL = 1e-6
+
+
+def _check_stored_entropies(summaries: Summaries) -> None:
+    """Require the entropy columns to be those of the means, in one log base.
+
+    The normalized entropy is checked against the one recomputed from the
+    means, which is the same in every base; the raw entropy must then be the
+    normalized one times ``log(C)`` in the same base for every row.
+    """
+    ids, n_classes = summaries.sample_ids, summaries.n_classes
+    expected = Summaries.from_means(ids, summaries.means).normalized_entropy
+    normalized = summaries.normalized_entropy
+    _require(np.abs(normalized - expected) <= ENTROPY_TOL, ids,
+             "normalized entropy {value:.9g} of {id} is not that of its mean", normalized)
+    fits = [
+        np.abs(summaries.entropy - normalized * max_entropy(n_classes, base)) <= ENTROPY_TOL
+        for base in LOG_BASES
+    ]
+    # the base that fits the most rows; it fits all of them if the file is consistent
+    _require(max(fits, key=np.count_nonzero), ids,
+             "entropy {value:.9g} of {id} is not its normalized entropy times log2(C) or "
+             "ln(C) in the log base of the rest of the file", summaries.entropy)

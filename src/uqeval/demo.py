@@ -194,8 +194,7 @@ def _comparison_runs(dataset, seed: int, preset: DemoPreset):
                                   batch_size=preset.batch_size, seed=run_seed)
 
         warm = Mlp(MlpSpec(head_widths, dropout_rate=0.0, seed=run_seed))
-        warm.weights = [w.copy() for w in backbone.weights]
-        warm.biases = [b.copy() for b in backbone.biases]
+        warm.flat[...] = backbone.flat
         fit_adam(warm, head_config, x_run, y_run)
         runs_warm.append(evaluate(warm, run_seed))
 

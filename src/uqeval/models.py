@@ -9,13 +9,32 @@ identical prediction tensors bit for bit.
 Inverted dropout rescales surviving activations by 1/(1-p) at mask time,
 so the deterministic forward pass needs no compensation and the expected
 masked pre-activation equals the unmasked one.
+
+Parameter layout: each :class:`Mlp` keeps every parameter in one float64
+buffer, ``Mlp.flat``, layer by layer: layer ``i``'s weight matrix
+(``fan_in x fan_out``, row-major) followed by its bias (``fan_out``).
+``Mlp.weights`` and ``Mlp.biases`` are tuples of reshaped views into that
+buffer. Writing through a view writes the buffer; rebinding either tuple, or
+assigning one of its items, raises, so no parameter can come loose from the
+buffer that training updates. The backward pass writes its gradients into
+views of a gradient buffer with the same layout, and :func:`fit_adam` holds
+its moment estimates in buffers of that size, so one Adam step is a fixed
+dozen in-place array operations whatever the depth of the network.
+
+Bit identity: Adam is elementwise, and the update applies, to every element
+and in the same order, the operations of a per-tensor update:
+``m*=b1; m+=(1-b1)*g; v*=b2; v+=(1-b2)*g**2; p-=lr*(m/bc1)/(sqrt(v/bc2)+eps)``.
+The gradients are the same products and sums, written into views. Training
+a model on the flat buffer therefore gives the same weights, bit for bit, as
+training separate weight and bias arrays; the test suite keeps that
+list-of-arrays engine as its reference.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,9 +88,10 @@ class TrainConfig:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
@@ -79,20 +99,48 @@ def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(np.log(np.clip(picked, 1e-300, 1.0))))
 
 
+def _layer_views(buffer: np.ndarray, widths) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Weight and bias views into a buffer laid out like :attr:`Mlp.flat`."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        weights.append(buffer[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(buffer[offset:offset + fan_out])
+        offset += fan_out
+    return tuple(weights), tuple(biases)
+
+
 class Mlp:
-    """Fully connected ReLU network with a softmax output head."""
+    """Fully connected ReLU network with a softmax output head.
+
+    Every parameter lives in the one buffer :attr:`flat`; :attr:`weights`
+    and :attr:`biases` are read-only tuples of views into it.
+    """
 
     def __init__(self, spec: MlpSpec):
         self.spec = spec
         widths = spec.layer_widths
+        self._flat = np.zeros(sum(i * o + o for i, o in zip(widths, widths[1:])))
+        self._weights, self._biases = _layer_views(self._flat, widths)
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(widths, widths[1:]):
-            limit = math.sqrt(6.0 / fan_in)
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out, dtype=np.float64))
+        for w in self._weights:
+            limit = math.sqrt(6.0 / w.shape[0])
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
         self.loss_history: list[float] = []
+
+    @property
+    def flat(self) -> np.ndarray:
+        """All parameters, layer by layer: weights (row-major), then bias."""
+        return self._flat
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._weights
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return self._biases
 
     @property
     def n_classes(self) -> int:
@@ -113,9 +161,10 @@ class Mlp:
         pre = []
         masks = []
         a = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
+        last = len(self._weights) - 1
+        for i, (w, b) in enumerate(zip(self._weights, self._biases)):
+            z = a @ w
+            z += b
             pre.append(z)
             if i == last:
                 a = softmax(z)
@@ -124,55 +173,66 @@ class Mlp:
                 a = np.maximum(z, 0.0)
                 if dropout_rng is not None and rate > 0.0:
                     keep = dropout_rng.random(a.shape) >= rate
-                    a = a * keep / (1.0 - rate)
+                    a *= keep
+                    a /= 1.0 - rate
                     masks.append(keep)
                 else:
                     masks.append(None)
             activations.append(a)
         return activations, pre, masks
 
+    def _backprop(self, activations, pre, masks, y, grads_w, grads_b) -> None:
+        """Write the mean cross-entropy gradient into the views ``grads_w``/``grads_b``.
+
+        Takes the cache of :meth:`_forward_cached` and overwrites its output
+        probabilities with the output delta.
+        """
+        n = len(y)
+        rate = self.spec.dropout_rate
+        delta = activations[-1]
+        delta[np.arange(n), y] -= 1.0
+        delta /= n
+        for i in range(len(grads_w) - 1, -1, -1):
+            np.matmul(activations[i].T, delta, out=grads_w[i])
+            np.add.reduce(delta, axis=0, out=grads_b[i])
+            if i > 0:
+                delta = delta @ self._weights[i].T
+                if masks[i - 1] is not None:
+                    delta *= masks[i - 1]
+                    delta /= 1.0 - rate
+                delta *= pre[i - 1] > 0.0
+
     def loss_and_gradients(self, x, y, dropout_rng=None):
         """Cross-entropy loss and its gradients for every weight and bias."""
         y = np.asarray(y, dtype=np.int64)
-        activations, pre, masks = self._forward_cached(x, dropout_rng)
-        probs = activations[-1]
-        loss = cross_entropy(probs, y)
-        n = len(y)
-        rate = self.spec.dropout_rate
-
-        delta = probs.copy()
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = activations[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                upstream = delta @ self.weights[i].T
-                if masks[i - 1] is not None:
-                    upstream = upstream * masks[i - 1] / (1.0 - rate)
-                delta = upstream * (pre[i - 1] > 0.0)
-        return loss, grads_w, grads_b
-
-    def parameters(self):
-        return self.weights + self.biases
+        cache = self._forward_cached(x, dropout_rng)
+        loss = cross_entropy(cache[0][-1], y)
+        grads_w, grads_b = _layer_views(np.empty_like(self._flat), self.spec.layer_widths)
+        self._backprop(*cache, y, grads_w, grads_b)
+        return loss, list(grads_w), list(grads_b)
 
 
 def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> None:
     """Train a model in place with fresh Adam state; appends epoch losses.
 
     Shuffling and dropout draw from streams derived from ``config.seed``, so
-    the run is reproducible. Raises :class:`TrainingDivergedError` with the
-    epoch index if the full-data loss goes non-finite.
+    the run is reproducible. Each step computes the batch gradient into one
+    flat buffer and applies one Adam update to :attr:`Mlp.flat`; no batch
+    loss is computed. Raises :class:`TrainingDivergedError` with the epoch
+    index if the full-data loss goes non-finite.
     """
     ss = np.random.SeedSequence(config.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
+    rng = dropout_rng if model.spec.dropout_rate > 0 else None
 
-    params = model.parameters()
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    params = model.flat
+    grad = np.zeros_like(params)
+    grads_w, grads_b = _layer_views(grad, model.spec.layer_widths)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    update = np.empty_like(params)
+    denom = np.empty_like(params)
+    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.eps
     step = 0
 
     n = len(y)
@@ -180,18 +240,28 @@ def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> N
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            rng = dropout_rng if model.spec.dropout_rate > 0 else None
-            _, grads_w, grads_b = model.loss_and_gradients(x[batch], y[batch], rng)
-            grads = grads_w + grads_b
+            cache = model._forward_cached(x[batch], rng)
+            model._backprop(*cache, y[batch], grads_w, grads_b)
             step += 1
-            bc1 = 1.0 - config.beta1 ** step
-            bc2 = 1.0 - config.beta2 ** step
-            for p, g, m_i, v_i in zip(params, grads, m, v):
-                m_i *= config.beta1
-                m_i += (1.0 - config.beta1) * g
-                v_i *= config.beta2
-                v_i += (1.0 - config.beta2) * np.square(g)
-                p -= config.learning_rate * (m_i / bc1) / (np.sqrt(v_i / bc2) + config.eps)
+            bc1 = 1.0 - b1 ** step
+            bc2 = 1.0 - b2 ** step
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g²; p -= lr*(m/bc1)/(sqrt(v/bc2)+eps),
+            # one operation per line in the order of a per-tensor update, so every
+            # element rounds exactly as it did there
+            m *= b1
+            np.multiply(grad, 1.0 - b1, out=update)
+            m += update
+            v *= b2
+            np.square(grad, out=update)
+            update *= 1.0 - b2
+            v += update
+            np.divide(m, bc1, out=update)
+            update *= lr
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            update /= denom
+            params -= update
         epoch_loss = cross_entropy(model.predict_proba(x), y)
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(
@@ -336,14 +406,8 @@ def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data,
     train_seqs = np.random.SeedSequence(spec.master_seed).spawn(spec.member_count + 1)[1:]
     models = []
     for member_spec, seq in zip(member_specs, train_seqs):
-        member_config = TrainConfig(
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-            seed=int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63)),
+        member_config = replace(
+            config, seed=int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
         )
         models.append(train_mlp(member_spec, member_config, (x, y)))
     return models
@@ -385,9 +449,9 @@ def load_model(path) -> Mlp:
         w = np.array(payload["weights"][i], dtype=np.float64)
         if w.size != fan_in * fan_out:
             raise ValidationError(f"{path}: weight block {i} has wrong size")
-        model.weights[i] = w.reshape(fan_in, fan_out)
+        model.weights[i][...] = w.reshape(fan_in, fan_out)
         b = np.array(payload["biases"][i], dtype=np.float64)
         if b.size != fan_out:
             raise ValidationError(f"{path}: bias block {i} has wrong size")
-        model.biases[i] = b
+        model.biases[i][...] = b
     return model

@@ -54,7 +54,7 @@ def quantize_probs(values: np.ndarray) -> np.ndarray:
 
 
 def validate_ids(sample_ids) -> tuple[str, ...]:
-    """Sample ids as strings; they must be unique and free of line breaks."""
+    """Sample ids as strings; unique, free of line breaks, and writable as UTF-8."""
     ids = tuple(map(str, sample_ids))
     if len(set(ids)) != len(ids):
         duplicate = next(s for s, n in Counter(ids).items() if n > 1)
@@ -63,6 +63,12 @@ def validate_ids(sample_ids) -> tuple[str, ...]:
     if "\n" in joined or "\r" in joined:
         broken = next(s for s in ids if "\n" in s or "\r" in s)
         raise ValidationError(f"sample id {broken!r} contains a line break")
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # no earlier id holds an unencodable character, so the first holding this one is it
+        broken = next(s for s in ids if joined[exc.start] in s)
+        raise ValidationError(f"sample id {broken!r} cannot be written as UTF-8") from None
     return ids
 
 

@@ -275,6 +275,69 @@ class TestSummariesFile:
             with pytest.raises(FormatError, match=message):
                 load_summaries(path)
 
+    def test_entropy_must_match_mean(self, tmp_path):
+        # the mean (0.9, 0.1) has entropy 0.469 bits; a stored 0.01 is rejected
+        header = "sample_id,predicted_class,confidence,entropy,normalized_entropy,p_0,p_1\n"
+        bits = entropy_oracle([0.9, 0.1], "2")
+        for row, message in (
+            ("a,0,0.9,0.01,0.01,0.9,0.1", "normalized entropy 0.01 of 'a'"),
+            (f"a,0,0.9,0.01,{bits:.9g},0.9,0.1", "entropy 0.01 of 'a'"),
+            (f"a,0,0.9,{bits / 2:.9g},{bits:.9g},0.9,0.1", "entropy 0.2344.* of 'a'"),
+        ):
+            path = tmp_path / "wrong.csv"
+            path.write_text(header + row + "\n")
+            with pytest.raises(FormatError, match=rf"wrong\.csv: {message}"):
+                load_summaries(path)
+
+    def test_one_log_base_per_file(self, tmp_path):
+        header = "sample_id,predicted_class,confidence,entropy,normalized_entropy,p_0,p_1\n"
+        bits, nats = entropy_oracle([0.9, 0.1], "2"), entropy_oracle([0.9, 0.1], "e")
+        rows = {
+            "2": f"a,0,0.9,{bits:.9g},{bits:.9g},0.9,0.1\nb,0,0.5,1,1,0.5,0.5\n",
+            "e": f"a,0,0.9,{nats:.9g},{bits:.9g},0.9,0.1\nb,0,0.5,{math.log(2):.9g},1,0.5,0.5\n",
+        }
+        for base, body in rows.items():
+            path = tmp_path / f"base{base}.csv"
+            path.write_text(header + body)
+            assert load_summaries(path).entropy[0] == float(f"{(bits if base == '2' else nats):.9g}")
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(header + rows["2"].splitlines()[0] + "\n" + rows["e"].splitlines()[1] + "\n")
+        with pytest.raises(FormatError, match=r"mixed\.csv: entropy 0\.693.* of 'b'"):
+            load_summaries(mixed)
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 10, 100])
+    @pytest.mark.parametrize("base", ["2", "e"])
+    def test_nine_digit_rendering_loads(self, tmp_path, base, n_classes):
+        # every float column rounded to 9 significant digits stays within the tolerance
+        rng = np.random.default_rng(n_classes)
+        means = rng.dirichlet(np.full(n_classes, 0.3), size=400)
+        means[0] = 1.0 / n_classes
+        rendered = np.vectorize(lambda v: float(f"{v:.9g}"))(means)
+        # rows whose rendered mean misses the sum check fail before the entropy check
+        keep = np.abs(rendered.sum(axis=1) - 1.0) <= 1e-9
+        assert keep.sum() >= 100
+        means, rendered = means[keep], rendered[keep]
+        summaries = Summaries.from_means([f"s{i}" for i in range(len(means))], means, base)
+        header = ["sample_id", "predicted_class", "confidence", "entropy", "normalized_entropy"]
+        lines = [",".join(header + [f"p_{c}" for c in range(n_classes)])]
+        for i, sid in enumerate(summaries.sample_ids):
+            values = [summaries.confidence[i], summaries.entropy[i],
+                      summaries.normalized_entropy[i], *means[i]]
+            lines.append(f"{sid},{summaries.predicted_class[i]}," + ",".join(f"{v:.9g}" for v in values))
+        path = tmp_path / "nine.csv"
+        path.write_text("\n".join(lines) + "\n")
+        back = load_summaries(path)
+        assert np.array_equal(back.means, rendered)
+        assert np.max(np.abs(back.entropy - summaries.entropy)) < 1e-8
+
+    def test_written_files_pass_the_entropy_check(self, tmp_path):
+        rng = np.random.default_rng(43)
+        for base in ("2", "e"):
+            t = tensor_from_rows(random_prob_rows(rng, 60, 10).reshape(20, 3, 10))
+            path = tmp_path / f"s{base}.csv"
+            save_summaries(aggregate(t, MCD, base), path)
+            assert np.array_equal(load_summaries(path).entropy, aggregate(t, MCD, base).entropy)
+
 
 class TestColumnarOracle:
     """The columnar aggregate against the per-sample scalar oracles."""

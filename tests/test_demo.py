@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from uqeval.cli import main
-from uqeval.demo import DEMO_ARTIFACTS, QUICK_PRESET
+from uqeval.demo import DEMO_ARTIFACTS, QUICK_PRESET, run_demo
 from uqeval.tensor import load_predictions
+
+import scalar_oracles as oracle
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +106,14 @@ class TestDemoFindings:
         cmp = result.report["comparison"]
         assert cmp["accuracy"]["mean_a"] >= cmp["accuracy"]["mean_b"]
         assert 0.0 <= cmp["accuracy"]["p"] <= 1.0
+
+
+def test_flat_engine_artifacts_match_list_engine(tmp_path, monkeypatch):
+    # the flat-buffer engine trains the same weights bit for bit, so every
+    # declared artifact matches the one written with the list engine
+    run_demo(7, tmp_path / "flat", QUICK_PRESET)
+    monkeypatch.setattr("uqeval.models.fit_adam", oracle.fit_adam)
+    monkeypatch.setattr("uqeval.demo.fit_adam", oracle.fit_adam)
+    run_demo(7, tmp_path / "list", QUICK_PRESET)
+    for name in DEMO_ARTIFACTS:
+        assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "list" / name).read_bytes(), name

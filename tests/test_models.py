@@ -20,7 +20,9 @@ from uqeval import (
 )
 from uqeval.aggregate import ENSEMBLE
 from uqeval.datasets import generate_dataset
-from uqeval.models import Mlp, cross_entropy, draw_architectures
+from uqeval.models import Mlp, cross_entropy, draw_architectures, fit_adam
+
+import scalar_oracles as oracle
 
 
 def xor_data(repeats=12):
@@ -180,6 +182,117 @@ class TestTraining:
         assert (probs.argmax(axis=1) == ds.train_y).mean() == 1.0
 
 
+def random_task(seed, n, widths):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, widths[0]))
+    y = rng.integers(0, widths[-1], n)
+    y[: widths[-1]] = np.arange(widths[-1])  # every class present
+    return x, y
+
+
+def assert_same_parameters(a, b):
+    assert len(a.weights) == len(b.weights)
+    for wa, wb in zip(a.weights, b.weights):
+        assert np.array_equal(wa, wb)
+    for ba, bb in zip(a.biases, b.biases):
+        assert np.array_equal(ba, bb)
+
+
+ENGINE_CASES = {
+    # name: (layer widths, dropout, samples, batch size, learning rate, epochs)
+    "1-hidden-dropout0": ((2, 8, 2), 0.0, 45, 16, 0.01, 4),
+    "1-hidden-dropout25": ((2, 8, 2), 0.25, 45, 16, 0.01, 4),
+    "2-hidden-dropout0": ((2, 8, 4, 2), 0.0, 45, 16, 0.01, 4),
+    "2-hidden-dropout25": ((2, 8, 4, 2), 0.25, 45, 16, 0.01, 4),
+    "3-hidden-dropout0": ((3, 16, 8, 4, 3), 0.0, 50, 32, 0.01, 3),
+    "3-hidden-dropout25": ((3, 16, 8, 4, 3), 0.25, 50, 32, 0.01, 3),
+    "batch-size-1": ((2, 6, 4, 2), 0.25, 20, 1, 0.01, 2),
+    "batch-exceeds-data": ((2, 6, 2), 0.25, 10, 32, 0.01, 3),
+    "zero-learning-rate": ((2, 8, 4, 2), 0.25, 45, 16, 0.0, 2),
+}
+
+
+class TestFlatEngine:
+    """The flat-buffer engine against the list engine kept in ``scalar_oracles``."""
+
+    @pytest.mark.parametrize("case", list(ENGINE_CASES), ids=list(ENGINE_CASES))
+    def test_fit_adam_matches_list_engine(self, case):
+        widths, rate, n, batch_size, lr, epochs = ENGINE_CASES[case]
+        x, y = random_task(len(widths) + n, n, widths)
+        spec = MlpSpec(widths, dropout_rate=rate, seed=17)
+        config = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size, seed=4)
+        flat, reference = Mlp(spec), Mlp(spec)
+        fit_adam(flat, config, x, y)
+        oracle.fit_adam(reference, config, x, y)
+        assert_same_parameters(flat, reference)
+        assert flat.loss_history == reference.loss_history
+        assert len(flat.loss_history) == epochs
+        if lr == 0.0:
+            assert_same_parameters(flat, Mlp(spec))
+        else:
+            assert not np.array_equal(flat.flat, Mlp(spec).flat)
+
+    def test_warm_start_matches_list_engine(self):
+        widths = (2, 16, 8, 2)
+        x, y = random_task(5, 60, widths)
+        backbone = train_mlp(MlpSpec(widths, dropout_rate=0.0, seed=1),
+                             TrainConfig(epochs=5, batch_size=16, seed=1), (x, y))
+        head_spec = MlpSpec(widths, dropout_rate=0.0, seed=2)
+        config = TrainConfig(epochs=3, batch_size=16, seed=2)
+        warm = Mlp(head_spec)
+        warm.flat[...] = backbone.flat
+        fit_adam(warm, config, x[:50], y[:50])
+        reference = Mlp(head_spec)
+        for dst, src in zip(reference.weights + reference.biases,
+                            backbone.weights + backbone.biases):
+            dst[...] = src
+        oracle.fit_adam(reference, config, x[:50], y[:50])
+        assert_same_parameters(warm, reference)
+        assert warm.loss_history == reference.loss_history
+        assert not np.array_equal(warm.flat, backbone.flat)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.25])
+    def test_gradients_match_list_engine(self, rate):
+        widths = (3, 16, 8, 4, 3)
+        x, y = random_task(9, 30, widths)
+        model = Mlp(MlpSpec(widths, dropout_rate=rate, seed=9))
+        loss, grads_w, grads_b = model.loss_and_gradients(x, y, np.random.default_rng(3))
+        ref_loss, ref_w, ref_b = oracle.loss_and_gradients(
+            list(model.weights), list(model.biases), rate, x, y, np.random.default_rng(3)
+        )
+        assert loss == ref_loss
+        for got, want in zip(grads_w + grads_b, ref_w + ref_b):
+            assert np.array_equal(got, want)
+
+    def test_parameters_are_views_of_flat(self):
+        model = Mlp(MlpSpec((3, 5, 4, 2), seed=1))
+        assert model.flat.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
+        for p in model.weights + model.biases:
+            assert np.shares_memory(p, model.flat)
+        model.weights[1][2, 3] = 7.5
+        model.biases[2][...] = -1.0
+        assert model.flat[3 * 5 + 5 + 2 * 4 + 3] == 7.5
+        assert np.array_equal(model.flat[-2:], [-1.0, -1.0])
+
+    def test_rebinding_parameters_raises(self):
+        model = Mlp(MlpSpec((2, 4, 2), seed=1))
+        with pytest.raises(AttributeError):
+            model.weights = [w.copy() for w in model.weights]
+        with pytest.raises(AttributeError):
+            model.biases = [b.copy() for b in model.biases]
+        with pytest.raises(AttributeError):
+            model.flat = np.zeros_like(model.flat)
+
+    def test_item_assignment_raises(self):
+        model = Mlp(MlpSpec((2, 4, 2), seed=1))
+        before = model.flat.copy()
+        with pytest.raises(TypeError):
+            model.weights[0] = np.zeros((2, 4))
+        with pytest.raises(TypeError):
+            model.biases[1] = np.zeros(2)
+        assert np.array_equal(model.flat, before)
+
+
 class TestMcDropout:
     def test_zero_dropout_rows_identical(self):
         model = Mlp(MlpSpec((2, 8, 2), dropout_rate=0.0, seed=41))
@@ -295,6 +408,19 @@ class TestModelFile:
             assert np.array_equal(a, b)
         for a, b in zip(model.biases, back.biases):
             assert np.array_equal(a, b)
+
+    def test_loaded_model_trains_like_original(self, tmp_path):
+        x, y = xor_data()
+        spec = MlpSpec((2, 8, 4, 2), dropout_rate=0.25, seed=62)
+        model = train_mlp(spec, TrainConfig(epochs=3, seed=3), (x, y))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        config = TrainConfig(epochs=4, batch_size=8, seed=4)
+        fit_adam(model, config, x, y)
+        fit_adam(back, config, x, y)
+        assert_same_parameters(back, model)
+        assert back.loss_history == model.loss_history[-4:]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"

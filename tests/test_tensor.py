@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -195,9 +197,10 @@ class TestRoundTrip:
         assert back.sample_ids == t.sample_ids
 
 
-# Any text without a line break is a valid sample id.
+# Any text without a line break that UTF-8 can encode (no lone surrogate) is a
+# valid sample id; the other ids are rejected by test_unencodable_ids_rejected.
 SAMPLE_IDS = st.lists(
-    st.text(st.characters(exclude_characters="\r\n"), max_size=8),
+    st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=8),
     min_size=1, max_size=6, unique=True,
 )
 
@@ -221,6 +224,14 @@ class TestSampleIds:
         assert load_predictions(tmp / "p.csv").sample_ids == tensor.sample_ids
         assert load_labels(tmp / "l.csv").as_dict() == labels.as_dict()
         assert load_summaries(tmp / "s.csv").sample_ids == summaries.sample_ids
+
+    @pytest.mark.parametrize("bad", ["\ud800", "a\udfffb"])
+    def test_unencodable_ids_rejected(self, bad):
+        # a lone surrogate cannot be written to a UTF-8 file
+        with pytest.raises(ValidationError, match="cannot be written as UTF-8"):
+            make_tensor([[[0.5, 0.5]], [[0.5, 0.5]]], ids=("ok", bad))
+        with pytest.raises(ValidationError, match=re.escape(f"sample id {bad!r}")):
+            LabelSet(("ok", bad), np.array([0, 1]))
 
     @pytest.mark.parametrize("bad", ["a\nb", "a\r", "\r\n"])
     def test_line_breaks_rejected(self, bad):
