@@ -10,7 +10,6 @@ from .aggregate import (
     aggregate,
     emcd_scheme,
     load_summaries,
-    pass_variance,
     predictive_entropy,
     save_summaries,
 )

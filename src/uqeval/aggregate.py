@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .tensor import (
+    ROW_SUM_TOL,
     LabelSet,
     PredictionTensor,
     aligned_labels,
@@ -32,8 +33,6 @@ from .tensor import (
     validate_ids,
     write_artifact,
 )
-
-MEAN_SUM_TOL = 1e-9
 
 # Clamp applies inside the log only, so 0 * log(0) evaluates to exactly 0.
 LOG_CLAMP = 1e-300
@@ -127,7 +126,9 @@ class Summaries:
         sums = means.sum(axis=1)
         _require(np.all(means >= 0.0, axis=1), ids,
                  "summary mean for {id} has a negative or NaN component")
-        _require(np.abs(sums - 1.0) <= MEAN_SUM_TOL, ids,
+        # a mean written at 9 significant digits may sum to 1 +- 5e-9, so
+        # summaries take the tolerance of a predictions row
+        _require(np.abs(sums - 1.0) <= ROW_SUM_TOL, ids,
                  "summary mean for {id} sums to {value:.12g}", sums)
         _require(predicted == np.argmax(means, axis=1), ids,
                  "predicted_class of {id} is not the argmax of its mean")
@@ -181,7 +182,7 @@ def predictive_entropy(mean: np.ndarray, base: str = "2") -> float:
     distribution.
     """
     mean = np.asarray(mean, dtype=np.float64)
-    if abs(float(mean.sum()) - 1.0) > MEAN_SUM_TOL or np.any(mean < 0):
+    if abs(float(mean.sum()) - 1.0) > ROW_SUM_TOL or np.any(mean < 0):
         raise ValidationError(f"entropy input must be a normalized probability vector, got sum {mean.sum():.12g}")
     return float(_entropy(mean, base))
 
@@ -223,14 +224,6 @@ def aggregate(tensor: PredictionTensor, scheme: AggregationScheme, base: str = "
         means = tensor.probs.mean(axis=1)
     means = means / means.sum(axis=1, keepdims=True)
     return Summaries.from_means(tensor.sample_ids, means, base)
-
-
-def pass_variance(rows: np.ndarray) -> np.ndarray:
-    """Unbiased per-class variance across the pass rows of one sample."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 2:
-        raise ValidationError("pass variance needs at least two passes")
-    return rows.var(axis=0, ddof=1)
 
 
 SUMMARY_FLOAT_FORMAT = "%.17g"

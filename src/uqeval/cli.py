@@ -35,7 +35,7 @@ from .errors import UqevalError, ValidationError
 from .manifest import build_manifest, canonical_json, manifest_digest, write_manifest
 from .stats import compare_models, comparison_values_csv
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
-from .tensor import load_labels, load_predictions, save_labels, save_predictions
+from .tensor import load_labels, load_predictions, save_labels, save_predictions, write_artifact
 from .ucm import (
     SWEEP_HEADER,
     build_ucm,
@@ -266,7 +266,7 @@ def cmd_evaluate(args) -> int:
     digest = manifest_digest(manifest)
     payload = ucm_as_dict(ucm)
     payload["manifest_digest"] = digest
-    (out / "ucm.json").write_text(canonical_json(payload), encoding="utf-8")
+    write_artifact(out / "ucm.json", canonical_json(payload))
     write_manifest(manifest, out / "manifest.json")
     if args.format == "json":
         _print(canonical_json(payload).rstrip("\n"))
@@ -294,8 +294,8 @@ def cmd_sweep(args) -> int:
     sweep_json = canonical_json(
         {"points": [ucm_as_dict(p.ucm) for p in curve], "manifest_digest": digest}
     )
-    (out / "sweep.json").write_text(sweep_json, encoding="utf-8")
-    (out / "sweep.svg").write_text(sweep_svg(curve, digest), encoding="utf-8")
+    write_artifact(out / "sweep.json", sweep_json)
+    write_artifact(out / "sweep.svg", sweep_svg(curve, digest))
     write_manifest(manifest, out / "manifest.json")
     if args.format == "json":
         _print(sweep_json.rstrip("\n"))
@@ -316,10 +316,10 @@ def cmd_ece(args) -> int:
     digest = manifest_digest(manifest)
     payload = calibration_as_dict(report)
     payload["manifest_digest"] = digest
-    (out / "calibration.json").write_text(canonical_json(payload), encoding="utf-8")
+    write_artifact(out / "calibration.json", canonical_json(payload))
     save_reliability(report, out / "reliability.csv",
                      header_comment=f"manifest_digest={digest}")
-    (out / "reliability.svg").write_text(reliability_svg(report, digest), encoding="utf-8")
+    write_artifact(out / "reliability.svg", reliability_svg(report, digest))
     write_manifest(manifest, out / "manifest.json")
     if args.format == "json":
         _print(canonical_json(payload).rstrip("\n"))
@@ -339,8 +339,8 @@ def cmd_separate(args) -> int:
     digest = manifest_digest(manifest)
     payload = separation_as_dict(report)
     payload["manifest_digest"] = digest
-    (out / "separation.json").write_text(canonical_json(payload), encoding="utf-8")
-    (out / "separation.svg").write_text(separation_svg(report, digest), encoding="utf-8")
+    write_artifact(out / "separation.json", canonical_json(payload))
+    write_artifact(out / "separation.svg", separation_svg(report, digest))
     write_manifest(manifest, out / "manifest.json")
     if args.format == "json":
         _print(canonical_json(payload).rstrip("\n"))
@@ -391,15 +391,15 @@ def cmd_compare(args) -> int:
         "auc": comparison["auc"].as_dict(),
         "manifest_digest": digest,
     }
-    (out / "comparison.json").write_text(canonical_json(payload), encoding="utf-8")
-    values_csv = f"# manifest_digest={digest}\n" + comparison_values_csv(comparison)
-    (out / "comparison_values.csv").write_text(values_csv, encoding="utf-8")
+    write_artifact(out / "comparison.json", canonical_json(payload))
+    write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison),
+                   f"manifest_digest={digest}")
     for metric in ("accuracy", "auc"):
         cmp = comparison[metric]
-        (out / f"comparison_{metric}.svg").write_text(
+        write_artifact(
+            out / f"comparison_{metric}.svg",
             violin_svg({"a": np.array(cmp.a.values), "b": np.array(cmp.b.values)},
                        metric, digest),
-            encoding="utf-8",
         )
     write_manifest(manifest, out / "manifest.json")
     if args.format == "json":

@@ -36,7 +36,7 @@ from .models import (
     train_mlp,
 )
 from .stats import accuracy, auc_binary, compare_models, positive_class_scores
-from .tensor import LabelSet, aligned_labels, save_labels, save_predictions
+from .tensor import LabelSet, aligned_labels, save_labels, save_predictions, write_artifact
 from .ucm import (
     build_ucm,
     save_sweep,
@@ -277,35 +277,28 @@ def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -
 
     report = dict(result.report)
     report["manifest_digest"] = digest
-    with open(record("report.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(report))
+    write_artifact(record("report.json"), canonical_json(report))
 
     for name in SCHEMES:
-        (out / f"sweep_{name}.svg").write_text(
-            sweep_svg(result.sweeps[name], digest), encoding="utf-8"
-        )
-        (out / f"reliability_{name}.svg").write_text(
-            reliability_svg(result.calibrations[name], digest), encoding="utf-8"
-        )
-        (out / f"separation_{name}.svg").write_text(
-            separation_svg(result.separations[name], digest), encoding="utf-8"
-        )
+        write_artifact(out / f"sweep_{name}.svg", sweep_svg(result.sweeps[name], digest))
+        write_artifact(out / f"reliability_{name}.svg",
+                       reliability_svg(result.calibrations[name], digest))
+        write_artifact(out / f"separation_{name}.svg",
+                       separation_svg(result.separations[name], digest))
 
     if comparison is not None:
         from .stats import comparison_values_csv
 
-        (out / "comparison_values.csv").write_text(
-            f"# {stamp}\n" + comparison_values_csv(comparison), encoding="utf-8"
-        )
+        write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison), stamp)
         for metric in ("accuracy", "auc"):
             cmp = comparison[metric]
-            (out / f"comparison_{metric}.svg").write_text(
+            write_artifact(
+                out / f"comparison_{metric}.svg",
                 violin_svg(
                     {"warm_start": np.array(cmp.a.values),
                      "cold_start": np.array(cmp.b.values)},
                     metric, digest,
                 ),
-                encoding="utf-8",
             )
     return written
 

@@ -13,6 +13,7 @@ import json
 from datetime import datetime, timezone
 
 from . import __version__
+from .tensor import write_artifact
 
 
 def canonical_json(obj) -> str:
@@ -70,6 +71,5 @@ def write_manifest(manifest: dict, path) -> str:
     digest = manifest_digest(manifest)
     payload = dict(manifest)
     payload["digest"] = digest
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(payload))
+    write_artifact(path, canonical_json(payload))
     return digest

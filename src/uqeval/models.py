@@ -40,7 +40,7 @@ import numpy as np
 
 from .aggregate import AggregationScheme, emcd_scheme
 from .errors import TrainingDivergedError, ValidationError
-from .tensor import PredictionTensor
+from .tensor import PredictionTensor, artifact_file
 
 MODEL_FORMAT = "uqeval-mlp"
 MODEL_VERSION = 1
@@ -426,7 +426,7 @@ def save_model(model: Mlp, path, manifest_digest: str | None = None) -> None:
     }
     if manifest_digest is not None:
         payload["manifest_digest"] = manifest_digest
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with artifact_file(path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
 

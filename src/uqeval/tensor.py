@@ -16,7 +16,9 @@ File formats (all UTF-8, ``.`` decimal separator):
 Sample ids are unique strings without line breaks; CSV writers quote them
 by the csv module's minimal rules, so ids such as ``a,1`` or ``#x`` load
 back unchanged. Only a ``#`` line at the very top of a file is a comment:
-the CLI uses it to stamp a run-manifest digest into CSV artifacts.
+the CLI uses it to stamp a run-manifest digest into CSV artifacts. Every
+artifact is written through :func:`artifact_file`, so it replaces an earlier
+file at its path only once it is complete.
 
 Labels meet predictions in one place, :func:`aligned_labels`, which every
 evaluation calls once to reorder a :class:`LabelSet` to its sample order and
@@ -28,8 +30,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, compress, cycle, islice, repeat
 
 import numpy as np
 
@@ -42,15 +47,9 @@ RENORMALIZE_BAND = 1e-3
 # re-rendering it reproduces the same text, so files round-trip byte-equal.
 PROB_FORMAT = "%.9g"
 
-
-def render_prob(value: float) -> str:
-    return PROB_FORMAT % value
-
-
-def quantize_probs(values: np.ndarray) -> np.ndarray:
-    """Map probabilities onto the exact values their file rendering parses to."""
-    flat = [float(render_prob(v)) for v in np.asarray(values, dtype=np.float64).ravel()]
-    return np.array(flat, dtype=np.float64).reshape(np.shape(values))
+# Lines of a text artifact read and parsed at a time; bounds the text and the
+# Python objects a predictions load holds at once.
+CHUNK_ROWS = 8192
 
 
 def validate_ids(sample_ids) -> tuple[str, ...]:
@@ -79,11 +78,35 @@ def csv_fields(values) -> list[str]:
     return buf.getvalue().split("\n")[:-1]
 
 
+@contextmanager
+def artifact_file(path, header_comment: str | None = None):
+    """Text handle on an artifact that appears at ``path`` whole or not at all.
+
+    Text is written as UTF-8 with ``\\n`` line ends, after ``# header_comment``
+    if given, to a new temporary file beside ``path``, which replaces ``path``
+    when the block completes. If the block raises, the temporary file is
+    removed and ``path`` keeps what it held before.
+    """
+    # the temporary name does not grow with the artifact's, so any name that fits fits here
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".uqeval-{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the artifact, not its temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            if header_comment is not None:
+                fh.write(f"# {header_comment}\n")
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_artifact(path, text: str, header_comment: str | None = None) -> None:
-    """Write ``text`` as UTF-8 with ``\\n`` line ends, after ``# header_comment`` if given."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
+    """Write ``text`` through :func:`artifact_file`."""
+    with artifact_file(path, header_comment) as fh:
         fh.write(text)
 
 
@@ -229,64 +252,46 @@ def aligned_labels(sample_ids, labels: LabelSet, n_classes: int) -> np.ndarray:
     return arr
 
 
+def data_line_chunks(path):
+    """The data lines of a text artifact, ``CHUNK_ROWS`` lines of the file at a time.
+
+    Yields ``(line numbers, lines)`` pairs. Lines end at ``\\n``, ``\\r`` or
+    ``\\r\\n``, which are stripped; blank lines and a ``#`` line at the very top
+    of the file are left out.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        start = 1
+        while raw := list(islice(fh, CHUNK_ROWS)):
+            lines = list(map(str.rstrip, raw, repeat("\r\n")))
+            numbers = range(start, start + len(lines))
+            if start == 1 and lines[0].startswith("#"):
+                lines[0] = ""
+            start += len(lines)
+            if "" in lines:
+                kept = [(n, line) for n, line in zip(numbers, lines) if line]
+                numbers, lines = [n for n, _ in kept], [line for _, line in kept]
+            if lines:
+                yield numbers, lines
+
+
 def data_lines(path):
     """Numbered non-blank lines of a text artifact, minus a leading ``#`` line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\r\n")
-            if not stripped or (lineno == 1 and stripped.startswith("#")):
-                continue
-            yield lineno, stripped
+    for numbers, lines in data_line_chunks(path):
+        yield from zip(numbers, lines)
 
 
-def _rows_to_tensor(rows, path, renormalize):
-    # rows: list of (sample_id, pass_id, [floats])
-    if not rows:
-        raise FormatError(f"{path}: no prediction rows")
-    n_classes = len(rows[0][2])
-    order: list[str] = []
-    per_sample: dict[str, dict[int, list[float]]] = {}
-    for sample_id, pass_id, p in rows:
-        if len(p) != n_classes:
-            raise FormatError(
-                f"{path}: sample {sample_id!r} pass {pass_id} has {len(p)} "
-                f"probabilities, expected {n_classes}"
-            )
-        if sample_id not in per_sample:
-            per_sample[sample_id] = {}
-            order.append(sample_id)
-        passes = per_sample[sample_id]
-        if pass_id in passes:
-            raise FormatError(f"{path}: duplicate (sample_id, pass_id) ({sample_id!r}, {pass_id})")
-        passes[pass_id] = p
-    counts = {len(v) for v in per_sample.values()}
-    if len(counts) != 1:
-        raise FormatError(
-            f"{path}: ragged pass counts across samples: {sorted(counts)}"
-        )
-    n_passes = counts.pop()
-    expected = set(range(n_passes))
-    for sample_id, passes in per_sample.items():
-        if set(passes) != expected:
-            raise FormatError(
-                f"{path}: sample {sample_id!r} pass ids {sorted(passes)} are not "
-                f"the contiguous range 0..{n_passes - 1}"
-            )
-    probs = np.array(
-        [[per_sample[s][t] for t in range(n_passes)] for s in order],
-        dtype=np.float64,
-    )
-    try:
-        return PredictionTensor(probs, tuple(order), renormalize=renormalize)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+def _check_pass_id(path, lineno: int, pass_id: int) -> None:
+    if not -2**63 <= pass_id < 2**63:
+        raise FormatError(f"{path}:{lineno}: pass id {pass_id} does not fit in 64 bits")
 
 
-def _parse_csv_predictions(path, renormalize):
-    lines = list(data_lines(path))
+def _csv_chunks(path):
+    """Rows of a predictions CSV, a chunk at a time: ``(ids, pass ids, class counts, values)``."""
+    chunks = data_line_chunks(path)
+    numbers, lines = next(chunks, ((), ()))
     if not lines:
         raise FormatError(f"{path}: empty predictions file")
-    header = next(csv.reader([lines[0][1]]))
+    header = next(csv.reader([lines[0]]))
     if header[:2] != ["sample_id", "pass_id"] or len(header) < 4:
         raise FormatError(
             f"{path}: expected header sample_id,pass_id,p_0,...,p_{{C-1}}, got {header}"
@@ -294,37 +299,70 @@ def _parse_csv_predictions(path, renormalize):
     for i, name in enumerate(header[2:]):
         if name != f"p_{i}":
             raise FormatError(f"{path}: probability column {i} named {name!r}, expected p_{i}")
-    n_classes = len(header) - 2
-    rows = []
-    for lineno, raw in lines[1:]:
-        cells = next(csv.reader([raw]))
-        if len(cells) != len(header):
-            raise FormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}"
-            )
+    width = len(header)
+    # every field but the first two of a row is a probability
+    probability_fields = [False, False] + [True] * (width - 2)
+    for numbers, lines in chain([(numbers[1:], lines[1:])], chunks):
+        if not lines:
+            continue
+        n = len(lines)
+        text = ",".join(lines)
+        # without quotes, csv splits at every comma; a chunk holding one goes line by line
+        if '"' not in text and set(map(str.count, lines, repeat(","))) == {width - 1}:
+            fields = text.split(",")
+            try:
+                pass_ids = np.fromiter(map(int, fields[1::width]), np.int64, n)
+                values = np.fromiter(map(float, compress(fields, cycle(probability_fields))),
+                                     np.float64, n * (width - 2))
+            except (ValueError, OverflowError):
+                pass
+            else:
+                yield fields[::width], pass_ids, np.full(n, width - 2), values
+                continue
+        yield _csv_rows_by_line(path, numbers, lines, width)
+
+
+def _csv_rows_by_line(path, numbers, lines, width: int):
+    """The rows of one chunk of a CSV file, a line at a time by csv rules; names the first malformed line."""
+    ids, pass_ids, values = [], [], []
+    for lineno, line in zip(numbers, lines):
+        cells = next(csv.reader([line]))
+        if len(cells) != width:
+            raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(cells)}")
         try:
-            pass_id = int(cells[1])
-            p = [float(c) for c in cells[2:]]
+            pass_ids.append(int(cells[1]))
+            values.extend(map(float, cells[2:]))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed row: {exc}") from exc
-        rows.append((cells[0], pass_id, p))
-    if rows and len(rows[0][2]) != n_classes:
-        raise FormatError(f"{path}: header/body class-count mismatch")
-    return rows
+        _check_pass_id(path, lineno, pass_ids[-1])
+        ids.append(cells[0])
+    return ids, np.array(pass_ids, np.int64), np.full(len(ids), width - 2), np.array(values)
 
 
-def _parse_jsonl_predictions(path):
-    rows = []
-    for lineno, raw in data_lines(path):
+def _jsonl_chunks(path):
+    """Rows of a predictions JSONL file, a chunk at a time: ``(ids, pass ids, class counts, values)``."""
+    for numbers, lines in data_line_chunks(path):
+        yield _jsonl_rows_by_line(path, numbers, lines)
+
+
+def _jsonl_rows_by_line(path, numbers, lines):
+    """The rows of one chunk of a JSONL file; names the first malformed line."""
+    ids, pass_ids, widths, values = [], [], [], []
+    for lineno, line in zip(numbers, lines):
         try:
-            obj = json.loads(raw)
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         try:
-            rows.append((str(obj["sample_id"]), int(obj["pass_id"]), [float(v) for v in obj["p"]]))
-        except (KeyError, TypeError, ValueError) as exc:
+            ids.append(str(obj["sample_id"]))
+            pass_ids.append(int(obj["pass_id"]))
+            p = [float(v) for v in obj["p"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
-    return rows
+        _check_pass_id(path, lineno, pass_ids[-1])
+        widths.append(len(p))
+        values.extend(p)
+    return ids, np.array(pass_ids, np.int64), np.array(widths), np.array(values, np.float64)
 
 
 def load_predictions(path, format: str | None = None, renormalize: bool = False) -> PredictionTensor:
@@ -332,15 +370,76 @@ def load_predictions(path, format: str | None = None, renormalize: bool = False)
 
     ``format`` is ``"csv"`` or ``"jsonl"``; when omitted it is inferred from
     the file extension. Sample order follows first appearance in the file.
+    The file is parsed ``CHUNK_ROWS`` lines at a time; every row must parse
+    before rows are checked against each other, so a malformed line is
+    reported before a duplicate or missing pass.
     """
     fmt = format or infer_format(path)
     if fmt == "csv":
-        rows = _parse_csv_predictions(path, renormalize)
+        chunks = _csv_chunks(path)
     elif fmt == "jsonl":
-        rows = _parse_jsonl_predictions(path)
+        chunks = _jsonl_chunks(path)
     else:
         raise ValueError(f"unknown predictions format {fmt!r}")
-    return _rows_to_tensor(rows, path, renormalize)
+    position: dict[str, int] = {}  # sample id -> sample index, by first appearance
+    samples, passes, blocks = [], [], []
+    n_rows, n_classes, misfit = 0, None, None
+    for ids, pass_ids, widths, values in chunks:
+        fresh = [s for s in dict.fromkeys(ids) if s not in position]
+        position.update(zip(fresh, range(len(position), len(position) + len(fresh))))
+        samples.append(np.fromiter(map(position.__getitem__, ids), np.int64, len(ids)))
+        passes.append(pass_ids)
+        if n_classes is None:
+            n_classes = int(widths[0])
+        if misfit is None:
+            off = np.flatnonzero(widths != n_classes)
+            if off.size:
+                i = int(off[0])
+                misfit = n_rows + i, (f"sample {ids[i]!r} pass {pass_ids[i]} has {widths[i]} "
+                                      f"probabilities, expected {n_classes}")
+            else:
+                blocks.append(values.reshape(len(ids), n_classes))
+        n_rows += len(ids)
+    if not n_rows:
+        raise FormatError(f"{path}: no prediction rows")
+    return _rows_to_tensor(path, tuple(position), np.concatenate(samples),
+                           np.concatenate(passes), blocks, misfit, renormalize)
+
+
+def _rows_to_tensor(path, ids, samples, passes, blocks, misfit, renormalize) -> PredictionTensor:
+    """Group rows by sample and pass; reject what the first failing row or sample breaks.
+
+    ``samples[r]`` indexes ``ids`` and ``passes[r]`` is the pass id of row ``r``,
+    whose probabilities are the rows of ``blocks`` in order. ``misfit`` is
+    ``(row, message)`` for the first row with another class count than row 0.
+    """
+    order = np.lexsort((passes, samples))  # stable: equal keys keep file order
+    by_sample, by_pass = samples[order], passes[order]
+    repeats = order[1:][(by_sample[1:] == by_sample[:-1]) & (by_pass[1:] == by_pass[:-1])]
+    first_repeat = int(repeats.min()) if repeats.size else len(order)
+    if misfit is not None and misfit[0] <= first_repeat:
+        raise FormatError(f"{path}: {misfit[1]}")
+    if repeats.size:
+        raise FormatError(f"{path}: duplicate (sample_id, pass_id) "
+                          f"({ids[samples[first_repeat]]!r}, {passes[first_repeat]})")
+    counts = np.bincount(samples)
+    if np.any(counts != counts[0]):
+        raise FormatError(f"{path}: ragged pass counts across samples: {sorted(set(counts.tolist()))}")
+    grid = by_pass.reshape(len(ids), -1)
+    n_passes = grid.shape[1]
+    gaps = np.any(grid != np.arange(n_passes), axis=1)
+    if gaps.any():
+        i = int(np.argmax(gaps))
+        raise FormatError(
+            f"{path}: sample {ids[i]!r} pass ids {grid[i].tolist()} are not "
+            f"the contiguous range 0..{n_passes - 1}"
+        )
+    values = np.concatenate(blocks)
+    probs = values[order].reshape(len(ids), n_passes, values.shape[1])
+    try:
+        return PredictionTensor(probs, ids, renormalize=renormalize)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
@@ -348,26 +447,29 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
     """Write a tensor in a form :func:`load_predictions` parses back.
 
     Probabilities render at 9 significant digits. ``header_comment`` (no
-    leading ``#``) is written as the first line for manifest stamping.
+    leading ``#``) is written as the first line for manifest stamping. The
+    file is written one sample at a time, through :func:`artifact_file`.
     """
     fmt = format or infer_format(path)
-    buf = io.StringIO()
+    values = [PROB_FORMAT] * tensor.n_classes
+    passes = range(tensor.n_passes)
     if fmt == "csv":
-        cols = ",".join(f"p_{c}" for c in range(tensor.n_classes))
-        buf.write(f"sample_id,pass_id,{cols}\n")
-        for i, sid in enumerate(csv_fields(tensor.sample_ids)):
-            for t in range(tensor.n_passes):
-                rendered = ",".join(render_prob(v) for v in tensor.probs[i, t])
-                buf.write(f"{sid},{t},{rendered}\n")
+        header = "sample_id,pass_id," + ",".join(f"p_{c}" for c in range(tensor.n_classes)) + "\n"
+        prefixes = csv_fields(tensor.sample_ids)
+        tails = [f",{t},{','.join(values)}\n" for t in passes]
     elif fmt == "jsonl":
-        for i, sample_id in enumerate(tensor.sample_ids):
-            sid = json.dumps(sample_id)
-            for t in range(tensor.n_passes):
-                p = "[" + ", ".join(render_prob(v) for v in tensor.probs[i, t]) + "]"
-                buf.write('{"sample_id": %s, "pass_id": %d, "p": %s}\n' % (sid, t, p))
+        header = ""
+        prefixes = ['{"sample_id": ' + json.dumps(s) for s in tensor.sample_ids]
+        tails = [f', "pass_id": {t}, "p": [{", ".join(values)}]}}\n' for t in passes]
     else:
         raise ValueError(f"unknown predictions format {fmt!r}")
-    write_artifact(path, buf.getvalue(), header_comment)
+    with artifact_file(path, header_comment) as fh:
+        fh.write(header)
+        # row t of a sample is its prefix then tails[t]; the prefix, spliced into
+        # one template of the sample's rows, is escaped for the % format
+        for prefix, rows in zip(prefixes, tensor.probs):
+            prefix = prefix.replace("%", "%%")
+            fh.write((prefix + prefix.join(tails)) % tuple(rows.ravel().tolist()))
 
 
 def load_labels(path) -> LabelSet:

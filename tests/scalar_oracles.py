@@ -8,16 +8,31 @@ unchanged.
 The training functions are the list-of-tensors engine the package used
 before parameters moved into one flat buffer: a forward/backward pass over
 separate weight and bias arrays and an Adam loop run once per tensor.
+
+The predictions-file functions are the writer and reader the package used
+before they worked a sample or a chunk at a time: one ``%.9g`` format per
+probability, and one ``csv.reader``/``json.loads`` call and one dict entry per
+row.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from uqeval import Summaries, TrainingDivergedError, ValidationError
+from uqeval import (
+    FormatError,
+    PredictionTensor,
+    Summaries,
+    TrainingDivergedError,
+    ValidationError,
+)
+from uqeval.tensor import csv_fields
 
 MEAN_SUM_TOL = 1e-9
 LOG_CLAMP = 1e-300
@@ -79,6 +94,14 @@ def bin_assign(confidence: float, n_bins: int) -> int:
     edges = np.arange(n_bins + 1, dtype=np.float64) / n_bins
     idx = int(np.searchsorted(edges[1:], confidence, side="left")) + 1
     return min(idx, n_bins)
+
+
+def pass_variance(rows: np.ndarray) -> np.ndarray:
+    """Unbiased per-class variance across the pass rows of one sample."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < 2:
+        raise ValidationError("pass variance needs at least two passes")
+    return rows.var(axis=0, ddof=1)
 
 
 def take(summaries: Summaries, indices) -> Summaries:
@@ -201,3 +224,143 @@ def fit_adam(model, config, x, y) -> None:
         model.loss_history.append(epoch_loss)
     for dst, src in zip(model.weights + model.biases, params):
         dst[...] = src
+
+
+# -- predictions files, one value and one line at a time ---------------------
+
+PROB_FORMAT = "%.9g"
+
+
+def render_prob(value: float) -> str:
+    return PROB_FORMAT % value
+
+
+def quantize_probs(values: np.ndarray) -> np.ndarray:
+    """Map probabilities onto the exact values their file rendering parses to."""
+    flat = [float(render_prob(v)) for v in np.asarray(values, dtype=np.float64).ravel()]
+    return np.array(flat, dtype=np.float64).reshape(np.shape(values))
+
+
+def predictions_text(tensor: PredictionTensor, fmt: str,
+                     header_comment: str | None = None) -> str:
+    """The full text of a predictions file, rendered one probability at a time."""
+    buf = io.StringIO()
+    if header_comment is not None:
+        buf.write(f"# {header_comment}\n")
+    if fmt == "csv":
+        cols = ",".join(f"p_{c}" for c in range(tensor.n_classes))
+        buf.write(f"sample_id,pass_id,{cols}\n")
+        for i, sid in enumerate(csv_fields(tensor.sample_ids)):
+            for t in range(tensor.n_passes):
+                rendered = ",".join(render_prob(v) for v in tensor.probs[i, t])
+                buf.write(f"{sid},{t},{rendered}\n")
+    elif fmt == "jsonl":
+        for i, sample_id in enumerate(tensor.sample_ids):
+            sid = json.dumps(sample_id)
+            for t in range(tensor.n_passes):
+                p = "[" + ", ".join(render_prob(v) for v in tensor.probs[i, t]) + "]"
+                buf.write('{"sample_id": %s, "pass_id": %d, "p": %s}\n' % (sid, t, p))
+    else:
+        raise ValueError(f"unknown predictions format {fmt!r}")
+    return buf.getvalue()
+
+
+def data_lines(path):
+    """Numbered non-blank lines of a text artifact, minus a leading ``#`` line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.rstrip("\r\n")
+            if not stripped or (lineno == 1 and stripped.startswith("#")):
+                continue
+            yield lineno, stripped
+
+
+def _rows_to_tensor(rows, path, renormalize):
+    # rows: list of (sample_id, pass_id, [floats])
+    if not rows:
+        raise FormatError(f"{path}: no prediction rows")
+    n_classes = len(rows[0][2])
+    order: list[str] = []
+    per_sample: dict[str, dict[int, list[float]]] = {}
+    for sample_id, pass_id, p in rows:
+        if len(p) != n_classes:
+            raise FormatError(
+                f"{path}: sample {sample_id!r} pass {pass_id} has {len(p)} "
+                f"probabilities, expected {n_classes}"
+            )
+        if sample_id not in per_sample:
+            per_sample[sample_id] = {}
+            order.append(sample_id)
+        passes = per_sample[sample_id]
+        if pass_id in passes:
+            raise FormatError(f"{path}: duplicate (sample_id, pass_id) ({sample_id!r}, {pass_id})")
+        passes[pass_id] = p
+    counts = {len(v) for v in per_sample.values()}
+    if len(counts) != 1:
+        raise FormatError(
+            f"{path}: ragged pass counts across samples: {sorted(counts)}"
+        )
+    n_passes = counts.pop()
+    expected = set(range(n_passes))
+    for sample_id, passes in per_sample.items():
+        if set(passes) != expected:
+            raise FormatError(
+                f"{path}: sample {sample_id!r} pass ids {sorted(passes)} are not "
+                f"the contiguous range 0..{n_passes - 1}"
+            )
+    probs = np.array(
+        [[per_sample[s][t] for t in range(n_passes)] for s in order],
+        dtype=np.float64,
+    )
+    try:
+        return PredictionTensor(probs, tuple(order), renormalize=renormalize)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _parse_csv_predictions(path):
+    lines = list(data_lines(path))
+    if not lines:
+        raise FormatError(f"{path}: empty predictions file")
+    header = next(csv.reader([lines[0][1]]))
+    if header[:2] != ["sample_id", "pass_id"] or len(header) < 4:
+        raise FormatError(
+            f"{path}: expected header sample_id,pass_id,p_0,...,p_{{C-1}}, got {header}"
+        )
+    for i, name in enumerate(header[2:]):
+        if name != f"p_{i}":
+            raise FormatError(f"{path}: probability column {i} named {name!r}, expected p_{i}")
+    rows = []
+    for lineno, raw in lines[1:]:
+        cells = next(csv.reader([raw]))
+        if len(cells) != len(header):
+            raise FormatError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}"
+            )
+        try:
+            pass_id = int(cells[1])
+            p = [float(c) for c in cells[2:]]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        rows.append((cells[0], pass_id, p))
+    return rows
+
+
+def _parse_jsonl_predictions(path):
+    rows = []
+    for lineno, raw in data_lines(path):
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        try:
+            rows.append((str(obj["sample_id"]), int(obj["pass_id"]), [float(v) for v in obj["p"]]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
+    return rows
+
+
+def load_predictions(path, fmt: str, renormalize: bool = False) -> PredictionTensor:
+    """Parse a predictions file one line at a time, grouping rows in a dict of dicts."""
+    rows = _parse_csv_predictions(path) if fmt == "csv" else _parse_jsonl_predictions(path)
+    return _rows_to_tensor(rows, path, renormalize)

@@ -16,14 +16,13 @@ from uqeval import (
     aggregate,
     emcd_scheme,
     load_summaries,
-    pass_variance,
     predictive_entropy,
     save_summaries,
 )
 from uqeval.aggregate import AggregationScheme, max_entropy
 
 from conftest import random_prob_rows
-from scalar_oracles import predictive_mean, summarize_mean
+from scalar_oracles import pass_variance, predictive_mean, summarize_mean
 
 
 def entropy_oracle(mean, base="2"):
@@ -313,10 +312,6 @@ class TestSummariesFile:
         means = rng.dirichlet(np.full(n_classes, 0.3), size=400)
         means[0] = 1.0 / n_classes
         rendered = np.vectorize(lambda v: float(f"{v:.9g}"))(means)
-        # rows whose rendered mean misses the sum check fail before the entropy check
-        keep = np.abs(rendered.sum(axis=1) - 1.0) <= 1e-9
-        assert keep.sum() >= 100
-        means, rendered = means[keep], rendered[keep]
         summaries = Summaries.from_means([f"s{i}" for i in range(len(means))], means, base)
         header = ["sample_id", "predicted_class", "confidence", "entropy", "normalized_entropy"]
         lines = [",".join(header + [f"p_{c}" for c in range(n_classes)])]

@@ -23,9 +23,10 @@ from uqeval.aggregate import emcd_scheme
 from uqeval.cli import main, _parse_grid
 from uqeval.errors import ValidationError
 from uqeval.manifest import canonical_json
-from uqeval.tensor import LabelSet, PredictionTensor, quantize_probs
+from uqeval.tensor import LabelSet, PredictionTensor
 
 from conftest import random_prob_rows
+from scalar_oracles import quantize_probs
 
 
 @pytest.fixture()

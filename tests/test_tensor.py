@@ -28,9 +28,8 @@ from uqeval import (
     separation_report,
     threshold_sweep,
 )
-from uqeval.tensor import quantize_probs
-
 from conftest import random_prob_rows
+from scalar_oracles import quantize_probs
 
 
 def align(tensor, labels):
