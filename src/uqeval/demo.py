@@ -28,11 +28,13 @@ from .models import (
     Mlp,
     MlpSpec,
     TrainConfig,
+    _ensemble_jobs,
+    _map_jobs,
+    _train_job,
     emcd_predict,
     ensemble_predict,
     fit_adam,
     mc_dropout_predict,
-    train_ensemble,
     train_mlp,
 )
 from .stats import accuracy, auc_binary, compare_models, positive_class_scores
@@ -130,14 +132,16 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset(), log_base: st
     )
     config = TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size,
                          seed=seeds["mcd_train"])
-    mcd_model = train_mlp(mcd_spec, config, dataset)
-
     ensemble_spec = EnsembleSpec(
         member_count=preset.ensemble_members,
         dropout_rate=preset.dropout_rate,
         master_seed=seeds["ensemble"],
     )
-    members = train_ensemble(ensemble_spec, config, dataset)
+    # the MC-dropout model and the ensemble members train side by side
+    train = (dataset.train_x, dataset.train_y)
+    mcd_model, *members = _map_jobs(
+        _train_job, [(mcd_spec, config, train), *_ensemble_jobs(ensemble_spec, config, train)]
+    )
 
     test_x, test_ids = dataset.test_x, dataset.test_ids
     mcd_tensor = mc_dropout_predict(mcd_model, test_x, preset.mcd_passes,
@@ -152,6 +156,16 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset(), log_base: st
         name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEMES
     }
     return dataset, labels, tensors, schemes, summaries, seeds, (mcd_model, members)
+
+
+def _train_head(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:
+    """A cold head (fresh init) or, given ``init``, a head warm-started from it."""
+    if init is None:
+        return train_mlp(spec, config, (x, y))
+    model = Mlp(spec)
+    model.flat[...] = init
+    fit_adam(model, config, x, y)
+    return model
 
 
 def _comparison_runs(dataset, seed: int, preset: DemoPreset):
@@ -179,7 +193,7 @@ def _comparison_runs(dataset, seed: int, preset: DemoPreset):
         summaries = aggregate(tensor, MCD)
         return (run_seed, summaries, labels)
 
-    runs_warm, runs_cold = [], []
+    run_seeds, jobs = [], []
     for seq in seqs[1:]:
         run_seed = seq_int(seq)
         rng = np.random.default_rng(seq)
@@ -190,17 +204,16 @@ def _comparison_runs(dataset, seed: int, preset: DemoPreset):
             [int(np.flatnonzero(train_y == 0)[0]), int(np.flatnonzero(train_y == 1)[0])],
         ])
         x_run, y_run = train_x[resample], train_y[resample]
-        head_config = TrainConfig(epochs=preset.compare_head_epochs,
-                                  batch_size=preset.batch_size, seed=run_seed)
+        head = (MlpSpec(head_widths, dropout_rate=0.0, seed=run_seed),
+                TrainConfig(epochs=preset.compare_head_epochs,
+                            batch_size=preset.batch_size, seed=run_seed),
+                x_run, y_run)
+        run_seeds.append(run_seed)
+        jobs += [(*head, backbone.flat), head]
 
-        warm = Mlp(MlpSpec(head_widths, dropout_rate=0.0, seed=run_seed))
-        warm.flat[...] = backbone.flat
-        fit_adam(warm, head_config, x_run, y_run)
-        runs_warm.append(evaluate(warm, run_seed))
-
-        cold = train_mlp(MlpSpec(head_widths, dropout_rate=0.0, seed=run_seed),
-                         head_config, (x_run, y_run))
-        runs_cold.append(evaluate(cold, run_seed))
+    heads = _map_jobs(_train_head, jobs)
+    runs_warm = [evaluate(m, s) for m, s in zip(heads[0::2], run_seeds)]
+    runs_cold = [evaluate(m, s) for m, s in zip(heads[1::2], run_seeds)]
     return runs_warm, runs_cold
 
 

@@ -28,3 +28,6 @@ class TrainingDivergedError(UqevalError):
     def __init__(self, message, epoch):
         super().__init__(message)
         self.epoch = epoch
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.epoch), self.__dict__

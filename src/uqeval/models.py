@@ -28,12 +28,20 @@ The gradients are the same products and sums, written into views. Training
 a model on the flat buffer therefore gives the same weights, bit for bit, as
 training separate weight and bias arrays; the test suite keeps that
 list-of-arrays engine as its reference.
+
+Parallel training: every model of an ensemble, and of the demo, depends only
+on its own seeds, so :func:`train_ensemble` and the demo train them in
+forked worker processes, one per usable CPU (:func:`_map_jobs`). Each job
+seeds itself as it would inline, and a model comes back through pickle as
+its spec, buffer and loss history, so the weights do not depend on the
+number of workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,6 +137,11 @@ class Mlp:
             w[...] = rng.uniform(-limit, limit, size=w.shape)
         self.loss_history: list[float] = []
 
+    def __reduce__(self):
+        # copies and pickles rebuild the views on the copied buffer; by default
+        # each view would become an array of its own, cut loose from ``flat``
+        return _rebuild_mlp, (self.spec, self._flat, self.loss_history)
+
     @property
     def flat(self) -> np.ndarray:
         """All parameters, layer by layer: weights (row-major), then bias."""
@@ -212,6 +225,15 @@ class Mlp:
         return loss, list(grads_w), list(grads_b)
 
 
+def _rebuild_mlp(spec: MlpSpec, flat, loss_history) -> Mlp:
+    model = Mlp.__new__(Mlp)
+    model.spec = spec
+    model._flat = np.array(flat, dtype=np.float64)
+    model._weights, model._biases = _layer_views(model._flat, spec.layer_widths)
+    model.loss_history = list(loss_history)
+    return model
+
+
 def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> None:
     """Train a model in place with fresh Adam state; appends epoch losses.
 
@@ -288,6 +310,39 @@ def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
     model.loss_history.append(cross_entropy(model.predict_proba(x), y))
     fit_adam(model, config, x, y)
     return model
+
+
+def _train_job(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
+    # pool workers look this up by name; ``train_mlp`` itself may be rebound
+    return train_mlp(spec, config, data)
+
+
+def _map_jobs(fn, jobs: list[tuple]) -> list:
+    """``[fn(*job) for job in jobs]``, spread over one forked worker per usable CPU.
+
+    Results come back in job order, and the first job to raise, in that
+    order, raises here. The jobs run inline when one CPU is usable, when the
+    platform cannot fork, or in a daemon process, which may not have
+    children. A forked worker starts from this process's memory, so it needs
+    no imports; ``fn`` is a module-level function, and it and the results
+    travel by pickle.
+    """
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(jobs))
+    if (workers < 2 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [fn(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:  # after a failure, start no further job
+                future.cancel()
 
 
 def _training_arrays(data):
@@ -396,21 +451,26 @@ def draw_architectures(spec: EnsembleSpec, n_inputs: int, n_classes: int) -> lis
     return members
 
 
-def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data,
-                   n_classes: int | None = None) -> list[Mlp]:
-    """Independently train every member with its own derived seeds."""
+def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data,
+                   n_classes: int | None = None) -> list[tuple]:
+    """``(member spec, member config, (x, y))`` of every member, for :func:`_train_job`."""
     x, y = _training_arrays(data)
     if n_classes is None:
         n_classes = int(y.max()) + 1
     member_specs = draw_architectures(spec, x.shape[1], n_classes)
     train_seqs = np.random.SeedSequence(spec.master_seed).spawn(spec.member_count + 1)[1:]
-    models = []
-    for member_spec, seq in zip(member_specs, train_seqs):
-        member_config = replace(
-            config, seed=int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
-        )
-        models.append(train_mlp(member_spec, member_config, (x, y)))
-    return models
+    return [
+        (member_spec,
+         replace(config, seed=int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))),
+         (x, y))
+        for member_spec, seq in zip(member_specs, train_seqs)
+    ]
+
+
+def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data,
+                   n_classes: int | None = None) -> list[Mlp]:
+    """Independently train every member with its own derived seeds, in parallel."""
+    return _map_jobs(_train_job, _ensemble_jobs(spec, config, data, n_classes))
 
 
 def save_model(model: Mlp, path, manifest_digest: str | None = None) -> None:

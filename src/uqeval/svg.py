@@ -9,8 +9,8 @@ bandwidth.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class _Canvas:
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
             f'width="{width}" height="{height}">',
-            f"<metadata>manifest_digest={escape(digest or 'none')}</metadata>",
+            f"<metadata>manifest_digest={html.escape(digest or 'none', quote=False)}</metadata>",
             f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         ]
 
@@ -68,7 +68,8 @@ class _Canvas:
         transform = f' transform="rotate({rotate} {_fmt(x)} {_fmt(y)})"' if rotate else ""
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
-            f'font-size="{size}" text-anchor="{anchor}"{transform}>{escape(content)}</text>'
+            f'font-size="{size}" text-anchor="{anchor}"{transform}>'
+            f'{html.escape(content, quote=False)}</text>'
         )
 
     def render(self) -> str:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -291,6 +293,53 @@ class TestFlatEngine:
         with pytest.raises(TypeError):
             model.biases[1] = np.zeros(2)
         assert np.array_equal(model.flat, before)
+
+
+COPIES = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda model: pickle.loads(pickle.dumps(model)),
+}
+
+
+class TestCopies:
+    """Copies keep every parameter a view of their own buffer."""
+
+    @pytest.mark.parametrize("how", list(COPIES), ids=list(COPIES))
+    def test_copy_parameters_are_views_of_its_flat(self, how):
+        x, y = xor_data()
+        model = train_mlp(MlpSpec((2, 8, 4, 2), dropout_rate=0.25, seed=63),
+                          TrainConfig(epochs=3, seed=3), (x, y))
+        twin = COPIES[how](model)
+        assert np.array_equal(twin.flat, model.flat)
+        assert not np.shares_memory(twin.flat, model.flat)
+        for p in twin.weights + twin.biases:
+            assert np.shares_memory(p, twin.flat)
+        assert twin.spec == model.spec
+        assert twin.loss_history == model.loss_history
+        assert twin.loss_history is not model.loss_history
+
+    @pytest.mark.parametrize("how", list(COPIES), ids=list(COPIES))
+    def test_copy_trains_like_original(self, how):
+        x, y = xor_data()
+        model = train_mlp(MlpSpec((2, 8, 4, 2), dropout_rate=0.25, seed=64),
+                          TrainConfig(epochs=3, seed=3), (x, y))
+        twin = COPIES[how](model)
+        before = model.predict_proba(x)
+        config = TrainConfig(epochs=4, batch_size=8, seed=4)
+        fit_adam(model, config, x, y)
+        fit_adam(twin, config, x, y)
+        assert_same_parameters(twin, model)
+        assert twin.loss_history == model.loss_history
+        assert np.array_equal(twin.predict_proba(x), model.predict_proba(x))
+        assert not np.array_equal(twin.predict_proba(x), before)
+
+
+def test_diverged_error_pickles_with_epoch():
+    error = TrainingDivergedError("loss became non-finite at epoch 3", epoch=3)
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is TrainingDivergedError
+    assert str(back) == str(error)
+    assert back.epoch == 3
 
 
 class TestMcDropout:

@@ -1,0 +1,114 @@
+"""Independent models train in forked workers with the weights of an inline run."""
+
+import concurrent.futures
+import multiprocessing
+import os
+import warnings
+
+import numpy as np
+import pytest
+
+from uqeval import EnsembleSpec, TrainConfig, TrainingDivergedError, train_ensemble
+from uqeval.demo import QUICK_PRESET, run_demo
+from uqeval.models import _map_jobs
+
+from test_models import assert_same_parameters, xor_data
+
+ENSEMBLE = EnsembleSpec(member_count=5, width_ranges=((4, 12), (2, 6), (2, 4)), master_seed=9)
+CONFIG = TrainConfig(epochs=4, batch_size=8, seed=2)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the worker pools started; every one is a real pool."""
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def worker_pid(i):
+    return i, os.getpid()
+
+
+def test_results_come_back_in_job_order_from_workers(monkeypatch, pools):
+    usable_cpus(monkeypatch, 2)
+    results = _map_jobs(worker_pid, [(i,) for i in range(7)])
+    assert [i for i, _ in results] == list(range(7))
+    assert os.getpid() not in {pid for _, pid in results}
+    assert [args[0] for args in pools] == [2]
+
+
+def test_one_cpu_runs_inline(monkeypatch, pools):
+    usable_cpus(monkeypatch, 1)
+    assert _map_jobs(worker_pid, [(0,), (1,)]) == [(0, os.getpid()), (1, os.getpid())]
+    assert pools == []
+
+
+def test_workers_train_the_inline_weights(monkeypatch, pools):
+    x, y = xor_data()
+    usable_cpus(monkeypatch, 1)
+    inline = train_ensemble(ENSEMBLE, CONFIG, (x, y))
+    usable_cpus(monkeypatch, 3)
+    pooled = train_ensemble(ENSEMBLE, CONFIG, (x, y))
+    assert len(pools) == 1
+    for a, b in zip(inline, pooled):
+        assert_same_parameters(a, b)
+        assert a.loss_history == b.loss_history
+
+
+def test_diverging_member_in_workers_raises_with_its_epoch(monkeypatch, pools):
+    x, y = xor_data()
+    config = TrainConfig(learning_rate=1e200, epochs=3, seed=1)
+    errors = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TrainingDivergedError) as info:
+                train_ensemble(ENSEMBLE, config, (x, y))
+        errors.append(info.value)
+    assert len(pools) == 1
+    inline, pooled = errors
+    assert pooled.epoch == inline.epoch == 0
+    assert str(pooled) == str(inline)
+
+
+def ensemble_in_daemon():
+    assert multiprocessing.current_process().daemon
+    x, y = xor_data()
+    return train_ensemble(ENSEMBLE, CONFIG, (x, y))
+
+
+def test_daemon_process_trains_inline(monkeypatch):
+    # a daemon may not start children, so the pool must not be tried there
+    usable_cpus(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        from_daemon = pool.apply_async(ensemble_in_daemon).get(timeout=120)
+    x, y = xor_data()
+    for a, b in zip(train_ensemble(ENSEMBLE, CONFIG, (x, y)), from_daemon):
+        assert_same_parameters(a, b)
+        assert a.loss_history == b.loss_history
+
+
+def test_demo_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, pools):
+    usable_cpus(monkeypatch, 1)
+    run_demo(7, tmp_path / "one", QUICK_PRESET)
+    assert pools == []
+    usable_cpus(monkeypatch, 2)
+    run_demo(7, tmp_path / "two", QUICK_PRESET)
+    # one pool for the MC-dropout model with the ensemble, one for the heads
+    assert len(pools) == 2
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes(), name
