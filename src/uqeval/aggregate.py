@@ -17,7 +17,6 @@ Entropy defaults to base 2 and is reported both raw and normalized by
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,8 @@ from .tensor import (
     PredictionTensor,
     aligned_labels,
     csv_fields,
-    data_lines,
+    read_table,
+    table_columns,
     validate_ids,
     write_artifact,
 )
@@ -249,28 +249,14 @@ def save_summaries(summaries: Summaries, path, header_comment: str | None = None
 
 def load_summaries(path) -> Summaries:
     """Parse a summaries CSV written by :func:`save_summaries`."""
-    lines = list(data_lines(path))
-    if not lines:
-        raise FormatError(f"{path}: empty summaries file")
-    header = next(csv.reader([lines[0][1]]))
+    header, chunks = read_table(path, "summaries")
     fixed = list(SUMMARY_COLUMNS)
     if header[: len(fixed)] != fixed or len(header) < len(fixed) + 2:
         raise FormatError(f"{path}: unexpected summaries header {header}")
-    ids, predicted, values = [], [], []
-    for lineno, raw in lines[1:]:
-        cells = next(csv.reader([raw]))
-        if len(cells) != len(header):
-            raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
-        try:
-            predicted.append(int(cells[1]))
-            values.append([float(c) for c in cells[2:]])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        ids.append(cells[0])
-    table = np.array(values, dtype=np.float64).reshape(len(values), len(header) - 2)
+    ids, predicted, table = table_columns(header, chunks)
     try:
         summaries = Summaries(
-            sample_ids=tuple(ids),
+            sample_ids=ids,
             means=table[:, 3:],
             predicted_class=predicted,
             confidence=table[:, 0],

@@ -8,19 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .aggregate import (
-    ENSEMBLE,
-    MCD,
-    aggregate,
-    emcd_scheme,
-    load_summaries,
-    save_summaries,
-)
+from .aggregate import AggregationScheme, aggregate, load_summaries, save_summaries
 from .calibration import calibration_as_dict, calibration_report, save_reliability
 from .datasets import save_dataset
 from .demo import (
@@ -52,15 +47,9 @@ from .ucm import (
     uspe,
 )
 
-import numpy as np
-
-
-def _color_enabled() -> bool:
-    return "UQEVAL_NO_COLOR" not in os.environ
-
 
 def _bold(text: str) -> str:
-    return f"\x1b[1m{text}\x1b[0m" if _color_enabled() else text
+    return text if "UQEVAL_NO_COLOR" in os.environ else f"\x1b[1m{text}\x1b[0m"
 
 
 def _parse_bool(value: str) -> bool:
@@ -72,12 +61,25 @@ def _parse_bool(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
+def _finite_float(text: str) -> float:
+    """A float flag's value; NaN and infinities cannot be recorded in a manifest."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> list[float]:
     """``start:step:stop`` inclusive grid, e.g. 0.1:0.1:0.9."""
     try:
         start, step, stop = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}: expected start:step:stop") from exc
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ValidationError(f"bad grid {text!r}: start, step and stop must be finite")
     if step <= 0 or stop < start:
         raise ValidationError(f"bad grid {text!r}: need step > 0 and stop >= start")
     count = int(round((stop - start) / step))
@@ -133,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="uncertainty confusion matrix at one threshold")
     p.add_argument("--summaries", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_finite_float, default=DEFAULT_THRESHOLD)
     _add_common(p)
 
     p = sub.add_parser("sweep", help="confusion metrics across a threshold grid")
@@ -161,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-demo", help="generate data, train demo models, emit predictions")
     p.add_argument("--kind", choices=("two-moons", "gaussian-blobs"), default="two-moons")
     p.add_argument("--n", type=int, default=600)
-    p.add_argument("--noise", type=float, default=0.28)
+    p.add_argument("--noise", type=_finite_float, default=0.28)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--members", type=int, default=10)
     p.add_argument("--passes", type=int, default=100)
@@ -170,63 +172,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="full pipeline into an artifact directory")
     p.add_argument("--quick", action="store_true", help="small preset for smoke runs")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_finite_float, default=DEFAULT_THRESHOLD)
     _add_common(p)
 
     return parser
 
 
 def _flags_dict(args: argparse.Namespace) -> dict:
-    skip = {"command", "func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "command"}
 
 
-def _emit(out_dir: str) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class Run(NamedTuple):
+    """What a command computed, ready to be stamped with its manifest digest.
+
+    ``inputs`` maps a name to each file the command read; ``write(out, digest)``
+    writes the command's artifacts into ``out`` and returns its stdout text.
+    """
+
+    inputs: dict
+    write: Callable[[Path, str], str]
+    derived_seeds: dict | None = None
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def cmd_aggregate(args) -> int:
+def cmd_aggregate(args) -> Run:
     tensor = load_predictions(args.input, args.in_format, renormalize=args.renormalize)
-    if args.scheme == "emcd":
-        if args.partition is None:
-            raise ValidationError("emcd needs --partition (KxT or comma list)")
-        scheme = emcd_scheme(_parse_partition(args.partition))
-    elif args.scheme == "ensemble":
-        scheme = ENSEMBLE
-    else:
-        scheme = MCD
-    summaries = aggregate(tensor, scheme, args.log_base)
-    out = _emit(args.out)
-    manifest = build_manifest("aggregate", _flags_dict(args), args.seed,
-                              {"predictions": args.input})
-    digest = manifest_digest(manifest)
-    save_summaries(summaries, out / "summaries.csv",
-                   header_comment=f"manifest_digest={digest}")
-    write_manifest(manifest, out / "manifest.json")
-    if args.format == "json":
-        _print(canonical_json({
-            "n_samples": len(summaries),
-            "scheme": args.scheme,
-            "summaries_file": str(out / "summaries.csv"),
-            "manifest_digest": digest,
-        }).rstrip("\n"))
-    elif args.format == "csv":
-        _print((out / "summaries.csv").read_text().rstrip("\n"))
-    else:
-        _print(f"wrote {out / 'summaries.csv'} ({len(summaries)} samples, scheme {args.scheme})")
-    return 0
+    if args.scheme == "emcd" and args.partition is None:
+        raise ValidationError("emcd needs --partition (KxT or comma list)")
+    partition = None if args.partition is None else _parse_partition(args.partition)
+    summaries = aggregate(tensor, AggregationScheme(args.scheme, partition), args.log_base)
 
+    def write(out: Path, digest: str) -> str:
+        save_summaries(summaries, out / "summaries.csv",
+                       header_comment=f"manifest_digest={digest}")
+        if args.format == "json":
+            return canonical_json({
+                "n_samples": len(summaries),
+                "scheme": args.scheme,
+                "summaries_file": str(out / "summaries.csv"),
+                "manifest_digest": digest,
+            })
+        if args.format == "csv":
+            return (out / "summaries.csv").read_text()
+        return f"wrote {out / 'summaries.csv'} ({len(summaries)} samples, scheme {args.scheme})"
 
-def _load_pair(args):
-    summaries = load_summaries(args.summaries)
-    labels = load_labels(args.labels)
-    return summaries, labels
+    return Run({"predictions": args.input}, write)
 
 
 def _ucm_text(ucm, normalized: bool) -> str:
@@ -255,169 +244,151 @@ def _pct(value) -> str:
     return "n/a" if value is None else f"{100 * value:.1f}% ({value:.3f})"
 
 
-def cmd_evaluate(args) -> int:
-    summaries, labels = _load_pair(args)
-    if args.normalize_entropy and not 0.0 <= args.threshold <= 1.0:
-        raise ValidationError(f"threshold {args.threshold} outside [0, 1]")
+def cmd_evaluate(args) -> Run:
+    summaries, labels = load_summaries(args.summaries), load_labels(args.labels)
     ucm = build_ucm(summaries, labels, args.threshold, normalized=args.normalize_entropy)
-    out = _emit(args.out)
-    manifest = build_manifest("evaluate", _flags_dict(args), args.seed,
-                              {"summaries": args.summaries, "labels": args.labels})
-    digest = manifest_digest(manifest)
-    payload = ucm_as_dict(ucm)
-    payload["manifest_digest"] = digest
-    write_artifact(out / "ucm.json", canonical_json(payload))
-    write_manifest(manifest, out / "manifest.json")
-    if args.format == "json":
-        _print(canonical_json(payload).rstrip("\n"))
-    elif args.format == "csv":
-        _print("threshold,tc,tu,fu,fc,uacc,usen,uspe,upre")
-        _print(
-            f"{ucm.threshold:g},{ucm.tc},{ucm.tu},{ucm.fu},{ucm.fc},"
-            f"{format_metric(uacc(ucm))},{format_metric(usen(ucm))},"
-            f"{format_metric(uspe(ucm))},{format_metric(upre(ucm))}"
+
+    def write(out: Path, digest: str) -> str:
+        payload = canonical_json({**ucm_as_dict(ucm), "manifest_digest": digest})
+        write_artifact(out / "ucm.json", payload)
+        if args.format == "json":
+            return payload
+        if args.format == "csv":
+            return (
+                "threshold,tc,tu,fu,fc,uacc,usen,uspe,upre\n"
+                f"{ucm.threshold:g},{ucm.tc},{ucm.tu},{ucm.fu},{ucm.fc},"
+                f"{format_metric(uacc(ucm))},{format_metric(usen(ucm))},"
+                f"{format_metric(uspe(ucm))},{format_metric(upre(ucm))}"
+            )
+        return _ucm_text(ucm, args.normalize_entropy)
+
+    return Run({"summaries": args.summaries, "labels": args.labels}, write)
+
+
+def cmd_sweep(args) -> Run:
+    summaries, labels = load_summaries(args.summaries), load_labels(args.labels)
+    curve = threshold_sweep(summaries, labels, _parse_grid(args.grid),
+                            normalized=args.normalize_entropy)
+
+    def write(out: Path, digest: str) -> str:
+        save_sweep(curve, out / "sweep.csv", header_comment=f"manifest_digest={digest}")
+        sweep_json = canonical_json(
+            {"points": [ucm_as_dict(p.ucm) for p in curve], "manifest_digest": digest}
         )
-    else:
-        _print(_ucm_text(ucm, args.normalize_entropy))
-    return 0
+        write_artifact(out / "sweep.json", sweep_json)
+        write_artifact(out / "sweep.svg", sweep_svg(curve, digest))
+        if args.format == "json":
+            return sweep_json
+        if args.format == "csv":
+            return SWEEP_HEADER + "\n" + render_sweep_rows(curve)
+        return f"wrote {out / 'sweep.csv'} and sweep.svg ({len(curve)} thresholds)"
+
+    return Run({"summaries": args.summaries, "labels": args.labels}, write)
 
 
-def cmd_sweep(args) -> int:
-    summaries, labels = _load_pair(args)
-    grid = _parse_grid(args.grid)
-    curve = threshold_sweep(summaries, labels, grid, normalized=args.normalize_entropy)
-    out = _emit(args.out)
-    manifest = build_manifest("sweep", _flags_dict(args), args.seed,
-                              {"summaries": args.summaries, "labels": args.labels})
-    digest = manifest_digest(manifest)
-    save_sweep(curve, out / "sweep.csv", header_comment=f"manifest_digest={digest}")
-    sweep_json = canonical_json(
-        {"points": [ucm_as_dict(p.ucm) for p in curve], "manifest_digest": digest}
-    )
-    write_artifact(out / "sweep.json", sweep_json)
-    write_artifact(out / "sweep.svg", sweep_svg(curve, digest))
-    write_manifest(manifest, out / "manifest.json")
-    if args.format == "json":
-        _print(sweep_json.rstrip("\n"))
-    elif args.format == "csv":
-        _print(SWEEP_HEADER)
-        sys.stdout.write(render_sweep_rows(curve))
-    else:
-        _print(f"wrote {out / 'sweep.csv'} and sweep.svg ({len(curve)} thresholds)")
-    return 0
+def cmd_ece(args) -> Run:
+    report = calibration_report(load_summaries(args.summaries), load_labels(args.labels),
+                                args.bins)
+
+    def write(out: Path, digest: str) -> str:
+        payload = canonical_json({**calibration_as_dict(report), "manifest_digest": digest})
+        write_artifact(out / "calibration.json", payload)
+        save_reliability(report, out / "reliability.csv",
+                         header_comment=f"manifest_digest={digest}")
+        write_artifact(out / "reliability.svg", reliability_svg(report, digest))
+        if args.format == "json":
+            return payload
+        if args.format == "csv":
+            return (out / "reliability.csv").read_text()
+        return f"ECE {report.ece:.6f} over {report.n} samples in {report.n_bins} bins"
+
+    return Run({"summaries": args.summaries, "labels": args.labels}, write)
 
 
-def cmd_ece(args) -> int:
-    summaries, labels = _load_pair(args)
-    report = calibration_report(summaries, labels, args.bins)
-    out = _emit(args.out)
-    manifest = build_manifest("ece", _flags_dict(args), args.seed,
-                              {"summaries": args.summaries, "labels": args.labels})
-    digest = manifest_digest(manifest)
-    payload = calibration_as_dict(report)
-    payload["manifest_digest"] = digest
-    write_artifact(out / "calibration.json", canonical_json(payload))
-    save_reliability(report, out / "reliability.csv",
-                     header_comment=f"manifest_digest={digest}")
-    write_artifact(out / "reliability.svg", reliability_svg(report, digest))
-    write_manifest(manifest, out / "manifest.json")
-    if args.format == "json":
-        _print(canonical_json(payload).rstrip("\n"))
-    elif args.format == "csv":
-        _print((out / "reliability.csv").read_text().rstrip("\n"))
-    else:
-        _print(f"ECE {report.ece:.6f} over {report.n} samples in {report.n_bins} bins")
-    return 0
+def cmd_separate(args) -> Run:
+    report = separation_report(load_summaries(args.summaries), load_labels(args.labels))
 
-
-def cmd_separate(args) -> int:
-    summaries, labels = _load_pair(args)
-    report = separation_report(summaries, labels)
-    out = _emit(args.out)
-    manifest = build_manifest("separate", _flags_dict(args), args.seed,
-                              {"summaries": args.summaries, "labels": args.labels})
-    digest = manifest_digest(manifest)
-    payload = separation_as_dict(report)
-    payload["manifest_digest"] = digest
-    write_artifact(out / "separation.json", canonical_json(payload))
-    write_artifact(out / "separation.svg", separation_svg(report, digest))
-    write_manifest(manifest, out / "manifest.json")
-    if args.format == "json":
-        _print(canonical_json(payload).rstrip("\n"))
-    elif args.format == "csv":
-        _print("group,count,mean,median")
-        _print(f"correct,{report.n_correct},{format_metric(report.correct_mean)},"
-               f"{format_metric(report.correct_median)}")
-        _print(f"incorrect,{report.n_incorrect},{format_metric(report.incorrect_mean)},"
-               f"{format_metric(report.incorrect_median)}")
-    else:
-        _print(
+    def write(out: Path, digest: str) -> str:
+        payload = canonical_json({**separation_as_dict(report), "manifest_digest": digest})
+        write_artifact(out / "separation.json", payload)
+        write_artifact(out / "separation.svg", separation_svg(report, digest))
+        if args.format == "json":
+            return payload
+        if args.format == "csv":
+            return (
+                "group,count,mean,median\n"
+                f"correct,{report.n_correct},{format_metric(report.correct_mean)},"
+                f"{format_metric(report.correct_median)}\n"
+                f"incorrect,{report.n_incorrect},{format_metric(report.incorrect_mean)},"
+                f"{format_metric(report.incorrect_median)}"
+            )
+        return (
             "mean normalized entropy: correct "
             f"{_val(report.correct_mean)}, incorrect {_val(report.incorrect_mean)}, "
             f"difference {_val(report.mean_difference)}"
         )
-    return 0
+
+    return Run({"summaries": args.summaries, "labels": args.labels}, write)
 
 
-def _load_run_dir(path: str):
-    index = Path(path) / "runs.json"
+def _load_run_dir(path: str, side: str):
+    """The runs a ``runs.json`` index lists, and every file read for them by input name."""
+    directory = Path(path)
+    index = directory / "runs.json"
     if not index.exists():
         raise ValidationError(f"{path}: missing runs.json index")
     try:
         spec = json.loads(index.read_text(encoding="utf-8"))
+        if not isinstance(spec, dict):
+            raise TypeError(f"expected a JSON object, got {type(spec).__name__}")
         entries = [
-            (int(e["seed"]), e["summaries"], e["labels"]) for e in spec.get("runs", [])
+            (int(e["seed"]), directory / e["summaries"], directory / e["labels"])
+            for e in spec.get("runs", [])
         ]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{index}: malformed run index: {exc}") from exc
-    runs = [
-        (seed, load_summaries(Path(path) / s_file), load_labels(Path(path) / l_file))
-        for seed, s_file, l_file in entries
-    ]
+    runs = [(seed, load_summaries(s_file), load_labels(l_file)) for seed, s_file, l_file in entries]
     if not runs:
         raise ValidationError(f"{path}: no runs declared")
-    return runs
+    inputs = {f"{side}_index": index}
+    for i, (_, s_file, l_file) in enumerate(entries):
+        inputs[f"{side}_summaries_{i}"] = s_file
+        inputs[f"{side}_labels_{i}"] = l_file
+    return runs, inputs
 
 
-def cmd_compare(args) -> int:
-    runs_a = _load_run_dir(args.dir_a)
-    runs_b = _load_run_dir(args.dir_b)
+def cmd_compare(args) -> Run:
+    runs_a, inputs_a = _load_run_dir(args.dir_a, "a")
+    runs_b, inputs_b = _load_run_dir(args.dir_b, "b")
     comparison = compare_models(runs_a, runs_b)
-    out = _emit(args.out)
-    manifest = build_manifest("compare", _flags_dict(args), args.seed)
-    digest = manifest_digest(manifest)
-    payload = {
-        "accuracy": comparison["accuracy"].as_dict(),
-        "auc": comparison["auc"].as_dict(),
-        "manifest_digest": digest,
-    }
-    write_artifact(out / "comparison.json", canonical_json(payload))
-    write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison),
-                   f"manifest_digest={digest}")
-    for metric in ("accuracy", "auc"):
-        cmp = comparison[metric]
-        write_artifact(
-            out / f"comparison_{metric}.svg",
-            violin_svg({"a": np.array(cmp.a.values), "b": np.array(cmp.b.values)},
-                       metric, digest),
-        )
-    write_manifest(manifest, out / "manifest.json")
-    if args.format == "json":
-        _print(canonical_json(payload).rstrip("\n"))
-    elif args.format == "csv":
-        _print(comparison_values_csv(comparison).rstrip("\n"))
-    else:
-        for metric in ("accuracy", "auc"):
-            d = payload[metric]
-            _print(
-                f"{metric}: a {d['mean_a']:.4f}±{d['sd_a']:.4f} vs "
-                f"b {d['mean_b']:.4f}±{d['sd_b']:.4f}, t={d['t']}, p={d['p']:.3g}"
-                + (" (degenerate)" if d["degenerate"] else "")
+    metrics = {metric: comparison[metric].as_dict() for metric in ("accuracy", "auc")}
+    values_csv = comparison_values_csv(comparison)
+
+    def write(out: Path, digest: str) -> str:
+        payload = canonical_json({**metrics, "manifest_digest": digest})
+        write_artifact(out / "comparison.json", payload)
+        write_artifact(out / "comparison_values.csv", values_csv, f"manifest_digest={digest}")
+        for metric in metrics:
+            cmp = comparison[metric]
+            write_artifact(
+                out / f"comparison_{metric}.svg",
+                violin_svg({"a": cmp.a.values, "b": cmp.b.values}, metric, digest),
             )
-    return 0
+        if args.format == "json":
+            return payload
+        if args.format == "csv":
+            return values_csv
+        return "\n".join(
+            f"{metric}: a {d['mean_a']:.4f}±{d['sd_a']:.4f} vs "
+            f"b {d['mean_b']:.4f}±{d['sd_b']:.4f}, t={d['t']}, p={d['p']:.3g}"
+            + (" (degenerate)" if d["degenerate"] else "")
+            for metric, d in metrics.items()
+        )
+
+    return Run({**inputs_a, **inputs_b}, write)
 
 
-def cmd_train_demo(args) -> int:
+def cmd_train_demo(args) -> Run:
     preset = DemoPreset(
         kind=args.kind,
         n_points=args.n,
@@ -427,56 +398,50 @@ def cmd_train_demo(args) -> int:
         mcd_passes=args.passes,
         emcd_passes_per_member=args.passes_per_member,
     )
-    dataset, labels, tensors, schemes, summaries, seeds, (mcd_model, members) = (
+    dataset, labels, tensors, _, _, seeds, (mcd_model, members) = (
         build_demo_models(args.seed, preset, args.log_base)
     )
-    out = _emit(args.out)
-    manifest = build_manifest("train-demo", _flags_dict(args), args.seed,
-                              derived_seeds=seeds)
-    digest = manifest_digest(manifest)
-    stamp = f"manifest_digest={digest}"
-    save_dataset(dataset, out / "dataset.csv", header_comment=stamp)
-    save_labels(labels, out / "labels.csv", header_comment=stamp)
-    from .models import save_model
 
-    save_model(mcd_model, out / "model_mcd.json", manifest_digest=digest)
-    for i, member in enumerate(members):
-        save_model(member, out / f"model_member_{i:02d}.json", manifest_digest=digest)
-    for name in ("mcd", "ensemble", "emcd"):
-        save_predictions(tensors[name], out / f"predictions_{name}.csv",
-                         header_comment=stamp)
-    write_manifest(manifest, out / "manifest.json")
-    _print(f"wrote dataset, labels, {1 + len(members)} models and 3 prediction files to {out}")
-    return 0
+    def write(out: Path, digest: str) -> str:
+        from .models import save_model
+
+        stamp = f"manifest_digest={digest}"
+        save_dataset(dataset, out / "dataset.csv", header_comment=stamp)
+        save_labels(labels, out / "labels.csv", header_comment=stamp)
+        save_model(mcd_model, out / "model_mcd.json", manifest_digest=digest)
+        for i, member in enumerate(members):
+            save_model(member, out / f"model_member_{i:02d}.json", manifest_digest=digest)
+        for name in ("mcd", "ensemble", "emcd"):
+            save_predictions(tensors[name], out / f"predictions_{name}.csv",
+                             header_comment=stamp)
+        return f"wrote dataset, labels, {1 + len(members)} models and 3 prediction files to {out}"
+
+    return Run({}, write, seeds)
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> Run:
     from .demo import _sub_seeds
 
     preset = QUICK_PRESET if args.quick else DemoPreset()
-    manifest = build_manifest("demo", _flags_dict(args), args.seed,
-                              derived_seeds=_sub_seeds(args.seed))
-    digest = manifest_digest(manifest)
     result, comparison = evaluate_demo(args.seed, preset, args.log_base,
                                        threshold=args.threshold)
-    out = _emit(args.out)
-    write_demo_artifacts(result, comparison, out, digest)
-    write_manifest(manifest, out / "manifest.json")
-    if args.format == "json":
-        payload = dict(result.report)
-        payload["manifest_digest"] = digest
-        _print(canonical_json(payload).rstrip("\n"))
-    else:
+
+    def write(out: Path, digest: str) -> str:
+        write_demo_artifacts(result, comparison, out, digest)
+        if args.format == "json":
+            return canonical_json({**result.report, "manifest_digest": digest})
+        lines = []
         for name, block in result.report["schemes"].items():
             u = block["ucm"]
-            _print(
+            lines.append(
                 f"{name}: UAcc {_pct(u['uacc'])}  USen {_val(u['usen'])}  "
                 f"USpe {_val(u['uspe'])}  UPre {_val(u['upre'])}  "
                 f"acc {block['point']['accuracy']:.3f}  "
                 f"ECE {block['calibration']['ece']:.4f}"
             )
-        _print(f"artifacts in {out}")
-    return 0
+        return "\n".join(lines + [f"artifacts in {out}"])
+
+    return Run({}, write, _sub_seeds(args.seed))
 
 
 COMMANDS = {
@@ -491,11 +456,30 @@ COMMANDS = {
 }
 
 
+def _run(args) -> int:
+    """Load and compute, then write the results stamped with one manifest digest.
+
+    The manifest records the flags, the seeds and a sha256 of every input the
+    command read; its artifacts go to ``--out`` before ``manifest.json``, and
+    stdout shows the view ``--format`` picks.
+    """
+    run = COMMANDS[args.command](args)
+    manifest = build_manifest(args.command, _flags_dict(args), args.seed, run.inputs,
+                              run.derived_seeds)
+    digest = manifest_digest(manifest)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    text = run.write(out, digest)
+    write_manifest(manifest, out / "manifest.json")
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return _run(args)
     except UqevalError as exc:
         sys.stderr.write(f"uqeval: error: {exc}\n")
         return 1

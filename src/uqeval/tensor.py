@@ -13,6 +13,9 @@ File formats (all UTF-8, ``.`` decimal separator):
   object per line;
 * labels CSV: header ``sample_id,label``.
 
+Predictions CSV, labels and summaries files share one reader,
+:func:`read_table`, for rows of an id, an integer, then floats.
+
 Sample ids are unique strings without line breaks; CSV writers quote them
 by the csv module's minimal rules, so ids such as ``a,1`` or ``#x`` load
 back unchanged. Only a ``#`` line at the very top of a file is a comment:
@@ -274,35 +277,33 @@ def data_line_chunks(path):
                 yield numbers, lines
 
 
-def data_lines(path):
-    """Numbered non-blank lines of a text artifact, minus a leading ``#`` line."""
-    for numbers, lines in data_line_chunks(path):
-        yield from zip(numbers, lines)
+def _check_int64(path, lineno: int, column: str, value: int) -> None:
+    if not -2**63 <= value < 2**63:
+        raise FormatError(f"{path}:{lineno}: {column} {value} does not fit in 64 bits")
 
 
-def _check_pass_id(path, lineno: int, pass_id: int) -> None:
-    if not -2**63 <= pass_id < 2**63:
-        raise FormatError(f"{path}:{lineno}: pass id {pass_id} does not fit in 64 bits")
+def read_table(path, kind: str):
+    """The header and rows of a CSV file whose rows are an id, an integer, then floats.
 
-
-def _csv_chunks(path):
-    """Rows of a predictions CSV, a chunk at a time: ``(ids, pass ids, class counts, values)``."""
+    Returns ``(header, chunks)``. ``chunks`` parses the rows ``CHUNK_ROWS`` lines
+    at a time and yields ``(ids, integers, values)`` for each, with the floats
+    of all its rows in ``values``, row by row. Every row must have as many
+    fields as the header, and the first malformed line is named. ``kind``
+    names the file in the error for an empty one.
+    """
     chunks = data_line_chunks(path)
     numbers, lines = next(chunks, ((), ()))
     if not lines:
-        raise FormatError(f"{path}: empty predictions file")
+        raise FormatError(f"{path}: empty {kind} file")
     header = next(csv.reader([lines[0]]))
-    if header[:2] != ["sample_id", "pass_id"] or len(header) < 4:
-        raise FormatError(
-            f"{path}: expected header sample_id,pass_id,p_0,...,p_{{C-1}}, got {header}"
-        )
-    for i, name in enumerate(header[2:]):
-        if name != f"p_{i}":
-            raise FormatError(f"{path}: probability column {i} named {name!r}, expected p_{i}")
+    return header, _table_chunks(path, header, chain([(numbers[1:], lines[1:])], chunks))
+
+
+def _table_chunks(path, header, chunks):
     width = len(header)
-    # every field but the first two of a row is a probability
-    probability_fields = [False, False] + [True] * (width - 2)
-    for numbers, lines in chain([(numbers[1:], lines[1:])], chunks):
+    # every field but the first two of a row is a float
+    float_fields = [False, False] + [True] * (width - 2)
+    for numbers, lines in chunks:
         if not lines:
             continue
         n = len(lines)
@@ -311,32 +312,44 @@ def _csv_chunks(path):
         if '"' not in text and set(map(str.count, lines, repeat(","))) == {width - 1}:
             fields = text.split(",")
             try:
-                pass_ids = np.fromiter(map(int, fields[1::width]), np.int64, n)
-                values = np.fromiter(map(float, compress(fields, cycle(probability_fields))),
+                integers = np.fromiter(map(int, fields[1::width]), np.int64, n)
+                values = np.fromiter(map(float, compress(fields, cycle(float_fields))),
                                      np.float64, n * (width - 2))
             except (ValueError, OverflowError):
                 pass
             else:
-                yield fields[::width], pass_ids, np.full(n, width - 2), values
+                yield fields[::width], integers, values
                 continue
-        yield _csv_rows_by_line(path, numbers, lines, width)
+        yield _table_rows_by_line(path, numbers, lines, header)
 
 
-def _csv_rows_by_line(path, numbers, lines, width: int):
-    """The rows of one chunk of a CSV file, a line at a time by csv rules; names the first malformed line."""
-    ids, pass_ids, values = [], [], []
+def _table_rows_by_line(path, numbers, lines, header):
+    """The rows of one chunk of a table, a line at a time by csv rules; names the first malformed line."""
+    width, column = len(header), header[1].replace("_", " ")
+    ids, integers, values = [], [], []
     for lineno, line in zip(numbers, lines):
         cells = next(csv.reader([line]))
         if len(cells) != width:
             raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(cells)}")
         try:
-            pass_ids.append(int(cells[1]))
+            integers.append(int(cells[1]))
             values.extend(map(float, cells[2:]))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed row: {exc}") from exc
-        _check_pass_id(path, lineno, pass_ids[-1])
+        _check_int64(path, lineno, column, integers[-1])
         ids.append(cells[0])
-    return ids, np.array(pass_ids, np.int64), np.full(len(ids), width - 2), np.array(values)
+    return ids, np.array(integers, np.int64), np.array(values, np.float64)
+
+
+def table_columns(header, chunks):
+    """All the rows :func:`read_table` parses: ids, integers, and a (rows, fields - 2) float array."""
+    ids, integers, values = [], [np.empty(0, np.int64)], [np.empty(0)]
+    for chunk_ids, chunk_integers, chunk_values in chunks:
+        ids.extend(chunk_ids)
+        integers.append(chunk_integers)
+        values.append(chunk_values)
+    values = np.concatenate(values).reshape(len(ids), len(header) - 2)
+    return tuple(ids), np.concatenate(integers), values
 
 
 def _jsonl_chunks(path):
@@ -359,7 +372,7 @@ def _jsonl_rows_by_line(path, numbers, lines):
             p = [float(v) for v in obj["p"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        _check_pass_id(path, lineno, pass_ids[-1])
+        _check_int64(path, lineno, "pass id", pass_ids[-1])
         widths.append(len(p))
         values.extend(p)
     return ids, np.array(pass_ids, np.int64), np.array(widths), np.array(values, np.float64)
@@ -376,7 +389,16 @@ def load_predictions(path, format: str | None = None, renormalize: bool = False)
     """
     fmt = format or infer_format(path)
     if fmt == "csv":
-        chunks = _csv_chunks(path)
+        header, table = read_table(path, "predictions")
+        if header[:2] != ["sample_id", "pass_id"] or len(header) < 4:
+            raise FormatError(
+                f"{path}: expected header sample_id,pass_id,p_0,...,p_{{C-1}}, got {header}"
+            )
+        for i, name in enumerate(header[2:]):
+            if name != f"p_{i}":
+                raise FormatError(f"{path}: probability column {i} named {name!r}, expected p_{i}")
+        chunks = ((ids, pass_ids, np.full(len(ids), len(header) - 2), values)
+                  for ids, pass_ids, values in table)
     elif fmt == "jsonl":
         chunks = _jsonl_chunks(path)
     else:
@@ -474,31 +496,12 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
 
 def load_labels(path) -> LabelSet:
     """Parse a ``sample_id,label`` CSV file."""
-    lines = list(data_lines(path))
-    if not lines:
-        raise FormatError(f"{path}: empty labels file")
-    header = next(csv.reader([lines[0][1]]))
+    header, chunks = read_table(path, "labels")
     if header != ["sample_id", "label"]:
         raise FormatError(f"{path}: expected header sample_id,label, got {header}")
-    ids: list[str] = []
-    labels: list[int] = []
-    seen = set()
-    for lineno, raw in lines[1:]:
-        cells = next(csv.reader([raw]))
-        if len(cells) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 2 fields, got {len(cells)}")
-        sid, label_text = cells
-        try:
-            label = int(label_text)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed label: {exc}") from exc
-        if sid in seen:
-            raise FormatError(f"{path}:{lineno}: duplicate sample id {sid!r}")
-        seen.add(sid)
-        ids.append(sid)
-        labels.append(label)
+    ids, labels, _ = table_columns(header, chunks)
     try:
-        return LabelSet(tuple(ids), np.array(labels, dtype=np.int64))
+        return LabelSet(ids, labels)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -111,6 +111,8 @@ def _check_threshold(threshold: float, normalized: bool) -> None:
         raise ValidationError(f"threshold {threshold} outside [0, 1]")
     if not normalized and threshold < 0.0:
         raise ValidationError(f"raw-entropy threshold {threshold} is negative")
+    if threshold != threshold:  # NaN; every entropy would count as certain
+        raise ValidationError(f"threshold {threshold} is not a number")
 
 
 @dataclass(frozen=True)

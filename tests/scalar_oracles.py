@@ -12,7 +12,9 @@ separate weight and bias arrays and an Adam loop run once per tensor.
 The predictions-file functions are the writer and reader the package used
 before they worked a sample or a chunk at a time: one ``%.9g`` format per
 probability, and one ``csv.reader``/``json.loads`` call and one dict entry per
-row.
+row. The labels and summaries readers are the ones the package used before
+all three CSV files went through one chunked table reader: one ``csv.reader``
+call per line.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ import numpy as np
 
 from uqeval import (
     FormatError,
+    LabelSet,
     PredictionTensor,
     Summaries,
     TrainingDivergedError,
     ValidationError,
 )
+from uqeval.aggregate import SUMMARY_COLUMNS, _check_stored_entropies
 from uqeval.tensor import csv_fields
 
 MEAN_SUM_TOL = 1e-9
@@ -364,3 +368,70 @@ def load_predictions(path, fmt: str, renormalize: bool = False) -> PredictionTen
     """Parse a predictions file one line at a time, grouping rows in a dict of dicts."""
     rows = _parse_csv_predictions(path) if fmt == "csv" else _parse_jsonl_predictions(path)
     return _rows_to_tensor(rows, path, renormalize)
+
+
+def load_labels(path) -> LabelSet:
+    """Parse a ``sample_id,label`` CSV file a line at a time; a duplicate is reported at its line."""
+    lines = list(data_lines(path))
+    if not lines:
+        raise FormatError(f"{path}: empty labels file")
+    header = next(csv.reader([lines[0][1]]))
+    if header != ["sample_id", "label"]:
+        raise FormatError(f"{path}: expected header sample_id,label, got {header}")
+    ids: list[str] = []
+    labels: list[int] = []
+    seen = set()
+    for lineno, raw in lines[1:]:
+        cells = next(csv.reader([raw]))
+        if len(cells) != 2:
+            raise FormatError(f"{path}:{lineno}: expected 2 fields, got {len(cells)}")
+        sid, label_text = cells
+        try:
+            label = int(label_text)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: malformed label: {exc}") from exc
+        if sid in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate sample id {sid!r}")
+        seen.add(sid)
+        ids.append(sid)
+        labels.append(label)
+    try:
+        return LabelSet(tuple(ids), np.array(labels, dtype=np.int64))
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def load_summaries(path) -> Summaries:
+    """Parse a summaries CSV a line at a time."""
+    lines = list(data_lines(path))
+    if not lines:
+        raise FormatError(f"{path}: empty summaries file")
+    header = next(csv.reader([lines[0][1]]))
+    fixed = list(SUMMARY_COLUMNS)
+    if header[: len(fixed)] != fixed or len(header) < len(fixed) + 2:
+        raise FormatError(f"{path}: unexpected summaries header {header}")
+    ids, predicted, values = [], [], []
+    for lineno, raw in lines[1:]:
+        cells = next(csv.reader([raw]))
+        if len(cells) != len(header):
+            raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
+        try:
+            predicted.append(int(cells[1]))
+            values.append([float(c) for c in cells[2:]])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        ids.append(cells[0])
+    table = np.array(values, dtype=np.float64).reshape(len(values), len(header) - 2)
+    try:
+        summaries = Summaries(
+            sample_ids=tuple(ids),
+            means=table[:, 3:],
+            predicted_class=predicted,
+            confidence=table[:, 0],
+            entropy=table[:, 1],
+            normalized_entropy=table[:, 2],
+        )
+        _check_stored_entropies(summaries)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return summaries

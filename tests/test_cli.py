@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from uqeval import (
     load_summaries,
     save_labels,
     save_predictions,
+    save_summaries,
     separation_report,
     threshold_sweep,
 )
@@ -106,13 +109,24 @@ class TestAggregateCommand:
         assert np.all(np.abs(s.normalized_entropy - s.entropy / math.log(2)) <= 1e-12)
         assert np.all((0.0 <= s.normalized_entropy) & (s.normalized_entropy <= 1.0))
 
-    def test_malformed_runs_index_is_failure(self, tmp_path):
+    def test_malformed_runs_index_is_failure(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
-        (tmp_path / "a" / "runs.json").write_text("{not json")
         (tmp_path / "b").mkdir()
         (tmp_path / "b" / "runs.json").write_text('{"runs": []}')
-        assert run_cli(["compare", "--a", tmp_path / "a", "--b", tmp_path / "b",
-                        "--out", tmp_path / "c"]) == 1
+        for text in ("{not json", "[]",
+                     '{"runs": [{"seed": 0, "summaries": 5, "labels": "l.csv"}]}'):
+            (tmp_path / "a" / "runs.json").write_text(text)
+            assert run_cli(["compare", "--a", tmp_path / "a", "--b", tmp_path / "b",
+                            "--out", tmp_path / "c"]) == 1
+            assert "runs.json: malformed run index: " in capsys.readouterr().err
+
+    def test_mcd_rejects_partition(self, workdir, capsys):
+        tmp, _, _ = workdir
+        code = run_cli(["aggregate", "--in", tmp / "p.csv", "--scheme", "mcd",
+                        "--partition", "3x2", "--out", tmp / "agg3"])
+        assert code == 1
+        assert "mcd does not take member_pass_counts" in capsys.readouterr().err
+        assert not (tmp / "agg3").exists()
 
 
 class TestEvaluateCommand:
@@ -231,6 +245,16 @@ class TestSweepCommand:
             _parse_grid("0.5:0:0.9")
         with pytest.raises(ValidationError):
             _parse_grid("nonsense")
+        for text in ("nan:0.1:1", "0:nan:1", "0:0.1:inf", "0:inf:1", "-inf:0.1:0"):
+            with pytest.raises(ValidationError, match="finite"):
+                _parse_grid(text)
+
+    def test_non_finite_grid_is_failure(self, workdir, capsys):
+        tmp, _, _ = workdir
+        run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
+        assert run_cli(["sweep", "--summaries", tmp / "summaries.csv", "--labels", tmp / "l.csv",
+                        "--grid", "nan:0.1:1", "--out", tmp / "sw5"]) == 1
+        assert "uqeval: error: bad grid 'nan:0.1:1'" in capsys.readouterr().err
 
 
 class TestEceCommand:
@@ -330,6 +354,19 @@ class TestCompareCommand:
         root = ET.fromstring((tmp_path / "cmp" / "comparison_accuracy.svg").read_text())
         assert root.get("viewBox") is not None
 
+    def test_digest_covers_every_run_file(self, tmp_path):
+        rng = np.random.default_rng(69)
+        write_run_dir(tmp_path / "a", make_runs(rng, 3))
+        write_run_dir(tmp_path / "b", make_runs(rng, 3))
+        args = ["compare", "--a", tmp_path / "a", "--b", tmp_path / "b", "--out", tmp_path / "c"]
+        manifest = tmp_path / "c" / "manifest.json"
+        assert run_cli(args) == 0
+        before = json.loads(manifest.read_text())["digest"]
+        _, tensor, _ = make_runs(rng, 1)[0]
+        save_summaries(aggregate(tensor, MCD, "2"), tmp_path / "a" / "run_1_summaries.csv")
+        assert run_cli(args) == 0
+        assert json.loads(manifest.read_text())["digest"] != before
+
     def test_mismatched_run_counts_fail(self, tmp_path):
         rng = np.random.default_rng(67)
         write_run_dir(tmp_path / "a", make_runs(rng, 3))
@@ -338,16 +375,54 @@ class TestCompareCommand:
                         "--out", tmp_path / "cmp2"]) == 1
 
 
+def sha256(path) -> str:
+    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestManifest:
-    def test_outputs_reference_manifest(self, workdir):
+    @pytest.mark.parametrize("command", ["aggregate", "evaluate", "sweep", "ece", "separate",
+                                         "compare", "train-demo", "demo"])
+    def test_outputs_reference_manifest(self, workdir, command):
         tmp, _, _ = workdir
-        run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp / "m"])
-        manifest = json.loads((tmp / "m" / "manifest.json").read_text())
-        first_line = (tmp / "m" / "summaries.csv").read_text().splitlines()[0]
-        assert first_line == f"# manifest_digest={manifest['digest']}"
-        assert manifest["subcommand"] == "aggregate"
-        assert manifest["inputs"]["predictions"]["digest"].startswith("sha256:")
+        run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
+        rng = np.random.default_rng(70)
+        write_run_dir(tmp / "ra", make_runs(rng, 2))
+        write_run_dir(tmp / "rb", make_runs(rng, 2))
+        scored = ["--summaries", tmp / "summaries.csv", "--labels", tmp / "l.csv"]
+        run_files = [d / name for d in (tmp / "ra", tmp / "rb") for name in
+                     ("runs.json", "run_0_summaries.csv", "run_0_labels.csv",
+                      "run_1_summaries.csv", "run_1_labels.csv")]
+        args, read = {
+            "aggregate": (["--in", tmp / "p.csv"], [tmp / "p.csv"]),
+            "evaluate": (scored, scored[1::2]),
+            "sweep": (scored, scored[1::2]),
+            "ece": (scored, scored[1::2]),
+            "separate": (scored, scored[1::2]),
+            "compare": (["--a", tmp / "ra", "--b", tmp / "rb"], run_files),
+            "train-demo": (["--n", "40", "--epochs", "2", "--members", "2", "--passes", "2",
+                            "--passes-per-member", "1"], []),
+            "demo": (["--quick"], []),
+        }[command]
+        out = tmp / "m"
+        assert run_cli([command, *args, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        digest = manifest["digest"]
+        assert manifest["subcommand"] == command
         assert "timestamp" in manifest
+        artifacts = sorted(p for p in out.iterdir() if p.name != "manifest.json")
+        assert artifacts
+        for path in artifacts:
+            text = path.read_text()
+            if path.suffix == ".csv":
+                assert text.splitlines()[0] == f"# manifest_digest={digest}", path.name
+            elif path.suffix == ".json":
+                assert json.loads(text)["manifest_digest"] == digest, path.name
+            else:
+                assert f"<metadata>manifest_digest={digest}</metadata>" in text, path.name
+        inputs = manifest["inputs"].values()
+        assert sorted(str(p) for p in read) == sorted(entry["path"] for entry in inputs)
+        for entry in inputs:
+            assert entry["digest"] == sha256(Path(entry["path"]))
 
     def test_rerun_byte_identical_results(self, workdir):
         tmp, _, _ = workdir
@@ -443,6 +518,32 @@ class TestCsvFormat:
         ])
         payload = json.loads((tmp / "sj" / "sweep.json").read_text())
         assert len(payload["points"]) == 9
+
+
+class TestFloatFlags:
+    @pytest.mark.parametrize("args", [
+        ["evaluate", "--normalize-entropy", "false", "--threshold", "nan"],
+        ["evaluate", "--threshold", "inf"],
+        ["demo", "--quick", "--threshold", "nan"],
+        ["train-demo", "--noise", "nan"],
+        ["train-demo", "--noise", "inf"],
+    ], ids=["evaluate-nan", "evaluate-inf", "demo-nan", "train-demo-nan", "train-demo-inf"])
+    def test_non_finite_value_is_usage_error(self, workdir, capsys, args):
+        tmp, _, _ = workdir
+        flag, value = args[-2:]
+        if args[0] == "evaluate":
+            args = [*args, "--summaries", tmp / "s.csv", "--labels", tmp / "l.csv"]
+        with pytest.raises(SystemExit) as info:
+            run_cli([*args, "--out", tmp / "nf"])
+        assert info.value.code == 2
+        assert f"argument {flag}: expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert not (tmp / "nf").exists()
+
+    def test_non_numeric_message_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["demo", "--threshold", "abc"])
+        assert info.value.code == 2
+        assert "argument --threshold: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -125,6 +125,15 @@ class TestBuildUcm:
         again = build_ucm(shuffled, labels, 0.4)
         assert (base.tc, base.tu, base.fu, base.fc) == (again.tc, again.tu, again.fu, again.fc)
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_nan_threshold_rejected(self, normalized):
+        # a NaN threshold compares false with every entropy: all samples would count as certain
+        summaries, labels = make_case([0.2, 0.6], [True, False])
+        with pytest.raises(ValidationError, match="threshold nan "):
+            build_ucm(summaries, labels, float("nan"), normalized=normalized)
+        with pytest.raises(ValidationError, match="threshold nan "):
+            threshold_sweep(summaries, labels, [0.1, float("nan")], normalized=normalized)
+
 
 class TestMetrics:
     def test_reported_ratio(self):
