@@ -28,6 +28,7 @@ from .demo import (
 )
 from .errors import UqevalError, ValidationError
 from .manifest import build_manifest, canonical_json, manifest_digest, write_manifest
+from .models import save_model
 from .stats import compare_models, comparison_values_csv
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
 from .tensor import load_labels, load_predictions, save_labels, save_predictions, write_artifact
@@ -61,15 +62,23 @@ def _parse_bool(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
-def _finite_float(text: str) -> float:
-    """A float flag's value; NaN and infinities cannot be recorded in a manifest."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _checked(parse, name: str, valid, wanted: str):
+    """An argparse type that parses the text (with argparse's message on failure) and checks it."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return convert
+
+
+# NaN and infinities cannot be recorded in a manifest; numpy seeds only from integers >= 0
+_finite_float = _checked(float, "float", math.isfinite, "a finite number")
+_seed = _checked(int, "int", lambda value: value >= 0, "a non-negative integer")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -103,20 +112,22 @@ def _parse_partition(text: str) -> tuple[int, ...]:
         raise ValidationError(f"bad partition {text!r}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                        help="stdout rendering")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--log-base", choices=("2", "e"), default="2",
-                        help="entropy log base")
-    parser.add_argument("--normalize-entropy", type=_parse_bool, default=True,
-                        metavar="BOOL", help="threshold on normalized entropy")
-    parser.add_argument("--renormalize", action="store_true",
-                        help="rescale near-normalized probability rows on load")
+# Flags more than one subcommand reads; each subparser names the ones it takes.
+SHARED_FLAGS = {
+    "--summaries": dict(required=True),
+    "--labels": dict(required=True),
+    "--threshold": dict(type=_finite_float, default=DEFAULT_THRESHOLD),
+    "--normalize-entropy": dict(type=_parse_bool, default=True, metavar="BOOL",
+                                help="threshold on normalized entropy"),
+    "--log-base": dict(choices=("2", "e"), default="2", help="entropy log base"),
+    "--seed": dict(type=_seed, default=0, help="master seed"),
+    "--format": dict(choices=("text", "json", "csv"), default="text", help="stdout rendering"),
+    "--out": dict(default=".", help="output directory"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each declaring only the flags its command reads."""
     parser = argparse.ArgumentParser(
         prog="uqeval",
         description="Aggregate stochastic predictions and evaluate uncertainty quality.",
@@ -124,43 +135,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"uqeval {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("aggregate", help="collapse a prediction tensor into summaries")
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    def shared(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+
+    p = command("aggregate", cmd_aggregate, "collapse a prediction tensor into summaries")
     p.add_argument("--in", dest="input", required=True, help="predictions CSV/JSONL")
     p.add_argument("--in-format", choices=("csv", "jsonl"), default=None)
     p.add_argument("--scheme", choices=("mcd", "ensemble", "emcd"), default="mcd")
     p.add_argument("--partition", default=None,
                    help="emcd pass partition: KxT or comma list")
-    _add_common(p)
+    shared(p, "--format", "--out", "--log-base")
+    p.add_argument("--renormalize", action="store_true",
+                   help="rescale near-normalized probability rows on load")
 
-    p = sub.add_parser("evaluate", help="uncertainty confusion matrix at one threshold")
-    p.add_argument("--summaries", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--threshold", type=_finite_float, default=DEFAULT_THRESHOLD)
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="confusion metrics across a threshold grid")
-    p.add_argument("--summaries", required=True)
-    p.add_argument("--labels", required=True)
+    p = command("evaluate", cmd_evaluate, "uncertainty confusion matrix at one threshold")
+    shared(p, "--summaries", "--labels", "--threshold", "--format", "--out", "--normalize-entropy")
+    p = command("sweep", cmd_sweep, "confusion metrics across a threshold grid")
+    shared(p, "--summaries", "--labels")
     p.add_argument("--grid", default="0.1:0.1:0.9", help="start:step:stop")
-    _add_common(p)
-
-    p = sub.add_parser("ece", help="expected calibration error and reliability data")
-    p.add_argument("--summaries", required=True)
-    p.add_argument("--labels", required=True)
+    shared(p, "--format", "--out", "--normalize-entropy")
+    p = command("ece", cmd_ece, "expected calibration error and reliability data")
+    shared(p, "--summaries", "--labels")
     p.add_argument("--bins", type=int, default=10)
-    _add_common(p)
+    shared(p, "--format", "--out")
+    p = command("separate", cmd_separate, "entropy statistics of correct vs incorrect groups")
+    shared(p, "--summaries", "--labels", "--format", "--out")
 
-    p = sub.add_parser("separate", help="entropy statistics of correct vs incorrect groups")
-    p.add_argument("--summaries", required=True)
-    p.add_argument("--labels", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="paired t-tests between two run directories")
+    p = command("compare", cmd_compare, "paired t-tests between two run directories")
     p.add_argument("--a", dest="dir_a", required=True)
     p.add_argument("--b", dest="dir_b", required=True)
-    _add_common(p)
+    shared(p, "--format", "--out")
 
-    p = sub.add_parser("train-demo", help="generate data, train demo models, emit predictions")
+    p = command("train-demo", cmd_train_demo, "generate data, train demo models, emit predictions")
     p.add_argument("--kind", choices=("two-moons", "gaussian-blobs"), default="two-moons")
     p.add_argument("--n", type=int, default=600)
     p.add_argument("--noise", type=_finite_float, default=0.28)
@@ -168,18 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", type=int, default=10)
     p.add_argument("--passes", type=int, default=100)
     p.add_argument("--passes-per-member", type=int, default=8)
-    _add_common(p)
+    shared(p, "--seed", "--out")  # it prints one line of text, so it takes no --format
 
-    p = sub.add_parser("demo", help="full pipeline into an artifact directory")
+    p = command("demo", cmd_demo, "full pipeline into an artifact directory")
     p.add_argument("--quick", action="store_true", help="small preset for smoke runs")
-    p.add_argument("--threshold", type=_finite_float, default=DEFAULT_THRESHOLD)
-    _add_common(p)
+    shared(p, "--threshold", "--seed")
+    p.add_argument("--format", choices=("text", "json"), default="text", help="stdout rendering")
+    shared(p, "--out", "--log-base")
 
     return parser
-
-
-def _flags_dict(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k != "command"}
 
 
 class Run(NamedTuple):
@@ -398,13 +407,9 @@ def cmd_train_demo(args) -> Run:
         mcd_passes=args.passes,
         emcd_passes_per_member=args.passes_per_member,
     )
-    dataset, labels, tensors, _, _, seeds, (mcd_model, members) = (
-        build_demo_models(args.seed, preset, args.log_base)
-    )
+    dataset, labels, tensors, _, seeds, (mcd_model, members) = build_demo_models(args.seed, preset)
 
     def write(out: Path, digest: str) -> str:
-        from .models import save_model
-
         stamp = f"manifest_digest={digest}"
         save_dataset(dataset, out / "dataset.csv", header_comment=stamp)
         save_labels(labels, out / "labels.csv", header_comment=stamp)
@@ -420,11 +425,8 @@ def cmd_train_demo(args) -> Run:
 
 
 def cmd_demo(args) -> Run:
-    from .demo import _sub_seeds
-
     preset = QUICK_PRESET if args.quick else DemoPreset()
-    result, comparison = evaluate_demo(args.seed, preset, args.log_base,
-                                       threshold=args.threshold)
+    result, comparison = evaluate_demo(args.seed, preset, args.log_base, args.threshold)
 
     def write(out: Path, digest: str) -> str:
         write_demo_artifacts(result, comparison, out, digest)
@@ -441,30 +443,20 @@ def cmd_demo(args) -> Run:
             )
         return "\n".join(lines + [f"artifacts in {out}"])
 
-    return Run({}, write, _sub_seeds(args.seed))
-
-
-COMMANDS = {
-    "aggregate": cmd_aggregate,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-    "ece": cmd_ece,
-    "separate": cmd_separate,
-    "compare": cmd_compare,
-    "train-demo": cmd_train_demo,
-    "demo": cmd_demo,
-}
+    return Run({}, write, result.report["derived_seeds"])
 
 
 def _run(args) -> int:
     """Load and compute, then write the results stamped with one manifest digest.
 
-    The manifest records the flags, the seeds and a sha256 of every input the
-    command read; its artifacts go to ``--out`` before ``manifest.json``, and
-    stdout shows the view ``--format`` picks.
+    The manifest records the flags, the seed (``None`` for a command without
+    ``--seed``) and a sha256 of every input the command read; its artifacts go
+    to ``--out`` before ``manifest.json``, and stdout shows the view
+    ``--format`` picks.
     """
-    run = COMMANDS[args.command](args)
-    manifest = build_manifest(args.command, _flags_dict(args), args.seed, run.inputs,
+    run = args.handler(args)
+    flags = {k: v for k, v in sorted(vars(args).items()) if k not in ("command", "handler")}
+    manifest = build_manifest(args.command, flags, getattr(args, "seed", None), run.inputs,
                               run.derived_seeds)
     digest = manifest_digest(manifest)
     out = Path(args.out)

@@ -23,6 +23,7 @@ import numpy as np
 from .aggregate import ENSEMBLE, MCD, aggregate, save_summaries
 from .calibration import calibration_as_dict, calibration_report
 from .datasets import generate_dataset, save_dataset
+from .manifest import canonical_json
 from .models import (
     EnsembleSpec,
     Mlp,
@@ -37,7 +38,8 @@ from .models import (
     mc_dropout_predict,
     train_mlp,
 )
-from .stats import accuracy, auc_binary, compare_models, positive_class_scores
+from .stats import accuracy, auc_binary, compare_models, comparison_values_csv, positive_class_scores
+from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
 from .tensor import LabelSet, aligned_labels, save_labels, save_predictions, write_artifact
 from .ucm import (
     build_ucm,
@@ -102,7 +104,6 @@ class DemoResult:
     dataset: object
     labels: LabelSet
     tensors: dict
-    schemes: dict
     summaries: dict
     report: dict
     sweeps: dict
@@ -119,8 +120,8 @@ def _sub_seeds(seed: int) -> dict[str, int]:
     }
 
 
-def build_demo_models(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = "2"):
-    """Dataset, trained models, tensors, and summaries for all three schemes."""
+def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
+    """Dataset, labels, trained models, and each scheme's tensor and aggregation scheme."""
     seeds = _sub_seeds(seed)
     dataset = generate_dataset(preset.kind, preset.n_points, preset.noise, seeds["data"])
     labels = LabelSet(dataset.test_ids, dataset.test_y)
@@ -152,10 +153,7 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset(), log_base: st
 
     tensors = {"mcd": mcd_tensor, "ensemble": ens_tensor, "emcd": emcd_tensor}
     schemes = {"mcd": MCD, "ensemble": ENSEMBLE, "emcd": emcd_sch}
-    summaries = {
-        name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEMES
-    }
-    return dataset, labels, tensors, schemes, summaries, seeds, (mcd_model, members)
+    return dataset, labels, tensors, schemes, seeds, (mcd_model, members)
 
 
 def _train_head(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:
@@ -218,12 +216,10 @@ def _comparison_runs(dataset, seed: int, preset: DemoPreset):
 
 
 def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = "2",
-                  threshold: float = DEFAULT_THRESHOLD, grid=DEFAULT_GRID,
-                  with_comparison: bool = True):
+                  threshold: float = DEFAULT_THRESHOLD, grid=DEFAULT_GRID):
     """All analyses of one demo run, as plain data (no files)."""
-    dataset, labels, tensors, schemes, summaries, seeds, _ = build_demo_models(
-        seed, preset, log_base
-    )
+    dataset, labels, tensors, schemes, seeds, _ = build_demo_models(seed, preset)
+    summaries = {name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEMES}
     per_scheme, sweeps, calibrations, separations = {}, {}, {}, {}
     for name in SCHEMES:
         s = summaries[name]
@@ -247,50 +243,36 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
         "log_base": log_base,
         "schemes": per_scheme,
     }
-    comparison_runs = None
-    if with_comparison:
-        runs_warm, runs_cold = _comparison_runs(dataset, seeds["compare"], preset)
-        comparison = compare_models(runs_warm, runs_cold)
-        report["comparison"] = {
-            "variant_a": "warm_start",
-            "variant_b": "cold_start",
-            "accuracy": comparison["accuracy"].as_dict(),
-            "auc": comparison["auc"].as_dict(),
-        }
-        comparison_runs = comparison
-    result = DemoResult(dataset, labels, tensors, schemes, summaries, report, sweeps,
-                        calibrations, separations)
-    return result, comparison_runs
+    runs_warm, runs_cold = _comparison_runs(dataset, seeds["compare"], preset)
+    comparison = compare_models(runs_warm, runs_cold)
+    report["comparison"] = {
+        "variant_a": "warm_start",
+        "variant_b": "cold_start",
+        "accuracy": comparison["accuracy"].as_dict(),
+        "auc": comparison["auc"].as_dict(),
+    }
+    result = DemoResult(dataset, labels, tensors, summaries, report, sweeps, calibrations,
+                        separations)
+    return result, comparison
 
 
-def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -> list[str]:
-    """Write the declared artifact files plus labels and plots; returns paths."""
-    from .manifest import canonical_json
-    from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
-
+def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -> None:
+    """Write the declared artifact files plus labels, the comparison values and plots."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stamp = f"manifest_digest={digest}"
-    written = []
-
-    def record(name):
-        written.append(str(out / name))
-        return out / name
-
-    save_dataset(result.dataset, record("dataset.csv"), header_comment=stamp)
-    save_labels(result.labels, record("labels.csv"), header_comment=stamp)
+    save_dataset(result.dataset, out / "dataset.csv", header_comment=stamp)
+    save_labels(result.labels, out / "labels.csv", header_comment=stamp)
     for name in SCHEMES:
-        save_predictions(result.tensors[name], record(f"predictions_{name}.csv"),
+        save_predictions(result.tensors[name], out / f"predictions_{name}.csv",
                          header_comment=stamp)
-        save_summaries(result.summaries[name], record(f"summaries_{name}.csv"),
+        save_summaries(result.summaries[name], out / f"summaries_{name}.csv",
                        header_comment=stamp)
 
-    save_sweep({name: result.sweeps[name] for name in SCHEMES}, record("sweep.csv"),
+    save_sweep({name: result.sweeps[name] for name in SCHEMES}, out / "sweep.csv",
                header_comment=stamp)
 
-    report = dict(result.report)
-    report["manifest_digest"] = digest
-    write_artifact(record("report.json"), canonical_json(report))
+    write_artifact(out / "report.json", canonical_json({**result.report, "manifest_digest": digest}))
 
     for name in SCHEMES:
         write_artifact(out / f"sweep_{name}.svg", sweep_svg(result.sweeps[name], digest))
@@ -299,21 +281,16 @@ def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -
         write_artifact(out / f"separation_{name}.svg",
                        separation_svg(result.separations[name], digest))
 
-    if comparison is not None:
-        from .stats import comparison_values_csv
-
-        write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison), stamp)
-        for metric in ("accuracy", "auc"):
-            cmp = comparison[metric]
-            write_artifact(
-                out / f"comparison_{metric}.svg",
-                violin_svg(
-                    {"warm_start": np.array(cmp.a.values),
-                     "cold_start": np.array(cmp.b.values)},
-                    metric, digest,
-                ),
-            )
-    return written
+    write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison), stamp)
+    for metric in ("accuracy", "auc"):
+        cmp = comparison[metric]
+        write_artifact(
+            out / f"comparison_{metric}.svg",
+            violin_svg(
+                {"warm_start": np.array(cmp.a.values), "cold_start": np.array(cmp.b.values)},
+                metric, digest,
+            ),
+        )
 
 
 def run_demo(seed: int, out_dir, preset: DemoPreset = DemoPreset(), log_base: str = "2",

@@ -48,7 +48,7 @@ import numpy as np
 
 from .aggregate import AggregationScheme, emcd_scheme
 from .errors import TrainingDivergedError, ValidationError
-from .tensor import PredictionTensor, artifact_file
+from .tensor import JSON_TYPES, PredictionTensor, artifact_file, json_field
 
 MODEL_FORMAT = "uqeval-mlp"
 MODEL_VERSION = 1
@@ -492,26 +492,37 @@ def save_model(model: Mlp, path, manifest_digest: str | None = None) -> None:
 
 
 def load_model(path) -> Mlp:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+    """Read a :func:`save_model` file; every field and block is checked before use."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValidationError(f"{path}: not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
         raise ValidationError(f"{path}: unsupported version {payload.get('version')}")
-    spec = MlpSpec(
-        layer_widths=tuple(payload["layer_widths"]),
-        dropout_rate=float(payload["dropout_rate"]),
-        seed=int(payload.get("init_seed", 0)),
-    )
-    model = Mlp(spec)
-    widths = spec.layer_widths
-    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-        w = np.array(payload["weights"][i], dtype=np.float64)
-        if w.size != fan_in * fan_out:
-            raise ValidationError(f"{path}: weight block {i} has wrong size")
-        model.weights[i][...] = w.reshape(fan_in, fan_out)
-        b = np.array(payload["biases"][i], dtype=np.float64)
-        if b.size != fan_out:
-            raise ValidationError(f"{path}: bias block {i} has wrong size")
-        model.biases[i][...] = b
-    return model
+    try:
+        widths = json_field(payload, "layer_widths", "an array of integers")
+        rate = json_field(payload, "dropout_rate", "a number")
+        seed = json_field({"init_seed": 0, **payload}, "init_seed", "an integer")
+        weights = json_field(payload, "weights", "an array")
+        biases = json_field(payload, "biases", "an array")
+        spec = MlpSpec(tuple(widths), float(rate), seed)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing {exc}") from exc
+    except (TypeError, ValidationError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    layers = list(zip(widths, widths[1:]))
+    for name, blocks, sizes in (("weight", weights, [i * o for i, o in layers]),
+                                ("bias", biases, widths[1:])):
+        if len(blocks) != len(layers):
+            raise ValidationError(f"{path}: expected {len(layers)} {name} blocks, got {len(blocks)}")
+        for i, (block, size) in enumerate(zip(blocks, sizes)):
+            if not JSON_TYPES["an array of numbers"](block) or len(block) != size:
+                raise ValidationError(f"{path}: {name} block {i} is not {size} numbers")
+    try:
+        flat = np.array([v for w, b in zip(weights, biases) for v in w + b], dtype=np.float64)
+    except OverflowError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return _rebuild_mlp(spec, flat, [])

@@ -9,8 +9,8 @@ File formats (all UTF-8, ``.`` decimal separator):
 
 * predictions CSV: header ``sample_id,pass_id,p_0,...,p_{C-1}``; pass ids
   are the contiguous integers ``0..T-1`` within each sample;
-* predictions JSONL: one ``{"sample_id": str, "pass_id": int, "p": [...]}``
-  object per line;
+* predictions JSONL: one ``{"sample_id": str, "pass_id": int, "p": [numbers]}``
+  object per line; a value of another type is rejected, not converted;
 * labels CSV: header ``sample_id,label``.
 
 Predictions CSV, labels and summaries files share one reader,
@@ -352,6 +352,24 @@ def table_columns(header, chunks):
     return tuple(ids), np.concatenate(integers), values
 
 
+JSON_TYPES = {  # the types a JSON field can be required to have; true and false are not numbers
+    "a string": lambda v: type(v) is str,
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "an array": lambda v: type(v) is list,
+    "an array of integers": lambda v: type(v) is list and set(map(type, v)) <= {int},
+    "an array of numbers": lambda v: type(v) is list and set(map(type, v)) <= {int, float},
+}
+
+
+def json_field(record: dict, key: str, kind: str):
+    """``record[key]``, which must be ``kind`` (a ``JSON_TYPES`` key); raises KeyError or TypeError."""
+    value = record[key]
+    if not JSON_TYPES[kind](value):
+        raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _jsonl_chunks(path):
     """Rows of a predictions JSONL file, a chunk at a time: ``(ids, pass ids, class counts, values)``."""
     for numbers, lines in data_line_chunks(path):
@@ -367,14 +385,14 @@ def _jsonl_rows_by_line(path, numbers, lines):
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         try:
-            ids.append(str(obj["sample_id"]))
-            pass_ids.append(int(obj["pass_id"]))
-            p = [float(v) for v in obj["p"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            ids.append(json_field(obj, "sample_id", "a string"))
+            pass_ids.append(json_field(obj, "pass_id", "an integer"))
+            p = json_field(obj, "p", "an array of numbers")
+            values.extend(map(float, p))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
         _check_int64(path, lineno, "pass id", pass_ids[-1])
         widths.append(len(p))
-        values.extend(p)
     return ids, np.array(pass_ids, np.int64), np.array(widths), np.array(values, np.float64)
 
 

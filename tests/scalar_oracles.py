@@ -12,7 +12,9 @@ separate weight and bias arrays and an Adam loop run once per tensor.
 The predictions-file functions are the writer and reader the package used
 before they worked a sample or a chunk at a time: one ``%.9g`` format per
 probability, and one ``csv.reader``/``json.loads`` call and one dict entry per
-row. The labels and summaries readers are the ones the package used before
+row. The JSONL reader takes each record's values only in the types the
+format states (a string id, an integer pass id, an array of numbers), as the
+package's reader does since it stopped coercing them. The labels and summaries readers are the ones the package used before
 all three CSV files went through one chunked table reader: one ``csv.reader``
 call per line.
 """
@@ -358,7 +360,16 @@ def _parse_jsonl_predictions(path):
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         try:
-            rows.append((str(obj["sample_id"]), int(obj["pass_id"]), [float(v) for v in obj["p"]]))
+            sample_id, pass_id, p = obj["sample_id"], obj["pass_id"], obj["p"]
+            if not isinstance(sample_id, str):
+                raise TypeError(f"sample_id must be a string, got {json.dumps(sample_id)}")
+            if isinstance(pass_id, bool) or not isinstance(pass_id, int):
+                raise TypeError(f"pass_id must be an integer, got {json.dumps(pass_id)}")
+            if not isinstance(p, list) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in p
+            ):
+                raise TypeError(f"p must be an array of numbers, got {json.dumps(p)}")
+            rows.append((sample_id, pass_id, [float(v) for v in p]))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
     return rows

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -23,7 +25,7 @@ from uqeval import (
     threshold_sweep,
 )
 from uqeval.aggregate import emcd_scheme
-from uqeval.cli import main, _parse_grid
+from uqeval.cli import build_parser, main, _parse_grid
 from uqeval.errors import ValidationError
 from uqeval.manifest import canonical_json
 from uqeval.tensor import LabelSet, PredictionTensor
@@ -46,6 +48,22 @@ def workdir(tmp_path):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def subparsers() -> dict:
+    """Each subcommand's parser, by name."""
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def options(parser) -> dict:
+    """A parser's flags, by destination, without ``--help``."""
+    return {a.dest: a.option_strings for a in parser._actions
+            if a.option_strings and a.dest != "help"}
+
+
+SEEDLESS = {"aggregate", "evaluate", "sweep", "ece", "separate", "compare"}
 
 
 class TestAggregateCommand:
@@ -409,6 +427,8 @@ class TestManifest:
         digest = manifest["digest"]
         assert manifest["subcommand"] == command
         assert "timestamp" in manifest
+        assert set(manifest["flags"]) == set(options(subparsers()[command]))
+        assert (manifest["seed"] is None) == (command in SEEDLESS)
         artifacts = sorted(p for p in out.iterdir() if p.name != "manifest.json")
         assert artifacts
         for path in artifacts:
@@ -563,3 +583,59 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("args", [
+        ["separate", "--normalize-entropy", "false"],
+        ["evaluate", "--log-base", "e"],
+        ["ece", "--renormalize"],
+        ["compare", "--seed", "1"],
+        ["train-demo", "--format", "json"],
+        ["demo", "--format", "csv"],
+        ["demo", "--normalize-entropy", "false"],
+    ], ids=lambda args: " ".join(args))
+    def test_unread_flag_is_usage_error(self, workdir, capsys, args):
+        tmp, _, _ = workdir
+        command, flag = args[:2]
+        required = {
+            "separate": ["--summaries", tmp / "s.csv", "--labels", tmp / "l.csv"],
+            "evaluate": ["--summaries", tmp / "s.csv", "--labels", tmp / "l.csv"],
+            "ece": ["--summaries", tmp / "s.csv", "--labels", tmp / "l.csv"],
+            "compare": ["--a", tmp / "ra", "--b", tmp / "rb"],
+        }.get(command, [])
+        with pytest.raises(SystemExit) as info:
+            run_cli([*args, *required, "--out", tmp / "unread"])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp / "unread").exists()
+
+    def test_readme_table_matches_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE)
+        table = {command: sorted(re.findall(r"`(--[a-z-]+)`", flags)) for command, flags in rows}
+        parsed = {name: sorted(f for flags in options(p).values() for f in flags)
+                  for name, p in subparsers().items()}
+        assert table == parsed
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("args", [
+        ["demo", "--quick", "--seed", "-1"],
+        ["train-demo", "--n", "40", "--seed", "-3"],
+    ], ids=["demo", "train-demo"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as info:
+            run_cli([*args, "--out", tmp_path / "neg"])
+        assert info.value.code == 2
+        value = args[-1]
+        assert (f"argument --seed: expected a non-negative integer, got '{value}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "neg").exists()
+
+    def test_non_integer_message_unchanged(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["demo", "--seed", "abc", "--out", tmp_path / "abc"])
+        assert info.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "abc").exists()

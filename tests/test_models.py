@@ -476,3 +476,56 @@ class TestModelFile:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValidationError):
             load_model(path)
+
+    # edits of a saved (2, 3, 2) model's payload, and the message each must raise
+    MALFORMED = {
+        "missing weight block": (lambda d: d["weights"].pop(), "expected 2 weight blocks, got 1"),
+        "extra weight block": (lambda d: d["weights"].append([0.0] * 6),
+                               "expected 2 weight blocks, got 3"),
+        "extra bias block": (lambda d: d["biases"].append([0.0, 0.0]),
+                             "expected 2 bias blocks, got 3"),
+        "weights not an array": (lambda d: d.update(weights=5),
+                                 "weights must be an array, got 5"),
+        "missing biases": (lambda d: d.pop("biases"), "missing 'biases'"),
+        "missing layer widths": (lambda d: d.pop("layer_widths"), "missing 'layer_widths'"),
+        "layer widths a number": (lambda d: d.update(layer_widths=3),
+                                  "layer_widths must be an array of integers, got 3"),
+        "short weight block": (lambda d: d["weights"][1].pop(), "weight block 1 is not 6 numbers"),
+        "text in bias block": (lambda d: d["biases"][0].__setitem__(1, "0.5"),
+                               "bias block 0 is not 3 numbers"),
+        "null in weight block": (lambda d: d["weights"][0].__setitem__(0, None),
+                                 "weight block 0 is not 6 numbers"),
+        "bias block a number": (lambda d: d["biases"].__setitem__(1, 0.5),
+                                "bias block 1 is not 2 numbers"),
+        "dropout rate text": (lambda d: d.update(dropout_rate="x"),
+                              'dropout_rate must be a number, got "x"'),
+        "init seed text": (lambda d: d.update(init_seed="1"), 'init_seed must be an integer, got "1"'),
+        "no hidden layer": (lambda d: d.update(layer_widths=[2, 2]), "need at least one hidden layer"),
+    }
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_file_names_path_and_block(self, tmp_path, name):
+        import json
+
+        path = tmp_path / "model.json"
+        save_model(Mlp(MlpSpec((2, 3, 2), seed=5)), path)
+        payload = json.loads(path.read_text())
+        edit, message = self.MALFORMED[name]
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text", ["{not json", "\xff", ""])
+    def test_file_that_is_not_json(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValidationError, match=r"model\.json: malformed JSON: "):
+            load_model(path)
+
+    def test_json_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValidationError, match=r"model\.json: not a uqeval-mlp file"):
+            load_model(path)

@@ -184,6 +184,35 @@ JSONL_CASES = {
     "leading comment": "# manifest\n" + JSONL_ROW,
     "NaN probability": '{"sample_id": "s0", "pass_id": 0, "p": [NaN, 0.3]}\n',
     "empty": "\n\n",
+    "fractional pass id after pass 0":
+        JSONL_ROW + '{"sample_id": "s0", "pass_id": 1.7, "p": [0.7, 0.3]}\n',
+    "integral float pass id": JSONL_ROW + '{"sample_id": "s0", "pass_id": 1.0, "p": [0.7, 0.3]}\n',
+    "pass id bool": '{"sample_id": "s0", "pass_id": true, "p": [0.7, 0.3]}\n',
+    "null sample id": '{"sample_id": null, "pass_id": 0, "p": [0.7, 0.3]}\n',
+    "p text and bool": '{"sample_id": "s0", "pass_id": 0, "p": ["0.5", true]}\n',
+    "p bools": '{"sample_id": "s0", "pass_id": 0, "p": [true, false]}\n',
+}
+
+# Records of the right shape whose values have another type than the grammar
+# states. The reader used to coerce them (pass id 1.7 or true became 1, sample
+# id 5 became "5", p "01" became [0.0, 1.0]); it now rejects them, naming the
+# line. The oracle follows the same rule, because the line-edit fuzz below can
+# quote a number into a string.
+JSONL_REJECTED = {
+    "p a number": "1: malformed record: p must be an array of numbers, got 1",
+    "p a string": '1: malformed record: p must be an array of numbers, got "01"',
+    "p an object": '1: malformed record: p must be an array of numbers, got {"1": 0, "0": 1}',
+    "pass id text": '1: malformed record: pass_id must be an integer, got "0"',
+    "pass id bad text": '1: malformed record: pass_id must be an integer, got "x"',
+    "pass id float and bool": "1: malformed record: pass_id must be an integer, got 0.9",
+    "pass id null": "1: malformed record: pass_id must be an integer, got null",
+    "numeric sample id": "1: malformed record: sample_id must be a string, got 5",
+    "fractional pass id after pass 0": "2: malformed record: pass_id must be an integer, got 1.7",
+    "integral float pass id": "2: malformed record: pass_id must be an integer, got 1.0",
+    "pass id bool": "1: malformed record: pass_id must be an integer, got true",
+    "null sample id": "1: malformed record: sample_id must be a string, got null",
+    "p text and bool": '1: malformed record: p must be an array of numbers, got ["0.5", true]',
+    "p bools": "1: malformed record: p must be an array of numbers, got [true, false]",
 }
 
 
@@ -197,6 +226,15 @@ class TestMalformedFiles:
         path.write_bytes(text.encode("utf-8"))
         with chunk_rows(chunk):
             assert outcome(load_predictions, path, fmt) == outcome(oracle.load_predictions, path, fmt)
+
+    @pytest.mark.parametrize("chunk", [1, None])
+    @pytest.mark.parametrize("name", JSONL_REJECTED)
+    def test_jsonl_values_of_another_type_rejected(self, tmp_path, name, chunk):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(JSONL_CASES[name].encode("utf-8"))
+        with chunk_rows(chunk):
+            assert outcome(load_predictions, path, "jsonl") == (
+                "FormatError", f"{path}:{JSONL_REJECTED[name]}")
 
     def test_errors_name_their_line(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -224,12 +262,13 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("text, message", [
         ('{"sample_id": "s0", "pass_id": Infinity, "p": [0.7, 0.3]}\n',
-         "cannot convert float infinity to integer"),
+         "pass_id must be an integer, got Infinity"),
         ('{"sample_id": "s0", "pass_id": 0, "p": [1' + "0" * 400 + ', 0.3]}\n',
          "int too large to convert to float"),
     ], ids=["pass id infinite", "probability beyond float"])
     def test_jsonl_overflow_names_its_line(self, tmp_path, text, message):
-        # the oracle lets OverflowError escape; the reader reports it like any malformed record
+        # the oracle lets OverflowError escape; the reader reports it like any malformed
+        # record, and an infinite pass id is a float, not an integer
         path = tmp_path / "p.jsonl"
         path.write_text(text)
         with pytest.raises(FormatError, match=r"p\.jsonl:1: malformed record: " + message):
