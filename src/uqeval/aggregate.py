@@ -8,8 +8,10 @@ means, which coincides with the grand mean when every member contributed
 the same number of passes.
 
 The result is one :class:`Summaries`: a struct of arrays with one row per
-sample id, validated once as a whole. :meth:`Summaries.correct` matches it
-to labels through :func:`uqeval.tensor.aligned_labels`.
+sample id, validated once as a whole. Its ``sample_ids`` are the tensor's
+own :class:`~uqeval.tensor.SampleIds`, checked when the tensor was built and
+shared, not checked again. :meth:`Summaries.correct` matches it to labels
+through :func:`uqeval.tensor.aligned_labels`.
 
 Entropy defaults to base 2 and is reported both raw and normalized by
 ``log2(C)`` so uncertainty thresholds live on [0, 1] for any class count.
@@ -26,11 +28,13 @@ from .tensor import (
     ROW_SUM_TOL,
     LabelSet,
     PredictionTensor,
+    SampleIds,
     aligned_labels,
+    class_sums,
     csv_fields,
+    pass_means,
     read_table,
     table_columns,
-    validate_ids,
     write_artifact,
 )
 
@@ -109,7 +113,7 @@ class Summaries:
     normalized_entropy: np.ndarray
 
     def __post_init__(self):
-        ids = validate_ids(self.sample_ids)
+        ids = SampleIds(self.sample_ids)
         if not ids:
             raise ValidationError("need at least one sample")
         means = _column(self.means, np.float64)
@@ -123,7 +127,7 @@ class Summaries:
         normalized = _column(self.normalized_entropy, np.float64)
         if {c.shape for c in (predicted, confidence, entropy, normalized)} != {(len(ids),)}:
             raise ValidationError(f"every per-sample column must have shape ({len(ids)},)")
-        sums = means.sum(axis=1)
+        sums = class_sums(means)
         _require(np.all(means >= 0.0, axis=1), ids,
                  "summary mean for {id} has a negative or NaN component")
         # a mean written at 9 significant digits may sum to 1 +- 5e-9, so
@@ -190,7 +194,7 @@ def predictive_entropy(mean: np.ndarray, base: str = "2") -> float:
 def _entropy(means: np.ndarray, base: str) -> np.ndarray:
     """Entropy along the last axis; a rounding-negative value becomes 0."""
     log = _log_fn(base)
-    value = -np.sum(means * log(np.clip(means, LOG_CLAMP, 1.0)), axis=-1)
+    value = -class_sums(means * log(np.clip(means, LOG_CLAMP, 1.0)))
     return np.where(0.0 > value, 0.0, value)
 
 
@@ -216,13 +220,13 @@ def aggregate(tensor: PredictionTensor, scheme: AggregationScheme, base: str = "
             )
         bounds = np.cumsum((0,) + parts)
         member_means = [
-            tensor.probs[:, bounds[k]:bounds[k + 1], :].mean(axis=1)
+            pass_means(tensor.probs[:, bounds[k]:bounds[k + 1], :])
             for k in range(len(parts))
         ]
         means = np.mean(member_means, axis=0)
     else:
-        means = tensor.probs.mean(axis=1)
-    means = means / means.sum(axis=1, keepdims=True)
+        means = pass_means(tensor.probs)
+    means = means / class_sums(means)[:, np.newaxis]
     return Summaries.from_means(tensor.sample_ids, means, base)
 
 

@@ -24,6 +24,7 @@ from .demo import (
     QUICK_PRESET,
     build_demo_models,
     evaluate_demo,
+    valid_seed,
     write_demo_artifacts,
 )
 from .errors import UqevalError, ValidationError
@@ -78,7 +79,7 @@ def _checked(parse, name: str, valid, wanted: str):
 
 # NaN and infinities cannot be recorded in a manifest; numpy seeds only from integers >= 0
 _finite_float = _checked(float, "float", math.isfinite, "a finite number")
-_seed = _checked(int, "int", lambda value: value >= 0, "a non-negative integer")
+_seed = _checked(int, "int", valid_seed, "a non-negative integer")
 
 
 def _parse_grid(text: str) -> list[float]:

@@ -23,6 +23,7 @@ import numpy as np
 from .aggregate import ENSEMBLE, MCD, aggregate, save_summaries
 from .calibration import calibration_as_dict, calibration_report
 from .datasets import generate_dataset, save_dataset
+from .errors import ValidationError
 from .manifest import canonical_json
 from .models import (
     EnsembleSpec,
@@ -35,6 +36,7 @@ from .models import (
     emcd_predict,
     ensemble_predict,
     fit_adam,
+    is_integer,
     mc_dropout_predict,
     train_mlp,
 )
@@ -111,6 +113,11 @@ class DemoResult:
     separations: dict
 
 
+def valid_seed(seed) -> bool:
+    """Whether numpy can seed from ``seed``: an integer (not a bool) that is not negative."""
+    return is_integer(seed) and seed >= 0
+
+
 def _sub_seeds(seed: int) -> dict[str, int]:
     names = ("data", "mcd_train", "mcd_passes", "ensemble", "emcd_passes", "compare")
     children = np.random.SeedSequence(seed).spawn(len(names))
@@ -122,6 +129,8 @@ def _sub_seeds(seed: int) -> dict[str, int]:
 
 def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
     """Dataset, labels, trained models, and each scheme's tensor and aggregation scheme."""
+    if not valid_seed(seed):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     seeds = _sub_seeds(seed)
     dataset = generate_dataset(preset.kind, preset.n_points, preset.noise, seeds["data"])
     labels = LabelSet(dataset.test_ids, dataset.test_y)

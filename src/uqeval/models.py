@@ -54,6 +54,11 @@ MODEL_FORMAT = "uqeval-mlp"
 MODEL_VERSION = 1
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer by type: a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MlpSpec:
     """Architecture: layer widths (input, hidden..., output), dropout, init seed."""
@@ -63,7 +68,10 @@ class MlpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
+        for w in self.layer_widths:
+            if not is_integer(w):
+                raise ValidationError(f"layer width {w!r} is not an integer")
+        widths = tuple(map(int, self.layer_widths))
         if len(widths) < 3:
             raise ValidationError("need at least one hidden layer")
         if widths[-1] < 2:

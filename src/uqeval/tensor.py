@@ -16,9 +16,13 @@ File formats (all UTF-8, ``.`` decimal separator):
 Predictions CSV, labels and summaries files share one reader,
 :func:`read_table`, for rows of an id, an integer, then floats.
 
-Sample ids are unique strings without line breaks; CSV writers quote them
-by the csv module's minimal rules, so ids such as ``a,1`` or ``#x`` load
-back unchanged. Only a ``#`` line at the very top of a file is a comment:
+Sample ids are unique strings without line breaks that UTF-8 can encode.
+They are checked once, where they enter the package: a tensor, label set or
+summaries built from plain ids holds them as a :class:`SampleIds`, and an
+object derived from another (summaries from a tensor) shares that same
+tuple instead of checking it again. CSV writers quote ids by the csv
+module's minimal rules, so ids such as ``a,1`` or ``#x`` load back
+unchanged. Only a ``#`` line at the very top of a file is a comment:
 the CLI uses it to stamp a run-manifest digest into CSV artifacts. Every
 artifact is written through :func:`artifact_file`, so it replaces an earlier
 file at its path only once it is complete.
@@ -55,23 +59,38 @@ PROB_FORMAT = "%.9g"
 CHUNK_ROWS = 8192
 
 
-def validate_ids(sample_ids) -> tuple[str, ...]:
-    """Sample ids as strings; unique, free of line breaks, and writable as UTF-8."""
-    ids = tuple(map(str, sample_ids))
-    if len(set(ids)) != len(ids):
-        duplicate = next(s for s, n in Counter(ids).items() if n > 1)
-        raise ValidationError(f"duplicate sample id {duplicate!r}")
-    joined = "".join(ids)
-    if "\n" in joined or "\r" in joined:
-        broken = next(s for s in ids if "\n" in s or "\r" in s)
-        raise ValidationError(f"sample id {broken!r} contains a line break")
-    try:
-        joined.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        # no earlier id holds an unencodable character, so the first holding this one is it
-        broken = next(s for s in ids if joined[exc.start] in s)
-        raise ValidationError(f"sample id {broken!r} cannot be written as UTF-8") from None
-    return ids
+class SampleIds(tuple):
+    """Sample ids as strings: unique, free of line breaks, and writable as UTF-8.
+
+    Building one checks the ids, unless they already are a ``SampleIds``, which
+    is returned unchanged. Every object holding ids keeps them as one, so ids
+    are checked once and shared by the objects derived from them. A pickled or
+    copied ``SampleIds`` is built, and so checked, again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sample_ids):
+        if type(sample_ids) is SampleIds:
+            return sample_ids
+        ids = tuple(map(str, sample_ids))
+        if len(set(ids)) != len(ids):
+            duplicate = next(s for s, n in Counter(ids).items() if n > 1)
+            raise ValidationError(f"duplicate sample id {duplicate!r}")
+        joined = "".join(ids)
+        if "\n" in joined or "\r" in joined:
+            broken = next(s for s in ids if "\n" in s or "\r" in s)
+            raise ValidationError(f"sample id {broken!r} contains a line break")
+        try:
+            joined.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # no earlier id holds an unencodable character, so the first holding this one is it
+            broken = next(s for s in ids if joined[exc.start] in s)
+            raise ValidationError(f"sample id {broken!r} cannot be written as UTF-8") from None
+        return super().__new__(cls, ids)
+
+    def __reduce__(self):
+        return SampleIds, (tuple(self),)
 
 
 def csv_fields(values) -> list[str]:
@@ -113,12 +132,42 @@ def write_artifact(path, text: str, header_comment: str | None = None) -> None:
         fh.write(text)
 
 
+# np.sum over an axis of fewer than 8 elements adds them one after another,
+# starting from +0.0 (so a sum of -0.0s is 0.0); from 8 elements it sums
+# pairwise. Adding whole slices in that order gives the same bits without
+# numpy's reduction once per row, which dominates when the axis is short.
+SEQUENTIAL_SUM_MAX = 7
+
+
+def _added(slices) -> np.ndarray:
+    total = next(slices) + 0.0
+    for part in slices:
+        total += part
+    return total
+
+
+def class_sums(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=-1)``, bit for bit, for float64 rows of any shape."""
+    n_classes = rows.shape[-1]
+    if n_classes > SEQUENTIAL_SUM_MAX:
+        return rows.sum(axis=-1)
+    return _added(rows[..., c] for c in range(n_classes))
+
+
+def pass_means(probs: np.ndarray) -> np.ndarray:
+    """``probs.mean(axis=1)`` of a float64 (samples, passes, classes) array, bit for bit.
+
+    numpy reduces a middle axis by adding its slices in order, whatever its length.
+    """
+    return _added(probs[:, t] for t in range(probs.shape[1])) / probs.shape[1]
+
+
 def _validate_rows(probs: np.ndarray, renormalize: bool) -> np.ndarray:
     if not np.all(np.isfinite(probs)):
         raise ValidationError("probabilities must be finite")
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValidationError("probabilities must lie in [0, 1]")
-    sums = probs.sum(axis=-1)
+    sums = class_sums(probs)
     if renormalize:
         off_band = np.abs(sums - 1.0) > RENORMALIZE_BAND
         if np.any(off_band):
@@ -166,7 +215,7 @@ class PredictionTensor:
             raise ValidationError("need at least one forward pass")
         if n_classes < 2:
             raise ValidationError("need at least two classes")
-        ids = validate_ids(self.sample_ids)
+        ids = SampleIds(self.sample_ids)
         if len(ids) != n_samples:
             raise ValidationError(
                 f"{len(ids)} sample ids for {n_samples} samples"
@@ -199,7 +248,7 @@ class LabelSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        ids = validate_ids(self.sample_ids)
+        ids = SampleIds(self.sample_ids)
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != len(ids):
             raise ValidationError(
@@ -229,7 +278,7 @@ def aligned_labels(sample_ids, labels: LabelSet, n_classes: int) -> np.ndarray:
     reporting the symmetric difference. A label outside ``0..n_classes-1``
     raises :class:`ValidationError` naming its sample.
     """
-    wanted = tuple(sample_ids)
+    wanted = sample_ids if isinstance(sample_ids, tuple) else tuple(sample_ids)
     if wanted == labels.sample_ids:
         arr = labels.labels
     else:

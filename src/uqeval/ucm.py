@@ -26,7 +26,6 @@ analysis*, Alg. 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import median
 
 import numpy as np
 
@@ -199,7 +198,7 @@ def separation_report(summaries: Summaries, labels: LabelSet) -> SeparationRepor
     def stats(values):
         if values.size == 0:
             return None, None
-        return float(values.mean()), float(median(values.tolist()))
+        return float(values.mean()), _median(values)
 
     c_mean, c_median = stats(groups[True])
     i_mean, i_median = stats(groups[False])
@@ -216,6 +215,19 @@ def separation_report(summaries: Summaries, labels: LabelSet) -> SeparationRepor
         correct_entropies=groups[True],
         incorrect_entropies=groups[False],
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """The middle value of a stable sort, or the mean ``(a + b) / 2`` of the middle two.
+
+    This is ``statistics.median`` bit for bit. ``np.median`` is not: it turns a
+    -0.0 median (the entropy of a one-hot mean) into 0.0.
+    """
+    ordered = np.sort(values, kind="stable")
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return (float(ordered[middle - 1]) + float(ordered[middle])) / 2
 
 
 SWEEP_HEADER = "threshold,tc,tu,fu,fc,uacc,usen,uspe,upre"

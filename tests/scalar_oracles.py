@@ -17,6 +17,10 @@ format states (a string id, an integer pass id, an array of numbers), as the
 package's reader does since it stopped coercing them. The labels and summaries readers are the ones the package used before
 all three CSV files went through one chunked table reader: one ``csv.reader``
 call per line.
+
+The reductions are the numpy calls the package made before it added short
+axes a slice at a time: ``np.sum``/``mean`` for the aggregation and
+``statistics.median`` for the separation medians.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import csv
 import io
 import json
 import math
+from statistics import median
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +84,29 @@ def summarize_mean(sample_id: str, mean: np.ndarray, n_classes: int,
     normalized = min(entropy / float(log(n_classes)), 1.0)
     return ScalarSummary(str(sample_id), mean, predicted, float(mean[predicted]),
                          entropy, normalized)
+
+
+def numpy_aggregate(tensor: PredictionTensor, scheme, base: str = "2") -> dict:
+    """The columns ``aggregate`` gives, with every reduction made by numpy."""
+    probs = tensor.probs
+    if scheme.kind == "emcd":
+        bounds = np.cumsum((0,) + scheme.member_pass_counts)
+        means = np.mean([probs[:, a:b, :].mean(axis=1) for a, b in zip(bounds, bounds[1:])], axis=0)
+    else:
+        means = probs.mean(axis=1)
+    means = means / means.sum(axis=1, keepdims=True)
+    log = {"2": np.log2, "e": np.log}[base]
+    entropy = -np.sum(means * log(np.clip(means, LOG_CLAMP, 1.0)), axis=-1)
+    entropy = np.where(0.0 > entropy, 0.0, entropy)
+    normalized = entropy / float(log(means.shape[1]))
+    predicted = np.argmax(means, axis=1)
+    return {
+        "means": means,
+        "predicted_class": predicted,
+        "confidence": means[np.arange(len(means)), predicted],
+        "entropy": entropy,
+        "normalized_entropy": np.where(normalized > 1.0, 1.0, normalized),
+    }
 
 
 def classify_outcome(correct: bool, uncertainty: float, threshold: float) -> str:

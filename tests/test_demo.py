@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from uqeval.cli import main
-from uqeval.demo import DEMO_ARTIFACTS, QUICK_PRESET, run_demo
+from uqeval.demo import DEMO_ARTIFACTS, QUICK_PRESET, build_demo_models, evaluate_demo, run_demo
+from uqeval.errors import ValidationError
 from uqeval.tensor import load_predictions
 
 import scalar_oracles as oracle
@@ -117,3 +118,16 @@ def test_flat_engine_artifacts_match_list_engine(tmp_path, monkeypatch):
     run_demo(7, tmp_path / "list", QUICK_PRESET)
     for name in DEMO_ARTIFACTS:
         assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "list" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, 1.5, True, "3", None])
+@pytest.mark.parametrize("entry", ["build_demo_models", "evaluate_demo", "run_demo"])
+def test_library_entry_points_reject_a_bad_seed(entry, seed, tmp_path):
+    calls = {
+        "build_demo_models": lambda: build_demo_models(seed, QUICK_PRESET),
+        "evaluate_demo": lambda: evaluate_demo(seed, QUICK_PRESET),
+        "run_demo": lambda: run_demo(seed, tmp_path / "out", QUICK_PRESET),
+    }
+    with pytest.raises(ValidationError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        calls[entry]()
+    assert not (tmp_path / "out").exists()

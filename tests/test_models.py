@@ -46,6 +46,20 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             MlpSpec((2, 4, 2), dropout_rate=1.0)
 
+    @pytest.mark.parametrize("width", [2.5, 3.0, True, np.True_, float("inf"), float("nan"), "3"])
+    def test_width_must_be_an_integer(self, width):
+        with pytest.raises(ValidationError, match="layer width .* is not an integer"):
+            MlpSpec((2, width, 2))
+
+    def test_fractional_widths_are_not_truncated(self):
+        with pytest.raises(ValidationError, match="layer width 2.5 is not an integer"):
+            MlpSpec((2.5, 3.9, 2))
+
+    def test_numpy_integer_widths_are_python_ints(self):
+        spec = MlpSpec((np.int64(2), np.int32(5), 2))
+        assert spec.layer_widths == (2, 5, 2)
+        assert {type(w) for w in spec.layer_widths} == {int}
+
     def test_train_config_defaults(self):
         config = TrainConfig()
         assert config.learning_rate == 0.001

@@ -8,7 +8,7 @@ import pytest
 
 from uqeval.svg import _Canvas
 
-LAZY = ("multiprocessing", "concurrent.futures", "xml.sax")
+LAZY = ("multiprocessing", "concurrent.futures", "xml.sax", "statistics", "fractions", "decimal")
 
 
 def test_import_loads_no_pool_or_xml_modules():
