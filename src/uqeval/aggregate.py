@@ -156,14 +156,13 @@ class Summaries:
             )
         predicted = np.argmax(means, axis=1)
         entropy = _entropy(means, base)
-        normalized = entropy / max_entropy(means.shape[1], base)
         return cls(
             sample_ids=sample_ids,
             means=means,
             predicted_class=predicted,
             confidence=means[np.arange(len(means)), predicted],
             entropy=entropy,
-            normalized_entropy=np.where(normalized > 1.0, 1.0, normalized),
+            normalized_entropy=_normalized(entropy, means.shape[1], base),
         )
 
     def __len__(self) -> int:
@@ -192,14 +191,24 @@ def predictive_entropy(mean: np.ndarray, base: str = "2") -> float:
 
 
 def _entropy(means: np.ndarray, base: str) -> np.ndarray:
-    """Entropy along the last axis; a rounding-negative value becomes 0."""
+    """Entropy along the last axis; a rounding-negative value becomes 0.
+
+    ``0.0 - sum`` rather than ``-sum``: a one-hot mean sums to +0.0, and its
+    entropy is then +0.0, not -0.0.
+    """
     log = _log_fn(base)
-    value = -class_sums(means * log(np.clip(means, LOG_CLAMP, 1.0)))
+    value = 0.0 - class_sums(means * log(np.clip(means, LOG_CLAMP, 1.0)))
     return np.where(0.0 > value, 0.0, value)
 
 
 def max_entropy(n_classes: int, base: str = "2") -> float:
     return float(_log_fn(base)(n_classes))
+
+
+def _normalized(entropy: np.ndarray, n_classes: int, base: str) -> np.ndarray:
+    """Entropy divided by ``log(C)``, a rounding excess over 1 clipped to 1."""
+    normalized = entropy / max_entropy(n_classes, base)
+    return np.where(normalized > 1.0, 1.0, normalized)
 
 
 def _log_fn(base: str):
@@ -288,7 +297,7 @@ def _check_stored_entropies(summaries: Summaries) -> None:
     normalized one times ``log(C)`` in the same base for every row.
     """
     ids, n_classes = summaries.sample_ids, summaries.n_classes
-    expected = Summaries.from_means(ids, summaries.means).normalized_entropy
+    expected = _normalized(_entropy(summaries.means, "2"), n_classes, "2")
     normalized = summaries.normalized_entropy
     _require(np.abs(normalized - expected) <= ENTROPY_TOL, ids,
              "normalized entropy {value:.9g} of {id} is not that of its mean", normalized)

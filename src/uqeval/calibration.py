@@ -15,6 +15,7 @@ import numpy as np
 from .aggregate import Summaries
 from .errors import ValidationError
 from .tensor import LabelSet, write_artifact
+from .ucm import format_metric
 
 
 def bin_edges(n_bins: int) -> np.ndarray:
@@ -121,16 +122,11 @@ RELIABILITY_HEADER = "bin,lo,hi,count,accuracy,confidence,gap"
 
 def save_reliability(report: CalibrationReport, path, header_comment: str | None = None) -> None:
     """Reliability CSV with ``n/a`` rendered for empty bins."""
-
-    def cell(value):
-        return "n/a" if value is None else "%.17g" % value
-
     rows = [RELIABILITY_HEADER + "\n"]
     for row in reliability_diagram_data(report):
-        rows.append(
-            f"{row['bin']},{cell(row['lo'])},{cell(row['hi'])},{row['count']},"
-            f"{cell(row['accuracy'])},{cell(row['confidence'])},{cell(row['gap'])}\n"
-        )
+        lo, hi, acc, conf, gap = (format_metric(row[key])
+                                  for key in ("lo", "hi", "accuracy", "confidence", "gap"))
+        rows.append(f"{row['bin']},{lo},{hi},{row['count']},{acc},{conf},{gap}\n")
     write_artifact(path, "".join(rows), header_comment)
 
 

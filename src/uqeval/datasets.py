@@ -1,8 +1,9 @@
 """Synthetic 2-D binary datasets so the pipeline runs without external data.
 
 Two generators: interleaved half-circles ("two-moons", linearly inseparable)
-and a pair of Gaussian blobs. Points get a deterministic stratified
-train/test split (default 75/25) and stable row ids.
+and a pair of Gaussian blobs centred at (-2, 0) and (2, 0). Points get a
+deterministic stratified train/test split, 75/25 in each class, and stable
+row ids.
 """
 
 from __future__ import annotations
@@ -15,16 +16,14 @@ from .errors import ValidationError
 from .tensor import write_artifact
 
 GENERATORS = ("two-moons", "gaussian-blobs")
+TRAIN_FRACTION = 0.75
+BLOB_CENTERS = ((-2.0, 0.0), (2.0, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     x: np.ndarray
     y: np.ndarray
-    generator: str
-    noise: float
-    seed: int
-    train_fraction: float
     train_idx: np.ndarray
     test_idx: np.ndarray
     ids: tuple[str, ...] = field(init=False)
@@ -72,8 +71,7 @@ class SyntheticDataset:
         return tuple(self.ids[i] for i in self.test_idx)
 
 
-def generate_dataset(kind: str, n: int, noise: float, seed: int,
-                     train_fraction: float = 0.75) -> SyntheticDataset:
+def generate_dataset(kind: str, n: int, noise: float, seed: int) -> SyntheticDataset:
     """Deterministic synthetic dataset with a stratified split."""
     if kind not in GENERATORS:
         raise ValidationError(f"unknown generator {kind!r}; expected one of {GENERATORS}")
@@ -81,20 +79,14 @@ def generate_dataset(kind: str, n: int, noise: float, seed: int,
         raise ValidationError(f"need at least 20 points, got {n}")
     if noise < 0:
         raise ValidationError("noise must be nonnegative")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValidationError("train fraction must lie strictly between 0 and 1")
     ss = np.random.SeedSequence(seed)
     points_rng, split_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     if kind == "two-moons":
         x, y = _two_moons(n, noise, points_rng)
     else:
         x, y = _gaussian_blobs(n, noise, points_rng)
-    train_idx, test_idx = _stratified_split(y, train_fraction, split_rng)
-    return SyntheticDataset(
-        x=x, y=y, generator=kind, noise=float(noise), seed=int(seed),
-        train_fraction=float(train_fraction),
-        train_idx=train_idx, test_idx=test_idx,
-    )
+    train_idx, test_idx = _stratified_split(y, split_rng)
+    return SyntheticDataset(x=x, y=y, train_idx=train_idx, test_idx=test_idx)
 
 
 def _two_moons(n: int, noise: float, rng: np.random.Generator):
@@ -110,24 +102,23 @@ def _two_moons(n: int, noise: float, rng: np.random.Generator):
     return x, y
 
 
-def _gaussian_blobs(n: int, noise: float, rng: np.random.Generator,
-                    centers=((-2.0, 0.0), (2.0, 0.0))):
+def _gaussian_blobs(n: int, noise: float, rng: np.random.Generator):
     n_a = n // 2
     n_b = n - n_a
     scale = noise if noise > 0 else 1e-12
-    a = rng.normal(0.0, scale, size=(n_a, 2)) + np.asarray(centers[0])
-    b = rng.normal(0.0, scale, size=(n_b, 2)) + np.asarray(centers[1])
+    a = rng.normal(0.0, scale, size=(n_a, 2)) + np.asarray(BLOB_CENTERS[0])
+    b = rng.normal(0.0, scale, size=(n_b, 2)) + np.asarray(BLOB_CENTERS[1])
     x = np.vstack([a, b])
     y = np.concatenate([np.zeros(n_a, dtype=np.int64), np.ones(n_b, dtype=np.int64)])
     return x, y
 
 
-def _stratified_split(y: np.ndarray, train_fraction: float, rng: np.random.Generator):
+def _stratified_split(y: np.ndarray, rng: np.random.Generator):
     train_parts, test_parts = [], []
     for cls in np.unique(y):
         members = np.flatnonzero(y == cls)
         members = members[rng.permutation(len(members))]
-        cut = int(round(train_fraction * len(members)))
+        cut = int(round(TRAIN_FRACTION * len(members)))
         cut = min(max(cut, 1), len(members) - 1)
         train_parts.append(members[:cut])
         test_parts.append(members[cut:])

@@ -33,12 +33,11 @@ from .models import (
     _ensemble_jobs,
     _map_jobs,
     _train_job,
+    derived_seed,
     emcd_predict,
     ensemble_predict,
-    fit_adam,
     is_integer,
     mc_dropout_predict,
-    train_mlp,
 )
 from .stats import accuracy, auc_binary, compare_models, comparison_values_csv, positive_class_scores
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
@@ -69,24 +68,30 @@ DEMO_ARTIFACTS = (
 DEFAULT_THRESHOLD = 0.3
 DEFAULT_GRID = tuple(round(0.1 * k, 12) for k in range(1, 10))
 
+# The same in every demo run: the MC-dropout network's hidden widths, the
+# dropout rate of it and of the ensemble members, the minibatch size of every
+# fit, the hidden widths of the comparison heads, and the calibration bins.
+MCD_HIDDEN = (32, 16, 4)
+DROPOUT_RATE = 0.25
+BATCH_SIZE = 32
+COMPARE_HEAD_HIDDEN = (16, 8)
+CALIBRATION_BINS = 10
+
 
 @dataclass(frozen=True)
 class DemoPreset:
+    """The demo's sizes: ``QUICK_PRESET`` and the ``train-demo`` flags set each of them."""
+
     kind: str = "two-moons"
     n_points: int = 600
     noise: float = 0.28
-    mcd_hidden: tuple[int, ...] = (32, 16, 4)
-    dropout_rate: float = 0.25
     epochs: int = 100
-    batch_size: int = 32
     mcd_passes: int = 100
     ensemble_members: int = 10
     emcd_passes_per_member: int = 8
     compare_runs: int = 12
-    compare_head_hidden: tuple[int, ...] = (16, 8)
     compare_pretrain_epochs: int = 60
     compare_head_epochs: int = 20
-    bins: int = 10
 
 
 QUICK_PRESET = DemoPreset(
@@ -121,10 +126,7 @@ def valid_seed(seed) -> bool:
 def _sub_seeds(seed: int) -> dict[str, int]:
     names = ("data", "mcd_train", "mcd_passes", "ensemble", "emcd_passes", "compare")
     children = np.random.SeedSequence(seed).spawn(len(names))
-    return {
-        name: int(child.generate_state(1, dtype=np.uint64)[0] % (2**63))
-        for name, child in zip(names, children)
-    }
+    return {name: derived_seed(child) for name, child in zip(names, children)}
 
 
 def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
@@ -136,21 +138,20 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
     labels = LabelSet(dataset.test_ids, dataset.test_y)
 
     mcd_spec = MlpSpec(
-        layer_widths=(2, *preset.mcd_hidden, 2),
-        dropout_rate=preset.dropout_rate,
+        layer_widths=(2, *MCD_HIDDEN, 2),
+        dropout_rate=DROPOUT_RATE,
         seed=seeds["mcd_train"],
     )
-    config = TrainConfig(epochs=preset.epochs, batch_size=preset.batch_size,
-                         seed=seeds["mcd_train"])
+    config = TrainConfig(epochs=preset.epochs, batch_size=BATCH_SIZE, seed=seeds["mcd_train"])
     ensemble_spec = EnsembleSpec(
         member_count=preset.ensemble_members,
-        dropout_rate=preset.dropout_rate,
+        dropout_rate=DROPOUT_RATE,
         master_seed=seeds["ensemble"],
     )
     # the MC-dropout model and the ensemble members train side by side
     train = (dataset.train_x, dataset.train_y)
     mcd_model, *members = _map_jobs(
-        _train_job, [(mcd_spec, config, train), *_ensemble_jobs(ensemble_spec, config, train)]
+        _train_job, [(mcd_spec, config, *train), *_ensemble_jobs(ensemble_spec, config, train)]
     )
 
     test_x, test_ids = dataset.test_x, dataset.test_ids
@@ -165,34 +166,21 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
     return dataset, labels, tensors, schemes, seeds, (mcd_model, members)
 
 
-def _train_head(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:
-    """A cold head (fresh init) or, given ``init``, a head warm-started from it."""
-    if init is None:
-        return train_mlp(spec, config, (x, y))
-    model = Mlp(spec)
-    model.flat[...] = init
-    fit_adam(model, config, x, y)
-    return model
-
-
 def _comparison_runs(dataset, seed: int, preset: DemoPreset):
     """Warm-start vs cold-start heads over bootstrap resamples of the train split."""
     train_x, train_y = dataset.train_x, dataset.train_y
     test_x, test_ids = dataset.test_x, dataset.test_ids
     labels = LabelSet(dataset.test_ids, dataset.test_y)
 
-    head_widths = (2, *preset.compare_head_hidden, 2)
+    head_widths = (2, *COMPARE_HEAD_HIDDEN, 2)
     seqs = np.random.SeedSequence(seed).spawn(preset.compare_runs + 1)
 
-    def seq_int(seq):
-        return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
-
-    backbone_seed = seq_int(seqs[0])
-    backbone = train_mlp(
+    backbone_seed = derived_seed(seqs[0])
+    backbone = _train_job(
         MlpSpec(head_widths, dropout_rate=0.0, seed=backbone_seed),
-        TrainConfig(epochs=preset.compare_pretrain_epochs,
-                    batch_size=preset.batch_size, seed=backbone_seed),
-        (train_x, train_y),
+        TrainConfig(epochs=preset.compare_pretrain_epochs, batch_size=BATCH_SIZE,
+                    seed=backbone_seed),
+        train_x, train_y,
     )
 
     def evaluate(model: Mlp, run_seed: int):
@@ -202,7 +190,7 @@ def _comparison_runs(dataset, seed: int, preset: DemoPreset):
 
     run_seeds, jobs = [], []
     for seq in seqs[1:]:
-        run_seed = seq_int(seq)
+        run_seed = derived_seed(seq)
         rng = np.random.default_rng(seq)
         resample = rng.integers(0, len(train_y), size=int(0.8 * len(train_y)))
         # keep both classes present in the bootstrap sample
@@ -212,20 +200,20 @@ def _comparison_runs(dataset, seed: int, preset: DemoPreset):
         ])
         x_run, y_run = train_x[resample], train_y[resample]
         head = (MlpSpec(head_widths, dropout_rate=0.0, seed=run_seed),
-                TrainConfig(epochs=preset.compare_head_epochs,
-                            batch_size=preset.batch_size, seed=run_seed),
+                TrainConfig(epochs=preset.compare_head_epochs, batch_size=BATCH_SIZE,
+                            seed=run_seed),
                 x_run, y_run)
         run_seeds.append(run_seed)
         jobs += [(*head, backbone.flat), head]
 
-    heads = _map_jobs(_train_head, jobs)
+    heads = _map_jobs(_train_job, jobs)
     runs_warm = [evaluate(m, s) for m, s in zip(heads[0::2], run_seeds)]
     runs_cold = [evaluate(m, s) for m, s in zip(heads[1::2], run_seeds)]
     return runs_warm, runs_cold
 
 
 def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = "2",
-                  threshold: float = DEFAULT_THRESHOLD, grid=DEFAULT_GRID):
+                  threshold: float = DEFAULT_THRESHOLD):
     """All analyses of one demo run, as plain data (no files)."""
     dataset, labels, tensors, schemes, seeds, _ = build_demo_models(seed, preset)
     summaries = {name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEMES}
@@ -233,8 +221,8 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
     for name in SCHEMES:
         s = summaries[name]
         truth = aligned_labels(s.sample_ids, labels, s.n_classes)
-        sweeps[name] = threshold_sweep(s, labels, grid)
-        calibrations[name] = calibration_report(s, labels, preset.bins)
+        sweeps[name] = threshold_sweep(s, labels, DEFAULT_GRID)
+        calibrations[name] = calibration_report(s, labels, CALIBRATION_BINS)
         separations[name] = separation_report(s, labels)
         per_scheme[name] = {
             "ucm": ucm_as_dict(build_ucm(s, labels, threshold)),
@@ -302,9 +290,8 @@ def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -
         )
 
 
-def run_demo(seed: int, out_dir, preset: DemoPreset = DemoPreset(), log_base: str = "2",
-             digest: str = "none") -> DemoResult:
-    """Full pipeline into ``out_dir``; the acceptance entry point."""
-    result, comparison = evaluate_demo(seed, preset, log_base)
-    write_demo_artifacts(result, comparison, out_dir, digest)
+def run_demo(seed: int, out_dir, preset: DemoPreset = DemoPreset()) -> DemoResult:
+    """Full pipeline into ``out_dir``, with base-2 entropies and the digest ``none``."""
+    result, comparison = evaluate_demo(seed, preset)
+    write_demo_artifacts(result, comparison, out_dir, "none")
     return result

@@ -31,10 +31,12 @@ list-of-arrays engine as its reference.
 
 Parallel training: every model of an ensemble, and of the demo, depends only
 on its own seeds, so :func:`train_ensemble` and the demo train them in
-forked worker processes, one per usable CPU (:func:`_map_jobs`). Each job
-seeds itself as it would inline, and a model comes back through pickle as
-its spec, buffer and loss history, so the weights do not depend on the
-number of workers.
+forked worker processes, one per usable CPU (:func:`_map_jobs`). Every such
+model is one job ``(spec, config, x, y, init=None)`` of the one function
+:func:`_train_job`: a fresh model, or one warm-started from the parameter
+buffer ``init``. Each job seeds itself as it would inline, and a model comes
+back through pickle as its spec, buffer and loss history, so the weights do
+not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -320,9 +322,24 @@ def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
     return model
 
 
-def _train_job(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
-    # pool workers look this up by name; ``train_mlp`` itself may be rebound
-    return train_mlp(spec, config, data)
+def _train_job(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:
+    """A fresh model trained on ``(x, y)`` or, given ``init``, one warm-started from it.
+
+    ``init`` is a parameter buffer laid out like :attr:`Mlp.flat`. Pool
+    workers look this function up by name, and it looks up ``train_mlp`` and
+    ``fit_adam`` by name, so either may be rebound.
+    """
+    if init is None:
+        return train_mlp(spec, config, (x, y))
+    model = Mlp(spec)
+    model.flat[...] = init
+    fit_adam(model, config, x, y)
+    return model
+
+
+def derived_seed(seq: np.random.SeedSequence) -> int:
+    """The integer seed of a seed-sequence child: its first 64-bit word, mod 2**63."""
+    return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
 def _map_jobs(fn, jobs: list[tuple]) -> list:
@@ -360,8 +377,20 @@ def _training_arrays(data):
     return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
 
-def _default_ids(n: int) -> tuple[str, ...]:
-    return tuple(f"s{i:04d}" for i in range(n))
+def _sampled_tensor(models: list[Mlp], passes_per_model: int, rngs, inputs,
+                    sample_ids) -> PredictionTensor:
+    """``passes_per_model`` forward passes of each model, model-major along the pass axis.
+
+    Each model draws its dropout masks from its generator in ``rngs``; a
+    ``None`` generator, or a dropout rate of 0, gives deterministic passes.
+    Sample ids default to ``s0000, s0001, ...``.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    passes = [model.forward(inputs, rng) for model, rng in zip(models, rngs)
+              for _ in range(passes_per_model)]
+    if sample_ids is None:
+        sample_ids = (f"s{i:04d}" for i in range(len(inputs)))
+    return PredictionTensor(np.stack(passes, axis=1), tuple(sample_ids))
 
 
 def mc_dropout_predict(model: Mlp, inputs, t_passes: int, seed: int,
@@ -369,26 +398,15 @@ def mc_dropout_predict(model: Mlp, inputs, t_passes: int, seed: int,
     """T stochastic forward passes with dropout kept on; one pass per mask draw."""
     if t_passes < 1:
         raise ValidationError("need at least one forward pass")
-    inputs = np.asarray(inputs, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    use_dropout = model.spec.dropout_rate > 0
-    passes = [
-        model.forward(inputs, dropout_rng=rng if use_dropout else None)
-        for _ in range(t_passes)
-    ]
-    probs = np.stack(passes, axis=1)
-    ids = tuple(sample_ids) if sample_ids is not None else _default_ids(len(inputs))
-    return PredictionTensor(probs, ids)
+    return _sampled_tensor([model], t_passes, [rng], inputs, sample_ids)
 
 
 def ensemble_predict(models: list[Mlp], inputs, sample_ids=None) -> PredictionTensor:
     """One deterministic pass per member; the pass axis indexes members."""
     if not models:
         raise ValidationError("need at least one model")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    probs = np.stack([m.predict_proba(inputs) for m in models], axis=1)
-    ids = tuple(sample_ids) if sample_ids is not None else _default_ids(len(inputs))
-    return PredictionTensor(probs, ids)
+    return _sampled_tensor(models, 1, [None] * len(models), inputs, sample_ids)
 
 
 def emcd_predict(models: list[Mlp], inputs, t_per_member: int, seed: int,
@@ -402,20 +420,13 @@ def emcd_predict(models: list[Mlp], inputs, t_per_member: int, seed: int,
         raise ValidationError("need at least one model")
     if t_per_member < 1:
         raise ValidationError("need at least one pass per member")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    ids = tuple(sample_ids) if sample_ids is not None else _default_ids(len(inputs))
-    member_seqs = np.random.SeedSequence(seed).spawn(len(models))
-    blocks = []
-    for model, seq in zip(models, member_seqs):
-        rng = np.random.default_rng(seq)
-        use_dropout = model.spec.dropout_rate > 0
-        blocks.extend(
-            model.forward(inputs, dropout_rng=rng if use_dropout else None)
-            for _ in range(t_per_member)
-        )
-    probs = np.stack(blocks, axis=1)
-    scheme = emcd_scheme([t_per_member] * len(models))
-    return PredictionTensor(probs, ids), scheme
+    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(len(models))]
+    tensor = _sampled_tensor(models, t_per_member, rngs, inputs, sample_ids)
+    return tensor, emcd_scheme([t_per_member] * len(models))
+
+
+# a member has two or three hidden layers, drawn with equal odds
+DEPTH_CHOICES = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -423,7 +434,6 @@ class EnsembleSpec:
     """Heterogeneous ensemble: depths and widths drawn from a master seed."""
 
     member_count: int = 30
-    depth_choices: tuple[int, ...] = (2, 3)
     width_ranges: tuple[tuple[int, int], ...] = ((32, 64), (8, 32), (2, 8))
     dropout_rate: float = 0.25
     master_seed: int = 0
@@ -431,9 +441,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.member_count < 2:
             raise ValidationError("an ensemble needs at least 2 members")
-        if not self.depth_choices:
-            raise ValidationError("depth choices must be nonempty")
-        if max(self.depth_choices) > len(self.width_ranges):
+        if max(DEPTH_CHOICES) > len(self.width_ranges):
             raise ValidationError("not enough width ranges for the deepest member")
         for lo, hi in self.width_ranges:
             if lo < 1 or hi < lo:
@@ -446,7 +454,7 @@ def draw_architectures(spec: EnsembleSpec, n_inputs: int, n_classes: int) -> lis
     rng = np.random.default_rng(seqs[0])
     members = []
     for _ in range(spec.member_count):
-        depth = int(rng.choice(spec.depth_choices))
+        depth = int(rng.choice(DEPTH_CHOICES))
         hidden = [int(rng.integers(lo, hi + 1)) for lo, hi in spec.width_ranges[:depth]]
         init_seed = int(rng.integers(0, 2**63 - 1))
         members.append(
@@ -461,18 +469,14 @@ def draw_architectures(spec: EnsembleSpec, n_inputs: int, n_classes: int) -> lis
 
 def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data,
                    n_classes: int | None = None) -> list[tuple]:
-    """``(member spec, member config, (x, y))`` of every member, for :func:`_train_job`."""
+    """The :func:`_train_job` job ``(spec, config, x, y)`` of every member."""
     x, y = _training_arrays(data)
     if n_classes is None:
         n_classes = int(y.max()) + 1
     member_specs = draw_architectures(spec, x.shape[1], n_classes)
     train_seqs = np.random.SeedSequence(spec.master_seed).spawn(spec.member_count + 1)[1:]
-    return [
-        (member_spec,
-         replace(config, seed=int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))),
-         (x, y))
-        for member_spec, seq in zip(member_specs, train_seqs)
-    ]
+    return [(member_spec, replace(config, seed=derived_seed(seq)), x, y)
+            for member_spec, seq in zip(member_specs, train_seqs)]
 
 
 def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data,

@@ -17,6 +17,7 @@ import numpy as np
 PANEL_W = 280
 PANEL_H = 240
 MARGIN = 46
+HISTOGRAM_BINS = 20
 
 PALETTE = ("#1f6fb4", "#d95f02", "#2a9d4e", "#7a4fa3")
 
@@ -154,10 +155,10 @@ def reliability_svg(report, digest: str | None = None) -> str:
 
 
 def histogram_svg(groups: dict[str, np.ndarray], x_label: str,
-                  digest: str | None = None, bins: int = 20) -> str:
+                  digest: str | None = None) -> str:
     """Overlaid density histograms of one value per group over [0, 1]."""
     canvas = _Canvas(PANEL_W, PANEL_H, digest)
-    edges = np.arange(bins + 1, dtype=np.float64) / bins
+    edges = np.arange(HISTOGRAM_BINS + 1, dtype=np.float64) / HISTOGRAM_BINS
     tops = {}
     for name, values in groups.items():
         values = np.asarray(values, dtype=np.float64)
@@ -170,7 +171,7 @@ def histogram_svg(groups: dict[str, np.ndarray], x_label: str,
                  "group distribution", x_label, "fraction")
     for k, (name, top) in enumerate(tops.items()):
         color = PALETTE[k % len(PALETTE)]
-        for b in range(bins):
+        for b in range(HISTOGRAM_BINS):
             if top[b] == 0:
                 continue
             x_lo = axes.x(edges[b])

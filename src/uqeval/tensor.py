@@ -171,7 +171,7 @@ def _validate_rows(probs: np.ndarray, renormalize: bool) -> np.ndarray:
     if renormalize:
         off_band = np.abs(sums - 1.0) > RENORMALIZE_BAND
         if np.any(off_band):
-            idx = tuple(np.argwhere(off_band)[0])
+            idx = tuple(np.argwhere(off_band)[0].tolist())
             raise ValidationError(
                 f"row {idx} sums to {sums[idx]:.6g}, outside the renormalization "
                 f"band 1±{RENORMALIZE_BAND:g}"
@@ -180,7 +180,7 @@ def _validate_rows(probs: np.ndarray, renormalize: bool) -> np.ndarray:
     else:
         off = np.abs(sums - 1.0) > ROW_SUM_TOL
         if np.any(off):
-            idx = tuple(np.argwhere(off)[0])
+            idx = tuple(np.argwhere(off)[0].tolist())
             raise ValidationError(
                 f"row {idx} sums to {sums[idx]:.9g}, deviating from 1 by more "
                 f"than {ROW_SUM_TOL:g} (use renormalize for near-normalized rows)"

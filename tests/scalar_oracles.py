@@ -96,7 +96,7 @@ def numpy_aggregate(tensor: PredictionTensor, scheme, base: str = "2") -> dict:
         means = probs.mean(axis=1)
     means = means / means.sum(axis=1, keepdims=True)
     log = {"2": np.log2, "e": np.log}[base]
-    entropy = -np.sum(means * log(np.clip(means, LOG_CLAMP, 1.0)), axis=-1)
+    entropy = 0.0 - np.sum(means * log(np.clip(means, LOG_CLAMP, 1.0)), axis=-1)
     entropy = np.where(0.0 > entropy, 0.0, entropy)
     normalized = entropy / float(log(means.shape[1]))
     predicted = np.argmax(means, axis=1)

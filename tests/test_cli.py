@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -26,6 +27,7 @@ from uqeval import (
 )
 from uqeval.aggregate import emcd_scheme
 from uqeval.cli import build_parser, main, _parse_grid
+from uqeval.demo import QUICK_PRESET, DemoPreset
 from uqeval.errors import ValidationError
 from uqeval.manifest import canonical_json
 from uqeval.tensor import LabelSet, PredictionTensor
@@ -617,6 +619,32 @@ class TestFlagSets:
         parsed = {name: sorted(f for flags in options(p).values() for f in flags)
                   for name, p in subparsers().items()}
         assert table == parsed
+
+
+def test_every_demo_preset_field_has_a_caller(monkeypatch):
+    # a preset field that neither QUICK_PRESET nor a train-demo flag moves
+    # off its default is a constant, and belongs in the demo as one
+    class Built(Exception):
+        pass
+
+    def capture(seed, preset):
+        raise Built(preset)
+
+    argv = ["train-demo"]
+    for action in subparsers()["train-demo"]._actions:
+        if action.choices:
+            argv += [action.option_strings[0],
+                     next(c for c in action.choices if c != action.default)]
+        elif type(action.default) in (int, float):
+            argv += [action.option_strings[0], str(action.default + 1)]
+    monkeypatch.setattr("uqeval.cli.build_demo_models", capture)
+    args = build_parser().parse_args(argv)
+    with pytest.raises(Built) as info:
+        args.handler(args)
+    flagged, default = info.value.args[0], DemoPreset()
+    unset = [f.name for f in dataclasses.fields(DemoPreset)
+             if getattr(QUICK_PRESET, f.name) == getattr(flagged, f.name) == getattr(default, f.name)]
+    assert unset == []
 
 
 class TestSeedFlag:

@@ -114,7 +114,6 @@ def test_flat_engine_artifacts_match_list_engine(tmp_path, monkeypatch):
     # declared artifact matches the one written with the list engine
     run_demo(7, tmp_path / "flat", QUICK_PRESET)
     monkeypatch.setattr("uqeval.models.fit_adam", oracle.fit_adam)
-    monkeypatch.setattr("uqeval.demo.fit_adam", oracle.fit_adam)
     run_demo(7, tmp_path / "list", QUICK_PRESET)
     for name in DEMO_ARTIFACTS:
         assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "list" / name).read_bytes(), name

@@ -136,8 +136,13 @@ class TestAggregateBits:
     def test_one_hot_mean_entropy_keeps_its_sign(self):
         tensor = PredictionTensor(np.array([[[1.0, 0.0]] * 3]), ["a"])
         expected = oracle.numpy_aggregate(tensor, MCD)["entropy"]
-        assert np.signbit(expected).all()  # the entropy of a one-hot mean is -0.0
+        assert not np.signbit(expected).any()  # the entropy of a one-hot mean is +0.0
         assert same_bits(aggregate(tensor, MCD).entropy, expected)
+
+    def test_one_hot_mean_is_written_without_a_sign(self, tmp_path):
+        tensor = PredictionTensor(np.array([[[0.0, 1.0]] * 3]), ["a"])
+        save_summaries(aggregate(tensor, MCD), tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()[1] == "a,1,1,0,0,0,1"
 
 
 def bits(value) -> str | None:

@@ -85,6 +85,14 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             make_tensor([[[0.6993, 0.2999]]])
 
+    @pytest.mark.parametrize("renormalize,bad_row", [(False, [0.6993, 0.2999]),
+                                                      (True, [0.6, 0.3])])
+    def test_bad_row_is_named_by_plain_indices(self, renormalize, bad_row):
+        probs = np.full((2, 4, 2), 0.5)
+        probs[1, 3] = bad_row
+        with pytest.raises(ValidationError, match=re.escape("row (1, 3) sums to 0.9")):
+            make_tensor(probs, ids=("a", "b"), renormalize=renormalize)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_renormalized_rows_sum_to_one(self, seed):
