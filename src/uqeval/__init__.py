@@ -10,14 +10,12 @@ from .aggregate import (
     aggregate,
     emcd_scheme,
     load_summaries,
-    predictive_entropy,
     save_summaries,
 )
 from .calibration import (
     CalibrationBin,
     CalibrationReport,
     calibration_report,
-    reliability_diagram_data,
 )
 from .datasets import SyntheticDataset, generate_dataset, save_dataset
 from .errors import (
@@ -49,7 +47,6 @@ from .stats import (
     compare_models,
     paired_t_test,
     regularized_incomplete_beta,
-    student_t_cdf,
     student_t_two_sided_p,
 )
 from .tensor import (

@@ -177,19 +177,6 @@ class Summaries:
         return self.predicted_class == aligned_labels(self.sample_ids, labels, self.n_classes)
 
 
-def predictive_entropy(mean: np.ndarray, base: str = "2") -> float:
-    """Entropy of a predictive mean: ``-sum(p * log p)`` with 0·log 0 = 0.
-
-    ``base`` selects log2 (default) or the natural log. Smaller values mean
-    a more confident prediction; the maximum is ``log(C)`` at the uniform
-    distribution.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    if abs(float(mean.sum()) - 1.0) > ROW_SUM_TOL or np.any(mean < 0):
-        raise ValidationError(f"entropy input must be a normalized probability vector, got sum {mean.sum():.12g}")
-    return float(_entropy(mean, base))
-
-
 def _entropy(means: np.ndarray, base: str) -> np.ndarray:
     """Entropy along the last axis; a rounding-negative value becomes 0.
 

@@ -50,10 +50,6 @@ class CalibrationBin:
             return None
         return abs(self.accuracy - self.confidence)
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True)
 class CalibrationReport:
@@ -100,33 +96,16 @@ def calibration_report(summaries: Summaries, labels: LabelSet,
     return CalibrationReport(n_bins=n_bins, bins=tuple(bins), ece=ece, n=n)
 
 
-def reliability_diagram_data(report: CalibrationReport) -> list[dict]:
-    """One row per bin (including empty ones) for reliability plotting."""
-    return [
-        {
-            "bin": b.index,
-            "midpoint": b.midpoint,
-            "lo": b.lo,
-            "hi": b.hi,
-            "count": b.count,
-            "accuracy": b.accuracy,
-            "confidence": b.confidence,
-            "gap": None if b.count == 0 else b.accuracy - b.confidence,
-        }
-        for b in report.bins
-    ]
-
-
 RELIABILITY_HEADER = "bin,lo,hi,count,accuracy,confidence,gap"
 
 
 def save_reliability(report: CalibrationReport, path, header_comment: str | None = None) -> None:
-    """Reliability CSV with ``n/a`` rendered for empty bins."""
+    """Reliability CSV, ``n/a`` for empty bins; its ``gap`` is signed, ``accuracy - confidence``."""
     rows = [RELIABILITY_HEADER + "\n"]
-    for row in reliability_diagram_data(report):
-        lo, hi, acc, conf, gap = (format_metric(row[key])
-                                  for key in ("lo", "hi", "accuracy", "confidence", "gap"))
-        rows.append(f"{row['bin']},{lo},{hi},{row['count']},{acc},{conf},{gap}\n")
+    for b in report.bins:
+        gap = None if b.count == 0 else b.accuracy - b.confidence
+        lo, hi, acc, conf, gap = map(format_metric, (b.lo, b.hi, b.accuracy, b.confidence, gap))
+        rows.append(f"{b.index},{lo},{hi},{b.count},{acc},{conf},{gap}\n")
     write_artifact(path, "".join(rows), header_comment)
 
 

@@ -32,7 +32,14 @@ from .manifest import build_manifest, canonical_json, manifest_digest, write_man
 from .models import save_model
 from .stats import compare_models, comparison_values_csv
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
-from .tensor import load_labels, load_predictions, save_labels, save_predictions, write_artifact
+from .tensor import (
+    json_field,
+    load_labels,
+    load_predictions,
+    save_labels,
+    save_predictions,
+    write_artifact,
+)
 from .ucm import (
     SWEEP_HEADER,
     build_ucm,
@@ -352,7 +359,8 @@ def _load_run_dir(path: str, side: str):
         if not isinstance(spec, dict):
             raise TypeError(f"expected a JSON object, got {type(spec).__name__}")
         entries = [
-            (int(e["seed"]), directory / e["summaries"], directory / e["labels"])
+            (json_field(e, "seed", "an integer"), directory / json_field(e, "summaries", "a string"),
+             directory / json_field(e, "labels", "a string"))
             for e in spec.get("runs", [])
         ]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

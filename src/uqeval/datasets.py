@@ -30,11 +30,14 @@ class SyntheticDataset:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
+        if not np.issubdtype(y.dtype, np.integer) and not np.all(np.isfinite(y) & (y == np.floor(y))):
+            raise ValidationError("labels must be integers")
+        y = y.astype(np.int64, copy=False)
         if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] != y.shape[0]:
             raise ValidationError(f"bad dataset shapes x{x.shape} y{y.shape}")
-        for name in ("x", "y", "train_idx", "test_idx"):
-            arr = np.asarray(getattr(self, name))
+        for name, arr in (("x", x), ("y", y), ("train_idx", np.asarray(self.train_idx)),
+                          ("test_idx", np.asarray(self.test_idx))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if set(self.train_idx) | set(self.test_idx) != set(range(len(y))):

@@ -305,8 +305,8 @@ def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> N
 def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
     """Train a fresh model with Adam on cross entropy.
 
-    ``data`` is either an ``(x, y)`` pair or a dataset exposing
-    ``train_x``/``train_y``. Deterministic for fixed seeds.
+    ``data`` is an ``(x, y)`` pair of inputs and integer labels.
+    Deterministic for fixed seeds.
     """
     x, y = _training_arrays(data)
     if x.shape[1] != spec.layer_widths[0]:
@@ -371,8 +371,6 @@ def _map_jobs(fn, jobs: list[tuple]) -> list:
 
 
 def _training_arrays(data):
-    if hasattr(data, "train_x"):
-        return np.asarray(data.train_x, dtype=np.float64), np.asarray(data.train_y, dtype=np.int64)
     x, y = data
     return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
@@ -425,8 +423,10 @@ def emcd_predict(models: list[Mlp], inputs, t_per_member: int, seed: int,
     return tensor, emcd_scheme([t_per_member] * len(models))
 
 
-# a member has two or three hidden layers, drawn with equal odds
+# a member has two or three hidden layers, drawn with equal odds; hidden
+# layer k's width is drawn from WIDTH_RANGES[k], bounds inclusive
 DEPTH_CHOICES = (2, 3)
+WIDTH_RANGES = ((32, 64), (8, 32), (2, 8))
 
 
 @dataclass(frozen=True)
@@ -434,18 +434,12 @@ class EnsembleSpec:
     """Heterogeneous ensemble: depths and widths drawn from a master seed."""
 
     member_count: int = 30
-    width_ranges: tuple[tuple[int, int], ...] = ((32, 64), (8, 32), (2, 8))
     dropout_rate: float = 0.25
     master_seed: int = 0
 
     def __post_init__(self):
         if self.member_count < 2:
             raise ValidationError("an ensemble needs at least 2 members")
-        if max(DEPTH_CHOICES) > len(self.width_ranges):
-            raise ValidationError("not enough width ranges for the deepest member")
-        for lo, hi in self.width_ranges:
-            if lo < 1 or hi < lo:
-                raise ValidationError(f"bad width range ({lo}, {hi})")
 
 
 def draw_architectures(spec: EnsembleSpec, n_inputs: int, n_classes: int) -> list[MlpSpec]:
@@ -455,7 +449,7 @@ def draw_architectures(spec: EnsembleSpec, n_inputs: int, n_classes: int) -> lis
     members = []
     for _ in range(spec.member_count):
         depth = int(rng.choice(DEPTH_CHOICES))
-        hidden = [int(rng.integers(lo, hi + 1)) for lo, hi in spec.width_ranges[:depth]]
+        hidden = [int(rng.integers(lo, hi + 1)) for lo, hi in WIDTH_RANGES[:depth]]
         init_seed = int(rng.integers(0, 2**63 - 1))
         members.append(
             MlpSpec(
@@ -467,22 +461,18 @@ def draw_architectures(spec: EnsembleSpec, n_inputs: int, n_classes: int) -> lis
     return members
 
 
-def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data,
-                   n_classes: int | None = None) -> list[tuple]:
+def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]:
     """The :func:`_train_job` job ``(spec, config, x, y)`` of every member."""
     x, y = _training_arrays(data)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    member_specs = draw_architectures(spec, x.shape[1], n_classes)
+    member_specs = draw_architectures(spec, x.shape[1], int(y.max()) + 1)
     train_seqs = np.random.SeedSequence(spec.master_seed).spawn(spec.member_count + 1)[1:]
     return [(member_spec, replace(config, seed=derived_seed(seq)), x, y)
             for member_spec, seq in zip(member_specs, train_seqs)]
 
 
-def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data,
-                   n_classes: int | None = None) -> list[Mlp]:
-    """Independently train every member with its own derived seeds, in parallel."""
-    return _map_jobs(_train_job, _ensemble_jobs(spec, config, data, n_classes))
+def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data) -> list[Mlp]:
+    """Independently train every member on the ``(x, y)`` pair ``data``, in parallel."""
+    return _map_jobs(_train_job, _ensemble_jobs(spec, config, data))
 
 
 def save_model(model: Mlp, path, manifest_digest: str | None = None) -> None:

@@ -118,18 +118,6 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-def student_t_cdf(x: float, df: float) -> float:
-    """CDF of Student's t distribution with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise ValidationError("degrees of freedom must be positive")
-    if x == 0.0:
-        return 0.5
-    if math.isinf(x):
-        return 0.0 if x < 0 else 1.0
-    tail = 0.5 * regularized_incomplete_beta(df / (df + x * x), 0.5 * df, 0.5)
-    return tail if x < 0 else 1.0 - tail
-
-
 def student_t_two_sided_p(t: float, df: float) -> float:
     """Two-sided p-value for an observed t statistic."""
     if math.isnan(t):

@@ -154,9 +154,8 @@ def reliability_svg(report, digest: str | None = None) -> str:
     return canvas.render()
 
 
-def histogram_svg(groups: dict[str, np.ndarray], x_label: str,
-                  digest: str | None = None) -> str:
-    """Overlaid density histograms of one value per group over [0, 1]."""
+def histogram_svg(groups: dict[str, np.ndarray], digest: str | None = None) -> str:
+    """Overlaid density histograms of each group's normalized entropies over [0, 1]."""
     canvas = _Canvas(PANEL_W, PANEL_H, digest)
     edges = np.arange(HISTOGRAM_BINS + 1, dtype=np.float64) / HISTOGRAM_BINS
     tops = {}
@@ -168,7 +167,7 @@ def histogram_svg(groups: dict[str, np.ndarray], x_label: str,
         tops[name] = counts / values.size
     y_max = max((t.max() for t in tops.values() if t.size), default=1.0) or 1.0
     axes = _Axes(canvas, 0, 0, (0.0, 1.0), (0.0, float(y_max)),
-                 "group distribution", x_label, "fraction")
+                 "group distribution", "normalized entropy", "fraction")
     for k, (name, top) in enumerate(tops.items()):
         color = PALETTE[k % len(PALETTE)]
         for b in range(HISTOGRAM_BINS):
@@ -185,7 +184,7 @@ def histogram_svg(groups: dict[str, np.ndarray], x_label: str,
 def separation_svg(report, digest: str | None = None) -> str:
     """Histogram of a separation report's correct vs. incorrect entropies."""
     groups = {"correct": report.correct_entropies, "incorrect": report.incorrect_entropies}
-    return histogram_svg(groups, "normalized entropy", digest)
+    return histogram_svg(groups, digest)
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:

@@ -267,9 +267,6 @@ class LabelSet:
     def __len__(self) -> int:
         return len(self.sample_ids)
 
-    def as_dict(self) -> dict[str, int]:
-        return {s: int(l) for s, l in zip(self.sample_ids, self.labels)}
-
 
 def aligned_labels(sample_ids, labels: LabelSet, n_classes: int) -> np.ndarray:
     """Labels reordered to ``sample_ids``, each a valid index for ``n_classes``.

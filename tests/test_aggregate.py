@@ -16,12 +16,11 @@ from uqeval import (
     aggregate,
     emcd_scheme,
     load_summaries,
-    predictive_entropy,
     save_summaries,
 )
 from uqeval.aggregate import AggregationScheme, max_entropy
 
-from conftest import random_prob_rows
+from conftest import entropy_of, random_prob_rows
 from scalar_oracles import pass_variance, predictive_mean, summarize_mean
 
 
@@ -67,36 +66,36 @@ class TestPredictiveMean:
 
 class TestPredictiveEntropy:
     def test_uniform_binary_is_one_bit(self):
-        assert predictive_entropy([0.5, 0.5], "2") == 1.0
+        assert entropy_of([0.5, 0.5], "2")[0] == 1.0
 
     def test_one_hot_is_zero(self):
         for base in ("2", "e"):
-            assert predictive_entropy([1.0, 0.0], base) == 0.0
+            assert entropy_of([1.0, 0.0], base)[0] == 0.0
 
     def test_fixed_vector_against_oracle(self):
-        value = predictive_entropy([0.9, 0.1], "2")
+        value = entropy_of([0.9, 0.1], "2")[0]
         assert abs(value - entropy_oracle([0.9, 0.1], "2")) < 1e-12
         # frozen from the oracle
         assert abs(value - 0.4689955935892812) < 1e-12
 
     def test_non_normalized_rejected(self):
         with pytest.raises(ValidationError):
-            predictive_entropy([0.6, 0.3], "2")
+            entropy_of([0.6, 0.3], "2")
 
     def test_random_vectors_against_oracle(self):
         rng = np.random.default_rng(8)
         for n_classes in (2, 3, 5):
             rows = random_prob_rows(rng, 200, n_classes)
-            for row in rows:
-                for base in ("2", "e"):
-                    assert abs(predictive_entropy(row, base) - entropy_oracle(row, base)) < 1e-12
+            for base in ("2", "e"):
+                for row, got in zip(rows, entropy_of(rows, base)):
+                    assert abs(got - entropy_oracle(row, base)) < 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
     def test_bounds_and_extremes(self, seed, n_classes):
         rng = np.random.default_rng(seed)
         row = random_prob_rows(rng, 1, n_classes)[0]
-        pe = predictive_entropy(row, "2")
+        pe = entropy_of(row, "2")[0]
         assert 0.0 <= pe <= max_entropy(n_classes, "2") + 1e-12
         # maximal only at (numerically) uniform, zero only at one-hot
         if np.max(np.abs(row - 1.0 / n_classes)) > 1e-6:
@@ -105,18 +104,18 @@ class TestPredictiveEntropy:
             assert pe > 0.0
         uniform = np.full(n_classes, 1.0 / n_classes)
         uniform /= uniform.sum()
-        assert abs(predictive_entropy(uniform, "2") - max_entropy(n_classes, "2")) < 1e-12
+        assert abs(entropy_of(uniform, "2")[0] - max_entropy(n_classes, "2")) < 1e-12
         one_hot = np.zeros(n_classes)
         one_hot[seed % n_classes] = 1.0
-        assert predictive_entropy(one_hot, "2") == 0.0
+        assert entropy_of(one_hot, "2")[0] == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             row = random_prob_rows(rng, 1, 4)[0]
             perm = rng.permutation(4)
-            assert predictive_entropy(row[perm], "2") == pytest.approx(
-                predictive_entropy(row, "2"), abs=1e-12
+            assert entropy_of(row[perm], "2")[0] == pytest.approx(
+                entropy_of(row, "2")[0], abs=1e-12
             )
 
 

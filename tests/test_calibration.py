@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from uqeval import LabelSet, Summaries, ValidationError, calibration_report
-from uqeval.calibration import (
-    CalibrationBin,
-    CalibrationReport,
-    reliability_diagram_data,
-    save_reliability,
-)
+from uqeval.calibration import CalibrationBin, CalibrationReport, save_reliability
 
 from scalar_oracles import bin_assign, take
 
@@ -164,23 +159,30 @@ class TestCalibrationReport:
             CalibrationReport(n_bins=1, bins=bins, ece=0.1, n=2)
 
 
+def reliability_rows(report, path) -> list[dict]:
+    """The rows ``save_reliability`` writes for ``report``, as dicts by column."""
+    save_reliability(report, path)
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
 class TestReliabilityData:
-    def test_rows_include_empty_bins(self):
+    def test_rows_include_empty_bins(self, tmp_path):
         summaries, labels = summaries_from_confidences([0.8] * 10, [True] * 5 + [False] * 5)
         report = calibration_report(summaries, labels, 10)
-        rows = reliability_diagram_data(report)
+        rows = reliability_rows(report, tmp_path / "rel.csv")
         assert len(rows) == 10
-        empty = [r for r in rows if r["count"] == 0]
-        assert all(r["gap"] is None for r in empty)
+        empty = [r for r in rows if r["count"] == "0"]
+        assert all(r["gap"] == "n/a" for r in empty)
 
-    def test_single_bin_row(self):
+    def test_single_bin_row(self, tmp_path):
         summaries, labels = summaries_from_confidences([0.8] * 10, [True] * 5 + [False] * 5)
         report = calibration_report(summaries, labels, 1)
-        (row,) = reliability_diagram_data(report)
-        assert row["midpoint"] == 0.5
-        assert row["accuracy"] == pytest.approx(0.5, abs=1e-12)
-        assert row["confidence"] == pytest.approx(0.8, abs=1e-12)
-        assert row["gap"] == pytest.approx(-0.3, abs=1e-12)
+        (row,) = reliability_rows(report, tmp_path / "rel.csv")
+        assert (float(row["lo"]), float(row["hi"])) == (0.0, 1.0)
+        assert float(row["accuracy"]) == pytest.approx(0.5, abs=1e-12)
+        assert float(row["confidence"]) == pytest.approx(0.8, abs=1e-12)
+        assert float(row["gap"]) == pytest.approx(-0.3, abs=1e-12)
 
     def test_export_round_trip(self, tmp_path):
         rng = np.random.default_rng(16)

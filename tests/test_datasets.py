@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uqeval import MlpSpec, TrainConfig, ValidationError, generate_dataset, train_mlp
-from uqeval.datasets import save_dataset
+from uqeval.datasets import SyntheticDataset, save_dataset
 
 
 class TestGeneration:
@@ -50,13 +50,29 @@ class TestGeneration:
         assert np.all(ds.x[ds.y == 1, 1] <= 0.5 + 1e-12)
 
 
+class TestConstruction:
+    SPLIT = (np.array([0, 1]), np.array([2, 3]))
+
+    def test_stores_float_points_and_integer_labels(self):
+        ds = SyntheticDataset(np.array([[0, 0], [1, 1], [2, 2], [3, 3]]),
+                              [0, 1.0, 0, 1.0], *self.SPLIT)
+        assert ds.x.dtype == np.float64 and ds.y.dtype == np.int64
+        assert ds.train_x.dtype == np.float64 and ds.train_y.dtype == np.int64
+        assert ds.y.tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("labels", [[0, 1.7, 0, 1.2], [0, 1, 0, np.nan], [0, 1, 0, np.inf]])
+    def test_non_integral_labels_rejected(self, labels):
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            SyntheticDataset(np.zeros((4, 2)), labels, *self.SPLIT)
+
+
 class TestBlobs:
     def test_far_separated_blobs_trivially_learnable(self):
         ds = generate_dataset("gaussian-blobs", 120, 0.3, 11)
         model = train_mlp(
             MlpSpec((2, 4, 2), dropout_rate=0.0, seed=11),
             TrainConfig(epochs=200, seed=11),
-            ds,
+            (ds.train_x, ds.train_y),
         )
         probs = model.predict_proba(ds.test_x)
         assert (probs.argmax(axis=1) == ds.test_y).mean() == 1.0

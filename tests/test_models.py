@@ -22,7 +22,7 @@ from uqeval import (
 )
 from uqeval.aggregate import ENSEMBLE
 from uqeval.datasets import generate_dataset
-from uqeval.models import Mlp, cross_entropy, draw_architectures, fit_adam
+from uqeval.models import WIDTH_RANGES, Mlp, cross_entropy, draw_architectures, fit_adam
 
 import scalar_oracles as oracle
 
@@ -192,7 +192,7 @@ class TestTraining:
         model = train_mlp(
             MlpSpec((2, 3, 2), dropout_rate=0.0, seed=0),
             TrainConfig(learning_rate=0.01, epochs=300, batch_size=8, seed=0),
-            ds,
+            (ds.train_x, ds.train_y),
         )
         probs = model.predict_proba(ds.train_x)
         assert (probs.argmax(axis=1) == ds.train_y).mean() == 1.0
@@ -400,7 +400,7 @@ class TestEnsemble:
         for member in draw_architectures(spec, 2, 2):
             hidden = member.layer_widths[1:-1]
             assert len(hidden) in (2, 3)
-            for width, (lo, hi) in zip(hidden, spec.width_ranges):
+            for width, (lo, hi) in zip(hidden, WIDTH_RANGES):
                 assert lo <= width <= hi
 
     def test_member_count_minimum(self):
@@ -417,7 +417,7 @@ class TestEnsemble:
     def test_ensemble_not_much_worse_than_best_member(self):
         ds = generate_dataset("two-moons", 200, 0.15, 21)
         spec = EnsembleSpec(member_count=5, master_seed=22)
-        models = train_ensemble(spec, TrainConfig(epochs=60, seed=1), ds)
+        models = train_ensemble(spec, TrainConfig(epochs=60, seed=1), (ds.train_x, ds.train_y))
         tensor = ensemble_predict(models, ds.test_x, ds.test_ids)
         summaries = aggregate(tensor, ENSEMBLE)
         predicted = summaries.predicted_class

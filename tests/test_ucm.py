@@ -80,7 +80,7 @@ class TestClassifyOutcome:
 def scalar_counts(summaries, labels, threshold):
     """(TC, TU, FU, FC) recounted one sample at a time by the scalar oracle."""
     counts = {"TC": 0, "TU": 0, "FU": 0, "FC": 0}
-    truth = labels.as_dict()
+    truth = dict(zip(labels.sample_ids, labels.labels.tolist()))
     for sid, predicted, u in zip(summaries.sample_ids, summaries.predicted_class,
                                  summaries.normalized_entropy):
         counts[classify_outcome(predicted == truth[sid], float(u), threshold)] += 1
