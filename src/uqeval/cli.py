@@ -1,7 +1,6 @@
 """Command-line entry point exposing the full pipeline as subcommands.
 
 Exit codes: 0 success, 1 computation or validation failure, 2 usage error.
-Set ``UQEVAL_NO_COLOR`` to disable ANSI styling in text output.
 """
 
 from __future__ import annotations
@@ -9,15 +8,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .aggregate import AggregationScheme, aggregate, load_summaries, save_summaries
+from .aggregate import (
+    LOG_BASES,
+    SCHEME_KINDS,
+    AggregationScheme,
+    aggregate,
+    load_summaries,
+    save_summaries,
+)
 from .calibration import calibration_as_dict, calibration_report, save_reliability
-from .datasets import save_dataset
+from .datasets import GENERATORS
 from .demo import (
     DEFAULT_THRESHOLD,
     DemoPreset,
@@ -25,40 +30,29 @@ from .demo import (
     build_demo_models,
     evaluate_demo,
     valid_seed,
+    write_comparison,
     write_demo_artifacts,
+    write_demo_data,
 )
 from .errors import UqevalError, ValidationError
 from .manifest import build_manifest, canonical_json, manifest_digest, write_manifest
 from .models import save_model
-from .stats import compare_models, comparison_values_csv
-from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
-from .tensor import (
-    json_field,
-    load_labels,
-    load_predictions,
-    save_labels,
-    save_predictions,
-    write_artifact,
-)
+from .stats import compare_models, comparison_as_dict, comparison_values_csv
+from .svg import reliability_svg, separation_svg, sweep_svg
+from .tensor import json_field, load_labels, load_predictions, write_artifact
 from .ucm import (
     SWEEP_HEADER,
+    SweepCurve,
     build_ucm,
     format_metric,
+    metrics_point,
     render_sweep_rows,
     save_sweep,
     separation_as_dict,
     separation_report,
     threshold_sweep,
-    uacc,
     ucm_as_dict,
-    upre,
-    usen,
-    uspe,
 )
-
-
-def _bold(text: str) -> str:
-    return text if "UQEVAL_NO_COLOR" in os.environ else f"\x1b[1m{text}\x1b[0m"
 
 
 def _parse_bool(value: str) -> bool:
@@ -127,7 +121,7 @@ SHARED_FLAGS = {
     "--threshold": dict(type=_finite_float, default=DEFAULT_THRESHOLD),
     "--normalize-entropy": dict(type=_parse_bool, default=True, metavar="BOOL",
                                 help="threshold on normalized entropy"),
-    "--log-base": dict(choices=("2", "e"), default="2", help="entropy log base"),
+    "--log-base": dict(choices=LOG_BASES, default="2", help="entropy log base"),
     "--seed": dict(type=_seed, default=0, help="master seed"),
     "--format": dict(choices=("text", "json", "csv"), default="text", help="stdout rendering"),
     "--out": dict(default=".", help="output directory"),
@@ -155,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("aggregate", cmd_aggregate, "collapse a prediction tensor into summaries")
     p.add_argument("--in", dest="input", required=True, help="predictions CSV/JSONL")
     p.add_argument("--in-format", choices=("csv", "jsonl"), default=None)
-    p.add_argument("--scheme", choices=("mcd", "ensemble", "emcd"), default="mcd")
+    p.add_argument("--scheme", choices=SCHEME_KINDS, default="mcd")
     p.add_argument("--partition", default=None,
                    help="emcd pass partition: KxT or comma list")
     shared(p, "--format", "--out", "--log-base")
@@ -181,13 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     shared(p, "--format", "--out")
 
     p = command("train-demo", cmd_train_demo, "generate data, train demo models, emit predictions")
-    p.add_argument("--kind", choices=("two-moons", "gaussian-blobs"), default="two-moons")
-    p.add_argument("--n", type=int, default=600)
-    p.add_argument("--noise", type=_finite_float, default=0.28)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--members", type=int, default=10)
-    p.add_argument("--passes", type=int, default=100)
-    p.add_argument("--passes-per-member", type=int, default=8)
+    preset = DemoPreset()
+    p.add_argument("--kind", choices=GENERATORS, default=preset.kind)
+    p.add_argument("--n", type=int, default=preset.n_points)
+    p.add_argument("--noise", type=_finite_float, default=preset.noise)
+    p.add_argument("--epochs", type=int, default=preset.epochs)
+    p.add_argument("--members", type=int, default=preset.ensemble_members)
+    p.add_argument("--passes", type=int, default=preset.mcd_passes)
+    p.add_argument("--passes-per-member", type=int, default=preset.emcd_passes_per_member)
     shared(p, "--seed", "--out")  # it prints one line of text, so it takes no --format
 
     p = command("demo", cmd_demo, "full pipeline into an artifact directory")
@@ -239,7 +234,7 @@ def _ucm_text(ucm, normalized: bool) -> str:
     d = ucm_as_dict(ucm)
     scale = "normalized entropy" if normalized else "raw entropy"
     lines = [
-        _bold(f"uncertainty confusion matrix @ threshold {ucm.threshold:g} ({scale})"),
+        f"uncertainty confusion matrix @ threshold {ucm.threshold:g} ({scale})",
         "                 certain      uncertain",
         f"  correct        TC {ucm.tc:6d}    FU {ucm.fu:6d}",
         f"  incorrect      FC {ucm.fc:6d}    TU {ucm.tu:6d}",
@@ -271,12 +266,7 @@ def cmd_evaluate(args) -> Run:
         if args.format == "json":
             return payload
         if args.format == "csv":
-            return (
-                "threshold,tc,tu,fu,fc,uacc,usen,uspe,upre\n"
-                f"{ucm.threshold:g},{ucm.tc},{ucm.tu},{ucm.fu},{ucm.fc},"
-                f"{format_metric(uacc(ucm))},{format_metric(usen(ucm))},"
-                f"{format_metric(uspe(ucm))},{format_metric(upre(ucm))}"
-            )
+            return SWEEP_HEADER + "\n" + render_sweep_rows(SweepCurve((metrics_point(ucm),)))
         return _ucm_text(ucm, args.normalize_entropy)
 
     return Run({"summaries": args.summaries, "labels": args.labels}, write)
@@ -379,23 +369,16 @@ def cmd_compare(args) -> Run:
     runs_a, inputs_a = _load_run_dir(args.dir_a, "a")
     runs_b, inputs_b = _load_run_dir(args.dir_b, "b")
     comparison = compare_models(runs_a, runs_b)
-    metrics = {metric: comparison[metric].as_dict() for metric in ("accuracy", "auc")}
-    values_csv = comparison_values_csv(comparison)
+    metrics = comparison_as_dict(comparison)
 
     def write(out: Path, digest: str) -> str:
         payload = canonical_json({**metrics, "manifest_digest": digest})
         write_artifact(out / "comparison.json", payload)
-        write_artifact(out / "comparison_values.csv", values_csv, f"manifest_digest={digest}")
-        for metric in metrics:
-            cmp = comparison[metric]
-            write_artifact(
-                out / f"comparison_{metric}.svg",
-                violin_svg({"a": cmp.a.values, "b": cmp.b.values}, metric, digest),
-            )
+        write_comparison(comparison, ("a", "b"), out, digest)
         if args.format == "json":
             return payload
         if args.format == "csv":
-            return values_csv
+            return comparison_values_csv(comparison)
         return "\n".join(
             f"{metric}: a {d['mean_a']:.4f}±{d['sd_a']:.4f} vs "
             f"b {d['mean_b']:.4f}±{d['sd_b']:.4f}, t={d['t']}, p={d['p']:.3g}"
@@ -419,15 +402,10 @@ def cmd_train_demo(args) -> Run:
     dataset, labels, tensors, _, seeds, (mcd_model, members) = build_demo_models(args.seed, preset)
 
     def write(out: Path, digest: str) -> str:
-        stamp = f"manifest_digest={digest}"
-        save_dataset(dataset, out / "dataset.csv", header_comment=stamp)
-        save_labels(labels, out / "labels.csv", header_comment=stamp)
+        write_demo_data(dataset, labels, tensors, out, digest)
         save_model(mcd_model, out / "model_mcd.json", manifest_digest=digest)
         for i, member in enumerate(members):
             save_model(member, out / f"model_member_{i:02d}.json", manifest_digest=digest)
-        for name in ("mcd", "ensemble", "emcd"):
-            save_predictions(tensors[name], out / f"predictions_{name}.csv",
-                             header_comment=stamp)
         return f"wrote dataset, labels, {1 + len(members)} models and 3 prediction files to {out}"
 
     return Run({}, write, seeds)

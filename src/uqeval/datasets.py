@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import write_artifact
+from .tensor import class_indices, write_artifact
 
 GENERATORS = ("two-moons", "gaussian-blobs")
 TRAIN_FRACTION = 0.75
@@ -30,10 +30,7 @@ class SyntheticDataset:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y)
-        if not np.issubdtype(y.dtype, np.integer) and not np.all(np.isfinite(y) & (y == np.floor(y))):
-            raise ValidationError("labels must be integers")
-        y = y.astype(np.int64, copy=False)
+        y = class_indices(self.y)
         if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] != y.shape[0]:
             raise ValidationError(f"bad dataset shapes x{x.shape} y{y.shape}")
         for name, arr in (("x", x), ("y", y), ("train_idx", np.asarray(self.train_idx)),

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import ENSEMBLE, MCD, aggregate, save_summaries
+from .aggregate import ENSEMBLE, MCD, SCHEME_KINDS, aggregate, save_summaries
 from .calibration import calibration_as_dict, calibration_report
 from .datasets import generate_dataset, save_dataset
 from .errors import ValidationError
@@ -39,9 +39,9 @@ from .models import (
     is_integer,
     mc_dropout_predict,
 )
-from .stats import accuracy, auc_binary, compare_models, comparison_values_csv, positive_class_scores
+from .stats import compare_models, comparison_as_dict, comparison_values_csv, point_metrics
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
-from .tensor import LabelSet, aligned_labels, save_labels, save_predictions, write_artifact
+from .tensor import LabelSet, save_labels, save_predictions, write_artifact
 from .ucm import (
     build_ucm,
     save_sweep,
@@ -50,8 +50,6 @@ from .ucm import (
     threshold_sweep,
     ucm_as_dict,
 )
-
-SCHEMES = ("mcd", "ensemble", "emcd")
 
 DEMO_ARTIFACTS = (
     "dataset.csv",
@@ -70,12 +68,14 @@ DEFAULT_GRID = tuple(round(0.1 * k, 12) for k in range(1, 10))
 
 # The same in every demo run: the MC-dropout network's hidden widths, the
 # dropout rate of it and of the ensemble members, the minibatch size of every
-# fit, the hidden widths of the comparison heads, and the calibration bins.
+# fit, the hidden widths of the comparison heads, the calibration bins, and the
+# names of the comparison's two sides, in the order compare_models pairs them.
 MCD_HIDDEN = (32, 16, 4)
 DROPOUT_RATE = 0.25
 BATCH_SIZE = 32
 COMPARE_HEAD_HIDDEN = (16, 8)
 CALIBRATION_BINS = 10
+VARIANTS = ("warm_start", "cold_start")
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,10 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
     return dataset, labels, tensors, schemes, seeds, (mcd_model, members)
 
 
-def _comparison_runs(dataset, seed: int, preset: DemoPreset):
+def _comparison_runs(dataset, labels: LabelSet, seed: int, preset: DemoPreset):
     """Warm-start vs cold-start heads over bootstrap resamples of the train split."""
     train_x, train_y = dataset.train_x, dataset.train_y
     test_x, test_ids = dataset.test_x, dataset.test_ids
-    labels = LabelSet(dataset.test_ids, dataset.test_y)
 
     head_widths = (2, *COMPARE_HEAD_HIDDEN, 2)
     seqs = np.random.SeedSequence(seed).spawn(preset.compare_runs + 1)
@@ -216,11 +215,10 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
                   threshold: float = DEFAULT_THRESHOLD):
     """All analyses of one demo run, as plain data (no files)."""
     dataset, labels, tensors, schemes, seeds, _ = build_demo_models(seed, preset)
-    summaries = {name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEMES}
+    summaries = {name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEME_KINDS}
     per_scheme, sweeps, calibrations, separations = {}, {}, {}, {}
-    for name in SCHEMES:
+    for name in SCHEME_KINDS:
         s = summaries[name]
-        truth = aligned_labels(s.sample_ids, labels, s.n_classes)
         sweeps[name] = threshold_sweep(s, labels, DEFAULT_GRID)
         calibrations[name] = calibration_report(s, labels, CALIBRATION_BINS)
         separations[name] = separation_report(s, labels)
@@ -228,29 +226,40 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
             "ucm": ucm_as_dict(build_ucm(s, labels, threshold)),
             "calibration": calibration_as_dict(calibrations[name]),
             "separation": separation_as_dict(separations[name]),
-            "point": {
-                "accuracy": accuracy(s, labels),
-                "auc": auc_binary(positive_class_scores(s), truth),
-            },
+            "point": point_metrics(s, labels),
         }
+    runs_warm, runs_cold = _comparison_runs(dataset, labels, seeds["compare"], preset)
+    comparison = compare_models(runs_warm, runs_cold)
     report = {
         "seed": seed,
         "derived_seeds": seeds,
         "threshold": threshold,
         "log_base": log_base,
         "schemes": per_scheme,
-    }
-    runs_warm, runs_cold = _comparison_runs(dataset, seeds["compare"], preset)
-    comparison = compare_models(runs_warm, runs_cold)
-    report["comparison"] = {
-        "variant_a": "warm_start",
-        "variant_b": "cold_start",
-        "accuracy": comparison["accuracy"].as_dict(),
-        "auc": comparison["auc"].as_dict(),
+        "comparison": {"variant_a": VARIANTS[0], "variant_b": VARIANTS[1],
+                       **comparison_as_dict(comparison)},
     }
     result = DemoResult(dataset, labels, tensors, summaries, report, sweeps, calibrations,
                         separations)
     return result, comparison
+
+
+def write_demo_data(dataset, labels: LabelSet, tensors: dict, out: Path, digest: str) -> None:
+    """``dataset.csv``, ``labels.csv`` and each scheme's ``predictions_{scheme}.csv``."""
+    stamp = f"manifest_digest={digest}"
+    save_dataset(dataset, out / "dataset.csv", header_comment=stamp)
+    save_labels(labels, out / "labels.csv", header_comment=stamp)
+    for name in SCHEME_KINDS:
+        save_predictions(tensors[name], out / f"predictions_{name}.csv", header_comment=stamp)
+
+
+def write_comparison(comparison, sides, out: Path, digest: str) -> None:
+    """``comparison_values.csv`` and one violin plot per metric, its two groups named ``sides``."""
+    write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison),
+                   f"manifest_digest={digest}")
+    for metric, cmp in comparison.items():
+        groups = dict(zip(sides, (cmp.a.values, cmp.b.values)))
+        write_artifact(out / f"comparison_{metric}.svg", violin_svg(groups, metric, digest))
 
 
 def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -> None:
@@ -258,36 +267,24 @@ def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stamp = f"manifest_digest={digest}"
-    save_dataset(result.dataset, out / "dataset.csv", header_comment=stamp)
-    save_labels(result.labels, out / "labels.csv", header_comment=stamp)
-    for name in SCHEMES:
-        save_predictions(result.tensors[name], out / f"predictions_{name}.csv",
-                         header_comment=stamp)
+    write_demo_data(result.dataset, result.labels, result.tensors, out, digest)
+    for name in SCHEME_KINDS:
         save_summaries(result.summaries[name], out / f"summaries_{name}.csv",
                        header_comment=stamp)
 
-    save_sweep({name: result.sweeps[name] for name in SCHEMES}, out / "sweep.csv",
+    save_sweep({name: result.sweeps[name] for name in SCHEME_KINDS}, out / "sweep.csv",
                header_comment=stamp)
 
     write_artifact(out / "report.json", canonical_json({**result.report, "manifest_digest": digest}))
 
-    for name in SCHEMES:
+    for name in SCHEME_KINDS:
         write_artifact(out / f"sweep_{name}.svg", sweep_svg(result.sweeps[name], digest))
         write_artifact(out / f"reliability_{name}.svg",
                        reliability_svg(result.calibrations[name], digest))
         write_artifact(out / f"separation_{name}.svg",
                        separation_svg(result.separations[name], digest))
 
-    write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison), stamp)
-    for metric in ("accuracy", "auc"):
-        cmp = comparison[metric]
-        write_artifact(
-            out / f"comparison_{metric}.svg",
-            violin_svg(
-                {"warm_start": np.array(cmp.a.values), "cold_start": np.array(cmp.b.values)},
-                metric, digest,
-            ),
-        )
+    write_comparison(comparison, VARIANTS, out, digest)
 
 
 def run_demo(seed: int, out_dir, preset: DemoPreset = DemoPreset()) -> DemoResult:

@@ -36,7 +36,9 @@ model is one job ``(spec, config, x, y, init=None)`` of the one function
 :func:`_train_job`: a fresh model, or one warm-started from the parameter
 buffer ``init``. Each job seeds itself as it would inline, and a model comes
 back through pickle as its spec, buffer and loss history, so the weights do
-not depend on the number of workers.
+not depend on the number of workers. An ensemble's master seed spawns
+``member_count + 1`` children: child 0 draws every member's depth, widths and
+init seed, member by member, and child ``k + 1`` seeds member ``k``'s training.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ from .tensor import JSON_TYPES, PredictionTensor, artifact_file, json_field
 
 MODEL_FORMAT = "uqeval-mlp"
 MODEL_VERSION = 1
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def is_integer(value) -> bool:
@@ -90,9 +97,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     epochs: int = 300
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -264,7 +268,7 @@ def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> N
     v = np.zeros_like(params)
     update = np.empty_like(params)
     denom = np.empty_like(params)
-    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.eps
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, config.learning_rate, ADAM_EPS
     step = 0
 
     n = len(y)
@@ -313,7 +317,7 @@ def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
         raise ValidationError(
             f"input width {spec.layer_widths[0]} does not match data dim {x.shape[1]}"
         )
-    if int(y.max()) >= spec.layer_widths[-1]:
+    if int(y.min()) < 0 or int(y.max()) >= spec.layer_widths[-1]:
         raise ValidationError("label outside the model's class range")
 
     model = Mlp(spec)
@@ -442,32 +446,19 @@ class EnsembleSpec:
             raise ValidationError("an ensemble needs at least 2 members")
 
 
-def draw_architectures(spec: EnsembleSpec, n_inputs: int, n_classes: int) -> list[MlpSpec]:
-    """Member specs (widths and init seeds) derived from the master seed."""
-    seqs = np.random.SeedSequence(spec.master_seed).spawn(1)
-    rng = np.random.default_rng(seqs[0])
-    members = []
-    for _ in range(spec.member_count):
-        depth = int(rng.choice(DEPTH_CHOICES))
-        hidden = [int(rng.integers(lo, hi + 1)) for lo, hi in WIDTH_RANGES[:depth]]
-        init_seed = int(rng.integers(0, 2**63 - 1))
-        members.append(
-            MlpSpec(
-                layer_widths=(n_inputs, *hidden, n_classes),
-                dropout_rate=spec.dropout_rate,
-                seed=init_seed,
-            )
-        )
-    return members
-
-
 def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]:
     """The :func:`_train_job` job ``(spec, config, x, y)`` of every member."""
     x, y = _training_arrays(data)
-    member_specs = draw_architectures(spec, x.shape[1], int(y.max()) + 1)
-    train_seqs = np.random.SeedSequence(spec.master_seed).spawn(spec.member_count + 1)[1:]
-    return [(member_spec, replace(config, seed=derived_seed(seq)), x, y)
-            for member_spec, seq in zip(member_specs, train_seqs)]
+    arch_seq, *train_seqs = np.random.SeedSequence(spec.master_seed).spawn(spec.member_count + 1)
+    rng = np.random.default_rng(arch_seq)
+    jobs = []
+    for seq in train_seqs:
+        depth = int(rng.choice(DEPTH_CHOICES))
+        hidden = [int(rng.integers(lo, hi + 1)) for lo, hi in WIDTH_RANGES[:depth]]
+        member = MlpSpec((x.shape[1], *hidden, int(y.max()) + 1), spec.dropout_rate,
+                         seed=int(rng.integers(0, 2**63 - 1)))
+        jobs.append((member, replace(config, seed=derived_seed(seq)), x, y))
+    return jobs
 
 
 def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data) -> list[Mlp]:

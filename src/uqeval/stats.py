@@ -20,6 +20,7 @@ from .tensor import LabelSet, aligned_labels
 
 BETA_TOL = 1e-14
 BETA_MAX_ITER = 300
+POINT_METRICS = ("accuracy", "auc")
 
 
 def accuracy(summaries: Summaries, labels: LabelSet) -> float:
@@ -233,6 +234,20 @@ def positive_class_scores(summaries: Summaries) -> np.ndarray:
     return summaries.means[:, 1]
 
 
+def point_metrics(summaries: Summaries, labels: LabelSet) -> dict[str, float]:
+    """Accuracy and binary AUC of one run's predictive means, with its labels aligned once."""
+    truth = aligned_labels(summaries.sample_ids, labels, summaries.n_classes)
+    return {
+        "accuracy": float(np.mean(summaries.predicted_class == truth)),
+        "auc": auc_binary(positive_class_scores(summaries), truth),
+    }
+
+
+def comparison_as_dict(comparisons: dict[str, ModelComparison]) -> dict:
+    """JSON-ready block of every metric's comparison, by metric name."""
+    return {metric: cmp.as_dict() for metric, cmp in comparisons.items()}
+
+
 def comparison_values_csv(comparisons: dict[str, "ModelComparison"]) -> str:
     """Raw per-run distribution values for external plotting."""
     lines = ["metric,run_index,seed,value_a,value_b"]
@@ -243,7 +258,7 @@ def comparison_values_csv(comparisons: dict[str, "ModelComparison"]) -> str:
 
 
 def compare_models(runs_a, runs_b) -> dict[str, ModelComparison]:
-    """Paired accuracy and AUC tests over matched repeated runs.
+    """Paired tests of every :func:`point_metrics` metric over matched repeated runs.
 
     Each run is a ``(seed, summaries, labels)`` triple; the two lists must
     have equal length and matching seed order.
@@ -254,20 +269,10 @@ def compare_models(runs_a, runs_b) -> dict[str, ModelComparison]:
         )
 
     def distributions(runs, side):
-        seeds, accs, aucs = [], [], []
-        for seed, summaries, labels in runs:
-            seeds.append(int(seed))
-            truth = aligned_labels(summaries.sample_ids, labels, summaries.n_classes)
-            accs.append(float(np.mean(summaries.predicted_class == truth)))
-            aucs.append(auc_binary(positive_class_scores(summaries), truth))
-        return (
-            MetricDistribution(f"accuracy_{side}", tuple(accs), tuple(seeds)),
-            MetricDistribution(f"auc_{side}", tuple(aucs), tuple(seeds)),
-        )
+        seeds = tuple(int(seed) for seed, _, _ in runs)
+        points = [point_metrics(summaries, labels) for _, summaries, labels in runs]
+        return {m: MetricDistribution(f"{m}_{side}", tuple(p[m] for p in points), seeds)
+                for m in POINT_METRICS}
 
-    acc_a, auc_a = distributions(runs_a, "a")
-    acc_b, auc_b = distributions(runs_b, "b")
-    return {
-        "accuracy": ModelComparison("accuracy", acc_a, acc_b, paired_t_test(acc_a, acc_b)),
-        "auc": ModelComparison("auc", auc_a, auc_b, paired_t_test(auc_a, auc_b)),
-    }
+    a, b = distributions(runs_a, "a"), distributions(runs_b, "b")
+    return {m: ModelComparison(m, a[m], b[m], paired_t_test(a[m], b[m])) for m in POINT_METRICS}

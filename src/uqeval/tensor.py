@@ -240,6 +240,18 @@ class PredictionTensor:
         return self.probs.shape[2]
 
 
+def class_indices(labels) -> np.ndarray:
+    """``labels`` as a new int64 array, if every value is a finite, nonnegative integer."""
+    labels = np.asarray(labels)
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):
+        if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
+            raise ValidationError("labels must be integers")
+    labels = labels.astype(np.int64)
+    if np.any(labels < 0):
+        raise ValidationError("labels must be nonnegative class indices")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class LabelSet:
     """Ground-truth class index per sample id."""
@@ -254,12 +266,7 @@ class LabelSet:
             raise ValidationError(
                 f"{labels.shape} labels for {len(ids)} sample ids"
             )
-        if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            if np.any(labels != np.floor(labels)):
-                raise ValidationError("labels must be integers")
-        labels = labels.astype(np.int64)
-        if np.any(labels < 0):
-            raise ValidationError("labels must be nonnegative class indices")
+        labels = class_indices(labels)
         labels.flags.writeable = False
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "labels", labels)

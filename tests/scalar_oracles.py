@@ -223,6 +223,7 @@ def fit_adam(model, config, x, y) -> None:
     ss = np.random.SeedSequence(config.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     rate = model.spec.dropout_rate
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the textbook Adam settings
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
 
@@ -241,14 +242,14 @@ def fit_adam(model, config, x, y) -> None:
                                                      x[batch], y[batch], rng)
             grads = grads_w + grads_b
             step += 1
-            bc1 = 1.0 - config.beta1 ** step
-            bc2 = 1.0 - config.beta2 ** step
+            bc1 = 1.0 - beta1 ** step
+            bc2 = 1.0 - beta2 ** step
             for p, g, m_i, v_i in zip(params, grads, m, v):
-                m_i *= config.beta1
-                m_i += (1.0 - config.beta1) * g
-                v_i *= config.beta2
-                v_i += (1.0 - config.beta2) * np.square(g)
-                p -= config.learning_rate * (m_i / bc1) / (np.sqrt(v_i / bc2) + config.eps)
+                m_i *= beta1
+                m_i += (1.0 - beta1) * g
+                v_i *= beta2
+                v_i += (1.0 - beta2) * np.square(g)
+                p -= config.learning_rate * (m_i / bc1) / (np.sqrt(v_i / bc2) + eps)
         probs = forward_cached(weights, biases, rate, x, None)[0][-1]
         epoch_loss = cross_entropy(probs, y)
         if not math.isfinite(epoch_loss):

@@ -33,6 +33,7 @@ from uqeval.demo import QUICK_PRESET, DemoPreset
 from uqeval.errors import ValidationError
 from uqeval.manifest import canonical_json
 from uqeval.tensor import LabelSet, PredictionTensor
+from uqeval.ucm import SWEEP_HEADER
 
 from conftest import random_prob_rows
 from scalar_oracles import quantize_probs
@@ -168,6 +169,20 @@ class TestEvaluateCommand:
         }
         on_disk = json.loads((tmp / "ucm.json").read_text())
         assert on_disk["counts"] == payload["counts"]
+
+    def test_csv_threshold_is_the_one_in_ucm_json(self, workdir, capsys):
+        tmp, _, _ = workdir
+        run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
+        capsys.readouterr()
+        code = run_cli([
+            "evaluate", "--summaries", tmp / "summaries.csv", "--labels", tmp / "l.csv",
+            "--threshold", "0.1234567", "--format", "csv", "--out", tmp,
+        ])
+        assert code == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == SWEEP_HEADER
+        assert row.split(",")[0] == "0.1234567"
+        assert json.loads((tmp / "ucm.json").read_text())["threshold"] == 0.1234567
 
     def test_threshold_out_of_range_is_failure(self, workdir):
         tmp, _, _ = workdir
@@ -470,23 +485,18 @@ class TestManifest:
 
 
 class TestTextOutput:
-    def test_no_color_env(self, workdir, capsys, monkeypatch):
+    def test_no_ansi_codes(self, workdir, capsys):
         tmp, _, _ = workdir
         run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
         capsys.readouterr()
-        monkeypatch.setenv("UQEVAL_NO_COLOR", "1")
         run_cli(["evaluate", "--summaries", tmp / "summaries.csv",
                  "--labels", tmp / "l.csv", "--out", tmp])
         out = capsys.readouterr().out
+        assert out.startswith("uncertainty confusion matrix @ threshold 0.3")
         assert "\x1b[" not in out
-        monkeypatch.delenv("UQEVAL_NO_COLOR")
-        run_cli(["evaluate", "--summaries", tmp / "summaries.csv",
-                 "--labels", tmp / "l.csv", "--out", tmp])
-        assert "\x1b[" in capsys.readouterr().out
 
-    def test_matrix_layout(self, workdir, capsys, monkeypatch):
+    def test_matrix_layout(self, workdir, capsys):
         tmp, _, _ = workdir
-        monkeypatch.setenv("UQEVAL_NO_COLOR", "1")
         run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
         capsys.readouterr()
         run_cli(["evaluate", "--summaries", tmp / "summaries.csv",

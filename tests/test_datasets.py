@@ -66,6 +66,11 @@ class TestConstruction:
             SyntheticDataset(np.zeros((4, 2)), labels, *self.SPLIT)
 
 
+    def test_negative_labels_rejected(self):
+        with pytest.raises(ValidationError, match="labels must be nonnegative class indices"):
+            SyntheticDataset(np.zeros((4, 2)), [-1, 0, -1, 0], *self.SPLIT)
+
+
 class TestBlobs:
     def test_far_separated_blobs_trivially_learnable(self):
         ds = generate_dataset("gaussian-blobs", 120, 0.3, 11)

@@ -119,6 +119,25 @@ def test_flat_engine_artifacts_match_list_engine(tmp_path, monkeypatch):
         assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "list" / name).read_bytes(), name
 
 
+def test_train_demo_writes_the_demos_data_files(tmp_path):
+    # train-demo with the quick preset's sizes writes what demo --quick writes
+    q = QUICK_PRESET
+    assert main(["demo", "--quick", "--seed", "5", "--out", str(tmp_path / "demo")]) == 0
+    assert main([
+        "train-demo", "--kind", q.kind, "--n", str(q.n_points), "--noise", str(q.noise),
+        "--epochs", str(q.epochs), "--passes", str(q.mcd_passes),
+        "--members", str(q.ensemble_members), "--passes-per-member", str(q.emcd_passes_per_member),
+        "--seed", "5", "--out", str(tmp_path / "train"),
+    ]) == 0
+    names = ["dataset.csv", "labels.csv",
+             "predictions_mcd.csv", "predictions_ensemble.csv", "predictions_emcd.csv"]
+    for name in names:
+        demo = (tmp_path / "demo" / name).read_bytes().split(b"\n", 1)
+        train = (tmp_path / "train" / name).read_bytes().split(b"\n", 1)
+        assert demo[0].startswith(b"# manifest_digest=") and train[0].startswith(b"# manifest_digest=")
+        assert demo[1] == train[1], name
+
+
 @pytest.mark.parametrize("seed", [-1, 2.0, 1.5, True, "3", None])
 @pytest.mark.parametrize("entry", ["build_demo_models", "evaluate_demo", "run_demo"])
 def test_library_entry_points_reject_a_bad_seed(entry, seed, tmp_path):

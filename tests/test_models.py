@@ -22,7 +22,16 @@ from uqeval import (
 )
 from uqeval.aggregate import ENSEMBLE
 from uqeval.datasets import generate_dataset
-from uqeval.models import WIDTH_RANGES, Mlp, cross_entropy, draw_architectures, fit_adam
+from uqeval.models import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    WIDTH_RANGES,
+    Mlp,
+    _ensemble_jobs,
+    cross_entropy,
+    fit_adam,
+)
 
 import scalar_oracles as oracle
 
@@ -63,7 +72,7 @@ class TestSpecs:
     def test_train_config_defaults(self):
         config = TrainConfig()
         assert config.learning_rate == 0.001
-        assert (config.beta1, config.beta2, config.eps) == (0.9, 0.999, 1e-8)
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
         assert config.epochs == 300
 
 
@@ -185,6 +194,14 @@ class TestTraining:
         x, y = xor_data()
         with pytest.raises(ValidationError):
             train_mlp(MlpSpec((3, 8, 2), seed=1), TrainConfig(epochs=1), (x, y))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_label_outside_class_range(self, bad):
+        x, y = xor_data()
+        y = y.copy()
+        y[0] = bad
+        with pytest.raises(ValidationError, match="label outside the model's class range"):
+            train_mlp(MlpSpec((2, 4, 2), seed=1), TrainConfig(epochs=1), (x, y))
 
     def test_noise_free_moons_reach_full_train_accuracy(self):
         # tiny net needs more optimizer steps than the large-scale defaults give
@@ -387,17 +404,23 @@ class TestMcDropout:
         assert np.all(np.abs(first - second) < 0.02)
 
 
+def member_specs(spec: EnsembleSpec) -> list[MlpSpec]:
+    """The architecture of each member's training job, for 2-D binary data."""
+    x, y = xor_data()
+    return [job[0] for job in _ensemble_jobs(spec, TrainConfig(), (x, y))]
+
+
 class TestEnsemble:
     def test_architectures_deterministic(self):
         spec = EnsembleSpec(member_count=5, master_seed=12)
-        a = draw_architectures(spec, 2, 2)
-        b = draw_architectures(spec, 2, 2)
+        a = member_specs(spec)
+        b = member_specs(spec)
         assert [m.layer_widths for m in a] == [m.layer_widths for m in b]
         assert [m.seed for m in a] == [m.seed for m in b]
 
     def test_architecture_ranges(self):
         spec = EnsembleSpec(member_count=30, master_seed=13)
-        for member in draw_architectures(spec, 2, 2):
+        for member in member_specs(spec):
             hidden = member.layer_widths[1:-1]
             assert len(hidden) in (2, 3)
             for width, (lo, hi) in zip(hidden, WIDTH_RANGES):

@@ -278,6 +278,12 @@ class TestLabels:
         with pytest.raises(ValidationError):
             LabelSet(("a",), np.array([-1]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_label_rejected_before_the_cast(self, bad):
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            LabelSet(("a", "b"), np.array([0, bad]))
+
 
 class TestAlign:
     def test_matching_sets(self):
