@@ -129,8 +129,8 @@ def _sub_seeds(seed: int) -> dict[str, int]:
     return {name: derived_seed(child) for name, child in zip(names, children)}
 
 
-def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
-    """Dataset, labels, trained models, and each scheme's tensor and aggregation scheme."""
+def _model_jobs(seed: int, preset: DemoPreset):
+    """Seeds, dataset, labels, and the training jobs of the MC-dropout model and members."""
     if not valid_seed(seed):
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     seeds = _sub_seeds(seed)
@@ -148,12 +148,13 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
         dropout_rate=DROPOUT_RATE,
         master_seed=seeds["ensemble"],
     )
-    # the MC-dropout model and the ensemble members train side by side
     train = (dataset.train_x, dataset.train_y)
-    mcd_model, *members = _map_jobs(
-        _train_job, [(mcd_spec, config, *train), *_ensemble_jobs(ensemble_spec, config, train)]
-    )
+    jobs = [(mcd_spec, config, *train), *_ensemble_jobs(ensemble_spec, config, train)]
+    return seeds, dataset, labels, jobs
 
+
+def _predictions(dataset, seeds: dict, preset: DemoPreset, mcd_model: Mlp, members: list[Mlp]):
+    """Each scheme's prediction tensor and aggregation scheme on the test split."""
     test_x, test_ids = dataset.test_x, dataset.test_ids
     mcd_tensor = mc_dropout_predict(mcd_model, test_x, preset.mcd_passes,
                                     seeds["mcd_passes"], test_ids)
@@ -163,31 +164,34 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
 
     tensors = {"mcd": mcd_tensor, "ensemble": ens_tensor, "emcd": emcd_tensor}
     schemes = {"mcd": MCD, "ensemble": ENSEMBLE, "emcd": emcd_sch}
+    return tensors, schemes
+
+
+def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
+    """Dataset, labels, trained models, and each scheme's tensor and aggregation scheme."""
+    seeds, dataset, labels, jobs = _model_jobs(seed, preset)
+    mcd_model, *members = _map_jobs(_train_job, jobs)
+    tensors, schemes = _predictions(dataset, seeds, preset, mcd_model, members)
     return dataset, labels, tensors, schemes, seeds, (mcd_model, members)
 
 
-def _comparison_runs(dataset, labels: LabelSet, seed: int, preset: DemoPreset):
-    """Warm-start vs cold-start heads over bootstrap resamples of the train split."""
-    train_x, train_y = dataset.train_x, dataset.train_y
-    test_x, test_ids = dataset.test_x, dataset.test_ids
+def _comparison_jobs(dataset, seed: int, preset: DemoPreset, first: int) -> list[tuple]:
+    """The backbone's job, then each run's warm-start and cold-start head jobs.
 
+    The jobs will stand at index ``first`` onwards of a job list, so each
+    warm-start head names the backbone's job, ``first``, as its ``init``.
+    Every head trains on its run's bootstrap resample of the train split and
+    is seeded with its run seed.
+    """
+    train_x, train_y = dataset.train_x, dataset.train_y
     head_widths = (2, *COMPARE_HEAD_HIDDEN, 2)
     seqs = np.random.SeedSequence(seed).spawn(preset.compare_runs + 1)
 
     backbone_seed = derived_seed(seqs[0])
-    backbone = _train_job(
-        MlpSpec(head_widths, dropout_rate=0.0, seed=backbone_seed),
-        TrainConfig(epochs=preset.compare_pretrain_epochs, batch_size=BATCH_SIZE,
-                    seed=backbone_seed),
-        train_x, train_y,
-    )
-
-    def evaluate(model: Mlp, run_seed: int):
-        tensor = ensemble_predict([model], test_x, test_ids)
-        summaries = aggregate(tensor, MCD)
-        return (run_seed, summaries, labels)
-
-    run_seeds, jobs = [], []
+    jobs = [(MlpSpec(head_widths, dropout_rate=0.0, seed=backbone_seed),
+             TrainConfig(epochs=preset.compare_pretrain_epochs, batch_size=BATCH_SIZE,
+                         seed=backbone_seed),
+             train_x, train_y)]
     for seq in seqs[1:]:
         run_seed = derived_seed(seq)
         rng = np.random.default_rng(seq)
@@ -197,24 +201,39 @@ def _comparison_runs(dataset, labels: LabelSet, seed: int, preset: DemoPreset):
             resample,
             [int(np.flatnonzero(train_y == 0)[0]), int(np.flatnonzero(train_y == 1)[0])],
         ])
-        x_run, y_run = train_x[resample], train_y[resample]
         head = (MlpSpec(head_widths, dropout_rate=0.0, seed=run_seed),
                 TrainConfig(epochs=preset.compare_head_epochs, batch_size=BATCH_SIZE,
                             seed=run_seed),
-                x_run, y_run)
-        run_seeds.append(run_seed)
-        jobs += [(*head, backbone.flat), head]
+                train_x[resample], train_y[resample])
+        jobs += [(*head, first), head]
+    return jobs
 
-    heads = _map_jobs(_train_job, jobs)
-    runs_warm = [evaluate(m, s) for m, s in zip(heads[0::2], run_seeds)]
-    runs_cold = [evaluate(m, s) for m, s in zip(heads[1::2], run_seeds)]
-    return runs_warm, runs_cold
+
+def _comparison_runs(heads: list[Mlp], dataset, labels: LabelSet):
+    """The warm-start and the cold-start runs, ``(run seed, summaries, labels)`` each.
+
+    ``heads`` alternate warm and cold, run by run, as :func:`_comparison_jobs` lists them.
+    """
+    def evaluate(model: Mlp):
+        tensor = ensemble_predict([model], dataset.test_x, dataset.test_ids)
+        return (model.spec.seed, aggregate(tensor, MCD), labels)
+
+    return [evaluate(m) for m in heads[0::2]], [evaluate(m) for m in heads[1::2]]
 
 
 def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = "2",
                   threshold: float = DEFAULT_THRESHOLD):
-    """All analyses of one demo run, as plain data (no files)."""
-    dataset, labels, tensors, schemes, seeds, _ = build_demo_models(seed, preset)
+    """All analyses of one demo run, as plain data (no files).
+
+    The MC-dropout model, the ensemble members and the comparison's backbone
+    and heads all train in one :func:`_map_jobs` call.
+    """
+    seeds, dataset, labels, jobs = _model_jobs(seed, preset)
+    n_models = len(jobs)
+    jobs += _comparison_jobs(dataset, seeds["compare"], preset, n_models)
+    trained = _map_jobs(_train_job, jobs)
+    mcd_model, *members = trained[:n_models]
+    tensors, schemes = _predictions(dataset, seeds, preset, mcd_model, members)
     summaries = {name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEME_KINDS}
     per_scheme, sweeps, calibrations, separations = {}, {}, {}, {}
     for name in SCHEME_KINDS:
@@ -228,7 +247,8 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
             "separation": separation_as_dict(separations[name]),
             "point": point_metrics(s, labels),
         }
-    runs_warm, runs_cold = _comparison_runs(dataset, labels, seeds["compare"], preset)
+    # the backbone, trained[n_models], only seeds the warm-start heads
+    runs_warm, runs_cold = _comparison_runs(trained[n_models + 1:], dataset, labels)
     comparison = compare_models(runs_warm, runs_cold)
     report = {
         "seed": seed,

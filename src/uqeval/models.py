@@ -30,15 +30,30 @@ training separate weight and bias arrays; the test suite keeps that
 list-of-arrays engine as its reference.
 
 Parallel training: every model of an ensemble, and of the demo, depends only
-on its own seeds, so :func:`train_ensemble` and the demo train them in
-forked worker processes, one per usable CPU (:func:`_map_jobs`). Every such
-model is one job ``(spec, config, x, y, init=None)`` of the one function
-:func:`_train_job`: a fresh model, or one warm-started from the parameter
-buffer ``init``. Each job seeds itself as it would inline, and a model comes
-back through pickle as its spec, buffer and loss history, so the weights do
-not depend on the number of workers. An ensemble's master seed spawns
-``member_count + 1`` children: child 0 draws every member's depth, widths and
-init seed, member by member, and child ``k + 1`` seeds member ``k``'s training.
+on its own seeds and, for a warm start, on the buffer it starts from, so
+:func:`train_ensemble` and the demo train them in forked worker processes,
+one per usable CPU (:func:`_map_jobs`). Every such model is one job
+``(spec, config, x, y, init=None)`` of the one function :func:`_train_job`: a
+fresh model, or one warm-started from the parameter buffer ``init``. In a
+list of jobs, an integer ``init`` ``k`` names an earlier job, whose trained
+``flat`` the job starts from. One pool takes the whole list: it submits the
+jobs that depend on none in list order, and a dependent job when the job it
+starts from has come back. Each job seeds itself as it would inline, and a
+model comes back through pickle as its spec, buffer and loss history, so
+the weights do not depend on the number of workers or the order they run
+in. An ensemble's master seed spawns ``member_count + 1`` children: child 0
+draws every member's depth, widths and init seed, member by member, and
+child ``k + 1`` seeds member ``k``'s training.
+
+Dropout masks: a pass over ``n`` rows draws its uniforms with one call,
+``n * sum(hidden widths)`` of them, and :meth:`Mlp._sample_masks` lays them
+out as one ``(n, width)`` mask per hidden layer, layer after layer, as
+per-layer draws would give them; :func:`fit_adam` makes that one call per
+batch. A
+mask holds each unit's dropout divisor (:func:`_draw_masks`), and the labels
+enter the backward pass as one-hot rows: both give the bits that a 0/1 mask
+with a separate rescale, and an indexed label column, give, with fewer numpy
+calls per step.
 """
 
 from __future__ import annotations
@@ -52,7 +67,8 @@ import numpy as np
 
 from .aggregate import AggregationScheme, emcd_scheme
 from .errors import TrainingDivergedError, ValidationError
-from .tensor import JSON_TYPES, PredictionTensor, artifact_file, json_field
+from .tensor import (JSON_TYPES, PredictionTensor, artifact_file, class_sums, int64_labels,
+                     json_field)
 
 MODEL_FORMAT = "uqeval-mlp"
 MODEL_VERSION = 1
@@ -110,15 +126,26 @@ class TrainConfig:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    # numpy's row max and row sum, bit for bit, taken a class column at a time
+    # instead of one reduction per row (see tensor.class_sums)
+    columns = z.T
+    peak = columns[0]
+    for column in columns[1:]:
+        peak = np.maximum(peak, column)
+    e = z - peak[:, None]
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=1, keepdims=True)
+    e /= class_sums(e)[:, None]
     return e
 
 
 def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
     picked = probs[np.arange(len(y)), y]
     return float(-np.mean(np.log(np.clip(picked, 1e-300, 1.0))))
+
+
+def _parameter_count(widths) -> int:
+    """The length of :attr:`Mlp.flat` for these layer widths."""
+    return sum(i * o + o for i, o in zip(widths, widths[1:]))
 
 
 def _layer_views(buffer: np.ndarray, widths) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -133,6 +160,24 @@ def _layer_views(buffer: np.ndarray, widths) -> tuple[tuple[np.ndarray, ...], tu
     return tuple(weights), tuple(biases)
 
 
+def _draw_masks(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
+    """``size`` uniforms, each replaced by its dropout divisor.
+
+    A unit is kept where its uniform is at least ``rate``. Its divisor is then
+    ``1 - rate``, and elsewhere it is infinite. Dividing by it gives the bits
+    of multiplying by the 0/1 keep-mask and then dividing by ``1 - rate``,
+    signed zeros included, in one operation.
+    """
+    return np.array([np.inf, 1.0 - rate]).take(rng.random(size) >= rate)
+
+
+def _one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """Row ``i`` is 1.0 in column ``y[i]`` and 0.0 elsewhere."""
+    targets = np.zeros((len(y), n_classes))
+    targets[np.arange(len(y)), y] = 1.0
+    return targets
+
+
 class Mlp:
     """Fully connected ReLU network with a softmax output head.
 
@@ -143,7 +188,7 @@ class Mlp:
     def __init__(self, spec: MlpSpec):
         self.spec = spec
         widths = spec.layer_widths
-        self._flat = np.zeros(sum(i * o + o for i, o in zip(widths, widths[1:])))
+        self._flat = np.zeros(_parameter_count(widths))
         self._weights, self._biases = _layer_views(self._flat, widths)
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
         for w in self._weights:
@@ -175,18 +220,31 @@ class Mlp:
 
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None) -> np.ndarray:
         """Class probabilities; pass a generator to sample dropout masks."""
-        return self._forward_cached(x, dropout_rng)[0][-1]
+        x = np.asarray(x, dtype=np.float64)
+        return self._forward_cached(x, self._sample_masks(dropout_rng, len(x)))[0][-1]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Deterministic forward pass (dropout off)."""
         return self.forward(np.asarray(x, dtype=np.float64))
 
-    def _forward_cached(self, x, dropout_rng):
-        x = np.asarray(x, dtype=np.float64)
+    def _sample_masks(self, dropout_rng, n_rows: int):
+        """Dropout divisors of every hidden layer for ``n_rows`` rows; None when dropout is off."""
         rate = self.spec.dropout_rate
+        if dropout_rng is None or rate == 0.0:
+            return None
+        hidden = self.spec.layer_widths[1:-1]
+        drawn = _draw_masks(dropout_rng, n_rows * sum(hidden), rate)
+        masks, offset = [], 0
+        for width in hidden:
+            masks.append(drawn[offset:offset + n_rows * width].reshape(n_rows, width))
+            offset += n_rows * width
+        return masks
+
+    def _forward_cached(self, x, masks):
+        """Activations, pre-activations and ``masks``: dropout divisors per hidden layer, or None."""
+        x = np.asarray(x, dtype=np.float64)
         activations = [x]
         pre = []
-        masks = []
         a = x
         last = len(self._weights) - 1
         for i, (w, b) in enumerate(zip(self._weights, self._biases)):
@@ -195,47 +253,41 @@ class Mlp:
             pre.append(z)
             if i == last:
                 a = softmax(z)
-                masks.append(None)
             else:
                 a = np.maximum(z, 0.0)
-                if dropout_rng is not None and rate > 0.0:
-                    keep = dropout_rng.random(a.shape) >= rate
-                    a *= keep
-                    a /= 1.0 - rate
-                    masks.append(keep)
-                else:
-                    masks.append(None)
+                if masks is not None:
+                    a /= masks[i]
             activations.append(a)
         return activations, pre, masks
 
-    def _backprop(self, activations, pre, masks, y, grads_w, grads_b) -> None:
+    def _backprop(self, activations, pre, masks, targets, grads_w, grads_b) -> None:
         """Write the mean cross-entropy gradient into the views ``grads_w``/``grads_b``.
 
-        Takes the cache of :meth:`_forward_cached` and overwrites its output
-        probabilities with the output delta.
+        Takes the cache of :meth:`_forward_cached` and the one-hot labels
+        ``targets``, and overwrites the cached output probabilities with the
+        output delta. Subtracting 0.0 leaves a probability as it is, so the
+        delta is the one that subtracting 1.0 at each label gives.
         """
-        n = len(y)
-        rate = self.spec.dropout_rate
         delta = activations[-1]
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
+        delta -= targets
+        delta /= len(targets)
         for i in range(len(grads_w) - 1, -1, -1):
             np.matmul(activations[i].T, delta, out=grads_w[i])
             np.add.reduce(delta, axis=0, out=grads_b[i])
             if i > 0:
                 delta = delta @ self._weights[i].T
-                if masks[i - 1] is not None:
-                    delta *= masks[i - 1]
-                    delta /= 1.0 - rate
+                if masks is not None:
+                    delta /= masks[i - 1]
                 delta *= pre[i - 1] > 0.0
 
     def loss_and_gradients(self, x, y, dropout_rng=None):
         """Cross-entropy loss and its gradients for every weight and bias."""
+        x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        cache = self._forward_cached(x, dropout_rng)
+        cache = self._forward_cached(x, self._sample_masks(dropout_rng, len(x)))
         loss = cross_entropy(cache[0][-1], y)
         grads_w, grads_b = _layer_views(np.empty_like(self._flat), self.spec.layer_widths)
-        self._backprop(*cache, y, grads_w, grads_b)
+        self._backprop(*cache, _one_hot(y, self.n_classes), grads_w, grads_b)
         return loss, list(grads_w), list(grads_b)
 
 
@@ -252,14 +304,16 @@ def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> N
     """Train a model in place with fresh Adam state; appends epoch losses.
 
     Shuffling and dropout draw from streams derived from ``config.seed``, so
-    the run is reproducible. Each step computes the batch gradient into one
-    flat buffer and applies one Adam update to :attr:`Mlp.flat`; no batch
-    loss is computed. Raises :class:`TrainingDivergedError` with the epoch
-    index if the full-data loss goes non-finite.
+    the run is reproducible. Each epoch gathers the shuffled rows and their
+    one-hot labels once, and each batch is a slice of both and draws its own
+    dropout masks. Each step computes the batch gradient into one flat
+    buffer and applies one Adam update to :attr:`Mlp.flat`; no batch loss is
+    computed.
+    Raises :class:`TrainingDivergedError` with the epoch index if the
+    full-data loss goes non-finite.
     """
     ss = np.random.SeedSequence(config.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    rng = dropout_rng if model.spec.dropout_rate > 0 else None
 
     params = model.flat
     grad = np.zeros_like(params)
@@ -271,13 +325,16 @@ def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> N
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, config.learning_rate, ADAM_EPS
     step = 0
 
-    n = len(y)
+    n, size = len(y), config.batch_size
+    targets = _one_hot(y, model.n_classes)
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            cache = model._forward_cached(x[batch], rng)
-            model._backprop(*cache, y[batch], grads_w, grads_b)
+        x_epoch, targets_epoch = x[order], targets[order]
+        for start in range(0, n, size):
+            stop = min(start + size, n)
+            masks = model._sample_masks(dropout_rng, stop - start)
+            cache = model._forward_cached(x_epoch[start:stop], masks)
+            model._backprop(*cache, targets_epoch[start:stop], grads_w, grads_b)
             step += 1
             bc1 = 1.0 - b1 ** step
             bc2 = 1.0 - b2 ** step
@@ -312,14 +369,7 @@ def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
     ``data`` is an ``(x, y)`` pair of inputs and integer labels.
     Deterministic for fixed seeds.
     """
-    x, y = _training_arrays(data)
-    if x.shape[1] != spec.layer_widths[0]:
-        raise ValidationError(
-            f"input width {spec.layer_widths[0]} does not match data dim {x.shape[1]}"
-        )
-    if int(y.min()) < 0 or int(y.max()) >= spec.layer_widths[-1]:
-        raise ValidationError("label outside the model's class range")
-
+    x, y = _training_arrays(*data, spec)
     model = Mlp(spec)
     model.loss_history.append(cross_entropy(model.predict_proba(x), y))
     fit_adam(model, config, x, y)
@@ -335,7 +385,12 @@ def _train_job(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:
     """
     if init is None:
         return train_mlp(spec, config, (x, y))
+    x, y = _training_arrays(x, y, spec)
+    init = np.asarray(init, dtype=np.float64)
     model = Mlp(spec)
+    if init.shape != model.flat.shape:
+        raise ValidationError(f"init of shape {init.shape} does not match the model's "
+                              f"{model.flat.size} parameters")
     model.flat[...] = init
     fit_adam(model, config, x, y)
     return model
@@ -349,34 +404,92 @@ def derived_seed(seq: np.random.SeedSequence) -> int:
 def _map_jobs(fn, jobs: list[tuple]) -> list:
     """``[fn(*job) for job in jobs]``, spread over one forked worker per usable CPU.
 
-    Results come back in job order, and the first job to raise, in that
-    order, raises here. The jobs run inline when one CPU is usable, when the
-    platform cannot fork, or in a daemon process, which may not have
-    children. A forked worker starts from this process's memory, so it needs
-    no imports; ``fn`` is a module-level function, and it and the results
-    travel by pickle.
+    A job whose fifth argument is an integer ``k`` depends on job ``k``,
+    which must be an earlier job: it runs with job ``k``'s result's ``flat``
+    in that place, which is how a :func:`_train_job` job warm-starts from
+    another. One pool runs the whole list: it submits the jobs that depend on
+    none in list order, and a dependent job as soon as the job it depends on
+    has come back. Results come back in job order, and the first job to
+    raise, in that order, raises here; no job after it starts once its
+    failure is known. The jobs run inline, in list order, when one CPU is
+    usable, when the platform cannot fork, or in a daemon process, which may
+    not have children. A forked worker starts from this process's memory, so
+    it needs no imports; ``fn`` is a module-level function, and it and the
+    results travel by pickle.
     """
     import multiprocessing
+
+    after = [job[4] if len(job) > 4 and is_integer(job[4]) else None for job in jobs]
+    for i, k in enumerate(after):
+        if k is not None and not 0 <= k < i:
+            raise ValueError(f"job {i} starts from job {k}, which is not an earlier job")
+
+    results = [None] * len(jobs)
+
+    def ready(i):
+        return jobs[i] if after[i] is None else (*jobs[i][:4], results[after[i]].flat)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, len(jobs))
     if (workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return [fn(*job) for job in jobs]
-    from concurrent.futures import ProcessPoolExecutor
+        for i in range(len(jobs)):
+            results[i] = fn(*ready(i))
+        return results
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
+        index = {}  # future -> job
+
+        def submit(indices) -> set:
+            submitted = {pool.submit(fn, *ready(i)): i for i in indices}
+            index.update(submitted)
+            return set(submitted)
+
+        failed, failure = len(jobs), None  # the failed job first in list order
         try:
-            return [future.result() for future in futures]
+            pending = submit([i for i, k in enumerate(after) if k is None])
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    i = index[future]
+                    if future.exception() is None:
+                        results[i] = future.result()
+                        pending |= submit([j for j, k in enumerate(after) if k == i and j < failed])
+                    elif i < failed:
+                        failed, failure = i, future
+                for future in [f for f in pending if index[f] > failed]:
+                    future.cancel()  # it cannot be the first failure; it need not run
+                    pending.discard(future)
+            if failure is not None:
+                failure.result()
+            return results
         finally:
-            for future in futures:  # after a failure, start no further job
+            for future in index:  # after a failure, start no further job
                 future.cancel()
 
 
-def _training_arrays(data):
-    x, y = data
-    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+def _training_arrays(x, y, spec: MlpSpec | None = None):
+    """``x`` as float64 rows and ``y`` as int64 labels, checked for training ``spec``.
+
+    Every training job goes through this check. The labels must be
+    integers; without ``spec`` they need only be nonnegative.
+    """
+    x, y = np.asarray(x, dtype=np.float64), int64_labels(y)
+    if x.ndim != 2:
+        raise ValidationError(f"training inputs must be a 2-D array, got shape {x.shape}")
+    if y.shape != (len(x),):
+        raise ValidationError(f"{len(x)} training inputs need {len(x)} labels, "
+                              f"got labels of shape {y.shape}")
+    if not len(y):
+        raise ValidationError("no training samples")
+    if spec is not None and x.shape[1] != spec.layer_widths[0]:
+        raise ValidationError(
+            f"input width {spec.layer_widths[0]} does not match data dim {x.shape[1]}"
+        )
+    if int(y.min()) < 0 or (spec is not None and int(y.max()) >= spec.layer_widths[-1]):
+        raise ValidationError("label outside the model's class range")
+    return x, y
 
 
 def _sampled_tensor(models: list[Mlp], passes_per_model: int, rngs, inputs,
@@ -448,7 +561,7 @@ class EnsembleSpec:
 
 def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]:
     """The :func:`_train_job` job ``(spec, config, x, y)`` of every member."""
-    x, y = _training_arrays(data)
+    x, y = _training_arrays(*data)
     arch_seq, *train_seqs = np.random.SeedSequence(spec.master_seed).spawn(spec.member_count + 1)
     rng = np.random.default_rng(arch_seq)
     jobs = []

@@ -240,13 +240,21 @@ class PredictionTensor:
         return self.probs.shape[2]
 
 
-def class_indices(labels) -> np.ndarray:
-    """``labels`` as a new int64 array, if every value is a finite, nonnegative integer."""
+def int64_labels(labels) -> np.ndarray:
+    """``labels`` as a new int64 array, if every value is a finite integer that fits in 64 bits."""
     labels = np.asarray(labels)
     if labels.size and not np.issubdtype(labels.dtype, np.integer):
         if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
             raise ValidationError("labels must be integers")
-    labels = labels.astype(np.int64)
+        beyond = labels[(labels >= 2.0**63) | (labels < -2.0**63)]
+        if beyond.size:
+            raise ValidationError(f"label {float(beyond[0])!r} does not fit in 64 bits")
+    return labels.astype(np.int64)
+
+
+def class_indices(labels) -> np.ndarray:
+    """``labels`` as a new int64 array, if every value is a finite, nonnegative integer."""
+    labels = int64_labels(labels)
     if np.any(labels < 0):
         raise ValidationError("labels must be nonnegative class indices")
     return labels

@@ -29,8 +29,10 @@ from uqeval.models import (
     WIDTH_RANGES,
     Mlp,
     _ensemble_jobs,
+    _train_job,
     cross_entropy,
     fit_adam,
+    softmax,
 )
 
 import scalar_oracles as oracle
@@ -83,6 +85,13 @@ class TestForward:
         probs = model.predict_proba(x)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
         assert np.all(probs >= 0)
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 12])
+    def test_softmax_matches_numpys_row_reductions(self, n_classes):
+        z = np.random.default_rng(n_classes).normal(scale=30.0, size=(64, n_classes))
+        z[0] = -0.0
+        z[1, :2] = [0.0, -0.0]
+        assert softmax(z.copy()).tobytes() == oracle.softmax(z).tobytes()
 
     def test_dropout_expectation_preserved(self):
         # inverted dropout: the expected output pre-activation over masks
@@ -215,6 +224,81 @@ class TestTraining:
         assert (probs.argmax(axis=1) == ds.train_y).mean() == 1.0
 
 
+TRAIN_SPEC = MlpSpec((2, 4, 2), seed=1)
+ONE_EPOCH = TrainConfig(epochs=1)
+
+# every way a training job is made, each taking its (x, y)
+TRAINING_ENTRIES = {
+    "train_mlp": lambda x, y: train_mlp(TRAIN_SPEC, ONE_EPOCH, (x, y)),
+    "ensemble": lambda x, y: _ensemble_jobs(EnsembleSpec(member_count=2), ONE_EPOCH, (x, y)),
+    "warm start": lambda x, y: _train_job(TRAIN_SPEC, ONE_EPOCH, x, y, Mlp(TRAIN_SPEC).flat),
+}
+
+# inputs, labels and the message each must raise
+BAD_TRAINING_DATA = {
+    "empty": (np.zeros((0, 2)), np.zeros(0, int), "no training samples"),
+    "1-D inputs": (np.zeros(8), np.zeros(8, int),
+                   r"training inputs must be a 2-D array, got shape \(8,\)"),
+    "3-D inputs": (np.zeros((8, 2, 1)), np.zeros(8, int),
+                   r"training inputs must be a 2-D array, got shape \(8, 2, 1\)"),
+    "fewer labels": (np.zeros((8, 2)), np.zeros(7, int),
+                     r"8 training inputs need 8 labels, got labels of shape \(7,\)"),
+    "2-D labels": (np.zeros((8, 2)), np.zeros((8, 1), int),
+                   r"8 training inputs need 8 labels, got labels of shape \(8, 1\)"),
+    "fractional label": (np.zeros((8, 2)), np.array([0, 1.7, 0, 1, 0, 1, 0, 1]),
+                         "labels must be integers"),
+    "NaN label": (np.zeros((8, 2)), np.array([0, np.nan, 0, 1, 0, 1, 0, 1]),
+                  "labels must be integers"),
+}
+
+
+class TestTrainingInputs:
+    """Every training job checks its data with one rule, before numpy sees it."""
+
+    @pytest.mark.parametrize("entry", list(TRAINING_ENTRIES))
+    @pytest.mark.parametrize("case", list(BAD_TRAINING_DATA))
+    def test_bad_data_rejected(self, entry, case):
+        x, y, message = BAD_TRAINING_DATA[case]
+        with pytest.raises(ValidationError, match=message):
+            TRAINING_ENTRIES[entry](x, y)
+
+    # TestTraining checks the class range and the input width of train_mlp
+    @pytest.mark.parametrize("sign", [-1, 2])
+    def test_warm_start_label_outside_class_range(self, sign):
+        x, y = xor_data()
+        with pytest.raises(ValidationError, match="label outside the model's class range"):
+            TRAINING_ENTRIES["warm start"](x, sign * y)
+
+    def test_negative_ensemble_labels_rejected(self):
+        x, y = xor_data()
+        with pytest.raises(ValidationError, match="label outside the model's class range"):
+            TRAINING_ENTRIES["ensemble"](x, -y)
+
+    def test_warm_start_input_width_mismatch(self):
+        x, y = xor_data()
+        with pytest.raises(ValidationError, match="input width 2 does not match data dim 3"):
+            TRAINING_ENTRIES["warm start"](np.hstack([x, x[:, :1]]), y)
+
+    @pytest.mark.parametrize("init", [0.5, np.zeros(21), np.zeros(23), np.zeros((1, 22)),
+                                      np.zeros((22, 1)), 0],
+                             ids=["scalar", "short", "long", "row", "column", "job index"])
+    def test_init_must_have_the_shape_of_flat(self, init):
+        x, y = xor_data()
+        assert Mlp(TRAIN_SPEC).flat.shape == (22,) != np.shape(init)
+        with pytest.raises(ValidationError, match=r"init of shape .* does not match the "
+                                                   r"model's 22 parameters"):
+            _train_job(TRAIN_SPEC, ONE_EPOCH, x, y, init)
+
+    def test_warm_start_from_a_list(self):
+        x, y = xor_data()
+        init = Mlp(MlpSpec((2, 4, 2), seed=9)).flat
+        model = _train_job(TRAIN_SPEC, ONE_EPOCH, x.tolist(), y.tolist(), init.tolist())
+        reference = Mlp(TRAIN_SPEC)
+        reference.flat[...] = init
+        fit_adam(reference, ONE_EPOCH, x, y)
+        assert_same_parameters(model, reference)
+
+
 def random_task(seed, n, widths):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, widths[0]))
@@ -242,6 +326,8 @@ ENGINE_CASES = {
     "batch-size-1": ((2, 6, 4, 2), 0.25, 20, 1, 0.01, 2),
     "batch-exceeds-data": ((2, 6, 2), 0.25, 10, 32, 0.01, 3),
     "zero-learning-rate": ((2, 8, 4, 2), 0.25, 45, 16, 0.0, 2),
+    # the demo's MC-dropout network: 14 full batches, then one of 2 rows
+    "demo-mcd-shape": ((2, 32, 16, 4, 2), 0.25, 450, 32, 0.001, 2),
 }
 
 
@@ -394,6 +480,17 @@ class TestMcDropout:
         a = mc_dropout_predict(model, x, 10, seed=3)
         b = mc_dropout_predict(model, x, 10, seed=3)
         assert np.array_equal(a.probs, b.probs)
+
+    def test_passes_match_per_layer_draws(self):
+        # one draw per pass, laid out layer by layer, gives the masks that one
+        # draw per layer gives
+        model = Mlp(MlpSpec((2, 32, 16, 4, 2), dropout_rate=0.25, seed=45))
+        x = np.random.default_rng(11).normal(size=(150, 2))
+        tensor = mc_dropout_predict(model, x, 5, seed=6)
+        rng = np.random.default_rng(np.random.SeedSequence(6))
+        for t in range(5):
+            want = oracle.forward_cached(list(model.weights), list(model.biases), 0.25, x, rng)
+            assert np.array_equal(tensor.probs[:, t, :], want[0][-1])
 
     def test_mc_mean_converges_across_halves(self):
         model = Mlp(MlpSpec((2, 16, 2), dropout_rate=0.5, seed=44))

@@ -284,6 +284,21 @@ class TestLabels:
         with pytest.raises(ValidationError, match="labels must be integers"):
             LabelSet(("a", "b"), np.array([0, bad]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [2.0**63, 1e30, np.finfo(np.float64).max, -1e30])
+    def test_label_beyond_int64_rejected_before_the_cast(self, bad):
+        message = f"label {float(bad)!r} does not fit in 64 bits"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            LabelSet(("a", "b"), np.array([0, bad]))
+
+    def test_largest_float_label_below_2_63_kept(self):
+        big = np.nextafter(2.0**63, 0.0)
+        labels = LabelSet(("a", "b"), np.array([0, big])).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [0, int(big)]
+
+    def test_bool_labels_are_class_indices(self):
+        assert LabelSet(("a", "b"), np.array([True, False])).labels.tolist() == [1, 0]
+
 
 class TestAlign:
     def test_matching_sets(self):
