@@ -1,0 +1,59 @@
+"""Print a sha256 digest of every file a fixed set of seeded demo runs writes.
+
+Runs this checkout's ``python -m uqeval.cli`` for ``demo --seed 0``,
+``demo --seed 7``, ``demo --quick --seed 7`` and ``train-demo --seed 3``, each
+into its own folder of a temporary directory, and prints ``sha256  path``
+for every file written and for each run's stdout, sorted by path. A
+manifest's ``timestamp`` line is dropped before hashing, since it is the one
+part of a run that changes from run to run. Two checkouts that write the
+same bytes print the same lines:
+
+    python scripts/artifact_digests.py > before.txt   # in one checkout
+    python scripts/artifact_digests.py > after.txt    # in the other
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+RUNS = {
+    "demo-seed0": ["demo", "--seed", "0"],
+    "demo-seed7": ["demo", "--seed", "7"],
+    "demo-quick-seed7": ["demo", "--quick", "--seed", "7"],
+    "train-demo-seed3": ["train-demo", "--seed", "3"],
+}
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "manifest.json":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.lstrip().startswith(b'"timestamp"'))
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, argv in RUNS.items():
+            # a relative --out keeps the temporary directory's name out of the manifests
+            done = subprocess.run([sys.executable, "-m", "uqeval.cli", *argv, "--out", name],
+                                  cwd=root, env=env, capture_output=True, check=True)
+            (root / name / "stdout.txt").write_bytes(done.stdout)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            print(f"{digest(path)}  {path.relative_to(root).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -207,11 +207,13 @@ class Run(NamedTuple):
 
 
 def cmd_aggregate(args) -> Run:
-    tensor = load_predictions(args.input, args.in_format, renormalize=args.renormalize)
+    # the flags are checked before the input is read
     if args.scheme == "emcd" and args.partition is None:
         raise ValidationError("emcd needs --partition (KxT or comma list)")
     partition = None if args.partition is None else _parse_partition(args.partition)
-    summaries = aggregate(tensor, AggregationScheme(args.scheme, partition), args.log_base)
+    scheme = AggregationScheme(args.scheme, partition)
+    tensor = load_predictions(args.input, args.in_format, renormalize=args.renormalize)
+    summaries = aggregate(tensor, scheme, args.log_base)
 
     def write(out: Path, digest: str) -> str:
         save_summaries(summaries, out / "summaries.csv",

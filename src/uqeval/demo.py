@@ -33,6 +33,7 @@ from .models import (
     _ensemble_jobs,
     _map_jobs,
     _train_job,
+    _train_stack,
     derived_seed,
     emcd_predict,
     ensemble_predict,
@@ -92,6 +93,15 @@ class DemoPreset:
     compare_runs: int = 12
     compare_pretrain_epochs: int = 60
     compare_head_epochs: int = 20
+
+    def __post_init__(self):
+        # what the evaluation needs, checked before any model trains
+        if self.mcd_passes < 1:
+            raise ValidationError("need at least one forward pass")
+        if self.emcd_passes_per_member < 1:
+            raise ValidationError("need at least one pass per member")
+        if self.compare_runs < 2:
+            raise ValidationError("paired test needs at least 2 runs")
 
 
 QUICK_PRESET = DemoPreset(
@@ -175,23 +185,23 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
     return dataset, labels, tensors, schemes, seeds, (mcd_model, members)
 
 
-def _comparison_jobs(dataset, seed: int, preset: DemoPreset, first: int) -> list[tuple]:
-    """The backbone's job, then each run's warm-start and cold-start head jobs.
+def _comparison_heads(dataset, seed: int, preset: DemoPreset) -> list[Mlp]:
+    """Each run's warm-start and cold-start heads, alternating, trained as one stack.
 
-    The jobs will stand at index ``first`` onwards of a job list, so each
-    warm-start head names the backbone's job, ``first``, as its ``init``.
-    Every head trains on its run's bootstrap resample of the train split and
-    is seeded with its run seed.
+    The backbone trains first, on the train split. Both heads of a run train
+    on the run's bootstrap resample of the train split and are seeded with
+    its run seed; the warm-start head starts from the backbone's parameters.
     """
     train_x, train_y = dataset.train_x, dataset.train_y
     head_widths = (2, *COMPARE_HEAD_HIDDEN, 2)
     seqs = np.random.SeedSequence(seed).spawn(preset.compare_runs + 1)
 
     backbone_seed = derived_seed(seqs[0])
-    jobs = [(MlpSpec(head_widths, dropout_rate=0.0, seed=backbone_seed),
-             TrainConfig(epochs=preset.compare_pretrain_epochs, batch_size=BATCH_SIZE,
-                         seed=backbone_seed),
-             train_x, train_y)]
+    backbone = _train_job(MlpSpec(head_widths, dropout_rate=0.0, seed=backbone_seed),
+                          TrainConfig(epochs=preset.compare_pretrain_epochs,
+                                      batch_size=BATCH_SIZE, seed=backbone_seed),
+                          train_x, train_y)
+    head_jobs = []
     for seq in seqs[1:]:
         run_seed = derived_seed(seq)
         rng = np.random.default_rng(seq)
@@ -205,14 +215,19 @@ def _comparison_jobs(dataset, seed: int, preset: DemoPreset, first: int) -> list
                 TrainConfig(epochs=preset.compare_head_epochs, batch_size=BATCH_SIZE,
                             seed=run_seed),
                 train_x[resample], train_y[resample])
-        jobs += [(*head, first), head]
-    return jobs
+        head_jobs += [(*head, backbone.flat), (*head, None)]
+    return _train_stack(head_jobs)
+
+
+def _call(fn, *args):
+    """``fn(*args)``: the job function of a :func:`_map_jobs` list of ``(fn, *args)`` jobs."""
+    return fn(*args)
 
 
 def _comparison_runs(heads: list[Mlp], dataset, labels: LabelSet):
     """The warm-start and the cold-start runs, ``(run seed, summaries, labels)`` each.
 
-    ``heads`` alternate warm and cold, run by run, as :func:`_comparison_jobs` lists them.
+    ``heads`` alternate warm and cold, run by run, as :func:`_comparison_heads` returns them.
     """
     def evaluate(model: Mlp):
         tensor = ensemble_predict([model], dataset.test_x, dataset.test_ids)
@@ -225,14 +240,13 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
                   threshold: float = DEFAULT_THRESHOLD):
     """All analyses of one demo run, as plain data (no files).
 
-    The MC-dropout model, the ensemble members and the comparison's backbone
-    and heads all train in one :func:`_map_jobs` call.
+    The comparison (one job), the MC-dropout model and the ensemble members
+    all train in one :func:`_map_jobs` call.
     """
     seeds, dataset, labels, jobs = _model_jobs(seed, preset)
-    n_models = len(jobs)
-    jobs += _comparison_jobs(dataset, seeds["compare"], preset, n_models)
-    trained = _map_jobs(_train_job, jobs)
-    mcd_model, *members = trained[:n_models]
+    comparison_job = (_comparison_heads, dataset, seeds["compare"], preset)
+    heads, mcd_model, *members = _map_jobs(_call, [comparison_job,
+                                                   *((_train_job, *job) for job in jobs)])
     tensors, schemes = _predictions(dataset, seeds, preset, mcd_model, members)
     summaries = {name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEME_KINDS}
     per_scheme, sweeps, calibrations, separations = {}, {}, {}, {}
@@ -247,8 +261,7 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
             "separation": separation_as_dict(separations[name]),
             "point": point_metrics(s, labels),
         }
-    # the backbone, trained[n_models], only seeds the warm-start heads
-    runs_warm, runs_cold = _comparison_runs(trained[n_models + 1:], dataset, labels)
+    runs_warm, runs_cold = _comparison_runs(heads, dataset, labels)
     comparison = compare_models(runs_warm, runs_cold)
     report = {
         "seed": seed,

@@ -16,44 +16,48 @@ buffer, ``Mlp.flat``, layer by layer: layer ``i``'s weight matrix
 ``Mlp.weights`` and ``Mlp.biases`` are tuples of reshaped views into that
 buffer. Writing through a view writes the buffer; rebinding either tuple, or
 assigning one of its items, raises, so no parameter can come loose from the
-buffer that training updates. The backward pass writes its gradients into
-views of a gradient buffer with the same layout, and :func:`fit_adam` holds
-its moment estimates in buffers of that size, so one Adam step is a fixed
-dozen in-place array operations whatever the depth of the network.
+buffer that training updates.
+
+Lockstep training: :func:`_fit_stack` is the one Adam engine. It trains a
+stack of ``H`` models of one shape, each on its own data with its own
+shuffle and dropout generators, on one schedule. Their parameters,
+gradients and Adam moments are ``(H, P)`` buffers, each row laid out like
+``Mlp.flat``, and the layer views into them are 3-D (2-D for a stack of
+one), so a batch is one batched matmul per layer for the whole stack and
+one Adam step is a fixed dozen in-place array operations whatever the depth
+or the stack size. A single model (:func:`fit_adam`) is a stack of one.
 
 Bit identity: Adam is elementwise, and the update applies, to every element
 and in the same order, the operations of a per-tensor update:
 ``m*=b1; m+=(1-b1)*g; v*=b2; v+=(1-b2)*g**2; p-=lr*(m/bc1)/(sqrt(v/bc2)+eps)``.
-The gradients are the same products and sums, written into views. Training
-a model on the flat buffer therefore gives the same weights, bit for bit, as
-training separate weight and bias arrays; the test suite keeps that
-list-of-arrays engine as its reference.
+The gradients are the same products and sums, written into views, and a
+batched matmul multiplies each model's matrices as a 2-D matmul of them
+does. Training a model in a stack therefore gives the same weights, bit for
+bit, as training it alone on separate weight and bias arrays; the test
+suite keeps that list-of-arrays engine as its reference.
 
 Parallel training: every model of an ensemble, and of the demo, depends only
 on its own seeds and, for a warm start, on the buffer it starts from, so
 :func:`train_ensemble` and the demo train them in forked worker processes,
-one per usable CPU (:func:`_map_jobs`). Every such model is one job
-``(spec, config, x, y, init=None)`` of the one function :func:`_train_job`: a
-fresh model, or one warm-started from the parameter buffer ``init``. In a
-list of jobs, an integer ``init`` ``k`` names an earlier job, whose trained
-``flat`` the job starts from. One pool takes the whole list: it submits the
-jobs that depend on none in list order, and a dependent job when the job it
-starts from has come back. Each job seeds itself as it would inline, and a
-model comes back through pickle as its spec, buffer and loss history, so
-the weights do not depend on the number of workers or the order they run
-in. An ensemble's master seed spawns ``member_count + 1`` children: child 0
-draws every member's depth, widths and init seed, member by member, and
-child ``k + 1`` seeds member ``k``'s training.
+one per usable CPU (:func:`_map_jobs`). A model is one job
+``(spec, config, x, y, init=None)`` of :func:`_train_job`: a fresh model, or
+one warm-started from the parameter buffer ``init``; :func:`_train_stack`
+trains a list of such jobs of one shape as one stack. Each job seeds itself
+as it would inline, and a model comes back through pickle as its spec,
+buffer and loss history, so the weights do not depend on the number of
+workers or the order they run in. An ensemble's master seed spawns
+``member_count + 1`` children: child 0 draws every member's depth, widths
+and init seed, member by member, and child ``k + 1`` seeds member ``k``'s
+training.
 
-Dropout masks: a pass over ``n`` rows draws its uniforms with one call,
-``n * sum(hidden widths)`` of them, and :meth:`Mlp._sample_masks` lays them
+Dropout masks: a pass over ``n`` rows draws each model's uniforms with one
+call, ``n * sum(hidden widths)`` of them, and :func:`_mask_views` lays them
 out as one ``(n, width)`` mask per hidden layer, layer after layer, as
-per-layer draws would give them; :func:`fit_adam` makes that one call per
-batch. A
-mask holds each unit's dropout divisor (:func:`_draw_masks`), and the labels
-enter the backward pass as one-hot rows: both give the bits that a 0/1 mask
-with a separate rescale, and an indexed label column, give, with fewer numpy
-calls per step.
+per-layer draws would give them; :func:`_fit_stack` makes that one call per
+model and batch. A mask holds each unit's dropout divisor (:func:`_draw_masks`),
+and the labels enter the backward pass as one-hot rows: both give the bits
+that a 0/1 mask with a separate rescale, and an indexed label column, give,
+with fewer numpy calls per step.
 """
 
 from __future__ import annotations
@@ -127,14 +131,14 @@ class TrainConfig:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     # numpy's row max and row sum, bit for bit, taken a class column at a time
-    # instead of one reduction per row (see tensor.class_sums)
-    columns = z.T
-    peak = columns[0]
-    for column in columns[1:]:
-        peak = np.maximum(peak, column)
-    e = z - peak[:, None]
+    # instead of one reduction per row (see tensor.class_sums); rows lie along
+    # the last axis, so a stack's batches are one call
+    peak = z[..., 0]
+    for c in range(1, z.shape[-1]):
+        peak = np.maximum(peak, z[..., c])
+    e = z - peak[..., None]
     np.exp(e, out=e)
-    e /= class_sums(e)[:, None]
+    e /= class_sums(e)[..., None]
     return e
 
 
@@ -149,26 +153,44 @@ def _parameter_count(widths) -> int:
 
 
 def _layer_views(buffer: np.ndarray, widths) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Weight and bias views into a buffer laid out like :attr:`Mlp.flat`."""
+    """Weight and bias views into a buffer laid out like :attr:`Mlp.flat`, or a stack of them.
+
+    A buffer of shape ``(..., P)`` gives weights of shape ``(..., fan_in, fan_out)``
+    and biases of shape ``(..., fan_out)``.
+    """
+    lead = buffer.shape[:-1]
     weights, biases = [], []
     offset = 0
     for fan_in, fan_out in zip(widths, widths[1:]):
-        weights.append(buffer[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        block = buffer[..., offset:offset + fan_in * fan_out]
+        weights.append(block.reshape(*lead, fan_in, fan_out))
         offset += fan_in * fan_out
-        biases.append(buffer[offset:offset + fan_out])
+        biases.append(buffer[..., offset:offset + fan_out])
         offset += fan_out
     return tuple(weights), tuple(biases)
 
 
-def _draw_masks(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
-    """``size`` uniforms, each replaced by its dropout divisor.
+def _draw_masks(rngs, rate: float, out: np.ndarray) -> np.ndarray:
+    """``out`` with row ``h`` drawn from ``rngs[h]``: uniforms, each replaced by its dropout divisor.
 
     A unit is kept where its uniform is at least ``rate``. Its divisor is then
     ``1 - rate``, and elsewhere it is infinite. Dividing by it gives the bits
     of multiplying by the 0/1 keep-mask and then dividing by ``1 - rate``,
     signed zeros included, in one operation.
     """
-    return np.array([np.inf, 1.0 - rate]).take(rng.random(size) >= rate)
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return np.array([np.inf, 1.0 - rate]).take(out >= rate, out=out, mode="clip")
+
+
+def _mask_views(divisors: np.ndarray, hidden, n_rows: int) -> list[np.ndarray]:
+    """One ``(..., n_rows, width)`` view per hidden layer of divisors drawn layer after layer."""
+    lead = divisors.shape[:-1]
+    masks, offset = [], 0
+    for width in hidden:
+        masks.append(divisors[..., offset:offset + n_rows * width].reshape(*lead, n_rows, width))
+        offset += n_rows * width
+    return masks
 
 
 def _one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -176,6 +198,53 @@ def _one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
     targets = np.zeros((len(y), n_classes))
     targets[np.arange(len(y)), y] = 1.0
     return targets
+
+
+def _forward(weights, biases, x, masks):
+    """Activations, pre-activations and ``masks``: dropout divisors per hidden layer, or None.
+
+    Takes one model's 2-D weights and ``(rows, width)`` inputs, or a stack's
+    3-D weights and ``(H, rows, width)`` inputs, with biases that broadcast
+    over the rows: one matmul per layer either way.
+    """
+    activations = [x]
+    pre = []
+    a = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(a, w)
+        z += b
+        pre.append(z)
+        if i == last:
+            a = softmax(z)
+        else:
+            a = np.maximum(z, 0.0)
+            if masks is not None:
+                a /= masks[i]
+        activations.append(a)
+    return activations, pre, masks
+
+
+def _backprop(weights_t, activations, pre, masks, targets, grads_w, grads_b) -> None:
+    """Write the mean cross-entropy gradient into the views ``grads_w``/``grads_b``.
+
+    Takes the transposed weights ``weights_t``, the cache of :func:`_forward`
+    and the one-hot labels ``targets``, for one model or a stack, and
+    overwrites the cached output probabilities with the output delta.
+    Subtracting 0.0 leaves a probability as it is, so the delta is the one
+    that subtracting 1.0 at each label gives.
+    """
+    delta = activations[-1]
+    delta -= targets
+    delta /= targets.shape[-2]
+    for i in range(len(grads_w) - 1, -1, -1):
+        np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads_w[i])
+        np.add.reduce(delta, axis=-2, out=grads_b[i])
+        if i > 0:
+            delta = np.matmul(delta, weights_t[i])
+            if masks is not None:
+                delta /= masks[i - 1]
+            delta *= pre[i - 1] > 0.0
 
 
 class Mlp:
@@ -221,7 +290,8 @@ class Mlp:
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None) -> np.ndarray:
         """Class probabilities; pass a generator to sample dropout masks."""
         x = np.asarray(x, dtype=np.float64)
-        return self._forward_cached(x, self._sample_masks(dropout_rng, len(x)))[0][-1]
+        masks = self._sample_masks(dropout_rng, len(x))
+        return _forward(self._weights, self._biases, x, masks)[0][-1]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Deterministic forward pass (dropout off)."""
@@ -233,61 +303,18 @@ class Mlp:
         if dropout_rng is None or rate == 0.0:
             return None
         hidden = self.spec.layer_widths[1:-1]
-        drawn = _draw_masks(dropout_rng, n_rows * sum(hidden), rate)
-        masks, offset = [], 0
-        for width in hidden:
-            masks.append(drawn[offset:offset + n_rows * width].reshape(n_rows, width))
-            offset += n_rows * width
-        return masks
-
-    def _forward_cached(self, x, masks):
-        """Activations, pre-activations and ``masks``: dropout divisors per hidden layer, or None."""
-        x = np.asarray(x, dtype=np.float64)
-        activations = [x]
-        pre = []
-        a = x
-        last = len(self._weights) - 1
-        for i, (w, b) in enumerate(zip(self._weights, self._biases)):
-            z = a @ w
-            z += b
-            pre.append(z)
-            if i == last:
-                a = softmax(z)
-            else:
-                a = np.maximum(z, 0.0)
-                if masks is not None:
-                    a /= masks[i]
-            activations.append(a)
-        return activations, pre, masks
-
-    def _backprop(self, activations, pre, masks, targets, grads_w, grads_b) -> None:
-        """Write the mean cross-entropy gradient into the views ``grads_w``/``grads_b``.
-
-        Takes the cache of :meth:`_forward_cached` and the one-hot labels
-        ``targets``, and overwrites the cached output probabilities with the
-        output delta. Subtracting 0.0 leaves a probability as it is, so the
-        delta is the one that subtracting 1.0 at each label gives.
-        """
-        delta = activations[-1]
-        delta -= targets
-        delta /= len(targets)
-        for i in range(len(grads_w) - 1, -1, -1):
-            np.matmul(activations[i].T, delta, out=grads_w[i])
-            np.add.reduce(delta, axis=0, out=grads_b[i])
-            if i > 0:
-                delta = delta @ self._weights[i].T
-                if masks is not None:
-                    delta /= masks[i - 1]
-                delta *= pre[i - 1] > 0.0
+        divisors = _draw_masks([dropout_rng], rate, np.empty((1, n_rows * sum(hidden))))[0]
+        return _mask_views(divisors, hidden, n_rows)
 
     def loss_and_gradients(self, x, y, dropout_rng=None):
         """Cross-entropy loss and its gradients for every weight and bias."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        cache = self._forward_cached(x, self._sample_masks(dropout_rng, len(x)))
+        cache = _forward(self._weights, self._biases, x, self._sample_masks(dropout_rng, len(x)))
         loss = cross_entropy(cache[0][-1], y)
         grads_w, grads_b = _layer_views(np.empty_like(self._flat), self.spec.layer_widths)
-        self._backprop(*cache, _one_hot(y, self.n_classes), grads_w, grads_b)
+        _backprop([w.T for w in self._weights], *cache, _one_hot(y, self.n_classes),
+                  grads_w, grads_b)
         return loss, list(grads_w), list(grads_b)
 
 
@@ -303,38 +330,76 @@ def _rebuild_mlp(spec: MlpSpec, flat, loss_history) -> Mlp:
 def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> None:
     """Train a model in place with fresh Adam state; appends epoch losses.
 
-    Shuffling and dropout draw from streams derived from ``config.seed``, so
-    the run is reproducible. Each epoch gathers the shuffled rows and their
-    one-hot labels once, and each batch is a slice of both and draws its own
-    dropout masks. Each step computes the batch gradient into one flat
-    buffer and applies one Adam update to :attr:`Mlp.flat`; no batch loss is
-    computed.
-    Raises :class:`TrainingDivergedError` with the epoch index if the
-    full-data loss goes non-finite.
+    A stack of one in :func:`_fit_stack`. Raises
+    :class:`TrainingDivergedError` with the epoch index if the full-data loss
+    goes non-finite.
     """
-    ss = np.random.SeedSequence(config.seed)
-    shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
+    _fit_stack([model], [config], [x], [y])
 
-    params = model.flat
+
+def _fit_stack(models: list[Mlp], configs: list[TrainConfig], xs, ys) -> None:
+    """Train models of one shape in lockstep, in place, with fresh Adam state; appends epoch losses.
+
+    Model ``h`` trains on ``(xs[h], ys[h])`` with ``configs[h]``, drawing its
+    shuffles and dropout masks from streams of its own seed, as it would
+    alone; the configs differ only in their seed, and every model has as
+    many samples. Each epoch gathers each model's shuffled rows and one-hot
+    labels once; each batch slices them, draws its masks into one reused
+    buffer and makes one Adam step on the ``(H, P)`` parameters. Raises
+    :class:`TrainingDivergedError` with the epoch index if a model's
+    full-data loss goes non-finite, the epoch it would report trained alone.
+    """
+    spec, config = models[0].spec, configs[0]
+    widths, rate = spec.layer_widths, spec.dropout_rate
+    n, size = len(ys[0]), config.batch_size
+    if (len({len(models), len(configs), len(xs), len(ys)}) != 1
+            or any((m.spec.layer_widths, m.spec.dropout_rate) != (widths, rate) for m in models)
+            or any(replace(c, seed=config.seed) != config for c in configs)
+            or any(len(a) != n for a in (*xs, *ys))):
+        raise ValueError("a stack needs one model, config, input and label array per model, "
+                         "models of one shape, configs that differ only in their seed, and "
+                         "one sample count for every input and label array")
+    streams = [np.random.SeedSequence(c.seed).spawn(2) for c in configs]
+    shuffle_rngs = [np.random.default_rng(shuffle) for shuffle, _ in streams]
+    dropout_rngs = [np.random.default_rng(dropout) for _, dropout in streams]
+
+    x = np.stack([np.asarray(x_h, dtype=np.float64) for x_h in xs])
+    targets = np.stack([_one_hot(y, widths[-1]) for y in ys])
+    x_epoch, targets_epoch = np.empty_like(x), np.empty_like(targets)
+
+    params = np.stack([model.flat for model in models])
     grad = np.zeros_like(params)
-    grads_w, grads_b = _layer_views(grad, model.spec.layer_widths)
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
-    update = np.empty_like(params)
-    denom = np.empty_like(params)
+    m, v, update, denom = (np.zeros_like(params) for _ in range(4))
+    # the passes see each stacked array through ``[lead]``: a stack of one as
+    # its one 2-D model, which numpy multiplies with less overhead per call
+    lead = 0 if len(models) == 1 else slice(None)
+    weights, biases = _layer_views(params[lead], widths)
+    weights_t = tuple(w.swapaxes(-1, -2) for w in weights)
+    biases = tuple(b[..., None, :] for b in biases)
+    grads_w, grads_b = _layer_views(grad[lead], widths)
+    x_rows, targets_rows = x_epoch[lead], targets_epoch[lead]
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, config.learning_rate, ADAM_EPS
     step = 0
 
-    n, size = len(y), config.batch_size
-    targets = _one_hot(y, model.n_classes)
+    # a batch of ``rows`` rows draws into drawn[rows] and reads its masks from
+    # masks[rows]: views of one buffer, made for a full and a last batch
+    hidden = widths[1:-1] if rate > 0.0 else ()
+    buffer = np.empty((len(models), size * sum(hidden)))
+    drawn = {rows: buffer[:, :rows * sum(hidden)] for rows in {min(size, n), n % size or size}}
+    masks = {rows: _mask_views(d[lead], hidden, rows) if hidden else None
+             for rows, d in drawn.items()}
+
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        x_epoch, targets_epoch = x[order], targets[order]
+        for h, shuffle_rng in enumerate(shuffle_rngs):
+            order = shuffle_rng.permutation(n)
+            np.take(x[h], order, axis=0, out=x_epoch[h])
+            np.take(targets[h], order, axis=0, out=targets_epoch[h])
         for start in range(0, n, size):
             stop = min(start + size, n)
-            masks = model._sample_masks(dropout_rng, stop - start)
-            cache = model._forward_cached(x_epoch[start:stop], masks)
-            model._backprop(*cache, targets_epoch[start:stop], grads_w, grads_b)
+            if hidden:
+                _draw_masks(dropout_rngs, rate, drawn[stop - start])
+            cache = _forward(weights, biases, x_rows[..., start:stop, :], masks[stop - start])
+            _backprop(weights_t, *cache, targets_rows[..., start:stop, :], grads_w, grads_b)
             step += 1
             bc1 = 1.0 - b1 ** step
             bc2 = 1.0 - b2 ** step
@@ -355,12 +420,16 @@ def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> N
             denom += eps
             update /= denom
             params -= update
-        epoch_loss = cross_entropy(model.predict_proba(x), y)
-        if not math.isfinite(epoch_loss):
+        probs = _forward(weights, biases, x[lead], None)[0][-1].reshape(len(models), n, -1)
+        losses = [cross_entropy(p, y) for p, y in zip(probs, ys)]
+        if not all(map(math.isfinite, losses)):
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch}", epoch=epoch
             )
-        model.loss_history.append(epoch_loss)
+        for model, loss in zip(models, losses):
+            model.loss_history.append(loss)
+    for model, trained in zip(models, params):
+        model.flat[...] = trained
 
 
 def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
@@ -369,31 +438,42 @@ def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
     ``data`` is an ``(x, y)`` pair of inputs and integer labels.
     Deterministic for fixed seeds.
     """
-    x, y = _training_arrays(*data, spec)
-    model = Mlp(spec)
-    model.loss_history.append(cross_entropy(model.predict_proba(x), y))
-    fit_adam(model, config, x, y)
-    return model
+    x, y = data
+    return _train_job(spec, config, x, y)
 
 
 def _train_job(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:
     """A fresh model trained on ``(x, y)`` or, given ``init``, one warm-started from it.
 
-    ``init`` is a parameter buffer laid out like :attr:`Mlp.flat`. Pool
-    workers look this function up by name, and it looks up ``train_mlp`` and
-    ``fit_adam`` by name, so either may be rebound.
+    ``init`` is a parameter buffer laid out like :attr:`Mlp.flat`.
     """
-    if init is None:
-        return train_mlp(spec, config, (x, y))
-    x, y = _training_arrays(x, y, spec)
-    init = np.asarray(init, dtype=np.float64)
-    model = Mlp(spec)
-    if init.shape != model.flat.shape:
-        raise ValidationError(f"init of shape {init.shape} does not match the model's "
-                              f"{model.flat.size} parameters")
-    model.flat[...] = init
-    fit_adam(model, config, x, y)
-    return model
+    return _train_stack([(spec, config, x, y, init)])[0]
+
+
+def _train_stack(jobs: list[tuple]) -> list[Mlp]:
+    """The models of :func:`_train_job` jobs ``(spec, config, x, y, init)``, trained as one stack.
+
+    Every job's data is checked (:func:`_training_arrays`), and so is the
+    shape of its ``init``. A fresh model's loss history starts with its
+    untrained loss. The jobs must make one stack (see :func:`_fit_stack`).
+    """
+    models, xs, ys = [], [], []
+    for spec, config, x, y, init in jobs:
+        x, y = _training_arrays(x, y, spec)
+        model = Mlp(spec)
+        if init is None:
+            model.loss_history.append(cross_entropy(model.predict_proba(x), y))
+        else:
+            init = np.asarray(init, dtype=np.float64)
+            if init.shape != model.flat.shape:
+                raise ValidationError(f"init of shape {init.shape} does not match the model's "
+                                      f"{model.flat.size} parameters")
+            model.flat[...] = init
+        models.append(model)
+        xs.append(x)
+        ys.append(y)
+    _fit_stack(models, [job[1] for job in jobs], xs, ys)
+    return models
 
 
 def derived_seed(seq: np.random.SeedSequence) -> int:
@@ -404,68 +484,29 @@ def derived_seed(seq: np.random.SeedSequence) -> int:
 def _map_jobs(fn, jobs: list[tuple]) -> list:
     """``[fn(*job) for job in jobs]``, spread over one forked worker per usable CPU.
 
-    A job whose fifth argument is an integer ``k`` depends on job ``k``,
-    which must be an earlier job: it runs with job ``k``'s result's ``flat``
-    in that place, which is how a :func:`_train_job` job warm-starts from
-    another. One pool runs the whole list: it submits the jobs that depend on
-    none in list order, and a dependent job as soon as the job it depends on
-    has come back. Results come back in job order, and the first job to
-    raise, in that order, raises here; no job after it starts once its
-    failure is known. The jobs run inline, in list order, when one CPU is
-    usable, when the platform cannot fork, or in a daemon process, which may
-    not have children. A forked worker starts from this process's memory, so
-    it needs no imports; ``fn`` is a module-level function, and it and the
-    results travel by pickle.
+    One pool runs the whole list, submitted in list order. Results come back
+    in job order, and the first job to raise, in that order, raises here;
+    jobs not yet started by then are cancelled. The jobs run inline, in list
+    order, when one CPU is usable, when the platform cannot fork, or in a
+    daemon process, which may not have children. A forked worker starts from
+    this process's memory, so it needs no imports; ``fn`` is a module-level
+    function, and it, the jobs and the results travel by pickle.
     """
     import multiprocessing
-
-    after = [job[4] if len(job) > 4 and is_integer(job[4]) else None for job in jobs]
-    for i, k in enumerate(after):
-        if k is not None and not 0 <= k < i:
-            raise ValueError(f"job {i} starts from job {k}, which is not an earlier job")
-
-    results = [None] * len(jobs)
-
-    def ready(i):
-        return jobs[i] if after[i] is None else (*jobs[i][:4], results[after[i]].flat)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, len(jobs))
     if (workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
-        for i in range(len(jobs)):
-            results[i] = fn(*ready(i))
-        return results
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        return [fn(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        index = {}  # future -> job
-
-        def submit(indices) -> set:
-            submitted = {pool.submit(fn, *ready(i)): i for i in indices}
-            index.update(submitted)
-            return set(submitted)
-
-        failed, failure = len(jobs), None  # the failed job first in list order
+        futures = [pool.submit(fn, *job) for job in jobs]
         try:
-            pending = submit([i for i, k in enumerate(after) if k is None])
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    i = index[future]
-                    if future.exception() is None:
-                        results[i] = future.result()
-                        pending |= submit([j for j, k in enumerate(after) if k == i and j < failed])
-                    elif i < failed:
-                        failed, failure = i, future
-                for future in [f for f in pending if index[f] > failed]:
-                    future.cancel()  # it cannot be the first failure; it need not run
-                    pending.discard(future)
-            if failure is not None:
-                failure.result()
-            return results
+            return [future.result() for future in futures]
         finally:
-            for future in index:  # after a failure, start no further job
+            for future in futures:  # after a failure, start no further job
                 future.cancel()
 
 

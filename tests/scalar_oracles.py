@@ -261,6 +261,16 @@ def fit_adam(model, config, x, y) -> None:
         dst[...] = src
 
 
+def fit_stack(models, configs, xs, ys) -> None:
+    """Each model trained alone by :func:`fit_adam`, in stack order.
+
+    Stands in for :func:`uqeval.models._fit_stack`, the package's one Adam
+    engine, so every fit runs on the list engine.
+    """
+    for model, config, x, y in zip(models, configs, xs, ys):
+        fit_adam(model, config, x, y)
+
+
 # -- predictions files, one value and one line at a time ---------------------
 
 PROB_FORMAT = "%.9g"

@@ -151,6 +151,24 @@ class TestAggregateCommand:
         assert "mcd does not take member_pass_counts" in capsys.readouterr().err
         assert not (tmp / "agg3").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--scheme", "emcd"], "emcd needs --partition (KxT or comma list)"),
+        (["--scheme", "emcd", "--partition", "2xthree"], "bad partition '2xthree'"),
+        (["--scheme", "emcd", "--partition", "3,,2"], "bad partition '3,,2'"),
+    ], ids=["emcd without partition", "bad KxT", "bad comma list"])
+    def test_partition_checked_before_the_input_is_read(self, workdir, monkeypatch, capsys,
+                                                         flags, message):
+        tmp, _, _ = workdir
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the predictions file was read")
+
+        monkeypatch.setattr("uqeval.cli.load_predictions", unread)
+        code = run_cli(["aggregate", "--in", tmp / "p.csv", *flags, "--out", tmp / "bad"])
+        assert code == 1
+        assert f"uqeval: error: {message}" in capsys.readouterr().err
+        assert not (tmp / "bad").exists()
+
 
 class TestEvaluateCommand:
     def test_matches_library(self, workdir, capsys):

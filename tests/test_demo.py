@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,10 +111,11 @@ class TestDemoFindings:
 
 
 def test_flat_engine_artifacts_match_list_engine(tmp_path, monkeypatch):
-    # the flat-buffer engine trains the same weights bit for bit, so every
-    # declared artifact matches the one written with the list engine
+    # the stacked flat-buffer engine trains the same weights bit for bit, so
+    # every declared artifact matches the one written with every model trained
+    # alone by the list engine
     run_demo(7, tmp_path / "flat", QUICK_PRESET)
-    monkeypatch.setattr("uqeval.models.fit_adam", oracle.fit_adam)
+    monkeypatch.setattr("uqeval.models._fit_stack", oracle.fit_stack)
     run_demo(7, tmp_path / "list", QUICK_PRESET)
     for name in DEMO_ARTIFACTS:
         assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "list" / name).read_bytes(), name
@@ -148,4 +150,39 @@ def test_library_entry_points_reject_a_bad_seed(entry, seed, tmp_path):
     }
     with pytest.raises(ValidationError, match=f"seed must be a non-negative integer, got {seed!r}"):
         calls[entry]()
+    assert not (tmp_path / "out").exists()
+
+
+# a preset value no demo can run with, and the error it gives
+UNRUNNABLE_PRESETS = {
+    "mcd_passes": (0, "need at least one forward pass"),
+    "emcd_passes_per_member": (0, "need at least one pass per member"),
+    "compare_runs": (1, "paired test needs at least 2 runs"),
+}
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def untrained(*args):
+        raise AssertionError("a model trained")
+
+    monkeypatch.setattr("uqeval.demo._map_jobs", untrained)
+
+
+@pytest.mark.parametrize("field", list(UNRUNNABLE_PRESETS))
+def test_unrunnable_preset_rejected_before_training(field, no_training):
+    value, message = UNRUNNABLE_PRESETS[field]
+    for bad in (value, -1):
+        with pytest.raises(ValidationError, match=message):
+            evaluate_demo(0, replace(QUICK_PRESET, **{field: bad}))
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--passes", "need at least one forward pass"),
+    ("--passes-per-member", "need at least one pass per member"),
+])
+def test_train_demo_rejects_zero_passes_before_training(flag, message, no_training, tmp_path,
+                                                       capsys):
+    assert main(["train-demo", flag, "0", "--out", str(tmp_path / "out")]) == 1
+    assert f"uqeval: error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

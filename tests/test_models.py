@@ -29,7 +29,9 @@ from uqeval.models import (
     WIDTH_RANGES,
     Mlp,
     _ensemble_jobs,
+    _fit_stack,
     _train_job,
+    _train_stack,
     cross_entropy,
     fit_adam,
     softmax,
@@ -328,6 +330,8 @@ ENGINE_CASES = {
     "zero-learning-rate": ((2, 8, 4, 2), 0.25, 45, 16, 0.0, 2),
     # the demo's MC-dropout network: 14 full batches, then one of 2 rows
     "demo-mcd-shape": ((2, 32, 16, 4, 2), 0.25, 450, 32, 0.001, 2),
+    # two full batches, then one of a single row
+    "last-batch-one-row": ((2, 8, 4, 2), 0.25, 33, 16, 0.01, 3),
 }
 
 
@@ -410,6 +414,82 @@ class TestFlatEngine:
         with pytest.raises(TypeError):
             model.biases[1] = np.zeros(2)
         assert np.array_equal(model.flat, before)
+
+
+def stack_jobs(case, size):
+    """``size`` jobs of one ENGINE_CASES shape, each with its own data and seeds.
+
+    From a stack of two on, job 1 warm-starts from the buffer job 0 starts from.
+    """
+    widths, rate, n, batch_size, lr, epochs = ENGINE_CASES[case]
+    jobs = []
+    for h in range(size):
+        x, y = random_task(len(widths) + n + h, n, widths)
+        spec = MlpSpec(widths, dropout_rate=rate, seed=17 + h)
+        config = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size, seed=4 + h)
+        init = Mlp(jobs[0][0]).flat if h == 1 else None
+        jobs.append((spec, config, x, y, init))
+    return jobs
+
+
+class TestStackedEngine:
+    """Models trained as one stack against each trained alone by the list engine."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(ENGINE_CASES), ids=list(ENGINE_CASES))
+    def test_stack_matches_list_engine(self, case, size):
+        jobs = stack_jobs(case, size)
+        stacked = _train_stack(jobs)
+        assert [m.spec for m in stacked] == [job[0] for job in jobs]
+        for model, (spec, config, x, y, init) in zip(stacked, jobs):
+            reference = Mlp(spec)
+            if init is None:
+                probs = oracle.forward_cached(reference.weights, reference.biases, 0.0, x, None)
+                reference.loss_history.append(oracle.cross_entropy(probs[0][-1], y))
+            else:
+                reference.flat[...] = init
+            oracle.fit_adam(reference, config, x, y)
+            assert_same_parameters(model, reference)
+            assert model.loss_history == reference.loss_history
+            assert len(model.loss_history) == config.epochs + (init is None)
+
+    def test_diverging_model_raises_with_its_epoch(self):
+        # at this learning rate the inputs scaled by 1e97 overflow only after some
+        # epochs, while the unscaled ones train on
+        x = np.random.default_rng(0).normal(size=(8, 2))
+        y = np.array([0, 1] * 4)
+        spec = MlpSpec((2, 8, 8, 2), dropout_rate=0.0, seed=1)
+        config = TrainConfig(learning_rate=1e70, epochs=6, batch_size=8, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TrainingDivergedError) as alone:
+                fit_adam(Mlp(spec), config, x * 1e97, y)
+            fit_adam(Mlp(spec), config, x, y)
+            with pytest.raises(TrainingDivergedError) as stacked:
+                _fit_stack([Mlp(spec) for _ in range(3)], [config] * 3, [x, x * 1e97, x],
+                           [y] * 3)
+        assert stacked.value.epoch == alone.value.epoch == 4
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("other", [
+        (MlpSpec((2, 6, 2)), TrainConfig(epochs=1), 8),
+        (MlpSpec((2, 4, 2), dropout_rate=0.5), TrainConfig(epochs=1), 8),
+        (MlpSpec((2, 4, 2)), TrainConfig(epochs=2), 8),
+        (MlpSpec((2, 4, 2)), TrainConfig(epochs=1, batch_size=4), 8),
+        (MlpSpec((2, 4, 2)), TrainConfig(epochs=1, learning_rate=0.01), 8),
+        (MlpSpec((2, 4, 2)), TrainConfig(epochs=1), 7),
+    ], ids=["widths", "dropout", "epochs", "batch size", "learning rate", "samples"])
+    def test_stack_needs_one_shape_and_schedule(self, other):
+        spec, config, n = other
+        x, y = xor_data(2)
+        with pytest.raises(ValueError, match="a stack needs"):
+            _fit_stack([Mlp(MlpSpec((2, 4, 2))), Mlp(spec)],
+                       [TrainConfig(epochs=1), config], [x, x[:n]], [y, y[:n]])
+
+    def test_inputs_need_one_row_per_label(self):
+        x, y = xor_data(2)
+        with pytest.raises(ValueError, match="one sample count for every input and label"):
+            fit_adam(Mlp(MlpSpec((2, 4, 2))), TrainConfig(epochs=1), x, y[:6])
 
 
 COPIES = {
