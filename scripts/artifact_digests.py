@@ -6,11 +6,16 @@ into its own folder of a temporary directory, and prints ``sha256  path``
 for every file written and for each run's stdout, sorted by path. A
 manifest's ``timestamp`` line is dropped before hashing, since it is the one
 part of a run that changes from run to run. Two checkouts that write the
-same bytes print the same lines:
+same bytes print the same digest lines:
 
     python scripts/artifact_digests.py > before.txt   # in one checkout
     python scripts/artifact_digests.py > after.txt    # in the other
     diff before.txt after.txt
+
+The first line, starting ``#``, names the BLAS numpy was built with, and
+``OPENBLAS_CORETYPE`` if it is set: the trained weights, and so the bytes,
+are the same only under one BLAS kernel, so a diff between two machines
+shows there whether they ran different ones.
 """
 
 from __future__ import annotations
@@ -40,7 +45,18 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def blas_line() -> str:
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    line = (f"# blas {blas.get('name')} {blas.get('version')}"
+            f" ({blas.get('openblas configuration')})")
+    coretype = os.environ.get("OPENBLAS_CORETYPE")
+    return line + (f" OPENBLAS_CORETYPE={coretype}" if coretype else "")
+
+
 def main() -> int:
+    print(blas_line())
     path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     with tempfile.TemporaryDirectory() as tmp:

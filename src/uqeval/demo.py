@@ -39,6 +39,7 @@ from .models import (
     ensemble_predict,
     is_integer,
     mc_dropout_predict,
+    require_counts,
 )
 from .stats import compare_models, comparison_as_dict, comparison_values_csv, point_metrics
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
@@ -96,6 +97,9 @@ class DemoPreset:
 
     def __post_init__(self):
         # what the evaluation needs, checked before any model trains
+        require_counts(self, "n_points", "epochs", "mcd_passes", "ensemble_members",
+                       "emcd_passes_per_member", "compare_runs", "compare_pretrain_epochs",
+                       "compare_head_epochs")
         if self.mcd_passes < 1:
             raise ValidationError("need at least one forward pass")
         if self.emcd_passes_per_member < 1:
@@ -140,7 +144,7 @@ def _sub_seeds(seed: int) -> dict[str, int]:
 
 
 def _model_jobs(seed: int, preset: DemoPreset):
-    """Seeds, dataset, labels, and the training jobs of the MC-dropout model and members."""
+    """Seeds, dataset, labels, and the pool jobs of the MC-dropout model and members."""
     if not valid_seed(seed):
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     seeds = _sub_seeds(seed)
@@ -159,7 +163,7 @@ def _model_jobs(seed: int, preset: DemoPreset):
         master_seed=seeds["ensemble"],
     )
     train = (dataset.train_x, dataset.train_y)
-    jobs = [(mcd_spec, config, *train), *_ensemble_jobs(ensemble_spec, config, train)]
+    jobs = [(_train_job, mcd_spec, config, *train), *_ensemble_jobs(ensemble_spec, config, train)]
     return seeds, dataset, labels, jobs
 
 
@@ -180,7 +184,7 @@ def _predictions(dataset, seeds: dict, preset: DemoPreset, mcd_model: Mlp, membe
 def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
     """Dataset, labels, trained models, and each scheme's tensor and aggregation scheme."""
     seeds, dataset, labels, jobs = _model_jobs(seed, preset)
-    mcd_model, *members = _map_jobs(_train_job, jobs)
+    mcd_model, *members = _map_jobs(jobs)
     tensors, schemes = _predictions(dataset, seeds, preset, mcd_model, members)
     return dataset, labels, tensors, schemes, seeds, (mcd_model, members)
 
@@ -219,11 +223,6 @@ def _comparison_heads(dataset, seed: int, preset: DemoPreset) -> list[Mlp]:
     return _train_stack(head_jobs)
 
 
-def _call(fn, *args):
-    """``fn(*args)``: the job function of a :func:`_map_jobs` list of ``(fn, *args)`` jobs."""
-    return fn(*args)
-
-
 def _comparison_runs(heads: list[Mlp], dataset, labels: LabelSet):
     """The warm-start and the cold-start runs, ``(run seed, summaries, labels)`` each.
 
@@ -245,8 +244,7 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
     """
     seeds, dataset, labels, jobs = _model_jobs(seed, preset)
     comparison_job = (_comparison_heads, dataset, seeds["compare"], preset)
-    heads, mcd_model, *members = _map_jobs(_call, [comparison_job,
-                                                   *((_train_job, *job) for job in jobs)])
+    heads, mcd_model, *members = _map_jobs([comparison_job, *jobs])
     tensors, schemes = _predictions(dataset, seeds, preset, mcd_model, members)
     summaries = {name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEME_KINDS}
     per_scheme, sweeps, calibrations, separations = {}, {}, {}, {}

@@ -18,14 +18,17 @@ buffer. Writing through a view writes the buffer; rebinding either tuple, or
 assigning one of its items, raises, so no parameter can come loose from the
 buffer that training updates.
 
-Lockstep training: :func:`_fit_stack` is the one Adam engine. It trains a
-stack of ``H`` models of one shape, each on its own data with its own
-shuffle and dropout generators, on one schedule. Their parameters,
-gradients and Adam moments are ``(H, P)`` buffers, each row laid out like
-``Mlp.flat``, and the layer views into them are 3-D (2-D for a stack of
-one), so a batch is one batched matmul per layer for the whole stack and
-one Adam step is a fixed dozen in-place array operations whatever the depth
-or the stack size. A single model (:func:`fit_adam`) is a stack of one.
+Lockstep training: :func:`_train_stack` is the one entry into the Adam
+engine. It checks, then trains, a list of jobs ``(spec, config, x, y,
+init=None)``: a fresh model, or one warm-started from the parameter buffer
+``init``, each on its own data with its own shuffle and dropout generators,
+all of one shape and on one schedule. Their parameters, gradients and Adam
+moments are ``(H, P)`` buffers, each row laid out like ``Mlp.flat``, and
+the layer views into them are 3-D (2-D for a stack of one), so a batch is
+one batched matmul per layer for the whole stack and one Adam step is a
+fixed dozen in-place array operations whatever the depth or the stack size.
+:func:`train_mlp` and :func:`_train_job` train a stack of one job, and
+:func:`fit_adam` one warm-started from the model's own buffer.
 
 Bit identity: Adam is elementwise, and the update applies, to every element
 and in the same order, the operations of a per-tensor update:
@@ -39,22 +42,21 @@ suite keeps that list-of-arrays engine as its reference.
 Parallel training: every model of an ensemble, and of the demo, depends only
 on its own seeds and, for a warm start, on the buffer it starts from, so
 :func:`train_ensemble` and the demo train them in forked worker processes,
-one per usable CPU (:func:`_map_jobs`). A model is one job
-``(spec, config, x, y, init=None)`` of :func:`_train_job`: a fresh model, or
-one warm-started from the parameter buffer ``init``; :func:`_train_stack`
-trains a list of such jobs of one shape as one stack. Each job seeds itself
-as it would inline, and a model comes back through pickle as its spec,
-buffer and loss history, so the weights do not depend on the number of
-workers or the order they run in. An ensemble's master seed spawns
-``member_count + 1`` children: child 0 draws every member's depth, widths
-and init seed, member by member, and child ``k + 1`` seeds member ``k``'s
-training.
+one per usable CPU. :func:`_map_jobs` runs a list of ``(fn, *args)`` jobs,
+where ``fn`` is a plain module-level function, since pickle sends it by
+name; a model is the job ``(_train_job, spec, config, x, y, init=None)``.
+Each job seeds itself as it would inline, and a model comes back through
+pickle as its spec, buffer and loss history, so the weights do not depend
+on the number of workers or the order they run in. An ensemble's master
+seed spawns ``member_count + 1`` children: child 0 draws every member's
+depth, widths and init seed, member by member, and child ``k + 1`` seeds
+member ``k``'s training.
 
 Dropout masks: a pass over ``n`` rows draws each model's uniforms with one
 call, ``n * sum(hidden widths)`` of them, and :func:`_mask_views` lays them
 out as one ``(n, width)`` mask per hidden layer, layer after layer, as
-per-layer draws would give them; :func:`_fit_stack` makes that one call per
-model and batch. A mask holds each unit's dropout divisor (:func:`_draw_masks`),
+per-layer draws would give them; the engine makes that one call per model
+and batch. A mask holds each unit's dropout divisor (:func:`_draw_masks`),
 and the labels enter the backward pass as one-hot rows: both give the bits
 that a 0/1 mask with a separate rescale, and an indexed label column, give,
 with fewer numpy calls per step.
@@ -86,6 +88,14 @@ ADAM_EPS = 1e-8
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer by type: a Python or numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_counts(settings, *names: str) -> None:
+    """Raise :class:`ValidationError` unless each named field of ``settings`` is an integer."""
+    for name in names:
+        value = getattr(settings, name)
+        if not is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +130,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_counts(self, "epochs", "batch_size")
         # zero is allowed so the identity-update property stays testable
         if self.learning_rate < 0:
             raise ValidationError("learning rate must be nonnegative")
@@ -283,39 +294,19 @@ class Mlp:
     def biases(self) -> tuple[np.ndarray, ...]:
         return self._biases
 
-    @property
-    def n_classes(self) -> int:
-        return self.spec.layer_widths[-1]
-
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None) -> np.ndarray:
         """Class probabilities; pass a generator to sample dropout masks."""
         x = np.asarray(x, dtype=np.float64)
-        masks = self._sample_masks(dropout_rng, len(x))
+        rate, hidden = self.spec.dropout_rate, self.spec.layer_widths[1:-1]
+        masks = None
+        if dropout_rng is not None and rate > 0.0:
+            divisors = _draw_masks([dropout_rng], rate, np.empty((1, len(x) * sum(hidden))))
+            masks = _mask_views(divisors[0], hidden, len(x))
         return _forward(self._weights, self._biases, x, masks)[0][-1]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Deterministic forward pass (dropout off)."""
-        return self.forward(np.asarray(x, dtype=np.float64))
-
-    def _sample_masks(self, dropout_rng, n_rows: int):
-        """Dropout divisors of every hidden layer for ``n_rows`` rows; None when dropout is off."""
-        rate = self.spec.dropout_rate
-        if dropout_rng is None or rate == 0.0:
-            return None
-        hidden = self.spec.layer_widths[1:-1]
-        divisors = _draw_masks([dropout_rng], rate, np.empty((1, n_rows * sum(hidden))))[0]
-        return _mask_views(divisors, hidden, n_rows)
-
-    def loss_and_gradients(self, x, y, dropout_rng=None):
-        """Cross-entropy loss and its gradients for every weight and bias."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        cache = _forward(self._weights, self._biases, x, self._sample_masks(dropout_rng, len(x)))
-        loss = cross_entropy(cache[0][-1], y)
-        grads_w, grads_b = _layer_views(np.empty_like(self._flat), self.spec.layer_widths)
-        _backprop([w.T for w in self._weights], *cache, _one_hot(y, self.n_classes),
-                  grads_w, grads_b)
-        return loss, list(grads_w), list(grads_b)
+        return self.forward(x)
 
 
 def _rebuild_mlp(spec: MlpSpec, flat, loss_history) -> Mlp:
@@ -330,40 +321,74 @@ def _rebuild_mlp(spec: MlpSpec, flat, loss_history) -> Mlp:
 def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> None:
     """Train a model in place with fresh Adam state; appends epoch losses.
 
-    A stack of one in :func:`_fit_stack`. Raises
-    :class:`TrainingDivergedError` with the epoch index if the full-data loss
-    goes non-finite.
+    A stack of one warm-started from the model's own buffer, so its data is checked as
+    :func:`train_mlp` checks it; a :class:`TrainingDivergedError` leaves the model as it was.
     """
-    _fit_stack([model], [config], [x], [y])
+    (trained,) = _train_stack([(model.spec, config, x, y, model.flat)])
+    model.flat[...] = trained.flat
+    model.loss_history += trained.loss_history
 
 
-def _fit_stack(models: list[Mlp], configs: list[TrainConfig], xs, ys) -> None:
-    """Train models of one shape in lockstep, in place, with fresh Adam state; appends epoch losses.
+def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
+    """Train a fresh model with Adam on cross entropy.
 
-    Model ``h`` trains on ``(xs[h], ys[h])`` with ``configs[h]``, drawing its
-    shuffles and dropout masks from streams of its own seed, as it would
-    alone; the configs differ only in their seed, and every model has as
-    many samples. Each epoch gathers each model's shuffled rows and one-hot
-    labels once; each batch slices them, draws its masks into one reused
-    buffer and makes one Adam step on the ``(H, P)`` parameters. Raises
-    :class:`TrainingDivergedError` with the epoch index if a model's
+    ``data`` is an ``(x, y)`` pair of inputs and integer labels.
+    Deterministic for fixed seeds.
+    """
+    x, y = data
+    return _train_job(spec, config, x, y)
+
+
+def _train_job(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:
+    """A fresh model trained on ``(x, y)`` or, given ``init``, one warm-started from it.
+
+    ``init`` is a parameter buffer laid out like :attr:`Mlp.flat`.
+    """
+    return _train_stack([(spec, config, x, y, init)])[0]
+
+
+def _train_stack(jobs: list[tuple]) -> list[Mlp]:
+    """The models of jobs ``(spec, config, x, y, init)``, trained in lockstep as one stack.
+
+    Every job's data is checked (:func:`_training_arrays`), and so is the
+    shape of its ``init``; the models must have one shape, the configs may
+    differ only in their seed, and every job needs as many samples. A fresh
+    model's loss history starts with its untrained loss; each epoch appends
+    the full-data loss. Each epoch gathers each model's shuffled rows and
+    one-hot labels once; each batch slices them, draws its masks into one
+    reused buffer and makes one Adam step on the ``(H, P)`` parameters.
+    Raises :class:`TrainingDivergedError` with the epoch index if a model's
     full-data loss goes non-finite, the epoch it would report trained alone.
     """
+    models, xs, ys = [], [], []
+    for spec, config, x, y, init in jobs:
+        x, y = _training_arrays(x, y, spec)
+        model = Mlp(spec)
+        if init is None:
+            model.loss_history.append(cross_entropy(model.predict_proba(x), y))
+        else:
+            init = np.asarray(init, dtype=np.float64)
+            if init.shape != model.flat.shape:
+                raise ValidationError(f"init of shape {init.shape} does not match the model's "
+                                      f"{model.flat.size} parameters")
+            model.flat[...] = init
+        models.append(model)
+        xs.append(x)
+        ys.append(y)
+    configs = [job[1] for job in jobs]
     spec, config = models[0].spec, configs[0]
     widths, rate = spec.layer_widths, spec.dropout_rate
     n, size = len(ys[0]), config.batch_size
-    if (len({len(models), len(configs), len(xs), len(ys)}) != 1
-            or any((m.spec.layer_widths, m.spec.dropout_rate) != (widths, rate) for m in models)
+    if (any((m.spec.layer_widths, m.spec.dropout_rate) != (widths, rate) for m in models)
             or any(replace(c, seed=config.seed) != config for c in configs)
-            or any(len(a) != n for a in (*xs, *ys))):
-        raise ValueError("a stack needs one model, config, input and label array per model, "
-                         "models of one shape, configs that differ only in their seed, and "
-                         "one sample count for every input and label array")
+            or any(len(y) != n for y in ys)):
+        raise ValueError("a stack needs models of one shape, configs that differ only in "
+                         "their seed, and one sample count for every job")
     streams = [np.random.SeedSequence(c.seed).spawn(2) for c in configs]
     shuffle_rngs = [np.random.default_rng(shuffle) for shuffle, _ in streams]
     dropout_rngs = [np.random.default_rng(dropout) for _, dropout in streams]
 
-    x = np.stack([np.asarray(x_h, dtype=np.float64) for x_h in xs])
+    x = np.stack(xs)
     targets = np.stack([_one_hot(y, widths[-1]) for y in ys])
     x_epoch, targets_epoch = np.empty_like(x), np.empty_like(targets)
 
@@ -430,49 +455,6 @@ def _fit_stack(models: list[Mlp], configs: list[TrainConfig], xs, ys) -> None:
             model.loss_history.append(loss)
     for model, trained in zip(models, params):
         model.flat[...] = trained
-
-
-def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
-    """Train a fresh model with Adam on cross entropy.
-
-    ``data`` is an ``(x, y)`` pair of inputs and integer labels.
-    Deterministic for fixed seeds.
-    """
-    x, y = data
-    return _train_job(spec, config, x, y)
-
-
-def _train_job(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:
-    """A fresh model trained on ``(x, y)`` or, given ``init``, one warm-started from it.
-
-    ``init`` is a parameter buffer laid out like :attr:`Mlp.flat`.
-    """
-    return _train_stack([(spec, config, x, y, init)])[0]
-
-
-def _train_stack(jobs: list[tuple]) -> list[Mlp]:
-    """The models of :func:`_train_job` jobs ``(spec, config, x, y, init)``, trained as one stack.
-
-    Every job's data is checked (:func:`_training_arrays`), and so is the
-    shape of its ``init``. A fresh model's loss history starts with its
-    untrained loss. The jobs must make one stack (see :func:`_fit_stack`).
-    """
-    models, xs, ys = [], [], []
-    for spec, config, x, y, init in jobs:
-        x, y = _training_arrays(x, y, spec)
-        model = Mlp(spec)
-        if init is None:
-            model.loss_history.append(cross_entropy(model.predict_proba(x), y))
-        else:
-            init = np.asarray(init, dtype=np.float64)
-            if init.shape != model.flat.shape:
-                raise ValidationError(f"init of shape {init.shape} does not match the model's "
-                                      f"{model.flat.size} parameters")
-            model.flat[...] = init
-        models.append(model)
-        xs.append(x)
-        ys.append(y)
-    _fit_stack(models, [job[1] for job in jobs], xs, ys)
     return models
 
 
@@ -481,16 +463,17 @@ def derived_seed(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _map_jobs(fn, jobs: list[tuple]) -> list:
-    """``[fn(*job) for job in jobs]``, spread over one forked worker per usable CPU.
+def _map_jobs(jobs: list[tuple]) -> list:
+    """``[fn(*args) for fn, *args in jobs]``, spread over one forked worker per usable CPU.
 
     One pool runs the whole list, submitted in list order. Results come back
     in job order, and the first job to raise, in that order, raises here;
     jobs not yet started by then are cancelled. The jobs run inline, in list
     order, when one CPU is usable, when the platform cannot fork, or in a
     daemon process, which may not have children. A forked worker starts from
-    this process's memory, so it needs no imports; ``fn`` is a module-level
-    function, and it, the jobs and the results travel by pickle.
+    this process's memory, so it needs no imports; each ``fn`` is a
+    module-level function, and it, its arguments and the results travel by
+    pickle.
     """
     import multiprocessing
 
@@ -498,11 +481,11 @@ def _map_jobs(fn, jobs: list[tuple]) -> list:
     workers = min(cpus or 1, len(jobs))
     if (workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return [fn(*job) for job in jobs]
+        return [fn(*args) for fn, *args in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
+        futures = [pool.submit(*job) for job in jobs]
         try:
             return [future.result() for future in futures]
         finally:
@@ -596,12 +579,13 @@ class EnsembleSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        require_counts(self, "member_count")
         if self.member_count < 2:
             raise ValidationError("an ensemble needs at least 2 members")
 
 
 def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]:
-    """The :func:`_train_job` job ``(spec, config, x, y)`` of every member."""
+    """The :func:`_map_jobs` job ``(_train_job, spec, config, x, y)`` of every member."""
     x, y = _training_arrays(*data)
     arch_seq, *train_seqs = np.random.SeedSequence(spec.master_seed).spawn(spec.member_count + 1)
     rng = np.random.default_rng(arch_seq)
@@ -611,13 +595,13 @@ def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]
         hidden = [int(rng.integers(lo, hi + 1)) for lo, hi in WIDTH_RANGES[:depth]]
         member = MlpSpec((x.shape[1], *hidden, int(y.max()) + 1), spec.dropout_rate,
                          seed=int(rng.integers(0, 2**63 - 1)))
-        jobs.append((member, replace(config, seed=derived_seed(seq)), x, y))
+        jobs.append((_train_job, member, replace(config, seed=derived_seed(seq)), x, y))
     return jobs
 
 
 def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data) -> list[Mlp]:
     """Independently train every member on the ``(x, y)`` pair ``data``, in parallel."""
-    return _map_jobs(_train_job, _ensemble_jobs(spec, config, data))
+    return _map_jobs(_ensemble_jobs(spec, config, data))
 
 
 def save_model(model: Mlp, path, manifest_digest: str | None = None) -> None:

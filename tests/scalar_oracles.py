@@ -37,6 +37,7 @@ import numpy as np
 from uqeval import (
     FormatError,
     LabelSet,
+    Mlp,
     PredictionTensor,
     Summaries,
     TrainingDivergedError,
@@ -261,14 +262,25 @@ def fit_adam(model, config, x, y) -> None:
         dst[...] = src
 
 
-def fit_stack(models, configs, xs, ys) -> None:
-    """Each model trained alone by :func:`fit_adam`, in stack order.
+def train_stack(jobs) -> list:
+    """The model of each ``(spec, config, x, y, init)`` job, trained alone by :func:`fit_adam`.
 
-    Stands in for :func:`uqeval.models._fit_stack`, the package's one Adam
-    engine, so every fit runs on the list engine.
+    Stands in for :func:`uqeval.models._train_stack`, the package's one entry
+    into its Adam engine, so every fit runs on the list engine. A fresh
+    model's loss history starts with its untrained loss, as there.
     """
-    for model, config, x, y in zip(models, configs, xs, ys):
+    models = []
+    for spec, config, x, y, init in jobs:
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+        model = Mlp(spec)
+        if init is None:
+            probs = forward_cached(model.weights, model.biases, 0.0, x, None)[0][-1]
+            model.loss_history.append(cross_entropy(probs, y))
+        else:
+            model.flat[...] = init
         fit_adam(model, config, x, y)
+        models.append(model)
+    return models
 
 
 # -- predictions files, one value and one line at a time ---------------------

@@ -61,3 +61,18 @@ def test_size_readers_find_their_parameters(tracer):
         parameters = inspect.signature(getattr(sys.modules[module], attr)).parameters
         for name in names:
             assert name in parameters, (module, attr, name)
+
+
+def test_traced_demo_pools_its_jobs(tracer, monkeypatch):
+    # the pool pickles each job's function by name; a job function the tracer
+    # wraps would be its closure, which pickle cannot find
+    from uqeval.demo import QUICK_PRESET, evaluate_demo
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    hooks = tracer.Tracer()
+    hooks.install()
+    try:
+        result, _ = evaluate_demo(7, QUICK_PRESET)
+    finally:
+        hooks.uninstall()
+    assert result.report["seed"] == 7

@@ -115,7 +115,8 @@ def test_flat_engine_artifacts_match_list_engine(tmp_path, monkeypatch):
     # every declared artifact matches the one written with every model trained
     # alone by the list engine
     run_demo(7, tmp_path / "flat", QUICK_PRESET)
-    monkeypatch.setattr("uqeval.models._fit_stack", oracle.fit_stack)
+    monkeypatch.setattr("uqeval.models._train_stack", oracle.train_stack)
+    monkeypatch.setattr("uqeval.demo._train_stack", oracle.train_stack)
     run_demo(7, tmp_path / "list", QUICK_PRESET)
     for name in DEMO_ARTIFACTS:
         assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "list" / name).read_bytes(), name
@@ -175,6 +176,17 @@ def test_unrunnable_preset_rejected_before_training(field, no_training):
     for bad in (value, -1):
         with pytest.raises(ValidationError, match=message):
             evaluate_demo(0, replace(QUICK_PRESET, **{field: bad}))
+
+
+PRESET_COUNTS = ["n_points", "epochs", "mcd_passes", "ensemble_members", "emcd_passes_per_member",
+                 "compare_runs", "compare_pretrain_epochs", "compare_head_epochs"]
+
+
+@pytest.mark.parametrize("value", [2.5, 6.0, True, "6"])
+@pytest.mark.parametrize("field", PRESET_COUNTS)
+def test_preset_counts_must_be_integers(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+        replace(QUICK_PRESET, **{field: value})
 
 
 @pytest.mark.parametrize("flag, message", [

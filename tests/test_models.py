@@ -28,8 +28,13 @@ from uqeval.models import (
     ADAM_EPS,
     WIDTH_RANGES,
     Mlp,
+    _backprop,
+    _draw_masks,
     _ensemble_jobs,
-    _fit_stack,
+    _forward,
+    _layer_views,
+    _mask_views,
+    _one_hot,
     _train_job,
     _train_stack,
     cross_entropy,
@@ -38,6 +43,22 @@ from uqeval.models import (
 )
 
 import scalar_oracles as oracle
+
+
+def engine_gradients(model, x, y, dropout_rng=None):
+    """The loss of one batch and the gradients the engine's backward pass gives for it."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    rate, hidden = model.spec.dropout_rate, model.spec.layer_widths[1:-1]
+    masks = None
+    if dropout_rng is not None and rate > 0.0:
+        divisors = _draw_masks([dropout_rng], rate, np.empty((1, len(x) * sum(hidden))))
+        masks = _mask_views(divisors[0], hidden, len(x))
+    cache = _forward(model.weights, model.biases, x, masks)
+    loss = cross_entropy(cache[0][-1], y)
+    grads_w, grads_b = _layer_views(np.empty_like(model.flat), model.spec.layer_widths)
+    _backprop([w.T for w in model.weights], *cache, _one_hot(y, model.spec.layer_widths[-1]),
+              grads_w, grads_b)
+    return loss, list(grads_w), list(grads_b)
 
 
 def xor_data(repeats=12):
@@ -72,6 +93,21 @@ class TestSpecs:
         spec = MlpSpec((np.int64(2), np.int32(5), 2))
         assert spec.layer_widths == (2, 5, 2)
         assert {type(w) for w in spec.layer_widths} == {int}
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "3"])
+    def test_train_config_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_member_count_must_be_an_integer(self, value):
+        with pytest.raises(ValidationError, match=f"member_count must be an integer, got {value!r}"):
+            EnsembleSpec(member_count=value)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(4)).epochs == 2
+        assert EnsembleSpec(member_count=np.int64(3)).member_count == 3
 
     def test_train_config_defaults(self):
         config = TrainConfig()
@@ -138,7 +174,7 @@ class TestGradients:
         model = Mlp(MlpSpec((2, 4, 2), dropout_rate=0.0, seed=11))
         x = rng.normal(size=(12, 2))
         y = rng.integers(0, 2, 12)
-        _, grads_w, grads_b = model.loss_and_gradients(x, y)
+        _, grads_w, grads_b = engine_gradients(model, x, y)
         h = 1e-5
         worst = 0.0
         for params, grads in ((model.weights, grads_w), (model.biases, grads_b)):
@@ -234,6 +270,7 @@ TRAINING_ENTRIES = {
     "train_mlp": lambda x, y: train_mlp(TRAIN_SPEC, ONE_EPOCH, (x, y)),
     "ensemble": lambda x, y: _ensemble_jobs(EnsembleSpec(member_count=2), ONE_EPOCH, (x, y)),
     "warm start": lambda x, y: _train_job(TRAIN_SPEC, ONE_EPOCH, x, y, Mlp(TRAIN_SPEC).flat),
+    "fit_adam": lambda x, y: fit_adam(Mlp(TRAIN_SPEC), ONE_EPOCH, x, y),
 }
 
 # inputs, labels and the message each must raise
@@ -266,20 +303,22 @@ class TestTrainingInputs:
 
     # TestTraining checks the class range and the input width of train_mlp
     @pytest.mark.parametrize("sign", [-1, 2])
-    def test_warm_start_label_outside_class_range(self, sign):
+    @pytest.mark.parametrize("entry", ["warm start", "fit_adam"])
+    def test_label_outside_class_range(self, entry, sign):
         x, y = xor_data()
         with pytest.raises(ValidationError, match="label outside the model's class range"):
-            TRAINING_ENTRIES["warm start"](x, sign * y)
+            TRAINING_ENTRIES[entry](x, sign * y)
 
     def test_negative_ensemble_labels_rejected(self):
         x, y = xor_data()
         with pytest.raises(ValidationError, match="label outside the model's class range"):
             TRAINING_ENTRIES["ensemble"](x, -y)
 
-    def test_warm_start_input_width_mismatch(self):
+    @pytest.mark.parametrize("entry", ["warm start", "fit_adam"])
+    def test_input_width_mismatch(self, entry):
         x, y = xor_data()
         with pytest.raises(ValidationError, match="input width 2 does not match data dim 3"):
-            TRAINING_ENTRIES["warm start"](np.hstack([x, x[:, :1]]), y)
+            TRAINING_ENTRIES[entry](np.hstack([x, x[:, :1]]), y)
 
     @pytest.mark.parametrize("init", [0.5, np.zeros(21), np.zeros(23), np.zeros((1, 22)),
                                       np.zeros((22, 1)), 0],
@@ -379,7 +418,7 @@ class TestFlatEngine:
         widths = (3, 16, 8, 4, 3)
         x, y = random_task(9, 30, widths)
         model = Mlp(MlpSpec(widths, dropout_rate=rate, seed=9))
-        loss, grads_w, grads_b = model.loss_and_gradients(x, y, np.random.default_rng(3))
+        loss, grads_w, grads_b = engine_gradients(model, x, y, np.random.default_rng(3))
         ref_loss, ref_w, ref_b = oracle.loss_and_gradients(
             list(model.weights), list(model.biases), rate, x, y, np.random.default_rng(3)
         )
@@ -460,16 +499,19 @@ class TestStackedEngine:
         y = np.array([0, 1] * 4)
         spec = MlpSpec((2, 8, 8, 2), dropout_rate=0.0, seed=1)
         config = TrainConfig(learning_rate=1e70, epochs=6, batch_size=8, seed=2)
+        diverging = Mlp(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(TrainingDivergedError) as alone:
-                fit_adam(Mlp(spec), config, x * 1e97, y)
+                fit_adam(diverging, config, x * 1e97, y)
             fit_adam(Mlp(spec), config, x, y)
             with pytest.raises(TrainingDivergedError) as stacked:
-                _fit_stack([Mlp(spec) for _ in range(3)], [config] * 3, [x, x * 1e97, x],
-                           [y] * 3)
+                _train_stack([(spec, config, x_h, y, None) for x_h in (x, x * 1e97, x)])
         assert stacked.value.epoch == alone.value.epoch == 4
         assert str(stacked.value) == str(alone.value)
+        # a failed fit leaves the model as it was, with no partial epochs
+        assert_same_parameters(diverging, Mlp(spec))
+        assert diverging.loss_history == []
 
     @pytest.mark.parametrize("other", [
         (MlpSpec((2, 6, 2)), TrainConfig(epochs=1), 8),
@@ -483,12 +525,12 @@ class TestStackedEngine:
         spec, config, n = other
         x, y = xor_data(2)
         with pytest.raises(ValueError, match="a stack needs"):
-            _fit_stack([Mlp(MlpSpec((2, 4, 2))), Mlp(spec)],
-                       [TrainConfig(epochs=1), config], [x, x[:n]], [y, y[:n]])
+            _train_stack([(MlpSpec((2, 4, 2)), TrainConfig(epochs=1), x, y, None),
+                          (spec, config, x[:n], y[:n], None)])
 
     def test_inputs_need_one_row_per_label(self):
         x, y = xor_data(2)
-        with pytest.raises(ValueError, match="one sample count for every input and label"):
+        with pytest.raises(ValidationError, match="8 training inputs need 8 labels"):
             fit_adam(Mlp(MlpSpec((2, 4, 2))), TrainConfig(epochs=1), x, y[:6])
 
 
@@ -584,7 +626,7 @@ class TestMcDropout:
 def member_specs(spec: EnsembleSpec) -> list[MlpSpec]:
     """The architecture of each member's training job, for 2-D binary data."""
     x, y = xor_data()
-    return [job[0] for job in _ensemble_jobs(spec, TrainConfig(), (x, y))]
+    return [job[1] for job in _ensemble_jobs(spec, TrainConfig(), (x, y))]
 
 
 class TestEnsemble:

@@ -42,7 +42,7 @@ def worker_pid(i):
 
 def test_results_come_back_in_job_order_from_workers(monkeypatch, pools):
     usable_cpus(monkeypatch, 2)
-    results = _map_jobs(worker_pid, [(i,) for i in range(7)])
+    results = _map_jobs([(worker_pid, i) for i in range(7)])
     assert [i for i, _ in results] == list(range(7))
     assert os.getpid() not in {pid for _, pid in results}
     assert [args[0] for args in pools] == [2]
@@ -50,7 +50,7 @@ def test_results_come_back_in_job_order_from_workers(monkeypatch, pools):
 
 def test_one_cpu_runs_inline(monkeypatch, pools):
     usable_cpus(monkeypatch, 1)
-    assert _map_jobs(worker_pid, [(0,), (1,)]) == [(0, os.getpid()), (1, os.getpid())]
+    assert _map_jobs([(worker_pid, 0), (worker_pid, 1)]) == [(0, os.getpid()), (1, os.getpid())]
     assert pools == []
 
 
@@ -115,8 +115,8 @@ def test_demo_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, pools):
 
 
 def train_job(widths, epochs, seed, data, init=None, lr=0.01):
-    """A :func:`_train_job` job."""
-    return (MlpSpec(widths, seed=seed),
+    """A :func:`_map_jobs` job of :func:`_train_job`."""
+    return (_train_job, MlpSpec(widths, seed=seed),
             TrainConfig(learning_rate=lr, epochs=epochs, batch_size=8, seed=seed), *data, init)
 
 
@@ -127,11 +127,11 @@ def test_inline_and_pooled_results_are_equal(monkeypatch, pools):
             train_job((2, 8, 2), 2, 4, data, init=Mlp(MlpSpec((2, 8, 2), seed=9)).flat),
             train_job((2, 6, 2), 4, 5, data)]
     usable_cpus(monkeypatch, 1)
-    inline = _map_jobs(_train_job, jobs)
+    inline = _map_jobs(jobs)
     usable_cpus(monkeypatch, 2)
-    pooled = _map_jobs(_train_job, jobs)
+    pooled = _map_jobs(jobs)
     assert len(pools) == 1
-    assert [m.spec for m in pooled] == [job[0] for job in jobs]
+    assert [m.spec for m in pooled] == [job[1] for job in jobs]
     for a, b in zip(inline, pooled):
         assert_same_parameters(a, b)
         assert a.loss_history == b.loss_history
@@ -147,6 +147,6 @@ def test_first_failure_in_job_order_raises(monkeypatch, cpus):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(TrainingDivergedError, match="non-finite at epoch 0"):
-            _map_jobs(_train_job, [fine, diverging, misshapen])
+            _map_jobs([fine, diverging, misshapen])
         with pytest.raises(ValidationError, match="input width 3 does not match data dim 2"):
-            _map_jobs(_train_job, [fine, misshapen, diverging])
+            _map_jobs([fine, misshapen, diverging])
