@@ -34,6 +34,7 @@ from .tensor import (
     csv_fields,
     pass_means,
     read_table,
+    require_integer,
     table_columns,
     write_artifact,
 )
@@ -64,7 +65,7 @@ class AggregationScheme:
             parts = self.member_pass_counts
             if not parts:
                 raise ValidationError("emcd requires member_pass_counts")
-            parts = tuple(int(p) for p in parts)
+            parts = tuple(require_integer(p, "member pass count") for p in parts)
             if any(p < 1 for p in parts):
                 raise ValidationError(f"every member needs at least one pass, got {parts}")
             object.__setattr__(self, "member_pass_counts", parts)

@@ -14,15 +14,8 @@ import numpy as np
 
 from .aggregate import Summaries
 from .errors import ValidationError
-from .tensor import LabelSet, write_artifact
+from .tensor import LabelSet, require_integer, write_artifact
 from .ucm import format_metric
-
-
-def bin_edges(n_bins: int) -> np.ndarray:
-    """The M+1 boundaries m/M for m in 0..M."""
-    if n_bins < 1:
-        raise ValidationError("need at least one bin")
-    return np.arange(n_bins + 1, dtype=np.float64) / n_bins
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,8 @@ class CalibrationReport:
 def calibration_report(summaries: Summaries, labels: LabelSet,
                        n_bins: int = 10) -> CalibrationReport:
     """Bin samples by confidence and compute per-bin accuracy, confidence, ECE."""
-    edges = bin_edges(n_bins)
+    n_bins = require_integer(n_bins, "n_bins", 1, "need at least one bin")
+    edges = np.arange(n_bins + 1, dtype=np.float64) / n_bins  # the M+1 boundaries m/M
     correct = summaries.correct(labels).astype(np.float64)
     confidence = summaries.confidence
     # bin m is the smallest m >= 1 with confidence <= m/M

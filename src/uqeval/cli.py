@@ -29,7 +29,6 @@ from .demo import (
     QUICK_PRESET,
     build_demo_models,
     evaluate_demo,
-    valid_seed,
     write_comparison,
     write_demo_artifacts,
     write_demo_data,
@@ -39,7 +38,7 @@ from .manifest import build_manifest, canonical_json, manifest_digest, write_man
 from .models import save_model
 from .stats import compare_models, comparison_as_dict, comparison_values_csv
 from .svg import reliability_svg, separation_svg, sweep_svg
-from .tensor import json_field, load_labels, load_predictions, write_artifact
+from .tensor import is_seed, json_field, load_labels, load_predictions, write_artifact
 from .ucm import (
     SWEEP_HEADER,
     SweepCurve,
@@ -80,7 +79,7 @@ def _checked(parse, name: str, valid, wanted: str):
 
 # NaN and infinities cannot be recorded in a manifest; numpy seeds only from integers >= 0
 _finite_float = _checked(float, "float", math.isfinite, "a finite number")
-_seed = _checked(int, "int", valid_seed, "a non-negative integer")
+_seed = _checked(int, "int", is_seed, "a non-negative integer")
 
 
 def _parse_grid(text: str) -> list[float]:

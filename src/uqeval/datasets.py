@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import class_indices, write_artifact
+from .tensor import class_indices, require_integer, require_seed, write_artifact
 
 GENERATORS = ("two-moons", "gaussian-blobs")
 TRAIN_FRACTION = 0.75
@@ -75,11 +75,10 @@ def generate_dataset(kind: str, n: int, noise: float, seed: int) -> SyntheticDat
     """Deterministic synthetic dataset with a stratified split."""
     if kind not in GENERATORS:
         raise ValidationError(f"unknown generator {kind!r}; expected one of {GENERATORS}")
-    if n < 20:
-        raise ValidationError(f"need at least 20 points, got {n}")
+    require_integer(n, "n", 20, f"need at least 20 points, got {n}")
     if noise < 0:
         raise ValidationError("noise must be nonnegative")
-    ss = np.random.SeedSequence(seed)
+    ss = np.random.SeedSequence(require_seed(seed))
     points_rng, split_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     if kind == "two-moons":
         x, y = _two_moons(n, noise, points_rng)

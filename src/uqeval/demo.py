@@ -23,7 +23,6 @@ import numpy as np
 from .aggregate import ENSEMBLE, MCD, SCHEME_KINDS, aggregate, save_summaries
 from .calibration import calibration_as_dict, calibration_report
 from .datasets import generate_dataset, save_dataset
-from .errors import ValidationError
 from .manifest import canonical_json
 from .models import (
     EnsembleSpec,
@@ -37,13 +36,12 @@ from .models import (
     derived_seed,
     emcd_predict,
     ensemble_predict,
-    is_integer,
     mc_dropout_predict,
-    require_counts,
 )
 from .stats import compare_models, comparison_as_dict, comparison_values_csv, point_metrics
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
-from .tensor import LabelSet, save_labels, save_predictions, write_artifact
+from .tensor import (LabelSet, require_integer, require_seed, save_labels, save_predictions,
+                     write_artifact)
 from .ucm import (
     build_ucm,
     save_sweep,
@@ -97,15 +95,17 @@ class DemoPreset:
 
     def __post_init__(self):
         # what the evaluation needs, checked before any model trains
-        require_counts(self, "n_points", "epochs", "mcd_passes", "ensemble_members",
-                       "emcd_passes_per_member", "compare_runs", "compare_pretrain_epochs",
-                       "compare_head_epochs")
-        if self.mcd_passes < 1:
-            raise ValidationError("need at least one forward pass")
-        if self.emcd_passes_per_member < 1:
-            raise ValidationError("need at least one pass per member")
-        if self.compare_runs < 2:
-            raise ValidationError("paired test needs at least 2 runs")
+        require_integer(self.n_points, "n_points")
+        require_integer(self.epochs, "epochs")
+        require_integer(self.mcd_passes, "mcd_passes", 1, "need at least one forward pass")
+        require_integer(self.ensemble_members, "ensemble_members")
+        require_integer(self.emcd_passes_per_member, "emcd_passes_per_member", 1,
+                        "need at least one pass per member")
+        require_integer(self.compare_runs, "compare_runs", 2, "paired test needs at least 2 runs")
+        require_integer(self.compare_pretrain_epochs, "compare_pretrain_epochs", 1,
+                        "need at least one epoch")
+        require_integer(self.compare_head_epochs, "compare_head_epochs", 1,
+                        "need at least one epoch")
 
 
 QUICK_PRESET = DemoPreset(
@@ -132,11 +132,6 @@ class DemoResult:
     separations: dict
 
 
-def valid_seed(seed) -> bool:
-    """Whether numpy can seed from ``seed``: an integer (not a bool) that is not negative."""
-    return is_integer(seed) and seed >= 0
-
-
 def _sub_seeds(seed: int) -> dict[str, int]:
     names = ("data", "mcd_train", "mcd_passes", "ensemble", "emcd_passes", "compare")
     children = np.random.SeedSequence(seed).spawn(len(names))
@@ -145,9 +140,7 @@ def _sub_seeds(seed: int) -> dict[str, int]:
 
 def _model_jobs(seed: int, preset: DemoPreset):
     """Seeds, dataset, labels, and the pool jobs of the MC-dropout model and members."""
-    if not valid_seed(seed):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    seeds = _sub_seeds(seed)
+    seeds = _sub_seeds(require_seed(seed))
     dataset = generate_dataset(preset.kind, preset.n_points, preset.noise, seeds["data"])
     labels = LabelSet(dataset.test_ids, dataset.test_y)
 

@@ -74,7 +74,7 @@ import numpy as np
 from .aggregate import AggregationScheme, emcd_scheme
 from .errors import TrainingDivergedError, ValidationError
 from .tensor import (JSON_TYPES, PredictionTensor, artifact_file, class_sums, int64_labels,
-                     json_field)
+                     json_field, require_integer, require_seed)
 
 MODEL_FORMAT = "uqeval-mlp"
 MODEL_VERSION = 1
@@ -83,19 +83,6 @@ MODEL_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer by type: a Python or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def require_counts(settings, *names: str) -> None:
-    """Raise :class:`ValidationError` unless each named field of ``settings`` is an integer."""
-    for name in names:
-        value = getattr(settings, name)
-        if not is_integer(value):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +94,8 @@ class MlpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for w in self.layer_widths:
-            if not is_integer(w):
-                raise ValidationError(f"layer width {w!r} is not an integer")
-        widths = tuple(map(int, self.layer_widths))
+        widths = tuple(require_integer(w, "layer width") for w in self.layer_widths)
+        require_seed(self.seed)
         if len(widths) < 3:
             raise ValidationError("need at least one hidden layer")
         if widths[-1] < 2:
@@ -130,14 +115,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_counts(self, "epochs", "batch_size")
+        require_integer(self.epochs, "epochs", 1, "need at least one epoch")
+        require_integer(self.batch_size, "batch_size", 1, "batch size must be positive")
+        require_seed(self.seed)
         # zero is allowed so the identity-update property stays testable
         if self.learning_rate < 0:
             raise ValidationError("learning rate must be nonnegative")
-        if self.epochs < 1:
-            raise ValidationError("need at least one epoch")
-        if self.batch_size < 1:
-            raise ValidationError("batch size must be positive")
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -493,24 +476,29 @@ def _map_jobs(jobs: list[tuple]) -> list:
                 future.cancel()
 
 
+def _input_rows(x, spec: MlpSpec | None, what: str = "inputs") -> np.ndarray:
+    """``x`` as 2-D float64 rows, as wide as the input layer of ``spec`` if one is given."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValidationError(f"{what} must be a 2-D array, got shape {x.shape}")
+    if spec is not None and x.shape[1] != spec.layer_widths[0]:
+        raise ValidationError(f"input width {spec.layer_widths[0]} does not match data dim "
+                              f"{x.shape[1]}")
+    return x
+
+
 def _training_arrays(x, y, spec: MlpSpec | None = None):
     """``x`` as float64 rows and ``y`` as int64 labels, checked for training ``spec``.
 
     Every training job goes through this check. The labels must be
     integers; without ``spec`` they need only be nonnegative.
     """
-    x, y = np.asarray(x, dtype=np.float64), int64_labels(y)
-    if x.ndim != 2:
-        raise ValidationError(f"training inputs must be a 2-D array, got shape {x.shape}")
+    x, y = _input_rows(x, spec, "training inputs"), int64_labels(y)
     if y.shape != (len(x),):
         raise ValidationError(f"{len(x)} training inputs need {len(x)} labels, "
                               f"got labels of shape {y.shape}")
     if not len(y):
         raise ValidationError("no training samples")
-    if spec is not None and x.shape[1] != spec.layer_widths[0]:
-        raise ValidationError(
-            f"input width {spec.layer_widths[0]} does not match data dim {x.shape[1]}"
-        )
     if int(y.min()) < 0 or (spec is not None and int(y.max()) >= spec.layer_widths[-1]):
         raise ValidationError("label outside the model's class range")
     return x, y
@@ -520,24 +508,24 @@ def _sampled_tensor(models: list[Mlp], passes_per_model: int, rngs, inputs,
                     sample_ids) -> PredictionTensor:
     """``passes_per_model`` forward passes of each model, model-major along the pass axis.
 
-    Each model draws its dropout masks from its generator in ``rngs``; a
-    ``None`` generator, or a dropout rate of 0, gives deterministic passes.
-    Sample ids default to ``s0000, s0001, ...``.
+    Each model checks the inputs and draws its dropout masks from its generator
+    in ``rngs``; a ``None`` generator, or a dropout rate of 0, gives
+    deterministic passes. Sample ids default to ``s0000, s0001, ...``.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    passes = [model.forward(inputs, rng) for model, rng in zip(models, rngs)
-              for _ in range(passes_per_model)]
+    passes = []
+    for model, rng in zip(models, rngs):
+        x = _input_rows(inputs, model.spec)
+        passes += [model.forward(x, rng) for _ in range(passes_per_model)]
     if sample_ids is None:
-        sample_ids = (f"s{i:04d}" for i in range(len(inputs)))
+        sample_ids = (f"s{i:04d}" for i in range(len(x)))
     return PredictionTensor(np.stack(passes, axis=1), tuple(sample_ids))
 
 
 def mc_dropout_predict(model: Mlp, inputs, t_passes: int, seed: int,
                        sample_ids=None) -> PredictionTensor:
     """T stochastic forward passes with dropout kept on; one pass per mask draw."""
-    if t_passes < 1:
-        raise ValidationError("need at least one forward pass")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    require_integer(t_passes, "t_passes", 1, "need at least one forward pass")
+    rng = np.random.default_rng(np.random.SeedSequence(require_seed(seed)))
     return _sampled_tensor([model], t_passes, [rng], inputs, sample_ids)
 
 
@@ -557,8 +545,8 @@ def emcd_predict(models: list[Mlp], inputs, t_per_member: int, seed: int,
     """
     if not models:
         raise ValidationError("need at least one model")
-    if t_per_member < 1:
-        raise ValidationError("need at least one pass per member")
+    require_integer(t_per_member, "t_per_member", 1, "need at least one pass per member")
+    require_seed(seed)
     rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(len(models))]
     tensor = _sampled_tensor(models, t_per_member, rngs, inputs, sample_ids)
     return tensor, emcd_scheme([t_per_member] * len(models))
@@ -579,9 +567,8 @@ class EnsembleSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        require_counts(self, "member_count")
-        if self.member_count < 2:
-            raise ValidationError("an ensemble needs at least 2 members")
+        require_integer(self.member_count, "member_count", 2, "an ensemble needs at least 2 members")
+        require_seed(self.master_seed, "master_seed")
 
 
 def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregate import Summaries
 from .errors import ValidationError
-from .tensor import LabelSet, aligned_labels
+from .tensor import LabelSet, aligned_labels, require_integer
 
 BETA_TOL = 1e-14
 BETA_MAX_ITER = 300
@@ -140,7 +140,7 @@ class MetricDistribution:
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
-        seeds = tuple(int(s) for s in self.run_seeds)
+        seeds = tuple(require_integer(s, "run seed") for s in self.run_seeds)
         if len(values) != len(seeds):
             raise ValidationError("values and run_seeds must be parallel")
         if any(not math.isfinite(v) for v in values):
@@ -269,7 +269,7 @@ def compare_models(runs_a, runs_b) -> dict[str, ModelComparison]:
         )
 
     def distributions(runs, side):
-        seeds = tuple(int(seed) for seed, _, _ in runs)
+        seeds = tuple(require_integer(seed, "run seed") for seed, _, _ in runs)
         points = [point_metrics(summaries, labels) for _, summaries, labels in runs]
         return {m: MetricDistribution(f"{m}_{side}", tuple(p[m] for p in points), seeds)
                 for m in POINT_METRICS}

@@ -240,6 +240,32 @@ class PredictionTensor:
         return self.probs.shape[2]
 
 
+def is_integer(value) -> bool:
+    """The integer rule: ``value`` is a Python or numpy integer by type, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_seed(value) -> bool:
+    """The seed rule: ``value`` is an integer that is not negative, so numpy can seed from it."""
+    return is_integer(value) and value >= 0
+
+
+def require_integer(value, name: str, minimum: int | None = None, too_small: str = "") -> int:
+    """``value`` as an int, if it is an integer of at least ``minimum``; else ``too_small``."""
+    if not is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(too_small)
+    return int(value)
+
+
+def require_seed(value, name: str = "seed") -> int:
+    """``value`` as an int if it is a seed (:func:`is_seed`)."""
+    if not is_seed(value):
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def int64_labels(labels) -> np.ndarray:
     """``labels`` as a new int64 array, if every value is a finite integer that fits in 64 bits."""
     labels = np.asarray(labels)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -208,6 +209,18 @@ class TestAggregate:
             AggregationScheme("emcd", (2, 0))
         with pytest.raises(ValidationError):
             AggregationScheme("mcd", (2, 2))
+
+    @pytest.mark.parametrize("parts, bad", [((2.5, 1.5), 2.5), ((2, 2.0), 2.0), ((True, 3), True),
+                                            (("2", "2"), "2"), ((2, None), None)])
+    def test_member_pass_counts_must_be_integers(self, parts, bad):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"member pass count must be an integer, got {bad!r}")):
+            AggregationScheme("emcd", parts)
+
+    def test_numpy_member_pass_counts_are_ints(self):
+        scheme = AggregationScheme("emcd", (np.int64(2), np.uint8(3)))
+        assert scheme.member_pass_counts == (2, 3)
+        assert {type(p) for p in scheme.member_pass_counts} == {int}
 
 
 class TestPassVariance:

@@ -52,6 +52,23 @@ class TestBinAssign:
 
 
 class TestCalibrationReport:
+    @pytest.mark.parametrize("n_bins", [2.5, 2.0, True, "3", None])
+    def test_bin_count_must_be_an_integer(self, n_bins):
+        summaries, labels = summaries_from_confidences([0.6, 0.9], [True, False])
+        with pytest.raises(ValidationError, match=f"n_bins must be an integer, got {n_bins!r}"):
+            calibration_report(summaries, labels, n_bins)
+
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_bin_count_below_one(self, n_bins):
+        summaries, labels = summaries_from_confidences([0.6, 0.9], [True, False])
+        with pytest.raises(ValidationError, match="need at least one bin"):
+            calibration_report(summaries, labels, n_bins)
+
+    def test_numpy_bin_count_is_an_int(self):
+        summaries, labels = summaries_from_confidences([0.6, 0.9], [True, False])
+        report = calibration_report(summaries, labels, np.int64(4))
+        assert type(report.n_bins) is int and len(report.bins) == 4
+
     def test_single_bin_worked_example(self):
         # all confidence 0.8, half correct -> ECE |0.5 - 0.8| = 0.3
         summaries, labels = summaries_from_confidences([0.8] * 10, [True] * 5 + [False] * 5)

@@ -730,3 +730,13 @@ class TestSeedFlag:
         assert info.value.code == 2
         assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "abc").exists()
+
+
+def test_design_counts_script_prints_four_counts():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "design_counts.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    assert [name for name, _ in lines] == ["src_lines", "cli_flags", "settable_values", "exports"]
+    counts = {name: int(count) for name, count in lines}
+    assert counts["cli_flags"] == sum(len(options(p)) for p in subparsers().values())

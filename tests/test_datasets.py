@@ -22,6 +22,22 @@ class TestGeneration:
         with pytest.raises(ValidationError):
             generate_dataset("two-moons", 19, 0.1, 0)
 
+    @pytest.mark.parametrize("n", [20.5, 20.0, True, "30", None])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(ValidationError, match=f"n must be an integer, got {n!r}"):
+            generate_dataset("two-moons", n, 0.1, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError,
+                           match=f"seed must be a non-negative integer, got {seed!r}"):
+            generate_dataset("two-moons", 100, 0.1, seed)
+
+    def test_numpy_size_and_seed(self):
+        a = generate_dataset("two-moons", np.int64(40), 0.1, np.uint8(3))
+        b = generate_dataset("two-moons", 40, 0.1, 3)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.train_idx, b.train_idx)
+
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             generate_dataset("spirals", 100, 0.1, 0)

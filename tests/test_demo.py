@@ -159,6 +159,8 @@ UNRUNNABLE_PRESETS = {
     "mcd_passes": (0, "need at least one forward pass"),
     "emcd_passes_per_member": (0, "need at least one pass per member"),
     "compare_runs": (1, "paired test needs at least 2 runs"),
+    "compare_pretrain_epochs": (0, "need at least one epoch"),
+    "compare_head_epochs": (0, "need at least one epoch"),
 }
 
 
@@ -182,7 +184,7 @@ PRESET_COUNTS = ["n_points", "epochs", "mcd_passes", "ensemble_members", "emcd_p
                  "compare_runs", "compare_pretrain_epochs", "compare_head_epochs"]
 
 
-@pytest.mark.parametrize("value", [2.5, 6.0, True, "6"])
+@pytest.mark.parametrize("value", [2.5, 6.0, True, "6", None])
 @pytest.mark.parametrize("field", PRESET_COUNTS)
 def test_preset_counts_must_be_integers(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -80,13 +81,15 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             MlpSpec((2, 4, 2), dropout_rate=1.0)
 
-    @pytest.mark.parametrize("width", [2.5, 3.0, True, np.True_, float("inf"), float("nan"), "3"])
+    @pytest.mark.parametrize("width", [2.5, 3.0, True, np.True_, float("inf"), float("nan"), "3",
+                                       None])
     def test_width_must_be_an_integer(self, width):
-        with pytest.raises(ValidationError, match="layer width .* is not an integer"):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"layer width must be an integer, got {width!r}")):
             MlpSpec((2, width, 2))
 
     def test_fractional_widths_are_not_truncated(self):
-        with pytest.raises(ValidationError, match="layer width 2.5 is not an integer"):
+        with pytest.raises(ValidationError, match="layer width must be an integer, got 2.5"):
             MlpSpec((2.5, 3.9, 2))
 
     def test_numpy_integer_widths_are_python_ints(self):
@@ -95,19 +98,31 @@ class TestSpecs:
         assert {type(w) for w in spec.layer_widths} == {int}
 
     @pytest.mark.parametrize("field", ["epochs", "batch_size"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "3", None])
     def test_train_config_counts_must_be_integers(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
     def test_member_count_must_be_an_integer(self, value):
         with pytest.raises(ValidationError, match=f"member_count must be an integer, got {value!r}"):
             EnsembleSpec(member_count=value)
 
+    @pytest.mark.parametrize("value", [-1, 1.5, 2.0, True, "3", None])
+    @pytest.mark.parametrize("make, name", [
+        (lambda seed: MlpSpec((2, 3, 2), seed=seed), "seed"),
+        (lambda seed: TrainConfig(seed=seed), "seed"),
+        (lambda seed: EnsembleSpec(master_seed=seed), "master_seed"),
+    ], ids=["MlpSpec", "TrainConfig", "EnsembleSpec"])
+    def test_seeds_must_be_non_negative_integers(self, make, name, value):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{name} must be a non-negative integer, got {value!r}")):
+            make(value)
+
     def test_numpy_integer_counts_are_accepted(self):
         assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(4)).epochs == 2
         assert EnsembleSpec(member_count=np.int64(3)).member_count == 3
+        assert MlpSpec((2, 3, 2), seed=np.uint64(2**63)).seed == 2**63
 
     def test_train_config_defaults(self):
         config = TrainConfig()
@@ -696,6 +711,69 @@ class TestEmcd:
             assert scheme.member_pass_counts == tuple([t] * k)
 
 
+PREDICTORS = {  # each predictor of a model that takes 2-D inputs, with a pass count and seed
+    "mc_dropout_predict": lambda model, x, count=2, seed=0: mc_dropout_predict(model, x, count,
+                                                                               seed),
+    "emcd_predict": lambda model, x, count=2, seed=0: emcd_predict([model, model], x, count, seed),
+    "ensemble_predict": lambda model, x, count=2, seed=0: ensemble_predict([model, model], x),
+}
+COUNTED = {"mc_dropout_predict": ("t_passes", "need at least one forward pass"),
+           "emcd_predict": ("t_per_member", "need at least one pass per member")}
+
+
+class TestPredictorArguments:
+    """Every predictor checks its pass count, seed and inputs before numpy sees them."""
+
+    model = Mlp(MlpSpec((2, 4, 2), seed=3))
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "3", None])
+    @pytest.mark.parametrize("entry", list(COUNTED))
+    def test_pass_count_must_be_an_integer(self, entry, count):
+        name = COUNTED[entry][0]
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{name} must be an integer, got {count!r}")):
+            PREDICTORS[entry](self.model, np.zeros((3, 2)), count=count)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("entry", list(COUNTED))
+    def test_pass_count_below_one(self, entry, count):
+        with pytest.raises(ValidationError, match=COUNTED[entry][1]):
+            PREDICTORS[entry](self.model, np.zeros((3, 2)), count=count)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    @pytest.mark.parametrize("entry", list(COUNTED))
+    def test_seed_must_be_a_non_negative_integer(self, entry, seed):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            PREDICTORS[entry](self.model, np.zeros((3, 2)), seed=seed)
+
+    @pytest.mark.parametrize("entry", list(COUNTED))
+    def test_numpy_integer_count_and_seed(self, entry):
+        x = np.random.default_rng(5).normal(size=(3, 2))
+        want = PREDICTORS[entry](self.model, x, 3, 7)
+        got = PREDICTORS[entry](self.model, x, np.int64(3), np.uint32(7))
+        if entry == "emcd_predict":
+            (want, _), (got, scheme) = want, got
+            assert scheme.member_pass_counts == (3, 3)
+            assert {type(t) for t in scheme.member_pass_counts} == {int}
+        assert got.n_passes == want.n_passes and np.array_equal(got.probs, want.probs)
+
+    @pytest.mark.parametrize("x, message", [
+        (np.zeros((3, 5)), "input width 2 does not match data dim 5"),
+        (np.zeros(2), r"inputs must be a 2-D array, got shape \(2,\)"),
+        (np.zeros((3, 2, 1)), r"inputs must be a 2-D array, got shape \(3, 2, 1\)"),
+    ], ids=["too wide", "1-D", "3-D"])
+    @pytest.mark.parametrize("entry", list(PREDICTORS))
+    def test_inputs_are_checked_as_training_checks_them(self, entry, x, message):
+        with pytest.raises(ValidationError, match=message):
+            PREDICTORS[entry](self.model, x)
+
+    def test_every_member_checks_the_input_width(self):
+        wide = Mlp(MlpSpec((3, 4, 2), seed=4))
+        with pytest.raises(ValidationError, match="input width 3 does not match data dim 2"):
+            ensemble_predict([self.model, wide], np.zeros((3, 2)))
+
+
 class TestModelFile:
     def test_save_load_bit_identical(self, tmp_path):
         x, y = xor_data()
@@ -756,6 +834,8 @@ class TestModelFile:
         "dropout rate text": (lambda d: d.update(dropout_rate="x"),
                               'dropout_rate must be a number, got "x"'),
         "init seed text": (lambda d: d.update(init_seed="1"), 'init_seed must be an integer, got "1"'),
+        "negative init seed": (lambda d: d.update(init_seed=-1),
+                               "seed must be a non-negative integer, got -1"),
         "no hidden layer": (lambda d: d.update(layer_widths=[2, 2]), "need at least one hidden layer"),
     }
 

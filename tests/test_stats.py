@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -261,6 +262,12 @@ class TestPairedTTest:
         with pytest.raises(ValidationError):
             paired_t_test(dist("m", [1.0]), dist("m", [2.0]))
 
+    @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3", None])
+    def test_distribution_run_seeds_must_be_integers(self, seed):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"run seed must be an integer, got {seed!r}")):
+            dist("m", [1.0, 2.0], seeds=(0, seed))
+
 
 class TestCompareModels:
     def _runs(self, rng, n_runs, shift=0.0):
@@ -296,6 +303,27 @@ class TestCompareModels:
             "metric", "mean_a", "sd_a", "mean_b", "sd_b", "t", "df", "p", "degenerate",
         }
         assert d["df"] == 5
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3", None])
+    def test_run_seeds_must_be_integers(self, seed, monkeypatch):
+        rng = np.random.default_rng(48)
+        runs = self._runs(rng, 3)
+        runs[1] = (seed, *runs[1][1:])
+
+        def scored(*args):
+            raise AssertionError("a run was scored")
+
+        monkeypatch.setattr("uqeval.stats.point_metrics", scored)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"run seed must be an integer, got {seed!r}")):
+            compare_models(runs, runs)
+
+    def test_negative_and_numpy_run_seeds_accepted(self):
+        rng = np.random.default_rng(49)
+        runs = [(seed, *run[1:]) for seed, run in zip((-1, np.int64(-7), 2**63), self._runs(rng, 3))]
+        result = compare_models(runs, runs)
+        assert result["accuracy"].a.run_seeds == (-1, -7, 2**63)
+        assert {type(s) for s in result["accuracy"].a.run_seeds} == {int}
 
     def test_positive_scores_need_binary(self):
         summary = Summaries.from_means(["x"], np.array([[0.2, 0.3, 0.5]]))

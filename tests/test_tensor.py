@@ -28,6 +28,8 @@ from uqeval import (
     separation_report,
     threshold_sweep,
 )
+from uqeval.tensor import is_integer, is_seed, require_integer, require_seed
+
 from conftest import random_prob_rows
 from scalar_oracles import quantize_probs
 
@@ -298,6 +300,30 @@ class TestLabels:
 
     def test_bool_labels_are_class_indices(self):
         assert LabelSet(("a", "b"), np.array([True, False])).labels.tolist() == [1, 0]
+
+
+# a value, whether it is an integer, and whether it is a seed
+INTEGER_RULE_CASES = [
+    (0, True, True), (3, True, True), (np.int64(3), True, True), (np.uint64(2**64 - 1), True, True),
+    (-1, True, False), (np.int8(-1), True, False), (True, False, False), (np.True_, False, False),
+    (2.0, False, False), (np.float64(2.0), False, False), ("3", False, False),
+    (None, False, False),
+]
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("value, integer, seed", INTEGER_RULE_CASES)
+    def test_integer_and_seed_rules(self, value, integer, seed):
+        assert (is_integer(value), is_seed(value)) == (integer, seed)
+
+    def test_checked_values_come_back_as_python_ints(self):
+        assert type(require_integer(np.int64(5), "n", 1, "too small")) is int
+        assert type(require_seed(np.uint64(2**64 - 1))) is int
+
+    def test_below_the_minimum_gives_the_callers_message(self):
+        with pytest.raises(ValidationError, match="^need at least 2$"):
+            require_integer(1, "n", 2, "need at least 2")
+        assert require_integer(-5, "n") == -5
 
 
 class TestAlign:
