@@ -34,7 +34,9 @@ from .tensor import (
     csv_fields,
     pass_means,
     read_table,
+    require_choice,
     require_integer,
+    require_sequence,
     table_columns,
     write_artifact,
 )
@@ -59,15 +61,11 @@ class AggregationScheme:
     member_pass_counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
-            raise ValidationError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if self.kind == "emcd":
-            parts = self.member_pass_counts
-            if not parts:
-                raise ValidationError("emcd requires member_pass_counts")
-            parts = tuple(require_integer(p, "member pass count") for p in parts)
-            if any(p < 1 for p in parts):
-                raise ValidationError(f"every member needs at least one pass, got {parts}")
+        if require_choice(self.kind, "scheme kind", SCHEME_KINDS) == "emcd":
+            parts = tuple(require_integer(p, "member pass count")
+                          for p in require_sequence(self.member_pass_counts, "member_pass_counts"))
+            if not parts or min(parts) < 1:
+                raise ValidationError(f"emcd needs members of at least one pass each, got {parts}")
             object.__setattr__(self, "member_pass_counts", parts)
         elif self.member_pass_counts is not None:
             raise ValidationError(f"{self.kind} does not take member_pass_counts")
@@ -200,15 +198,12 @@ def _normalized(entropy: np.ndarray, n_classes: int, base: str) -> np.ndarray:
 
 
 def _log_fn(base: str):
-    if base == "2":
-        return np.log2
-    if base == "e":
-        return np.log
-    raise ValueError(f"log base must be one of {LOG_BASES}, got {base!r}")
+    return np.log2 if require_choice(base, "log base", LOG_BASES) == "2" else np.log
 
 
 def aggregate(tensor: PredictionTensor, scheme: AggregationScheme, base: str = "2") -> Summaries:
     """The :class:`Summaries` of every sample under the given scheme."""
+    require_choice(base, "log base", LOG_BASES)
     if scheme.kind == "emcd":
         parts = scheme.member_pass_counts
         if sum(parts) != tensor.n_passes:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -38,7 +37,7 @@ from .manifest import build_manifest, canonical_json, manifest_digest, write_man
 from .models import save_model
 from .stats import compare_models, comparison_as_dict, comparison_values_csv
 from .svg import reliability_svg, separation_svg, sweep_svg
-from .tensor import is_seed, json_field, load_labels, load_predictions, write_artifact
+from .tensor import is_real, is_seed, json_field, load_labels, load_predictions, write_artifact
 from .ucm import (
     SWEEP_HEADER,
     SweepCurve,
@@ -78,7 +77,7 @@ def _checked(parse, name: str, valid, wanted: str):
 
 
 # NaN and infinities cannot be recorded in a manifest; numpy seeds only from integers >= 0
-_finite_float = _checked(float, "float", math.isfinite, "a finite number")
+_finite_float = _checked(float, "float", is_real, "a finite number")
 _seed = _checked(int, "int", is_seed, "a non-negative integer")
 
 
@@ -88,7 +87,7 @@ def _parse_grid(text: str) -> list[float]:
         start, step, stop = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}: expected start:step:stop") from exc
-    if not all(map(math.isfinite, (start, step, stop))):
+    if not all(map(is_real, (start, step, stop))):
         raise ValidationError(f"bad grid {text!r}: start, step and stop must be finite")
     if step <= 0 or stop < start:
         raise ValidationError(f"bad grid {text!r}: need step > 0 and stop >= start")

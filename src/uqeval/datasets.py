@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import class_indices, require_integer, require_seed, write_artifact
+from .tensor import (class_indices, require_choice, require_integer, require_real, require_seed,
+                     write_artifact)
 
 GENERATORS = ("two-moons", "gaussian-blobs")
 TRAIN_FRACTION = 0.75
 BLOB_CENTERS = ((-2.0, 0.0), (2.0, 0.0))
+NOISES = (0.0, np.inf, "{name} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +75,9 @@ class SyntheticDataset:
 
 def generate_dataset(kind: str, n: int, noise: float, seed: int) -> SyntheticDataset:
     """Deterministic synthetic dataset with a stratified split."""
-    if kind not in GENERATORS:
-        raise ValidationError(f"unknown generator {kind!r}; expected one of {GENERATORS}")
+    require_choice(kind, "dataset kind", GENERATORS)
     require_integer(n, "n", 20, f"need at least 20 points, got {n}")
-    if noise < 0:
-        raise ValidationError("noise must be nonnegative")
+    noise = require_real(noise, "noise", *NOISES)
     ss = np.random.SeedSequence(require_seed(seed))
     points_rng, split_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     if kind == "two-moons":

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import ENSEMBLE, MCD, SCHEME_KINDS, aggregate, save_summaries
+from .aggregate import ENSEMBLE, LOG_BASES, MCD, SCHEME_KINDS, aggregate, save_summaries
 from .calibration import calibration_as_dict, calibration_report
-from .datasets import generate_dataset, save_dataset
+from .datasets import GENERATORS, NOISES, generate_dataset, save_dataset
 from .manifest import canonical_json
 from .models import (
     EnsembleSpec,
@@ -40,9 +40,10 @@ from .models import (
 )
 from .stats import compare_models, comparison_as_dict, comparison_values_csv, point_metrics
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
-from .tensor import (LabelSet, require_integer, require_seed, save_labels, save_predictions,
-                     write_artifact)
+from .tensor import (LabelSet, require_choice, require_integer, require_real, require_seed,
+                     save_labels, save_predictions, write_artifact)
 from .ucm import (
+    NORMALIZED_THRESHOLDS,
     build_ucm,
     save_sweep,
     separation_as_dict,
@@ -95,6 +96,8 @@ class DemoPreset:
 
     def __post_init__(self):
         # what the evaluation needs, checked before any model trains
+        require_choice(self.kind, "dataset kind", GENERATORS)
+        object.__setattr__(self, "noise", require_real(self.noise, "noise", *NOISES))
         require_integer(self.n_points, "n_points")
         require_integer(self.epochs, "epochs")
         require_integer(self.mcd_passes, "mcd_passes", 1, "need at least one forward pass")
@@ -233,8 +236,10 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
     """All analyses of one demo run, as plain data (no files).
 
     The comparison (one job), the MC-dropout model and the ensemble members
-    all train in one :func:`_map_jobs` call.
+    all train in one :func:`_map_jobs` call, after ``threshold`` and ``log_base`` are checked.
     """
+    threshold = require_real(threshold, "threshold", *NORMALIZED_THRESHOLDS)
+    require_choice(log_base, "log base", LOG_BASES)
     seeds, dataset, labels, jobs = _model_jobs(seed, preset)
     comparison_job = (_comparison_heads, dataset, seeds["compare"], preset)
     heads, mcd_model, *members = _map_jobs([comparison_job, *jobs])

@@ -74,7 +74,7 @@ import numpy as np
 from .aggregate import AggregationScheme, emcd_scheme
 from .errors import TrainingDivergedError, ValidationError
 from .tensor import (JSON_TYPES, PredictionTensor, artifact_file, class_sums, int64_labels,
-                     json_field, require_integer, require_seed)
+                     json_field, require_integer, require_real, require_seed, require_sequence)
 
 MODEL_FORMAT = "uqeval-mlp"
 MODEL_VERSION = 1
@@ -83,6 +83,8 @@ MODEL_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+DROPOUT_RATES = (0.0, math.nextafter(1.0, 0.0), "{name} {value} outside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ class MlpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        widths = tuple(require_integer(w, "layer width") for w in self.layer_widths)
+        widths = tuple(require_integer(w, "layer width")
+                       for w in require_sequence(self.layer_widths, "layer_widths"))
         require_seed(self.seed)
         if len(widths) < 3:
             raise ValidationError("need at least one hidden layer")
@@ -102,9 +105,9 @@ class MlpSpec:
             raise ValidationError("output width must be at least 2 classes")
         if any(w < 1 for w in widths):
             raise ValidationError(f"layer widths must be positive, got {widths}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValidationError(f"dropout rate {self.dropout_rate} outside [0, 1)")
         object.__setattr__(self, "layer_widths", widths)
+        object.__setattr__(self, "dropout_rate",
+                           require_real(self.dropout_rate, "dropout rate", *DROPOUT_RATES))
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,8 @@ class TrainConfig:
         require_integer(self.batch_size, "batch_size", 1, "batch size must be positive")
         require_seed(self.seed)
         # zero is allowed so the identity-update property stays testable
-        if self.learning_rate < 0:
-            raise ValidationError("learning rate must be nonnegative")
+        object.__setattr__(self, "learning_rate", require_real(
+            self.learning_rate, "learning rate", 0.0, out_of_range="{name} must be nonnegative"))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -569,6 +572,8 @@ class EnsembleSpec:
     def __post_init__(self):
         require_integer(self.member_count, "member_count", 2, "an ensemble needs at least 2 members")
         require_seed(self.master_seed, "master_seed")
+        object.__setattr__(self, "dropout_rate",
+                           require_real(self.dropout_rate, "dropout rate", *DROPOUT_RATES))
 
 
 def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]:
@@ -626,7 +631,7 @@ def load_model(path) -> Mlp:
         seed = json_field({"init_seed": 0, **payload}, "init_seed", "an integer")
         weights = json_field(payload, "weights", "an array")
         biases = json_field(payload, "biases", "an array")
-        spec = MlpSpec(tuple(widths), float(rate), seed)
+        spec = MlpSpec(widths, rate, seed)
     except KeyError as exc:
         raise ValidationError(f"{path}: missing {exc}") from exc
     except (TypeError, ValidationError) as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregate import Summaries
 from .errors import ValidationError
-from .tensor import LabelSet, aligned_labels, require_integer
+from .tensor import LabelSet, aligned_labels, require_integer, require_real
 
 BETA_TOL = 1e-14
 BETA_MAX_ITER = 300
@@ -107,8 +107,7 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if a <= 0.0 or b <= 0.0:
         raise ValidationError("incomplete beta needs a, b > 0")
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"incomplete beta argument {x} outside [0, 1]")
+    x = require_real(x, "incomplete beta argument", 0.0, 1.0)
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -139,12 +138,10 @@ class MetricDistribution:
     run_seeds: tuple[int, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(require_real(v, "metric value") for v in self.values)
         seeds = tuple(require_integer(s, "run seed") for s in self.run_seeds)
         if len(values) != len(seeds):
             raise ValidationError("values and run_seeds must be parallel")
-        if any(not math.isfinite(v) for v in values):
-            raise ValidationError("metric values must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "run_seeds", seeds)
 
@@ -168,8 +165,7 @@ class PairedTestResult:
     def __post_init__(self):
         if self.degrees_of_freedom < 1:
             raise ValidationError("paired test needs at least 2 runs")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValidationError(f"p-value {self.p_value} outside [0, 1]")
+        require_real(self.p_value, "p-value", 0.0, 1.0)
 
 
 def paired_t_test(a: MetricDistribution, b: MetricDistribution) -> PairedTestResult:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from collections import Counter
 from contextlib import contextmanager
@@ -49,6 +50,8 @@ from .errors import AlignmentError, FormatError, ValidationError
 
 ROW_SUM_TOL = 1e-6
 RENORMALIZE_BAND = 1e-3
+PREDICTION_FORMATS = ("csv", "jsonl")
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # Probabilities render at 9 significant digits; parsing a rendered value and
 # re-rendering it reproduces the same text, so files round-trip byte-equal.
@@ -266,6 +269,37 @@ def require_seed(value, name: str = "seed") -> int:
     return int(value)
 
 
+def is_real(value) -> bool:
+    """The real rule: ``value`` is an integer or a float by type, and finite as a Python float."""
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return is_integer(value) and bool(-FLOAT_MAX <= value <= FLOAT_MAX)
+
+
+def require_real(value, name: str, low: float = -np.inf, high: float = np.inf,
+                 out_of_range: str = "{name} {value} outside [{low:g}, {high:g}]") -> float:
+    """``value`` as a float, if it is a real from ``low`` to ``high``; else ``out_of_range``."""
+    if not is_real(value):
+        raise ValidationError(f"{name} {value!r} is not a finite number")
+    if not low <= (value := float(value)) <= high:
+        raise ValidationError(out_of_range.format(name=name, value=value, low=low, high=high))
+    return value
+
+
+def require_choice(value, name: str, choices: tuple[str, ...]) -> str:
+    """``value``, if it is one of the strings ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValidationError(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
+def require_sequence(values, name: str) -> tuple:
+    """``values`` as a tuple, if it is an iterable other than a string."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise ValidationError(f"{name} must be a sequence, got {values!r}")
+    return tuple(values)
+
+
 def int64_labels(labels) -> np.ndarray:
     """``labels`` as a new int64 array, if every value is a finite integer that fits in 64 bits."""
     labels = np.asarray(labels)
@@ -347,21 +381,24 @@ def data_line_chunks(path):
 
     Yields ``(line numbers, lines)`` pairs. Lines end at ``\\n``, ``\\r`` or
     ``\\r\\n``, which are stripped; blank lines and a ``#`` line at the very top
-    of the file are left out.
+    of the file are left out. A file that is not UTF-8 raises :class:`FormatError`.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        start = 1
-        while raw := list(islice(fh, CHUNK_ROWS)):
-            lines = list(map(str.rstrip, raw, repeat("\r\n")))
-            numbers = range(start, start + len(lines))
-            if start == 1 and lines[0].startswith("#"):
-                lines[0] = ""
-            start += len(lines)
-            if "" in lines:
-                kept = [(n, line) for n, line in zip(numbers, lines) if line]
-                numbers, lines = [n for n, _ in kept], [line for _, line in kept]
-            if lines:
-                yield numbers, lines
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            start = 1
+            while raw := list(islice(fh, CHUNK_ROWS)):
+                lines = list(map(str.rstrip, raw, repeat("\r\n")))
+                numbers = range(start, start + len(lines))
+                if start == 1 and lines[0].startswith("#"):
+                    lines[0] = ""
+                start += len(lines)
+                if "" in lines:
+                    kept = [(n, line) for n, line in zip(numbers, lines) if line]
+                    numbers, lines = [n for n, _ in kept], [line for _, line in kept]
+                if lines:
+                    yield numbers, lines
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _check_int64(path, lineno: int, column: str, value: int) -> None:
@@ -492,7 +529,7 @@ def load_predictions(path, format: str | None = None, renormalize: bool = False)
     before rows are checked against each other, so a malformed line is
     reported before a duplicate or missing pass.
     """
-    fmt = format or infer_format(path)
+    fmt = require_choice(format or infer_format(path), "predictions format", PREDICTION_FORMATS)
     if fmt == "csv":
         header, table = read_table(path, "predictions")
         if header[:2] != ["sample_id", "pass_id"] or len(header) < 4:
@@ -504,10 +541,8 @@ def load_predictions(path, format: str | None = None, renormalize: bool = False)
                 raise FormatError(f"{path}: probability column {i} named {name!r}, expected p_{i}")
         chunks = ((ids, pass_ids, np.full(len(ids), len(header) - 2), values)
                   for ids, pass_ids, values in table)
-    elif fmt == "jsonl":
-        chunks = _jsonl_chunks(path)
     else:
-        raise ValueError(f"unknown predictions format {fmt!r}")
+        chunks = _jsonl_chunks(path)
     position: dict[str, int] = {}  # sample id -> sample index, by first appearance
     samples, passes, blocks = [], [], []
     n_rows, n_classes, misfit = 0, None, None
@@ -577,19 +612,17 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
     leading ``#``) is written as the first line for manifest stamping. The
     file is written one sample at a time, through :func:`artifact_file`.
     """
-    fmt = format or infer_format(path)
+    fmt = require_choice(format or infer_format(path), "predictions format", PREDICTION_FORMATS)
     values = [PROB_FORMAT] * tensor.n_classes
     passes = range(tensor.n_passes)
     if fmt == "csv":
         header = "sample_id,pass_id," + ",".join(f"p_{c}" for c in range(tensor.n_classes)) + "\n"
         prefixes = csv_fields(tensor.sample_ids)
         tails = [f",{t},{','.join(values)}\n" for t in passes]
-    elif fmt == "jsonl":
+    else:
         header = ""
         prefixes = ['{"sample_id": ' + json.dumps(s) for s in tensor.sample_ids]
         tails = [f', "pass_id": {t}, "p": [{", ".join(values)}]}}\n' for t in passes]
-    else:
-        raise ValueError(f"unknown predictions format {fmt!r}")
     with artifact_file(path, header_comment) as fh:
         fh.write(header)
         # row t of a sample is its prefix then tails[t]; the prefix, spliced into
@@ -618,9 +651,5 @@ def save_labels(labels: LabelSet, path, header_comment: str | None = None) -> No
 
 
 def infer_format(path) -> str:
-    name = str(path).lower()
-    if name.endswith(".jsonl"):
-        return "jsonl"
-    if name.endswith(".csv"):
-        return "csv"
-    raise ValueError(f"cannot infer format from {path!r}; pass format explicitly")
+    _, dot, extension = str(path).lower().rpartition(".")
+    return require_choice(dot + extension, f"the extension of {path}", (".csv", ".jsonl"))[1:]

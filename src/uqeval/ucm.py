@@ -31,7 +31,7 @@ import numpy as np
 
 from .aggregate import Summaries
 from .errors import ValidationError
-from .tensor import LabelSet, write_artifact
+from .tensor import LabelSet, require_real, require_sequence, write_artifact
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,15 @@ def _ratio(num: int, den: int) -> float | None:
     return num / den
 
 
-def _confusions(summaries: Summaries, labels: LabelSet, thresholds: list[float],
+NORMALIZED_THRESHOLDS = (0.0, 1.0)
+RAW_THRESHOLDS = (0.0, np.inf, "raw-entropy threshold {value} is negative")
+
+
+def _confusions(summaries: Summaries, labels: LabelSet, thresholds,
                 normalized: bool) -> list[UncertaintyConfusion]:
     """Outcome counts at each threshold; uncertain iff ``u >= threshold``."""
-    for threshold in thresholds:
-        _check_threshold(threshold, normalized)
+    bounds = NORMALIZED_THRESHOLDS if normalized else RAW_THRESHOLDS
+    thresholds = [require_real(t, "threshold", *bounds) for t in thresholds]
     correct = summaries.correct(labels)
     u = summaries.normalized_entropy if normalized else summaries.entropy
     # searchsorted(side="left") counts the values strictly below each threshold
@@ -101,17 +105,7 @@ def _confusions(summaries: Summaries, labels: LabelSet, thresholds: list[float],
 def build_ucm(summaries: Summaries, labels: LabelSet, threshold: float,
               normalized: bool = True) -> UncertaintyConfusion:
     """Count the four outcomes over all samples at one threshold."""
-    (ucm,) = _confusions(summaries, labels, [float(threshold)], normalized)
-    return ucm
-
-
-def _check_threshold(threshold: float, normalized: bool) -> None:
-    if normalized and not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"threshold {threshold} outside [0, 1]")
-    if not normalized and threshold < 0.0:
-        raise ValidationError(f"raw-entropy threshold {threshold} is negative")
-    if threshold != threshold:  # NaN; every entropy would count as certain
-        raise ValidationError(f"threshold {threshold} is not a number")
+    return _confusions(summaries, labels, [threshold], normalized)[0]
 
 
 @dataclass(frozen=True)
@@ -155,11 +149,8 @@ def metrics_point(ucm: UncertaintyConfusion) -> SweepPoint:
 def threshold_sweep(summaries: Summaries, labels: LabelSet, thresholds,
                     normalized: bool = True) -> SweepCurve:
     """Evaluate the confusion metrics at every threshold of an increasing grid."""
-    thresholds = [float(t) for t in thresholds]
-    if not thresholds:
+    if not (thresholds := require_sequence(thresholds, "thresholds")):
         raise ValidationError("empty threshold grid")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValidationError("thresholds must be strictly increasing")
     return SweepCurve(tuple(
         metrics_point(ucm) for ucm in _confusions(summaries, labels, thresholds, normalized)
     ))

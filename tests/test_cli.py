@@ -610,6 +610,36 @@ class TestFloatFlags:
         assert "argument --threshold: invalid float value: 'abc'" in capsys.readouterr().err
 
 
+class TestErrorContract:
+    """A bad input fails with exit 1, one ``uqeval: error:`` line and no file in ``--out``."""
+
+    CASES = {
+        "unknown extension": ["aggregate", "--in", "{tmp}/preds.txt"],
+        "predictions csv not utf-8": ["aggregate", "--in", "{tmp}/bad.csv"],
+        "predictions jsonl not utf-8": ["aggregate", "--in", "{tmp}/bad.jsonl"],
+        "summaries not utf-8": ["evaluate", "--summaries", "{tmp}/bad.csv",
+                                "--labels", "{tmp}/l.csv"],
+        "labels not utf-8": ["evaluate", "--summaries", "{tmp}/summaries.csv",
+                             "--labels", "{tmp}/bad.csv"],
+        "demo threshold": ["demo", "--quick", "--threshold", "1.5"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bad_input_fails_cleanly(self, workdir, capsys, monkeypatch, case):
+        tmp, _, _ = workdir
+        assert run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp]) == 0
+        (tmp / "preds.txt").write_bytes((tmp / "p.csv").read_bytes())
+        (tmp / "bad.csv").write_bytes(b"\xff" + (tmp / "p.csv").read_bytes())
+        (tmp / "bad.jsonl").write_bytes(b'{"sample_id": "\xff", "pass_id": 0, "p": [0.5, 0.5]}\n')
+        monkeypatch.setattr("uqeval.demo._map_jobs", lambda jobs: pytest.fail("a model trained"))
+        capsys.readouterr()
+        code = run_cli([a.format(tmp=tmp) for a in self.CASES[case]] + ["--out", tmp / "out"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("uqeval: error: ") and err.count("\n") == 1, err
+        assert not (tmp / "out").exists()
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, workdir):
         tmp, _, _ = workdir

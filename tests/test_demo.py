@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -178,6 +179,28 @@ def test_unrunnable_preset_rejected_before_training(field, no_training):
     for bad in (value, -1):
         with pytest.raises(ValidationError, match=message):
             evaluate_demo(0, replace(QUICK_PRESET, **{field: bad}))
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"threshold": 1.5}, "threshold 1.5 outside [0, 1]"),
+    ({"threshold": float("nan")}, "threshold nan is not a finite number"),
+    ({"threshold": "0.3"}, "threshold '0.3' is not a finite number"),
+    ({"log_base": "10"}, "log base must be one of ('2', 'e'), got '10'"),
+    ({"log_base": 2}, "log base must be one of ('2', 'e'), got 2"),
+])
+def test_threshold_and_log_base_checked_before_training(setting, message, no_training, tmp_path):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        evaluate_demo(0, QUICK_PRESET, **setting)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("noise", float("nan"), "noise nan is not a finite number"),
+    ("noise", -0.5, "noise must be nonnegative"),
+    ("kind", "spirals", "dataset kind must be one of ('two-moons', 'gaussian-blobs'), got 'spirals'"),
+])
+def test_preset_noise_and_kind_checked_before_training(field, value, message, no_training):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        replace(QUICK_PRESET, **{field: value})
 
 
 PRESET_COUNTS = ["n_points", "epochs", "mcd_passes", "ensemble_members", "emcd_passes_per_member",

@@ -1,0 +1,247 @@
+"""Every real-valued setting and named choice goes through one rule where it enters.
+
+A real (``tensor.require_real``) is a finite Python or numpy number, never a
+bool or a string, and is kept as a Python float; a named choice
+(``tensor.require_choice``) is one of a tuple of strings. Each entry below is
+checked with the values that break both rules, and with numpy scalars.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from uqeval import (
+    MCD,
+    AggregationScheme,
+    EnsembleSpec,
+    MetricDistribution,
+    Mlp,
+    MlpSpec,
+    Summaries,
+    TrainConfig,
+    aggregate,
+    build_ucm,
+    generate_dataset,
+    load_model,
+    load_predictions,
+    regularized_incomplete_beta,
+    save_model,
+    save_predictions,
+    threshold_sweep,
+)
+from uqeval.demo import QUICK_PRESET, DemoPreset, evaluate_demo
+from uqeval.errors import ValidationError
+from uqeval.tensor import LabelSet, PredictionTensor
+
+SUMMARIES = Summaries.from_means(("a", "b"), [[0.9, 0.1], [0.6, 0.4]])
+LABELS = LabelSet(("a", "b"), [0, 1])
+TENSOR = PredictionTensor(np.full((2, 3, 2), 0.5), ("a", "b"))
+
+
+@pytest.fixture(autouse=True)
+def no_training(monkeypatch):
+    """Any model the demo trains fails the test: its settings are checked first."""
+    def untrained(*args):
+        raise AssertionError("a model trained")
+
+    monkeypatch.setattr("uqeval.demo._map_jobs", untrained)
+
+
+# each real-valued setting: the name its errors give, and a call that sets it
+# to ``value``, writing nothing outside ``tmp``
+REAL_ENTRIES = {
+    "MlpSpec.dropout_rate": ("dropout rate", lambda v, tmp: MlpSpec((2, 4, 2), dropout_rate=v)),
+    "EnsembleSpec.dropout_rate": ("dropout rate", lambda v, tmp: EnsembleSpec(dropout_rate=v)),
+    "TrainConfig.learning_rate": ("learning rate", lambda v, tmp: TrainConfig(learning_rate=v)),
+    "generate_dataset noise": ("noise", lambda v, tmp: generate_dataset("two-moons", 40, v, 0)),
+    "DemoPreset.noise": ("noise", lambda v, tmp: DemoPreset(noise=v)),
+    "build_ucm threshold": ("threshold", lambda v, tmp: build_ucm(SUMMARIES, LABELS, v)),
+    "build_ucm raw threshold": (
+        "threshold", lambda v, tmp: build_ucm(SUMMARIES, LABELS, v, normalized=False)),
+    "threshold_sweep threshold": (
+        "threshold", lambda v, tmp: threshold_sweep(SUMMARIES, LABELS, [0.1, v])),
+    "threshold_sweep raw threshold": (
+        "threshold", lambda v, tmp: threshold_sweep(SUMMARIES, LABELS, [v], normalized=False)),
+    "evaluate_demo threshold": (
+        "threshold", lambda v, tmp: evaluate_demo(0, QUICK_PRESET, threshold=v)),
+}
+
+# each named choice: the name its errors give, and a call that sets it to ``value``
+CHOICE_ENTRIES = {
+    "AggregationScheme.kind": ("scheme kind", lambda v, tmp: AggregationScheme(v)),
+    "aggregate log base": ("log base", lambda v, tmp: aggregate(TENSOR, MCD, v)),
+    "Summaries.from_means log base": (
+        "log base", lambda v, tmp: Summaries.from_means(("a",), [[0.5, 0.5]], v)),
+    "evaluate_demo log base": (
+        "log base", lambda v, tmp: evaluate_demo(0, QUICK_PRESET, log_base=v)),
+    "generate_dataset kind": ("dataset kind", lambda v, tmp: generate_dataset(v, 40, 0.1, 0)),
+    "DemoPreset.kind": ("dataset kind", lambda v, tmp: DemoPreset(kind=v)),
+    "load_predictions format": (
+        "predictions format", lambda v, tmp: load_predictions(tmp / "p.csv", v)),
+    "save_predictions format": (
+        "predictions format", lambda v, tmp: save_predictions(TENSOR, tmp / "p.csv", v)),
+}
+
+NOT_REAL = [math.nan, math.inf, -math.inf, True, "0.3", None]
+
+
+@pytest.mark.parametrize("value", NOT_REAL + [np.float32("nan"), np.float64("inf"), 10**400])
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_a_real_setting_rejects_what_is_not_a_finite_number(entry, value, tmp_path):
+    name, call = REAL_ENTRIES[entry]
+    with pytest.raises(ValidationError) as info:
+        call(value, tmp_path)
+    assert str(info.value) == f"{name} {value!r} is not a finite number"
+    assert list(tmp_path.iterdir()) == []
+
+
+# a format of None is inferred from the file's extension
+NOT_CHOICES = [(entry, value) for entry in CHOICE_ENTRIES for value in NOT_REAL + ["CSV", "mcd "]
+               if value is not None or not entry.endswith("format")]
+
+
+@pytest.mark.parametrize("entry, value", NOT_CHOICES)
+def test_a_named_choice_rejects_what_is_not_one_of_its_names(entry, value, tmp_path):
+    name, call = CHOICE_ENTRIES[entry]
+    with pytest.raises(ValidationError, match=f"^{name} must be one of .*, got {re.escape(repr(value))}$"):
+        call(value, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+# a value outside each real setting's range, and the error it gives
+OUT_OF_RANGE = {
+    "MlpSpec.dropout_rate": (1.0, "dropout rate 1.0 outside [0, 1)"),
+    "EnsembleSpec.dropout_rate": (-0.25, "dropout rate -0.25 outside [0, 1)"),
+    "TrainConfig.learning_rate": (-1e-3, "learning rate must be nonnegative"),
+    "generate_dataset noise": (-0.1, "noise must be nonnegative"),
+    "DemoPreset.noise": (-0.1, "noise must be nonnegative"),
+    "build_ucm threshold": (1.5, "threshold 1.5 outside [0, 1]"),
+    "build_ucm raw threshold": (-0.5, "raw-entropy threshold -0.5 is negative"),
+    "threshold_sweep threshold": (np.float32(1.5), "threshold 1.5 outside [0, 1]"),
+    "threshold_sweep raw threshold": (-1, "raw-entropy threshold -1.0 is negative"),
+    "evaluate_demo threshold": (-0.1, "threshold -0.1 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_a_real_setting_outside_its_range_gives_its_message(entry, tmp_path):
+    _, call = REAL_ENTRIES[entry]
+    value, message = OUT_OF_RANGE[entry]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(value, tmp_path)
+
+
+# each stored real setting, read back after it is set to ``value``
+STORED = {
+    "MlpSpec.dropout_rate": lambda v: MlpSpec((2, 4, 2), dropout_rate=v).dropout_rate,
+    "EnsembleSpec.dropout_rate": lambda v: EnsembleSpec(dropout_rate=v).dropout_rate,
+    "TrainConfig.learning_rate": lambda v: TrainConfig(learning_rate=v).learning_rate,
+    "DemoPreset.noise": lambda v: DemoPreset(noise=v).noise,
+    "build_ucm threshold": lambda v: build_ucm(SUMMARIES, LABELS, v).threshold,
+    "build_ucm raw threshold": lambda v: build_ucm(SUMMARIES, LABELS, v, False).threshold,
+    "threshold_sweep threshold":
+        lambda v: threshold_sweep(SUMMARIES, LABELS, [v]).points[0].threshold,
+}
+
+
+@pytest.mark.parametrize("value", [np.float32(0.25), np.float64(0.5), np.int64(0), np.uint8(0), 0])
+@pytest.mark.parametrize("entry", STORED)
+def test_numpy_scalars_are_kept_as_python_floats(entry, value):
+    got = STORED[entry](value)
+    assert type(got) is float and got == float(value)
+
+
+def test_a_numpy_noise_gives_the_dataset_of_its_float():
+    a = generate_dataset("two-moons", 40, np.float32(0.25), 3)
+    b = generate_dataset("two-moons", 40, float(np.float32(0.25)), 3)
+    assert np.array_equal(a.x, b.x)
+
+
+def test_the_largest_float_below_one_is_a_dropout_rate():
+    rate = math.nextafter(1.0, 0.0)
+    assert MlpSpec((2, 4, 2), dropout_rate=rate).dropout_rate == rate
+    assert EnsembleSpec(dropout_rate=0).dropout_rate == 0.0
+
+
+@pytest.mark.parametrize("rate", [np.float32(1.0), np.float16(1.0), np.int8(1)])
+def test_a_bound_is_compared_as_a_python_float(rate):
+    # in float32 the largest float64 below 1 rounds to 1
+    with pytest.raises(ValidationError, match=re.escape("dropout rate 1.0 outside [0, 1)")):
+        MlpSpec((2, 4, 2), dropout_rate=rate)
+
+
+def test_a_raw_threshold_has_no_upper_bound():
+    assert build_ucm(SUMMARIES, LABELS, 5.0, normalized=False).threshold == 5.0
+
+
+def test_numpy_dropout_rate_round_trips_through_a_model_file(tmp_path):
+    model = Mlp(MlpSpec((2, 4, 2), dropout_rate=np.float32(0.25), seed=3))
+    save_model(model, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    assert loaded.spec == model.spec
+    assert type(loaded.spec.dropout_rate) is float
+    assert np.array_equal(loaded.flat, model.flat)
+
+
+# a value that should be a sequence but is not, at each entry that takes one
+NOT_SEQUENCES = {
+    "member_pass_counts": lambda v: AggregationScheme("emcd", v),
+    "layer_widths": lambda v: MlpSpec(v),
+    "thresholds": lambda v: threshold_sweep(SUMMARIES, LABELS, v),
+}
+
+
+@pytest.mark.parametrize("value", [5, 0.3, "0.3", None, np.float64(0.3)])
+@pytest.mark.parametrize("name", NOT_SEQUENCES)
+def test_a_sequence_setting_rejects_a_single_value(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be a sequence, got {re.escape(repr(value))}$"):
+        NOT_SEQUENCES[name](value)
+
+
+def test_sequence_settings_take_lists_tuples_and_arrays():
+    assert AggregationScheme("emcd", np.array([2, 1])).member_pass_counts == (2, 1)
+    assert MlpSpec([2, 4, 2]).layer_widths == (2, 4, 2)
+    curve = threshold_sweep(SUMMARIES, LABELS, np.array([0.1, 0.5]))
+    assert [p.threshold for p in curve] == [0.1, 0.5]
+
+
+@pytest.mark.parametrize("parts", [(), [], (2, 0)])
+def test_emcd_needs_members_of_at_least_one_pass(parts):
+    with pytest.raises(ValidationError, match="^emcd needs members of at least one pass each"):
+        AggregationScheme("emcd", parts)
+
+
+@pytest.mark.parametrize("grid", [[0.5, 0.3], [0.3, 0.3]])
+def test_an_unsorted_grid_is_rejected_by_the_curve(grid):
+    with pytest.raises(ValidationError, match="^sweep thresholds must be strictly increasing$"):
+        threshold_sweep(SUMMARIES, LABELS, grid)
+
+
+@pytest.mark.parametrize("value", [math.nan, True, "0.5"])
+def test_metric_values_are_reals(value):
+    with pytest.raises(ValidationError, match=f"^metric value {re.escape(repr(value))} is not"):
+        MetricDistribution("accuracy", (0.5, value), (0, 1))
+
+
+def test_incomplete_beta_argument_is_a_real_in_the_unit_interval():
+    with pytest.raises(ValidationError, match="^incomplete beta argument nan is not a finite number$"):
+        regularized_incomplete_beta(math.nan, 1.0, 1.0)
+    with pytest.raises(ValidationError, match=r"^incomplete beta argument 1.5 outside \[0, 1\]$"):
+        regularized_incomplete_beta(1.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["p.txt", "p", "p.csv.gz", "csv"])
+def test_an_unknown_extension_is_a_validation_error(name, tmp_path):
+    with pytest.raises(ValidationError, match=f"^the extension of .*{re.escape(name)} must be one of"):
+        load_predictions(tmp_path / name)
+    with pytest.raises(ValidationError, match=f"^the extension of .*{re.escape(name)} must be one of"):
+        save_predictions(TENSOR, tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["p.CSV", "p.JsonL", ".jsonl", "a.b.csv"])
+def test_a_known_extension_in_any_case_is_inferred(name, tmp_path):
+    save_predictions(TENSOR, tmp_path / name)
+    assert np.array_equal(load_predictions(tmp_path / name).probs, TENSOR.probs)

@@ -3,7 +3,8 @@
 Both loaders are checked against the line-at-a-time readers in
 ``scalar_oracles``: on every file they must give the same object, or the same
 exception type and message, whatever the chunk size. The cases where the
-message differs on purpose are pinned in ``CHANGED``.
+message differs on purpose are pinned in ``CHANGED``. A file that is not
+UTF-8 fails the same way in these and both predictions readers.
 """
 
 import contextlib
@@ -20,8 +21,10 @@ from uqeval import (
     PredictionTensor,
     aggregate,
     load_labels,
+    load_predictions,
     load_summaries,
     save_labels,
+    save_predictions,
     save_summaries,
 )
 
@@ -187,3 +190,27 @@ def test_summaries_round_trip(tmp_path, chunk, base):
         got = outcome(load_summaries, path)
     assert got == outcome(lambda _: summaries, path)
     assert got == outcome(oracle.load_summaries, path)
+
+
+# each reader, and a writer of a file it loads; all four share one line reader
+READERS = {
+    "predictions csv": (load_predictions, "p.csv", lambda t, path: save_predictions(t, path)),
+    "predictions jsonl": (load_predictions, "p.jsonl", lambda t, path: save_predictions(t, path)),
+    "labels": (load_labels, "l.csv",
+               lambda t, path: save_labels(LabelSet(t.sample_ids, [0] * t.n_samples), path)),
+    "summaries": (load_summaries, "s.csv", lambda t, path: save_summaries(aggregate(t, MCD), path)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, None])
+@pytest.mark.parametrize("where", ["start", "end"])
+@pytest.mark.parametrize("reader", READERS)
+def test_a_file_that_is_not_utf8_is_a_format_error_naming_it(tmp_path, reader, where, chunk):
+    load, name, save = READERS[reader]
+    path = tmp_path / name
+    save(PredictionTensor(np.full((30, 2, 2), 0.5), IDS), path)
+    good = path.read_bytes()
+    path.write_bytes(b"\xff" + good if where == "start" else good + b"\xff\n")
+    with chunk_rows(chunk), pytest.raises(FormatError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"

@@ -28,7 +28,8 @@ from uqeval import (
     separation_report,
     threshold_sweep,
 )
-from uqeval.tensor import is_integer, is_seed, require_integer, require_seed
+from uqeval.tensor import (is_integer, is_real, is_seed, require_choice, require_integer,
+                           require_real, require_seed, require_sequence)
 
 from conftest import random_prob_rows
 from scalar_oracles import quantize_probs
@@ -324,6 +325,55 @@ class TestIntegerRule:
         with pytest.raises(ValidationError, match="^need at least 2$"):
             require_integer(1, "n", 2, "need at least 2")
         assert require_integer(-5, "n") == -5
+
+
+# a value, and whether it is a real
+REAL_RULE_CASES = [
+    (0, True), (-3, True), (0.25, True), (-1e308, True), (np.float32(0.5), True),
+    (np.float16(-2), True), (np.int64(-2**63), True), (np.uint64(2**64 - 1), True),
+    (2**1023, True), (10**400, False), (-10**400, False), (float("nan"), False),
+    (float("inf"), False), (np.float32("-inf"), False), (np.float64("nan"), False),
+    (True, False), (np.True_, False), ("0.3", False), (None, False), (1 + 0j, False),
+    (np.array(0.5), False), ([0.5], False),
+]
+
+
+class TestRealAndChoiceRules:
+    @pytest.mark.parametrize("value, real", REAL_RULE_CASES)
+    def test_real_rule(self, value, real):
+        assert is_real(value) is real
+
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.int64(3), 7, np.float64(-0.0)])
+    def test_checked_reals_come_back_as_python_floats(self, value):
+        checked = require_real(value, "x")
+        assert type(checked) is float and checked == float(value)
+
+    def test_bounds_are_inclusive_and_give_the_callers_message(self):
+        assert require_real(1.0, "x", 0.0, 1.0) == 1.0
+        with pytest.raises(ValidationError, match=r"^x 1.5 outside \[0, 1\]$"):
+            require_real(1.5, "x", 0.0, 1.0)
+        with pytest.raises(ValidationError, match="^x must be nonnegative, got -2.0$"):
+            require_real(np.int8(-2), "x", 0.0, out_of_range="{name} must be nonnegative, got {value}")
+
+    @pytest.mark.parametrize("value", [float("nan"), True, "1", None])
+    def test_not_a_real(self, value):
+        with pytest.raises(ValidationError, match=f"^x {re.escape(repr(value))} is not a finite number$"):
+            require_real(value, "x", 0.0, 1.0)
+
+    def test_choice_rule(self):
+        assert require_choice("e", "log base", ("2", "e")) == "e"
+        for value in ("E", "", 2, None, True, ("2",)):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"log base must be one of ('2', 'e'), got {value!r}")):
+                require_choice(value, "log base", ("2", "e"))
+
+    def test_sequence_rule(self):
+        assert require_sequence([1, 2], "xs") == (1, 2)
+        assert require_sequence(np.arange(2), "xs") == (0, 1)
+        assert require_sequence(iter((3,)), "xs") == (3,)
+        for value in (5, 0.5, "12", b"12", None):
+            with pytest.raises(ValidationError, match=f"^xs must be a sequence, got {re.escape(repr(value))}$"):
+                require_sequence(value, "xs")
 
 
 class TestAlign:
