@@ -1,11 +1,11 @@
 """Print a sha256 digest of every file a fixed set of seeded demo runs writes.
 
 Runs this checkout's ``python -m uqeval.cli`` for ``demo --seed 0``,
-``demo --seed 7``, ``demo --quick --seed 7`` and ``train-demo --seed 3``, each
-into its own folder of a temporary directory, and prints ``sha256  path``
-for every file written and for each run's stdout, sorted by path. A
-manifest's ``timestamp`` line is dropped before hashing, since it is the one
-part of a run that changes from run to run. Two checkouts that write the
+``demo --seed 7`` and ``demo --quick --seed 7``, each into its own folder of
+a temporary directory, and prints ``sha256  path`` for every file written and
+for each run's stdout, sorted by path. A manifest's ``timestamp`` line is
+dropped before hashing, since it is the one part of a run that changes from
+run to run. Two checkouts that write the
 same bytes print the same digest lines:
 
     python scripts/artifact_digests.py > before.txt   # in one checkout
@@ -33,7 +33,6 @@ RUNS = {
     "demo-seed0": ["demo", "--seed", "0"],
     "demo-seed7": ["demo", "--seed", "7"],
     "demo-quick-seed7": ["demo", "--quick", "--seed", "7"],
-    "train-demo-seed3": ["train-demo", "--seed", "3"],
 }
 
 

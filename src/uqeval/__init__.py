@@ -32,9 +32,7 @@ from .models import (
     TrainConfig,
     emcd_predict,
     ensemble_predict,
-    load_model,
     mc_dropout_predict,
-    save_model,
     train_ensemble,
     train_mlp,
 )

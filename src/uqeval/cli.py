@@ -21,20 +21,16 @@ from .aggregate import (
     save_summaries,
 )
 from .calibration import calibration_as_dict, calibration_report, save_reliability
-from .datasets import GENERATORS
 from .demo import (
     DEFAULT_THRESHOLD,
     DemoPreset,
     QUICK_PRESET,
-    build_demo_models,
     evaluate_demo,
     write_comparison,
     write_demo_artifacts,
-    write_demo_data,
 )
 from .errors import UqevalError, ValidationError
 from .manifest import build_manifest, canonical_json, manifest_digest, write_manifest
-from .models import save_model
 from .stats import compare_models, comparison_as_dict, comparison_values_csv
 from .svg import reliability_svg, separation_svg, sweep_svg
 from .tensor import is_real, is_seed, json_field, load_labels, load_predictions, write_artifact
@@ -171,17 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", dest="dir_a", required=True)
     p.add_argument("--b", dest="dir_b", required=True)
     shared(p, "--format", "--out")
-
-    p = command("train-demo", cmd_train_demo, "generate data, train demo models, emit predictions")
-    preset = DemoPreset()
-    p.add_argument("--kind", choices=GENERATORS, default=preset.kind)
-    p.add_argument("--n", type=int, default=preset.n_points)
-    p.add_argument("--noise", type=_finite_float, default=preset.noise)
-    p.add_argument("--epochs", type=int, default=preset.epochs)
-    p.add_argument("--members", type=int, default=preset.ensemble_members)
-    p.add_argument("--passes", type=int, default=preset.mcd_passes)
-    p.add_argument("--passes-per-member", type=int, default=preset.emcd_passes_per_member)
-    shared(p, "--seed", "--out")  # it prints one line of text, so it takes no --format
 
     p = command("demo", cmd_demo, "full pipeline into an artifact directory")
     p.add_argument("--quick", action="store_true", help="small preset for smoke runs")
@@ -387,28 +372,6 @@ def cmd_compare(args) -> Run:
         )
 
     return Run({**inputs_a, **inputs_b}, write)
-
-
-def cmd_train_demo(args) -> Run:
-    preset = DemoPreset(
-        kind=args.kind,
-        n_points=args.n,
-        noise=args.noise,
-        epochs=args.epochs,
-        ensemble_members=args.members,
-        mcd_passes=args.passes,
-        emcd_passes_per_member=args.passes_per_member,
-    )
-    dataset, labels, tensors, _, seeds, (mcd_model, members) = build_demo_models(args.seed, preset)
-
-    def write(out: Path, digest: str) -> str:
-        write_demo_data(dataset, labels, tensors, out, digest)
-        save_model(mcd_model, out / "model_mcd.json", manifest_digest=digest)
-        for i, member in enumerate(members):
-            save_model(member, out / f"model_member_{i:02d}.json", manifest_digest=digest)
-        return f"wrote dataset, labels, {1 + len(members)} models and 3 prediction files to {out}"
-
-    return Run({}, write, seeds)
 
 
 def cmd_demo(args) -> Run:

@@ -19,7 +19,6 @@ from .tensor import (class_indices, require_choice, require_integer, require_rea
 GENERATORS = ("two-moons", "gaussian-blobs")
 TRAIN_FRACTION = 0.75
 BLOB_CENTERS = ((-2.0, 0.0), (2.0, 0.0))
-NOISES = (0.0, np.inf, "{name} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +76,7 @@ def generate_dataset(kind: str, n: int, noise: float, seed: int) -> SyntheticDat
     """Deterministic synthetic dataset with a stratified split."""
     require_choice(kind, "dataset kind", GENERATORS)
     require_integer(n, "n", 20, f"need at least 20 points, got {n}")
-    noise = require_real(noise, "noise", *NOISES)
+    noise = require_real(noise, "noise", 0.0, np.inf, "{name} must be nonnegative")
     ss = np.random.SeedSequence(require_seed(seed))
     points_rng, split_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     if kind == "two-moons":

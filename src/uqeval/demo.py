@@ -22,7 +22,7 @@ import numpy as np
 
 from .aggregate import ENSEMBLE, LOG_BASES, MCD, SCHEME_KINDS, aggregate, save_summaries
 from .calibration import calibration_as_dict, calibration_report
-from .datasets import GENERATORS, NOISES, generate_dataset, save_dataset
+from .datasets import generate_dataset, save_dataset
 from .manifest import canonical_json
 from .models import (
     EnsembleSpec,
@@ -67,10 +67,13 @@ DEMO_ARTIFACTS = (
 DEFAULT_THRESHOLD = 0.3
 DEFAULT_GRID = tuple(round(0.1 * k, 12) for k in range(1, 10))
 
-# The same in every demo run: the MC-dropout network's hidden widths, the
-# dropout rate of it and of the ensemble members, the minibatch size of every
-# fit, the hidden widths of the comparison heads, the calibration bins, and the
-# names of the comparison's two sides, in the order compare_models pairs them.
+# The same in every demo run: the dataset's generator and noise, the
+# MC-dropout network's hidden widths, the dropout rate of it and of the
+# ensemble members, the minibatch size of every fit, the hidden widths of the
+# comparison heads, the calibration bins, and the names of the comparison's two
+# sides, in the order compare_models pairs them.
+DATASET_KIND = "two-moons"
+DATASET_NOISE = 0.28
 MCD_HIDDEN = (32, 16, 4)
 DROPOUT_RATE = 0.25
 BATCH_SIZE = 32
@@ -81,11 +84,9 @@ VARIANTS = ("warm_start", "cold_start")
 
 @dataclass(frozen=True)
 class DemoPreset:
-    """The demo's sizes: ``QUICK_PRESET`` and the ``train-demo`` flags set each of them."""
+    """The demo's sizes: ``QUICK_PRESET`` sets each of them off its default."""
 
-    kind: str = "two-moons"
     n_points: int = 600
-    noise: float = 0.28
     epochs: int = 100
     mcd_passes: int = 100
     ensemble_members: int = 10
@@ -96,8 +97,6 @@ class DemoPreset:
 
     def __post_init__(self):
         # what the evaluation needs, checked before any model trains
-        require_choice(self.kind, "dataset kind", GENERATORS)
-        object.__setattr__(self, "noise", require_real(self.noise, "noise", *NOISES))
         require_integer(self.n_points, "n_points")
         require_integer(self.epochs, "epochs")
         require_integer(self.mcd_passes, "mcd_passes", 1, "need at least one forward pass")
@@ -144,7 +143,7 @@ def _sub_seeds(seed: int) -> dict[str, int]:
 def _model_jobs(seed: int, preset: DemoPreset):
     """Seeds, dataset, labels, and the pool jobs of the MC-dropout model and members."""
     seeds = _sub_seeds(require_seed(seed))
-    dataset = generate_dataset(preset.kind, preset.n_points, preset.noise, seeds["data"])
+    dataset = generate_dataset(DATASET_KIND, preset.n_points, DATASET_NOISE, seeds["data"])
     labels = LabelSet(dataset.test_ids, dataset.test_y)
 
     mcd_spec = MlpSpec(
@@ -273,15 +272,6 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
     return result, comparison
 
 
-def write_demo_data(dataset, labels: LabelSet, tensors: dict, out: Path, digest: str) -> None:
-    """``dataset.csv``, ``labels.csv`` and each scheme's ``predictions_{scheme}.csv``."""
-    stamp = f"manifest_digest={digest}"
-    save_dataset(dataset, out / "dataset.csv", header_comment=stamp)
-    save_labels(labels, out / "labels.csv", header_comment=stamp)
-    for name in SCHEME_KINDS:
-        save_predictions(tensors[name], out / f"predictions_{name}.csv", header_comment=stamp)
-
-
 def write_comparison(comparison, sides, out: Path, digest: str) -> None:
     """``comparison_values.csv`` and one violin plot per metric, its two groups named ``sides``."""
     write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison),
@@ -296,8 +286,11 @@ def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stamp = f"manifest_digest={digest}"
-    write_demo_data(result.dataset, result.labels, result.tensors, out, digest)
+    save_dataset(result.dataset, out / "dataset.csv", header_comment=stamp)
+    save_labels(result.labels, out / "labels.csv", header_comment=stamp)
     for name in SCHEME_KINDS:
+        save_predictions(result.tensors[name], out / f"predictions_{name}.csv",
+                         header_comment=stamp)
         save_summaries(result.summaries[name], out / f"summaries_{name}.csv",
                        header_comment=stamp)
 

@@ -64,7 +64,6 @@ with fewer numpy calls per step.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -73,11 +72,9 @@ import numpy as np
 
 from .aggregate import AggregationScheme, emcd_scheme
 from .errors import TrainingDivergedError, ValidationError
-from .tensor import (JSON_TYPES, PredictionTensor, artifact_file, class_sums, int64_labels,
-                     json_field, require_integer, require_real, require_seed, require_sequence)
+from .tensor import (PredictionTensor, class_sums, int64_labels, require_integer, require_real,
+                     require_seed, require_sequence)
 
-MODEL_FORMAT = "uqeval-mlp"
-MODEL_VERSION = 1
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
 ADAM_BETA1 = 0.9
@@ -595,57 +592,3 @@ def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data) -> list[Mlp]:
     """Independently train every member on the ``(x, y)`` pair ``data``, in parallel."""
     return _map_jobs(_ensemble_jobs(spec, config, data))
 
-
-def save_model(model: Mlp, path, manifest_digest: str | None = None) -> None:
-    """Versioned JSON weight file; floats render exactly (repr round-trip)."""
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "layer_widths": list(model.spec.layer_widths),
-        "dropout_rate": model.spec.dropout_rate,
-        "init_seed": model.spec.seed,
-        "weights": [w.ravel().tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-    if manifest_digest is not None:
-        payload["manifest_digest"] = manifest_digest
-    with artifact_file(path) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def load_model(path) -> Mlp:
-    """Read a :func:`save_model` file; every field and block is checked before use."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ValidationError(f"{path}: not a {MODEL_FORMAT} file")
-    if payload.get("version") != MODEL_VERSION:
-        raise ValidationError(f"{path}: unsupported version {payload.get('version')}")
-    try:
-        widths = json_field(payload, "layer_widths", "an array of integers")
-        rate = json_field(payload, "dropout_rate", "a number")
-        seed = json_field({"init_seed": 0, **payload}, "init_seed", "an integer")
-        weights = json_field(payload, "weights", "an array")
-        biases = json_field(payload, "biases", "an array")
-        spec = MlpSpec(widths, rate, seed)
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing {exc}") from exc
-    except (TypeError, ValidationError) as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    layers = list(zip(widths, widths[1:]))
-    for name, blocks, sizes in (("weight", weights, [i * o for i, o in layers]),
-                                ("bias", biases, widths[1:])):
-        if len(blocks) != len(layers):
-            raise ValidationError(f"{path}: expected {len(layers)} {name} blocks, got {len(blocks)}")
-        for i, (block, size) in enumerate(zip(blocks, sizes)):
-            if not JSON_TYPES["an array of numbers"](block) or len(block) != size:
-                raise ValidationError(f"{path}: {name} block {i} is not {size} numbers")
-    try:
-        flat = np.array([v for w, b in zip(weights, biases) for v in w + b], dtype=np.float64)
-    except OverflowError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    return _rebuild_mlp(spec, flat, [])

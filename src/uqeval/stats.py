@@ -21,6 +21,7 @@ from .tensor import LabelSet, aligned_labels, require_integer, require_real
 BETA_TOL = 1e-14
 BETA_MAX_ITER = 300
 POINT_METRICS = ("accuracy", "auc")
+POSITIVE = (math.ulp(0.0), math.inf, "{name} {value} is not positive")
 
 
 def accuracy(summaries: Summaries, labels: LabelSet) -> float:
@@ -64,7 +65,7 @@ def log_beta(a: float, b: float) -> float:
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Modified Lentz evaluation of the incomplete-beta continued fraction."""
+    """Modified Lentz evaluation of the incomplete-beta continued fraction (NaN if unconverged)."""
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -98,15 +99,13 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < BETA_TOL:
             return h
-    raise ValidationError(
-        f"incomplete beta failed to converge for a={a}, b={b}, x={x}"
-    )
+    return math.nan  # the caller raises: it knows which of a and b the user called which
 
 
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValidationError("incomplete beta needs a, b > 0")
+    """I_x(a, b) for reals a, b > 0 and x in [0, 1]."""
+    a = require_real(a, "incomplete beta parameter a", *POSITIVE)
+    b = require_real(b, "incomplete beta parameter b", *POSITIVE)
     x = require_real(x, "incomplete beta argument", 0.0, 1.0)
     if x == 0.0:
         return 0.0
@@ -114,12 +113,17 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
         return 1.0
     front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+        value = front * _beta_continued_fraction(a, b, x) / a
+    else:
+        value = 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    if math.isnan(value):
+        raise ValidationError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
+    return value
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided p-value for an observed t statistic."""
+    """Two-sided p-value for an observed t statistic on ``df`` > 0 degrees of freedom."""
+    df = require_real(df, "degrees of freedom", *POSITIVE)
     if math.isnan(t):
         raise ValidationError("t statistic is NaN")
     if math.isinf(t):

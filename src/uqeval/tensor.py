@@ -479,9 +479,6 @@ def table_columns(header, chunks):
 JSON_TYPES = {  # the types a JSON field can be required to have; true and false are not numbers
     "a string": lambda v: type(v) is str,
     "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) in (int, float),
-    "an array": lambda v: type(v) is list,
-    "an array of integers": lambda v: type(v) is list and set(map(type, v)) <= {int},
     "an array of numbers": lambda v: type(v) is list and set(map(type, v)) <= {int, float},
 }
 

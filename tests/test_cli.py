@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import re
 import subprocess
@@ -18,8 +19,6 @@ from uqeval import (
     aggregate,
     build_ucm,
     calibration_report,
-    load_labels,
-    load_predictions,
     load_summaries,
     save_labels,
     save_predictions,
@@ -448,7 +447,7 @@ def sha256(path) -> str:
 
 class TestManifest:
     @pytest.mark.parametrize("command", ["aggregate", "evaluate", "sweep", "ece", "separate",
-                                         "compare", "train-demo", "demo"])
+                                         "compare", "demo"])
     def test_outputs_reference_manifest(self, workdir, command):
         tmp, _, _ = workdir
         run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
@@ -466,8 +465,6 @@ class TestManifest:
             "ece": (scored, scored[1::2]),
             "separate": (scored, scored[1::2]),
             "compare": (["--a", tmp / "ra", "--b", tmp / "rb"], run_files),
-            "train-demo": (["--n", "40", "--epochs", "2", "--members", "2", "--passes", "2",
-                            "--passes-per-member", "1"], []),
             "demo": (["--quick"], []),
         }[command]
         out = tmp / "m"
@@ -525,28 +522,6 @@ class TestTextOutput:
         assert "UAcc" in out
 
 
-class TestTrainDemoCommand:
-    def test_emits_models_and_predictions(self, tmp_path):
-        code = run_cli([
-            "train-demo", "--n", "60", "--epochs", "8", "--members", "2",
-            "--passes", "5", "--passes-per-member", "2",
-            "--seed", "1", "--out", tmp_path / "td",
-        ])
-        assert code == 0
-        out = tmp_path / "td"
-        assert (out / "dataset.csv").exists()
-        assert (out / "model_mcd.json").exists()
-        assert (out / "model_member_00.json").exists()
-        tensor = load_predictions(out / "predictions_mcd.csv")
-        assert tensor.n_passes == 5
-        emcd = load_predictions(out / "predictions_emcd.csv")
-        assert emcd.n_passes == 4
-        labels = load_labels(out / "labels.csv")
-        assert set(labels.sample_ids) == set(tensor.sample_ids)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert "derived_seeds" in manifest
-
-
 class TestCsvFormat:
     def test_compare_values_csv(self, tmp_path, capsys):
         rng = np.random.default_rng(68)
@@ -589,9 +564,7 @@ class TestFloatFlags:
         ["evaluate", "--normalize-entropy", "false", "--threshold", "nan"],
         ["evaluate", "--threshold", "inf"],
         ["demo", "--quick", "--threshold", "nan"],
-        ["train-demo", "--noise", "nan"],
-        ["train-demo", "--noise", "inf"],
-    ], ids=["evaluate-nan", "evaluate-inf", "demo-nan", "train-demo-nan", "train-demo-inf"])
+    ], ids=["evaluate-nan", "evaluate-inf", "demo-nan"])
     def test_non_finite_value_is_usage_error(self, workdir, capsys, args):
         tmp, _, _ = workdir
         flag, value = args[-2:]
@@ -665,7 +638,6 @@ class TestFlagSets:
         ["evaluate", "--log-base", "e"],
         ["ece", "--renormalize"],
         ["compare", "--seed", "1"],
-        ["train-demo", "--format", "json"],
         ["demo", "--format", "csv"],
         ["demo", "--normalize-entropy", "false"],
     ], ids=lambda args: " ".join(args))
@@ -692,30 +664,24 @@ class TestFlagSets:
                   for name, p in subparsers().items()}
         assert table == parsed
 
+    def test_readme_flag_total_matches_parser(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        (total,) = re.findall(r"Each subcommand takes only the flags it reads\s+\((\d+) in all\)",
+                              readme)
+        spec = importlib.util.spec_from_file_location("design_counts",
+                                                      root / "scripts" / "design_counts.py")
+        counts = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(counts)
+        assert int(total) == counts.cli_flags()
 
-def test_every_demo_preset_field_has_a_caller(monkeypatch):
-    # a preset field that neither QUICK_PRESET nor a train-demo flag moves
-    # off its default is a constant, and belongs in the demo as one
-    class Built(Exception):
-        pass
 
-    def capture(seed, preset):
-        raise Built(preset)
-
-    argv = ["train-demo"]
-    for action in subparsers()["train-demo"]._actions:
-        if action.choices:
-            argv += [action.option_strings[0],
-                     next(c for c in action.choices if c != action.default)]
-        elif type(action.default) in (int, float):
-            argv += [action.option_strings[0], str(action.default + 1)]
-    monkeypatch.setattr("uqeval.cli.build_demo_models", capture)
-    args = build_parser().parse_args(argv)
-    with pytest.raises(Built) as info:
-        args.handler(args)
-    flagged, default = info.value.args[0], DemoPreset()
+def test_every_demo_preset_field_has_a_caller():
+    # the demo runs with two presets; a field QUICK_PRESET leaves at its
+    # default has one used value, so it is a constant and belongs in the demo as one
+    default = DemoPreset()
     unset = [f.name for f in dataclasses.fields(DemoPreset)
-             if getattr(QUICK_PRESET, f.name) == getattr(flagged, f.name) == getattr(default, f.name)]
+             if getattr(QUICK_PRESET, f.name) == getattr(default, f.name)]
     assert unset == []
 
 
@@ -743,8 +709,7 @@ def test_every_export_is_used_or_documented():
 class TestSeedFlag:
     @pytest.mark.parametrize("args", [
         ["demo", "--quick", "--seed", "-1"],
-        ["train-demo", "--n", "40", "--seed", "-3"],
-    ], ids=["demo", "train-demo"])
+    ], ids=["demo"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, args):
         with pytest.raises(SystemExit) as info:
             run_cli([*args, "--out", tmp_path / "neg"])

@@ -123,25 +123,6 @@ def test_flat_engine_artifacts_match_list_engine(tmp_path, monkeypatch):
         assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "list" / name).read_bytes(), name
 
 
-def test_train_demo_writes_the_demos_data_files(tmp_path):
-    # train-demo with the quick preset's sizes writes what demo --quick writes
-    q = QUICK_PRESET
-    assert main(["demo", "--quick", "--seed", "5", "--out", str(tmp_path / "demo")]) == 0
-    assert main([
-        "train-demo", "--kind", q.kind, "--n", str(q.n_points), "--noise", str(q.noise),
-        "--epochs", str(q.epochs), "--passes", str(q.mcd_passes),
-        "--members", str(q.ensemble_members), "--passes-per-member", str(q.emcd_passes_per_member),
-        "--seed", "5", "--out", str(tmp_path / "train"),
-    ]) == 0
-    names = ["dataset.csv", "labels.csv",
-             "predictions_mcd.csv", "predictions_ensemble.csv", "predictions_emcd.csv"]
-    for name in names:
-        demo = (tmp_path / "demo" / name).read_bytes().split(b"\n", 1)
-        train = (tmp_path / "train" / name).read_bytes().split(b"\n", 1)
-        assert demo[0].startswith(b"# manifest_digest=") and train[0].startswith(b"# manifest_digest=")
-        assert demo[1] == train[1], name
-
-
 @pytest.mark.parametrize("seed", [-1, 2.0, 1.5, True, "3", None])
 @pytest.mark.parametrize("entry", ["build_demo_models", "evaluate_demo", "run_demo"])
 def test_library_entry_points_reject_a_bad_seed(entry, seed, tmp_path):
@@ -193,16 +174,6 @@ def test_threshold_and_log_base_checked_before_training(setting, message, no_tra
         evaluate_demo(0, QUICK_PRESET, **setting)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("noise", float("nan"), "noise nan is not a finite number"),
-    ("noise", -0.5, "noise must be nonnegative"),
-    ("kind", "spirals", "dataset kind must be one of ('two-moons', 'gaussian-blobs'), got 'spirals'"),
-])
-def test_preset_noise_and_kind_checked_before_training(field, value, message, no_training):
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        replace(QUICK_PRESET, **{field: value})
-
-
 PRESET_COUNTS = ["n_points", "epochs", "mcd_passes", "ensemble_members", "emcd_passes_per_member",
                  "compare_runs", "compare_pretrain_epochs", "compare_head_epochs"]
 
@@ -212,14 +183,3 @@ PRESET_COUNTS = ["n_points", "epochs", "mcd_passes", "ensemble_members", "emcd_p
 def test_preset_counts_must_be_integers(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
         replace(QUICK_PRESET, **{field: value})
-
-
-@pytest.mark.parametrize("flag, message", [
-    ("--passes", "need at least one forward pass"),
-    ("--passes-per-member", "need at least one pass per member"),
-])
-def test_train_demo_rejects_zero_passes_before_training(flag, message, no_training, tmp_path,
-                                                       capsys):
-    assert main(["train-demo", flag, "0", "--out", str(tmp_path / "out")]) == 1
-    assert f"uqeval: error: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()

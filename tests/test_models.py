@@ -15,9 +15,7 @@ from uqeval import (
     aggregate,
     emcd_predict,
     ensemble_predict,
-    load_model,
     mc_dropout_predict,
-    save_model,
     train_ensemble,
     train_mlp,
 )
@@ -772,96 +770,3 @@ class TestPredictorArguments:
         wide = Mlp(MlpSpec((3, 4, 2), seed=4))
         with pytest.raises(ValidationError, match="input width 3 does not match data dim 2"):
             ensemble_predict([self.model, wide], np.zeros((3, 2)))
-
-
-class TestModelFile:
-    def test_save_load_bit_identical(self, tmp_path):
-        x, y = xor_data()
-        model = train_mlp(
-            MlpSpec((2, 8, 4, 2), dropout_rate=0.25, seed=61),
-            TrainConfig(epochs=5, seed=2),
-            (x, y),
-        )
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.spec.layer_widths == model.spec.layer_widths
-        assert back.spec.dropout_rate == model.spec.dropout_rate
-        for a, b in zip(model.weights, back.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(model.biases, back.biases):
-            assert np.array_equal(a, b)
-
-    def test_loaded_model_trains_like_original(self, tmp_path):
-        x, y = xor_data()
-        spec = MlpSpec((2, 8, 4, 2), dropout_rate=0.25, seed=62)
-        model = train_mlp(spec, TrainConfig(epochs=3, seed=3), (x, y))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        config = TrainConfig(epochs=4, batch_size=8, seed=4)
-        fit_adam(model, config, x, y)
-        fit_adam(back, config, x, y)
-        assert_same_parameters(back, model)
-        assert back.loss_history == model.loss_history[-4:]
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValidationError):
-            load_model(path)
-
-    # edits of a saved (2, 3, 2) model's payload, and the message each must raise
-    MALFORMED = {
-        "missing weight block": (lambda d: d["weights"].pop(), "expected 2 weight blocks, got 1"),
-        "extra weight block": (lambda d: d["weights"].append([0.0] * 6),
-                               "expected 2 weight blocks, got 3"),
-        "extra bias block": (lambda d: d["biases"].append([0.0, 0.0]),
-                             "expected 2 bias blocks, got 3"),
-        "weights not an array": (lambda d: d.update(weights=5),
-                                 "weights must be an array, got 5"),
-        "missing biases": (lambda d: d.pop("biases"), "missing 'biases'"),
-        "missing layer widths": (lambda d: d.pop("layer_widths"), "missing 'layer_widths'"),
-        "layer widths a number": (lambda d: d.update(layer_widths=3),
-                                  "layer_widths must be an array of integers, got 3"),
-        "short weight block": (lambda d: d["weights"][1].pop(), "weight block 1 is not 6 numbers"),
-        "text in bias block": (lambda d: d["biases"][0].__setitem__(1, "0.5"),
-                               "bias block 0 is not 3 numbers"),
-        "null in weight block": (lambda d: d["weights"][0].__setitem__(0, None),
-                                 "weight block 0 is not 6 numbers"),
-        "bias block a number": (lambda d: d["biases"].__setitem__(1, 0.5),
-                                "bias block 1 is not 2 numbers"),
-        "dropout rate text": (lambda d: d.update(dropout_rate="x"),
-                              'dropout_rate must be a number, got "x"'),
-        "init seed text": (lambda d: d.update(init_seed="1"), 'init_seed must be an integer, got "1"'),
-        "negative init seed": (lambda d: d.update(init_seed=-1),
-                               "seed must be a non-negative integer, got -1"),
-        "no hidden layer": (lambda d: d.update(layer_widths=[2, 2]), "need at least one hidden layer"),
-    }
-
-    @pytest.mark.parametrize("name", MALFORMED)
-    def test_malformed_file_names_path_and_block(self, tmp_path, name):
-        import json
-
-        path = tmp_path / "model.json"
-        save_model(Mlp(MlpSpec((2, 3, 2), seed=5)), path)
-        payload = json.loads(path.read_text())
-        edit, message = self.MALFORMED[name]
-        edit(payload)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError) as info:
-            load_model(path)
-        assert str(info.value) == f"{path}: {message}"
-
-    @pytest.mark.parametrize("text", ["{not json", "\xff", ""])
-    def test_file_that_is_not_json(self, tmp_path, text):
-        path = tmp_path / "model.json"
-        path.write_bytes(text.encode("latin-1"))
-        with pytest.raises(ValidationError, match=r"model\.json: malformed JSON: "):
-            load_model(path)
-
-    def test_json_that_is_not_an_object(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ValidationError, match=r"model\.json: not a uqeval-mlp file"):
-            load_model(path)

@@ -28,12 +28,10 @@ from uqeval import (
     aggregate,
     load_predictions,
     save_labels,
-    save_model,
     save_predictions,
     save_summaries,
 )
 from uqeval.manifest import build_manifest, write_manifest
-from uqeval.models import Mlp, MlpSpec
 from uqeval.tensor import write_artifact
 
 import scalar_oracles as oracle
@@ -344,7 +342,6 @@ WRITERS = [
     ("l.csv", lambda path, v: save_labels(LabelSet(("a", "b"), np.array([v, 1])), path, "m"), 1),
     ("a.txt", lambda path, v: write_artifact(path, f"version {v}\n" * 100), 0),
     ("manifest.json", lambda path, v: write_manifest(build_manifest("x", {"v": v}, v), path), 0),
-    ("model.json", lambda path, v: save_model(Mlp(MlpSpec((2, 3, 2), seed=v)), path), 3),
 ]
 
 

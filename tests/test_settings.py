@@ -17,21 +17,19 @@ from uqeval import (
     AggregationScheme,
     EnsembleSpec,
     MetricDistribution,
-    Mlp,
     MlpSpec,
     Summaries,
     TrainConfig,
     aggregate,
     build_ucm,
     generate_dataset,
-    load_model,
     load_predictions,
     regularized_incomplete_beta,
-    save_model,
     save_predictions,
+    student_t_two_sided_p,
     threshold_sweep,
 )
-from uqeval.demo import QUICK_PRESET, DemoPreset, evaluate_demo
+from uqeval.demo import QUICK_PRESET, evaluate_demo
 from uqeval.errors import ValidationError
 from uqeval.tensor import LabelSet, PredictionTensor
 
@@ -56,7 +54,6 @@ REAL_ENTRIES = {
     "EnsembleSpec.dropout_rate": ("dropout rate", lambda v, tmp: EnsembleSpec(dropout_rate=v)),
     "TrainConfig.learning_rate": ("learning rate", lambda v, tmp: TrainConfig(learning_rate=v)),
     "generate_dataset noise": ("noise", lambda v, tmp: generate_dataset("two-moons", 40, v, 0)),
-    "DemoPreset.noise": ("noise", lambda v, tmp: DemoPreset(noise=v)),
     "build_ucm threshold": ("threshold", lambda v, tmp: build_ucm(SUMMARIES, LABELS, v)),
     "build_ucm raw threshold": (
         "threshold", lambda v, tmp: build_ucm(SUMMARIES, LABELS, v, normalized=False)),
@@ -66,6 +63,14 @@ REAL_ENTRIES = {
         "threshold", lambda v, tmp: threshold_sweep(SUMMARIES, LABELS, [v], normalized=False)),
     "evaluate_demo threshold": (
         "threshold", lambda v, tmp: evaluate_demo(0, QUICK_PRESET, threshold=v)),
+    "regularized_incomplete_beta x": (
+        "incomplete beta argument", lambda v, tmp: regularized_incomplete_beta(v, 1.0, 1.0)),
+    "regularized_incomplete_beta a": (
+        "incomplete beta parameter a", lambda v, tmp: regularized_incomplete_beta(0.5, v, 1.0)),
+    "regularized_incomplete_beta b": (
+        "incomplete beta parameter b", lambda v, tmp: regularized_incomplete_beta(0.5, 1.0, v)),
+    "student_t_two_sided_p df": (
+        "degrees of freedom", lambda v, tmp: student_t_two_sided_p(1.0, v)),
 }
 
 # each named choice: the name its errors give, and a call that sets it to ``value``
@@ -77,7 +82,6 @@ CHOICE_ENTRIES = {
     "evaluate_demo log base": (
         "log base", lambda v, tmp: evaluate_demo(0, QUICK_PRESET, log_base=v)),
     "generate_dataset kind": ("dataset kind", lambda v, tmp: generate_dataset(v, 40, 0.1, 0)),
-    "DemoPreset.kind": ("dataset kind", lambda v, tmp: DemoPreset(kind=v)),
     "load_predictions format": (
         "predictions format", lambda v, tmp: load_predictions(tmp / "p.csv", v)),
     "save_predictions format": (
@@ -116,12 +120,15 @@ OUT_OF_RANGE = {
     "EnsembleSpec.dropout_rate": (-0.25, "dropout rate -0.25 outside [0, 1)"),
     "TrainConfig.learning_rate": (-1e-3, "learning rate must be nonnegative"),
     "generate_dataset noise": (-0.1, "noise must be nonnegative"),
-    "DemoPreset.noise": (-0.1, "noise must be nonnegative"),
     "build_ucm threshold": (1.5, "threshold 1.5 outside [0, 1]"),
     "build_ucm raw threshold": (-0.5, "raw-entropy threshold -0.5 is negative"),
     "threshold_sweep threshold": (np.float32(1.5), "threshold 1.5 outside [0, 1]"),
     "threshold_sweep raw threshold": (-1, "raw-entropy threshold -1.0 is negative"),
     "evaluate_demo threshold": (-0.1, "threshold -0.1 outside [0, 1]"),
+    "regularized_incomplete_beta x": (1.5, "incomplete beta argument 1.5 outside [0, 1]"),
+    "regularized_incomplete_beta a": (0.0, "incomplete beta parameter a 0.0 is not positive"),
+    "regularized_incomplete_beta b": (-1, "incomplete beta parameter b -1.0 is not positive"),
+    "student_t_two_sided_p df": (0, "degrees of freedom 0.0 is not positive"),
 }
 
 
@@ -138,7 +145,6 @@ STORED = {
     "MlpSpec.dropout_rate": lambda v: MlpSpec((2, 4, 2), dropout_rate=v).dropout_rate,
     "EnsembleSpec.dropout_rate": lambda v: EnsembleSpec(dropout_rate=v).dropout_rate,
     "TrainConfig.learning_rate": lambda v: TrainConfig(learning_rate=v).learning_rate,
-    "DemoPreset.noise": lambda v: DemoPreset(noise=v).noise,
     "build_ucm threshold": lambda v: build_ucm(SUMMARIES, LABELS, v).threshold,
     "build_ucm raw threshold": lambda v: build_ucm(SUMMARIES, LABELS, v, False).threshold,
     "threshold_sweep threshold":
@@ -174,15 +180,6 @@ def test_a_bound_is_compared_as_a_python_float(rate):
 
 def test_a_raw_threshold_has_no_upper_bound():
     assert build_ucm(SUMMARIES, LABELS, 5.0, normalized=False).threshold == 5.0
-
-
-def test_numpy_dropout_rate_round_trips_through_a_model_file(tmp_path):
-    model = Mlp(MlpSpec((2, 4, 2), dropout_rate=np.float32(0.25), seed=3))
-    save_model(model, tmp_path / "model.json")
-    loaded = load_model(tmp_path / "model.json")
-    assert loaded.spec == model.spec
-    assert type(loaded.spec.dropout_rate) is float
-    assert np.array_equal(loaded.flat, model.flat)
 
 
 # a value that should be a sequence but is not, at each entry that takes one
@@ -223,13 +220,6 @@ def test_an_unsorted_grid_is_rejected_by_the_curve(grid):
 def test_metric_values_are_reals(value):
     with pytest.raises(ValidationError, match=f"^metric value {re.escape(repr(value))} is not"):
         MetricDistribution("accuracy", (0.5, value), (0, 1))
-
-
-def test_incomplete_beta_argument_is_a_real_in_the_unit_interval():
-    with pytest.raises(ValidationError, match="^incomplete beta argument nan is not a finite number$"):
-        regularized_incomplete_beta(math.nan, 1.0, 1.0)
-    with pytest.raises(ValidationError, match=r"^incomplete beta argument 1.5 outside \[0, 1\]$"):
-        regularized_incomplete_beta(1.5, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("name", ["p.txt", "p", "p.csv.gz", "csv"])

@@ -149,6 +149,12 @@ class TestIncompleteBeta:
         assert regularized_incomplete_beta(0.0, 2.0, 3.0) == 0.0
         assert regularized_incomplete_beta(1.0, 2.0, 3.0) == 1.0
 
+    def test_failure_to_converge_names_the_arguments_as_given(self):
+        # x lies above (a + 1) / (a + b + 2), so the fraction runs on I_{1-x}(b, a)
+        message = "incomplete beta failed to converge for a=1000000.0, b=1100000.0, x=0.4762"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            regularized_incomplete_beta(0.4762, 1e6, 1.1e6)
+
     def test_against_mpmath(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
