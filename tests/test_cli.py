@@ -656,6 +656,14 @@ class TestFlagSets:
         assert flag in capsys.readouterr().err
         assert not (tmp / "unread").exists()
 
+    def test_retired_command_is_usage_error(self, tmp_path, capsys):
+        # train-demo wrote model files nothing read; it is no longer a subcommand
+        with pytest.raises(SystemExit) as info:
+            run_cli(["train-demo", "--out", tmp_path / "td"])
+        assert info.value.code == 2
+        assert "invalid choice: 'train-demo'" in capsys.readouterr().err
+        assert not (tmp_path / "td").exists()
+
     def test_readme_table_matches_parser(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE)

@@ -18,6 +18,7 @@ from uqeval import (
     EnsembleSpec,
     MetricDistribution,
     MlpSpec,
+    PairedTestResult,
     Summaries,
     TrainConfig,
     aggregate,
@@ -71,6 +72,9 @@ REAL_ENTRIES = {
         "incomplete beta parameter b", lambda v, tmp: regularized_incomplete_beta(0.5, 1.0, v)),
     "student_t_two_sided_p df": (
         "degrees of freedom", lambda v, tmp: student_t_two_sided_p(1.0, v)),
+    "MetricDistribution value": (
+        "metric value", lambda v, tmp: MetricDistribution("accuracy", (0.5, v), (0, 1))),
+    "PairedTestResult.p_value": ("p-value", lambda v, tmp: PairedTestResult(1.0, 1, v, 0.5)),
 }
 
 # each named choice: the name its errors give, and a call that sets it to ``value``
@@ -129,10 +133,18 @@ OUT_OF_RANGE = {
     "regularized_incomplete_beta a": (0.0, "incomplete beta parameter a 0.0 is not positive"),
     "regularized_incomplete_beta b": (-1, "incomplete beta parameter b -1.0 is not positive"),
     "student_t_two_sided_p df": (0, "degrees of freedom 0.0 is not positive"),
+    "PairedTestResult.p_value": (1.5, "p-value 1.5 outside [0, 1]"),
 }
 
+# the real settings that take every finite number
+UNBOUNDED = {"MetricDistribution value"}
 
-@pytest.mark.parametrize("entry", REAL_ENTRIES)
+
+def test_every_bounded_real_setting_has_an_out_of_range_value():
+    assert set(REAL_ENTRIES) - set(OUT_OF_RANGE) == UNBOUNDED
+
+
+@pytest.mark.parametrize("entry", OUT_OF_RANGE)
 def test_a_real_setting_outside_its_range_gives_its_message(entry, tmp_path):
     _, call = REAL_ENTRIES[entry]
     value, message = OUT_OF_RANGE[entry]
@@ -149,6 +161,7 @@ STORED = {
     "build_ucm raw threshold": lambda v: build_ucm(SUMMARIES, LABELS, v, False).threshold,
     "threshold_sweep threshold":
         lambda v: threshold_sweep(SUMMARIES, LABELS, [v]).points[0].threshold,
+    "MetricDistribution value": lambda v: MetricDistribution("accuracy", (v,), (0,)).values[0],
 }
 
 
