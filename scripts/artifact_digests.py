@@ -1,9 +1,10 @@
-"""Print a sha256 digest of every file a fixed set of seeded demo runs writes.
+"""Print a sha256 digest of every file a fixed set of seeded runs writes.
 
 Runs this checkout's ``python -m uqeval.cli`` for ``demo --seed 0``,
-``demo --seed 7`` and ``demo --quick --seed 7``, each into its own folder of
-a temporary directory, and prints ``sha256  path`` for every file written and
-for each run's stdout, sorted by path. A manifest's ``timestamp`` line is
+``demo --seed 7`` and ``demo --quick --seed 7``, and one export-sized library
+run (:data:`EXPORT`), each into its own folder of a temporary directory, and
+prints ``sha256  path`` for every file written and for each run's stdout,
+sorted by path. A manifest's ``timestamp`` line is
 dropped before hashing, since it is the one part of a run that changes from
 run to run. Two checkouts that write the
 same bytes print the same digest lines:
@@ -35,6 +36,20 @@ RUNS = {
     "demo-quick-seed7": ["demo", "--quick", "--seed", "7"],
 }
 
+# A seeded 4000 x 50 x 10 tensor, with ids that need csv quoting or hold a %,
+# saved as CSV and JSONL: large enough that save_predictions formats it in
+# many jobs, so a diff covers predictions formatted on worker processes too.
+EXPORT = """
+import numpy as np
+from uqeval import PredictionTensor, save_predictions
+rng = np.random.default_rng(0)
+ids = [f"s{i:04d}" if i % 7 else f"s,{i}%" for i in range(4000)]
+tensor = PredictionTensor(rng.dirichlet(np.ones(10), size=(4000, 50)), ids)
+for suffix in (".csv", ".jsonl"):
+    save_predictions(tensor, "predictions" + suffix, header_comment="export")
+print(tensor.n_samples, tensor.n_passes, tensor.n_classes)
+"""
+
 
 def digest(path: Path) -> str:
     data = path.read_bytes()
@@ -65,6 +80,10 @@ def main() -> int:
             done = subprocess.run([sys.executable, "-m", "uqeval.cli", *argv, "--out", name],
                                   cwd=root, env=env, capture_output=True, check=True)
             (root / name / "stdout.txt").write_bytes(done.stdout)
+        (root / "export").mkdir()
+        done = subprocess.run([sys.executable, "-c", EXPORT], cwd=root / "export", env=env,
+                              capture_output=True, check=True)
+        (root / "export" / "stdout.txt").write_bytes(done.stdout)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(f"{digest(path)}  {path.relative_to(root).as_posix()}")
     return 0

@@ -42,9 +42,11 @@ suite keeps that list-of-arrays engine as its reference.
 Parallel training: every model of an ensemble, and of the demo, depends only
 on its own seeds and, for a warm start, on the buffer it starts from, so
 :func:`train_ensemble` and the demo train them in forked worker processes,
-one per usable CPU. :func:`_map_jobs` runs a list of ``(fn, *args)`` jobs,
-where ``fn`` is a plain module-level function, since pickle sends it by
-name; a model is the job ``(_train_job, spec, config, x, y, init=None)``.
+one per usable CPU. :func:`uqeval.tensor._map_jobs`, the job map that
+``save_predictions`` also formats its rows on, runs a list of ``(fn, *args)``
+jobs, where ``fn`` is a plain module-level function, since pickle sends it
+by name, and yields the results in job order; a model is the job
+``(_train_job, spec, config, x, y, init=None)``.
 Each job seeds itself as it would inline, and a model comes back through
 pickle as its spec, buffer and loss history, so the weights do not depend
 on the number of workers or the order they run in. An ensemble's master
@@ -65,15 +67,14 @@ with fewer numpy calls per step.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .aggregate import AggregationScheme, emcd_scheme
 from .errors import TrainingDivergedError, ValidationError
-from .tensor import (PredictionTensor, class_sums, int64_labels, require_integer, require_real,
-                     require_seed, require_sequence)
+from .tensor import (PredictionTensor, _map_jobs, class_sums, int64_labels, require_integer,
+                     require_real, require_seed, require_sequence)
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
@@ -446,36 +447,6 @@ def derived_seed(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _map_jobs(jobs: list[tuple]) -> list:
-    """``[fn(*args) for fn, *args in jobs]``, spread over one forked worker per usable CPU.
-
-    One pool runs the whole list, submitted in list order. Results come back
-    in job order, and the first job to raise, in that order, raises here;
-    jobs not yet started by then are cancelled. The jobs run inline, in list
-    order, when one CPU is usable, when the platform cannot fork, or in a
-    daemon process, which may not have children. A forked worker starts from
-    this process's memory, so it needs no imports; each ``fn`` is a
-    module-level function, and it, its arguments and the results travel by
-    pickle.
-    """
-    import multiprocessing
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(jobs))
-    if (workers < 2 or multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return [fn(*args) for fn, *args in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(*job) for job in jobs]
-        try:
-            return [future.result() for future in futures]
-        finally:
-            for future in futures:  # after a failure, start no further job
-                future.cancel()
-
-
 def _input_rows(x, spec: MlpSpec | None, what: str = "inputs") -> np.ndarray:
     """``x`` as 2-D float64 rows, as wide as the input layer of ``spec`` if one is given."""
     x = np.asarray(x, dtype=np.float64)
@@ -590,5 +561,5 @@ def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]
 
 def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data) -> list[Mlp]:
     """Independently train every member on the ``(x, y)`` pair ``data``, in parallel."""
-    return _map_jobs(_ensemble_jobs(spec, config, data))
+    return list(_map_jobs(_ensemble_jobs(spec, config, data)))
 

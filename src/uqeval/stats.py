@@ -122,12 +122,15 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided p-value for an observed t statistic on ``df`` > 0 degrees of freedom."""
+    """Two-sided p-value for an observed t statistic on ``df`` > 0 degrees of freedom.
+
+    ``t`` is a real (:func:`~uqeval.tensor.require_real`) or an infinite
+    float, whose p-value is 0.
+    """
     df = require_real(df, "degrees of freedom", *POSITIVE)
-    if math.isnan(t):
-        raise ValidationError("t statistic is NaN")
-    if math.isinf(t):
+    if isinstance(t, (float, np.floating)) and math.isinf(t):
         return 0.0
+    t = require_real(t, "t statistic")
     if t == 0.0:
         return 1.0
     return regularized_incomplete_beta(df / (df + t * t), 0.5 * df, 0.5)

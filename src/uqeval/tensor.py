@@ -25,7 +25,9 @@ module's minimal rules, so ids such as ``a,1`` or ``#x`` load back
 unchanged. Only a ``#`` line at the very top of a file is a comment:
 the CLI uses it to stamp a run-manifest digest into CSV artifacts. Every
 artifact is written through :func:`artifact_file`, so it replaces an earlier
-file at its path only once it is complete.
+file at its path only once it is complete. A large predictions file is
+formatted on every usable CPU by :func:`_map_jobs`, the job map that model
+training also runs on, and written in order by this process.
 
 Labels meet predictions in one place, :func:`aligned_labels`, which every
 evaluation calls once to reorder a :class:`LabelSet` to its sample order and
@@ -39,7 +41,7 @@ import io
 import json
 import math
 import os
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, cycle, islice, repeat
@@ -60,6 +62,13 @@ PROB_FORMAT = "%.9g"
 # Lines of a text artifact read and parsed at a time; bounds the text and the
 # Python objects a predictions load holds at once.
 CHUNK_ROWS = 8192
+
+# Probability values formatted by one save_predictions job; a larger file is
+# formatted by several jobs, on every usable CPU (:func:`_map_jobs`). Jobs this
+# small keep the few results in flight, each held as text and as its pickle,
+# well under the file's size, and the demo's largest tensor (150 x 100 x 2)
+# still fits in one job, so it is written inline.
+SAVE_JOB_VALUES = 2**15
 
 
 class SampleIds(tuple):
@@ -133,6 +142,42 @@ def write_artifact(path, text: str, header_comment: str | None = None) -> None:
     """Write ``text`` through :func:`artifact_file`."""
     with artifact_file(path, header_comment) as fh:
         fh.write(text)
+
+
+def _map_jobs(jobs: list[tuple]):
+    """Yield ``fn(*args)`` for each job ``(fn, *args)``, in job order, run on forked workers.
+
+    The jobs start at the first ``next``; one pool of one worker per usable
+    CPU runs them all, submitted in list order. A result is yielded as soon
+    as it and those before it are done, and is not held here once yielded,
+    so the caller holds only the results still in flight. The first job to
+    raise, in job order, raises here; jobs not yet started by then, or when
+    the caller stops iterating, are cancelled. The jobs run inline, one at a
+    time as they are asked for, when fewer than two exist, when one CPU is
+    usable, when the platform cannot fork, or in a daemon process, which may
+    not have children. A forked worker starts from this process's memory, so
+    it needs no imports; each ``fn`` is a module-level function, and it, its
+    arguments and the results travel by pickle.
+    """
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(jobs))
+    if (workers < 2 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        for fn, *args in jobs:
+            yield fn(*args)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = deque(pool.submit(*job) for job in jobs)
+        try:
+            while futures:
+                yield futures.popleft().result()
+        finally:
+            for future in futures:  # after a failure, start no further job
+                future.cancel()
 
 
 # np.sum over an axis of fewer than 8 elements adds them one after another,
@@ -607,7 +652,10 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
 
     Probabilities render at 9 significant digits. ``header_comment`` (no
     leading ``#``) is written as the first line for manifest stamping. The
-    file is written one sample at a time, through :func:`artifact_file`.
+    samples are cut into contiguous jobs of about :data:`SAVE_JOB_VALUES`
+    probabilities, each formatted by :func:`_sample_rows` on the workers of
+    :func:`_map_jobs`; each job's text is written in job order, a sample at
+    a time, through :func:`artifact_file`.
     """
     fmt = require_choice(format or infer_format(path), "predictions format", PREDICTION_FORMATS)
     values = [PROB_FORMAT] * tensor.n_classes
@@ -620,13 +668,28 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
         header = ""
         prefixes = ['{"sample_id": ' + json.dumps(s) for s in tensor.sample_ids]
         tails = [f', "pass_id": {t}, "p": [{", ".join(values)}]}}\n' for t in passes]
+    step = max(1, SAVE_JOB_VALUES // (tensor.n_passes * tensor.n_classes))
+    jobs = [(_sample_rows, prefixes[i:i + step], tails, tensor.probs[i:i + step])
+            for i in range(0, tensor.n_samples, step)]
     with artifact_file(path, header_comment) as fh:
         fh.write(header)
-        # row t of a sample is its prefix then tails[t]; the prefix, spliced into
-        # one template of the sample's rows, is escaped for the % format
-        for prefix, rows in zip(prefixes, tensor.probs):
-            prefix = prefix.replace("%", "%%")
-            fh.write((prefix + prefix.join(tails)) % tuple(rows.ravel().tolist()))
+        for texts in _map_jobs(jobs):
+            for text in texts:
+                fh.write(text)
+
+
+def _sample_rows(prefixes: list[str], tails: list[str], probs: np.ndarray) -> list[str]:
+    """The text of each sample's rows, for row prefixes ``prefixes`` and probabilities ``probs``.
+
+    Row t of a sample is its prefix then ``tails[t]``, whose ``%`` fields take
+    that row's probabilities.
+    """
+    texts = []
+    # the prefix, spliced into one template of the sample's rows, is escaped for the % format
+    for prefix, rows in zip(prefixes, probs):
+        prefix = prefix.replace("%", "%%")
+        texts.append((prefix + prefix.join(tails)) % tuple(rows.ravel().tolist()))
+    return texts
 
 
 def load_labels(path) -> LabelSet:

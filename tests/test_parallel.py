@@ -1,16 +1,20 @@
-"""Models train in forked workers with the weights of an inline run."""
+"""Forked workers train models and format predictions files with the results of an inline run."""
 
 import concurrent.futures
 import multiprocessing
 import os
+import time
 import warnings
 
+import numpy as np
 import pytest
 
+import uqeval.tensor
 from uqeval import (EnsembleSpec, MlpSpec, TrainConfig, TrainingDivergedError, ValidationError,
-                    train_ensemble)
+                    save_predictions, train_ensemble)
 from uqeval.demo import QUICK_PRESET, run_demo
-from uqeval.models import Mlp, _map_jobs, _train_job
+from uqeval.models import Mlp, _train_job
+from uqeval.tensor import PredictionTensor, _map_jobs
 
 from test_models import assert_same_parameters, xor_data
 
@@ -42,7 +46,7 @@ def worker_pid(i):
 
 def test_results_come_back_in_job_order_from_workers(monkeypatch, pools):
     usable_cpus(monkeypatch, 2)
-    results = _map_jobs([(worker_pid, i) for i in range(7)])
+    results = list(_map_jobs([(worker_pid, i) for i in range(7)]))
     assert [i for i, _ in results] == list(range(7))
     assert os.getpid() not in {pid for _, pid in results}
     assert [args[0] for args in pools] == [2]
@@ -50,7 +54,8 @@ def test_results_come_back_in_job_order_from_workers(monkeypatch, pools):
 
 def test_one_cpu_runs_inline(monkeypatch, pools):
     usable_cpus(monkeypatch, 1)
-    assert _map_jobs([(worker_pid, 0), (worker_pid, 1)]) == [(0, os.getpid()), (1, os.getpid())]
+    assert list(_map_jobs([(worker_pid, 0), (worker_pid, 1)])) == [(0, os.getpid()),
+                                                                   (1, os.getpid())]
     assert pools == []
 
 
@@ -127,9 +132,9 @@ def test_inline_and_pooled_results_are_equal(monkeypatch, pools):
             train_job((2, 8, 2), 2, 4, data, init=Mlp(MlpSpec((2, 8, 2), seed=9)).flat),
             train_job((2, 6, 2), 4, 5, data)]
     usable_cpus(monkeypatch, 1)
-    inline = _map_jobs(jobs)
+    inline = list(_map_jobs(jobs))
     usable_cpus(monkeypatch, 2)
-    pooled = _map_jobs(jobs)
+    pooled = list(_map_jobs(jobs))
     assert len(pools) == 1
     assert [m.spec for m in pooled] == [job[1] for job in jobs]
     for a, b in zip(inline, pooled):
@@ -147,6 +152,128 @@ def test_first_failure_in_job_order_raises(monkeypatch, cpus):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(TrainingDivergedError, match="non-finite at epoch 0"):
-            _map_jobs([fine, diverging, misshapen])
+            list(_map_jobs([fine, diverging, misshapen]))
         with pytest.raises(ValidationError, match="input width 3 does not match data dim 2"):
-            _map_jobs([fine, misshapen, diverging])
+            list(_map_jobs([fine, misshapen, diverging]))
+
+
+def run_then_count(ran, i):
+    ran.append(i)
+    return i
+
+
+def test_inline_jobs_run_as_their_results_are_asked_for(monkeypatch, pools):
+    usable_cpus(monkeypatch, 1)
+    ran = []
+    results = _map_jobs([(run_then_count, ran, i) for i in range(3)])
+    assert ran == []
+    assert next(results) == 0 and ran == [0]
+    assert list(results) == [1, 2] and ran == [0, 1, 2]
+    assert pools == []
+
+
+def wait_for(path, i):
+    """Job ``i``: its result once ``path`` exists."""
+    deadline = time.monotonic() + 30
+    while not os.path.exists(path):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{path} did not appear")
+        time.sleep(0.01)
+    return i, os.getpid()
+
+
+def test_pooled_results_are_yielded_before_later_jobs_finish(tmp_path, monkeypatch, pools):
+    usable_cpus(monkeypatch, 2)
+    go = tmp_path / "go"
+    results = _map_jobs([(worker_pid, 0), (wait_for, go, 1), (worker_pid, 2)])
+    assert pools == []  # nothing starts before the first result is asked for
+    first, pid = next(results)  # job 1 cannot finish until this result is in
+    assert first == 0 and pid != os.getpid()
+    assert [args[0] for args in pools] == [2]
+    go.touch()
+    assert [i for i, _ in results] == [1, 2]
+
+
+# ids that the csv module quotes, that hold a % format, or that JSON escapes
+ODD_IDS = ["a,1", '"q"', "#x", "50%", "%s", "%%d", "é", "tab\t", "s8", "s9", "s10"]
+
+
+def odd_tensor(n_samples=11, n_passes=3, n_classes=2, ids=ODD_IDS):
+    rng = np.random.default_rng(4)
+    return PredictionTensor(rng.dirichlet(np.ones(n_classes), size=(n_samples, n_passes)),
+                            ids[:n_samples] if ids else [f"s{i}" for i in range(n_samples)])
+
+
+def job_sizes(monkeypatch):
+    """The number of samples of each save_predictions job, one list per call."""
+    calls, real = [], uqeval.tensor._map_jobs
+
+    def recorded(jobs):
+        calls.append([len(prefixes) for _, prefixes, *_ in jobs])
+        return real(jobs)
+
+    monkeypatch.setattr(uqeval.tensor, "_map_jobs", recorded)
+    return calls
+
+
+def save_in_daemon(tensor, path):
+    assert multiprocessing.current_process().daemon
+    save_predictions(tensor, path, header_comment="m")
+    return uqeval.tensor.SAVE_JOB_VALUES
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_pooled_writer_writes_the_inline_bytes(tmp_path, monkeypatch, pools, suffix):
+    tensor, sizes = odd_tensor(), job_sizes(monkeypatch)
+    usable_cpus(monkeypatch, 2)
+    save_predictions(tensor, tmp_path / f"one-job{suffix}", header_comment="m")
+    assert sizes == [[11]] and pools == []
+    monkeypatch.setattr(uqeval.tensor, "SAVE_JOB_VALUES", 4 * 3 * 2)  # 4 samples a job
+    save_predictions(tensor, tmp_path / f"pooled{suffix}", header_comment="m")
+    assert sizes[-1] == [4, 4, 3]
+    assert [args[0] for args in pools] == [2]
+    usable_cpus(monkeypatch, 1)
+    save_predictions(tensor, tmp_path / f"one-cpu{suffix}", header_comment="m")
+    assert sizes[-1] == [4, 4, 3] and len(pools) == 1
+    usable_cpus(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as daemon:
+        job_values = daemon.apply(save_in_daemon, (tensor, tmp_path / f"daemon{suffix}"))
+    assert job_values == 4 * 3 * 2 and len(pools) == 1
+    expected = (tmp_path / f"one-job{suffix}").read_bytes()
+    for name in ("pooled", "one-cpu", "daemon"):
+        assert (tmp_path / f"{name}{suffix}").read_bytes() == expected, name
+    assert b'"a,1"' in expected and b"50%" in expected and b"%%d" in expected
+
+
+def test_a_demo_sized_tensor_is_one_job_written_inline(tmp_path, monkeypatch, pools):
+    usable_cpus(monkeypatch, 2)
+    sizes = job_sizes(monkeypatch)
+    save_predictions(odd_tensor(150, 100, 2, ids=None), tmp_path / "p.csv")
+    assert sizes == [[150]]
+    assert pools == []
+
+
+REAL_SAMPLE_ROWS = uqeval.tensor._sample_rows
+
+
+def failing_rows(prefixes, tails, probs):
+    """``_sample_rows``, except that the jobs from ``s4`` (slowly) and ``s8`` raise."""
+    if prefixes[0] == "s4":
+        time.sleep(0.5)  # so that the later job fails first
+    if prefixes[0] in ("s4", "s8"):
+        raise ValueError(f"job from {prefixes[0]} failed")
+    return REAL_SAMPLE_ROWS(prefixes, tails, probs)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_job_leaves_the_old_file(tmp_path, monkeypatch, pools, cpus):
+    usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(uqeval.tensor, "SAVE_JOB_VALUES", 4 * 3 * 2)
+    monkeypatch.setattr(uqeval.tensor, "_sample_rows", failing_rows)  # forked workers inherit it
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValueError, match="^job from s4 failed$"):
+        save_predictions(odd_tensor(ids=None), path)
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+    assert len(pools) == (cpus > 1)

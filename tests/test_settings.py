@@ -248,3 +248,24 @@ def test_an_unknown_extension_is_a_validation_error(name, tmp_path):
 def test_a_known_extension_in_any_case_is_inferred(name, tmp_path):
     save_predictions(TENSOR, tmp_path / name)
     assert np.array_equal(load_predictions(tmp_path / name).probs, TENSOR.probs)
+
+
+# the t statistic may be infinite (a zero-variance paired difference), but is otherwise a real
+NOT_T = [v for v in NOT_REAL if not (isinstance(v, float) and math.isinf(v))]
+
+
+@pytest.mark.parametrize("value", NOT_T + [np.float32("nan"), pytest.param(10**400, id="10**400")])
+def test_a_t_statistic_is_a_number(value):
+    with pytest.raises(ValidationError) as info:
+        student_t_two_sided_p(value, 5)
+    assert str(info.value) == f"t statistic {value!r} is not a finite number"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, np.float64("inf"), np.float32("-inf")])
+def test_an_infinite_t_statistic_has_p_value_zero(value):
+    assert student_t_two_sided_p(value, 5) == 0.0
+
+
+@pytest.mark.parametrize("value", [np.float32(1.0), np.int64(1), 1])
+def test_a_numpy_t_statistic_gives_the_p_value_of_its_float(value):
+    assert student_t_two_sided_p(value, 5) == student_t_two_sided_p(1.0, 5)
