@@ -26,7 +26,7 @@ unchanged. Only a ``#`` line at the very top of a file is a comment:
 the CLI uses it to stamp a run-manifest digest into CSV artifacts. Every
 artifact is written through :func:`artifact_file`, so it replaces an earlier
 file at its path only once it is complete. A large predictions file is
-formatted on every usable CPU by :func:`_map_jobs`, the job map that model
+formatted on the usable CPUs by :func:`_map_jobs`, the job map that model
 training also runs on, and written in order by this process.
 
 Labels meet predictions in one place, :func:`aligned_labels`, which every
@@ -63,12 +63,15 @@ PROB_FORMAT = "%.9g"
 # Python objects a predictions load holds at once.
 CHUNK_ROWS = 8192
 
-# Probability values formatted by one save_predictions job; a larger file is
-# formatted by several jobs, on every usable CPU (:func:`_map_jobs`). Jobs this
-# small keep the few results in flight, each held as text and as its pickle,
-# well under the file's size, and the demo's largest tensor (150 x 100 x 2)
-# still fits in one job, so it is written inline.
-SAVE_JOB_VALUES = 2**15
+# Probability values formatted by one save_predictions job, and by one worker
+# at least: a tensor gets a worker for every SAVE_WORKER_VALUES values, up to
+# one per usable CPU (:func:`_map_jobs`). A tensor of fewer than two workers'
+# values, as every demo tensor is, is formatted inline, a job at a time, since
+# there forking the pool costs about what it saves. A worker has at least 8
+# jobs, so the results in flight, at most two jobs a worker and the one being
+# written, hold about a quarter of the file's values at most.
+SAVE_JOB_VALUES = 2**14
+SAVE_WORKER_VALUES = 2**17
 
 
 class SampleIds(tuple):
@@ -144,25 +147,28 @@ def write_artifact(path, text: str, header_comment: str | None = None) -> None:
         fh.write(text)
 
 
-def _map_jobs(jobs: list[tuple]):
+def _map_jobs(jobs: list[tuple], max_workers: int | None = None):
     """Yield ``fn(*args)`` for each job ``(fn, *args)``, in job order, run on forked workers.
 
     The jobs start at the first ``next``; one pool of one worker per usable
-    CPU runs them all, submitted in list order. A result is yielded as soon
-    as it and those before it are done, and is not held here once yielded,
-    so the caller holds only the results still in flight. The first job to
-    raise, in job order, raises here; jobs not yet started by then, or when
-    the caller stops iterating, are cancelled. The jobs run inline, one at a
-    time as they are asked for, when fewer than two exist, when one CPU is
-    usable, when the platform cannot fork, or in a daemon process, which may
-    not have children. A forked worker starts from this process's memory, so
-    it needs no imports; each ``fn`` is a module-level function, and it, its
-    arguments and the results travel by pickle.
+    CPU, and at most ``max_workers``, runs them in list order. At most two
+    jobs a worker are submitted ahead of the result to be yielded next, and
+    one more each time a result is yielded, so this process holds at most
+    that many results, whatever the number of jobs; a yielded result is not
+    held here. The first job to raise, in job order, raises here; jobs not
+    yet started by then, or when the caller stops iterating, are cancelled.
+    The jobs run inline, one at a time as they are asked for, when fewer than
+    two workers would run, when the platform cannot fork, or in a daemon
+    process, which may not have children. A forked worker starts from this
+    process's memory, so it needs no imports; each ``fn`` is a module-level
+    function, and it, its arguments and the results travel by pickle.
     """
     import multiprocessing
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, len(jobs))
+    if max_workers is not None:
+        workers = min(workers, max_workers)
     if (workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
         for fn, *args in jobs:
@@ -171,10 +177,13 @@ def _map_jobs(jobs: list[tuple]):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = deque(pool.submit(*job) for job in jobs)
+        unsubmitted = iter(jobs)
+        futures = deque(pool.submit(*job) for job in islice(unsubmitted, 2 * workers))
         try:
             while futures:
-                yield futures.popleft().result()
+                future = futures.popleft()
+                futures.extend(pool.submit(*job) for job in islice(unsubmitted, 1))
+                yield future.result()
         finally:
             for future in futures:  # after a failure, start no further job
                 future.cancel()
@@ -654,8 +663,8 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
     leading ``#``) is written as the first line for manifest stamping. The
     samples are cut into contiguous jobs of about :data:`SAVE_JOB_VALUES`
     probabilities, each formatted by :func:`_sample_rows` on the workers of
-    :func:`_map_jobs`; each job's text is written in job order, a sample at
-    a time, through :func:`artifact_file`.
+    :func:`_map_jobs`, one for every :data:`SAVE_WORKER_VALUES`; each job's
+    text is written in job order, a sample at a time, through :func:`artifact_file`.
     """
     fmt = require_choice(format or infer_format(path), "predictions format", PREDICTION_FORMATS)
     values = [PROB_FORMAT] * tensor.n_classes
@@ -673,7 +682,7 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
             for i in range(0, tensor.n_samples, step)]
     with artifact_file(path, header_comment) as fh:
         fh.write(header)
-        for texts in _map_jobs(jobs):
+        for texts in _map_jobs(jobs, tensor.probs.size // SAVE_WORKER_VALUES):
             for text in texts:
                 fh.write(text)
 

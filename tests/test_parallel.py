@@ -194,6 +194,32 @@ def test_pooled_results_are_yielded_before_later_jobs_finish(tmp_path, monkeypat
     assert [i for i, _ in results] == [1, 2]
 
 
+def test_at_most_two_jobs_a_worker_are_submitted_ahead(monkeypatch):
+    # the results this process may hold do not grow with the number of jobs
+    submitted = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[0])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    usable_cpus(monkeypatch, 2)
+    results = _map_jobs([(worker_pid, i) for i in range(10)])
+    assert next(results)[0] == 0 and submitted == [0, 1, 2, 3, 4]
+    assert next(results)[0] == 1 and submitted == [0, 1, 2, 3, 4, 5]
+    assert [i for i, _ in results] == list(range(2, 10)) and submitted == list(range(10))
+
+
+def test_max_workers_caps_the_pool(monkeypatch, pools):
+    usable_cpus(monkeypatch, 4)
+    jobs = [(worker_pid, i) for i in range(6)]
+    assert list(_map_jobs(jobs, 1)) == [(i, os.getpid()) for i in range(6)]
+    assert pools == []
+    assert [i for i, _ in _map_jobs(jobs, 3)] == list(range(6))
+    assert [args[0] for args in pools] == [3]
+
+
 # ids that the csv module quotes, that hold a % format, or that JSON escapes
 ODD_IDS = ["a,1", '"q"', "#x", "50%", "%s", "%%d", "é", "tab\t", "s8", "s9", "s10"]
 
@@ -208,12 +234,18 @@ def job_sizes(monkeypatch):
     """The number of samples of each save_predictions job, one list per call."""
     calls, real = [], uqeval.tensor._map_jobs
 
-    def recorded(jobs):
+    def recorded(jobs, max_workers):
         calls.append([len(prefixes) for _, prefixes, *_ in jobs])
-        return real(jobs)
+        return real(jobs, max_workers)
 
     monkeypatch.setattr(uqeval.tensor, "_map_jobs", recorded)
     return calls
+
+
+def small_jobs(monkeypatch, job_samples=4, worker_jobs=1):
+    """Jobs of ``job_samples`` samples of 3 x 2 values, and a worker for every ``worker_jobs`` jobs."""
+    monkeypatch.setattr(uqeval.tensor, "SAVE_JOB_VALUES", job_samples * 3 * 2)
+    monkeypatch.setattr(uqeval.tensor, "SAVE_WORKER_VALUES", worker_jobs * job_samples * 3 * 2)
 
 
 def save_in_daemon(tensor, path):
@@ -228,7 +260,7 @@ def test_pooled_writer_writes_the_inline_bytes(tmp_path, monkeypatch, pools, suf
     usable_cpus(monkeypatch, 2)
     save_predictions(tensor, tmp_path / f"one-job{suffix}", header_comment="m")
     assert sizes == [[11]] and pools == []
-    monkeypatch.setattr(uqeval.tensor, "SAVE_JOB_VALUES", 4 * 3 * 2)  # 4 samples a job
+    small_jobs(monkeypatch)
     save_predictions(tensor, tmp_path / f"pooled{suffix}", header_comment="m")
     assert sizes[-1] == [4, 4, 3]
     assert [args[0] for args in pools] == [2]
@@ -245,11 +277,25 @@ def test_pooled_writer_writes_the_inline_bytes(tmp_path, monkeypatch, pools, suf
     assert b'"a,1"' in expected and b"50%" in expected and b"%%d" in expected
 
 
-def test_a_demo_sized_tensor_is_one_job_written_inline(tmp_path, monkeypatch, pools):
+def test_the_writer_starts_a_worker_for_every_worker_values(tmp_path, monkeypatch, pools):
+    tensor = odd_tensor()  # 66 values
+    usable_cpus(monkeypatch, 8)
+    save_predictions(tensor, tmp_path / "inline.csv")
+    small_jobs(monkeypatch, job_samples=1, worker_jobs=3)
+    save_predictions(tensor, tmp_path / "three.csv")
+    assert [args[0] for args in pools] == [3]  # 11 jobs, 8 CPUs, 66 // 18 workers
+    small_jobs(monkeypatch, job_samples=1, worker_jobs=6)
+    save_predictions(tensor, tmp_path / "one.csv")
+    assert len(pools) == 1  # 66 // 36 is one worker, which runs inline
+    for name in ("three.csv", "one.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "inline.csv").read_bytes(), name
+
+
+def test_a_demo_sized_tensor_is_written_inline(tmp_path, monkeypatch, pools):
     usable_cpus(monkeypatch, 2)
     sizes = job_sizes(monkeypatch)
     save_predictions(odd_tensor(150, 100, 2, ids=None), tmp_path / "p.csv")
-    assert sizes == [[150]]
+    assert sizes == [[81, 69]]
     assert pools == []
 
 
@@ -268,7 +314,7 @@ def failing_rows(prefixes, tails, probs):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failing_job_leaves_the_old_file(tmp_path, monkeypatch, pools, cpus):
     usable_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(uqeval.tensor, "SAVE_JOB_VALUES", 4 * 3 * 2)
+    small_jobs(monkeypatch)
     monkeypatch.setattr(uqeval.tensor, "_sample_rows", failing_rows)  # forked workers inherit it
     path = tmp_path / "p.csv"
     path.write_bytes(b"old\n")

@@ -382,10 +382,9 @@ class TestAtomicWrites:
 
 
 class TestWriterMemory:
-    # JSONL shares the CSV's per-sample loop; a smaller tensor keeps the traced run short
-    @pytest.mark.parametrize("fmt, n_samples", [("csv", 2000), ("jsonl", 500)])
-    def test_peak_below_file_size(self, tmp_path, fmt, n_samples):
-        # streamed: no whole-file buffer and no whole-tensor list of floats
+    @staticmethod
+    def peak_and_size(tmp_path, fmt, n_samples):
+        """The traced peak of saving a seeded n_samples x 50 x 10 tensor, and the file's size."""
         rng = np.random.default_rng(0)
         tensor = PredictionTensor(rng.dirichlet(np.ones(10), size=(n_samples, 50)),
                                   [f"s{i}" for i in range(n_samples)])
@@ -396,4 +395,19 @@ class TestWriterMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < os.path.getsize(path)
+        return peak, os.path.getsize(path)
+
+    # JSONL shares the CSV's per-sample loop; a smaller tensor keeps the traced run short
+    @pytest.mark.parametrize("fmt, n_samples", [("csv", 2000), ("jsonl", 500)])
+    def test_peak_below_file_size(self, tmp_path, fmt, n_samples):
+        # streamed: no whole-file buffer and no whole-tensor list of floats
+        peak, size = self.peak_and_size(tmp_path, fmt, n_samples)
+        assert peak < size
+
+    @pytest.mark.parametrize("fmt, n_samples", [("csv", 2000), ("jsonl", 500)])
+    def test_peak_does_not_grow_with_the_cpus(self, tmp_path, monkeypatch, fmt, n_samples):
+        # 8 usable CPUs format the 10^6 CSV values on 7 workers, which hold at
+        # most 15 jobs of 2^14 values in flight, and the 250,000 JSONL values inline
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        peak, size = self.peak_and_size(tmp_path, fmt, n_samples)
+        assert peak < size / 2
