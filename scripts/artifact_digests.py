@@ -1,8 +1,11 @@
 """Print a sha256 digest of every file a fixed set of seeded runs writes.
 
 Runs this checkout's ``python -m uqeval.cli`` for ``demo --seed 0``,
-``demo --seed 7`` and ``demo --quick --seed 7``, and one export-sized library
-run (:data:`EXPORT`), each into its own folder of a temporary directory, and
+``demo --seed 7`` and ``demo --quick --seed 7``; then ``aggregate``,
+``evaluate``, ``sweep``, ``ece`` and ``separate`` on the quick demo's EMCD
+files (:data:`EVALUATIONS`), each with ``--format`` text, json and csv; and
+one export-sized library run (:data:`EXPORT`), each into its own folder of a
+temporary directory, and
 prints ``sha256  path`` for every file written and for each run's stdout,
 sorted by path. A manifest's ``timestamp`` line is
 dropped before hashing, since it is the one part of a run that changes from
@@ -35,6 +38,21 @@ RUNS = {
     "demo-seed7": ["demo", "--seed", "7"],
     "demo-quick-seed7": ["demo", "--quick", "--seed", "7"],
 }
+
+# The evaluation subcommands' arguments, read from the quick demo's folder
+# by relative paths, which the manifests record.
+QUICK = "demo-quick-seed7"
+SCORED = ["--summaries", f"{QUICK}/summaries_emcd.csv", "--labels", f"{QUICK}/labels.csv"]
+EVALUATIONS = {
+    "aggregate": ["--in", f"{QUICK}/predictions_emcd.csv", "--scheme", "emcd",
+                  "--partition", "4x4"],
+    "evaluate": SCORED,
+    "sweep": SCORED,
+    "ece": SCORED,
+    "separate": SCORED,
+}
+RUNS.update({f"{command}-{fmt}": [command, *args, "--format", fmt]
+             for command, args in EVALUATIONS.items() for fmt in ("text", "json", "csv")})
 
 # A seeded 4000 x 50 x 10 tensor, with ids that need csv quoting or hold a %,
 # saved as CSV and JSONL: large enough that save_predictions formats it in

@@ -226,8 +226,9 @@ SUMMARY_FLOAT_FORMAT = "%.17g"
 SUMMARY_COLUMNS = ("sample_id", "predicted_class", "confidence", "entropy", "normalized_entropy")
 
 
-def save_summaries(summaries: Summaries, path, header_comment: str | None = None) -> None:
-    """CSV export: ``sample_id,predicted_class,confidence,entropy,normalized_entropy,p_0..p_{C-1}``."""
+def save_summaries(summaries: Summaries, path, header_comment: str | None = None) -> str:
+    """CSV export: ``sample_id,predicted_class,confidence,entropy,normalized_entropy,p_0..p_{C-1}``;
+    returns the text written after the header comment."""
     fmt = SUMMARY_FLOAT_FORMAT
     header = SUMMARY_COLUMNS + tuple(f"p_{c}" for c in range(summaries.n_classes))
     rows = [",".join(header) + "\n"]
@@ -240,7 +241,7 @@ def save_summaries(summaries: Summaries, path, header_comment: str | None = None
         rows.append(
             f"{sid},{predicted},{fmt % confidence},{fmt % entropy},{fmt % normalized},{rendered}\n"
         )
-    write_artifact(path, "".join(rows), header_comment)
+    return write_artifact(path, "".join(rows), header_comment)
 
 
 def load_summaries(path) -> Summaries:

@@ -93,14 +93,15 @@ def calibration_report(summaries: Summaries, labels: LabelSet,
 RELIABILITY_HEADER = "bin,lo,hi,count,accuracy,confidence,gap"
 
 
-def save_reliability(report: CalibrationReport, path, header_comment: str | None = None) -> None:
-    """Reliability CSV, ``n/a`` for empty bins; its ``gap`` is signed, ``accuracy - confidence``."""
+def save_reliability(report: CalibrationReport, path, header_comment: str | None = None) -> str:
+    """Reliability CSV, ``n/a`` for empty bins; its ``gap`` is signed, ``accuracy - confidence``;
+    returns the text written after the header comment."""
     rows = [RELIABILITY_HEADER + "\n"]
     for b in report.bins:
         gap = None if b.count == 0 else b.accuracy - b.confidence
         lo, hi, acc, conf, gap = map(format_metric, (b.lo, b.hi, b.accuracy, b.confidence, gap))
         rows.append(f"{b.index},{lo},{hi},{b.count},{acc},{conf},{gap}\n")
-    write_artifact(path, "".join(rows), header_comment)
+    return write_artifact(path, "".join(rows), header_comment)
 
 
 def calibration_as_dict(report: CalibrationReport) -> dict:

@@ -199,8 +199,8 @@ def cmd_aggregate(args) -> Run:
     summaries = aggregate(tensor, scheme, args.log_base)
 
     def write(out: Path, digest: str) -> str:
-        save_summaries(summaries, out / "summaries.csv",
-                       header_comment=f"manifest_digest={digest}")
+        table = save_summaries(summaries, out / "summaries.csv",
+                               header_comment=f"manifest_digest={digest}")
         if args.format == "json":
             return canonical_json({
                 "n_samples": len(summaries),
@@ -209,7 +209,7 @@ def cmd_aggregate(args) -> Run:
                 "manifest_digest": digest,
             })
         if args.format == "csv":
-            return (out / "summaries.csv").read_text()
+            return table
         return f"wrote {out / 'summaries.csv'} ({len(summaries)} samples, scheme {args.scheme})"
 
     return Run({"predictions": args.input}, write)
@@ -263,7 +263,7 @@ def cmd_sweep(args) -> Run:
                             normalized=args.normalize_entropy)
 
     def write(out: Path, digest: str) -> str:
-        save_sweep(curve, out / "sweep.csv", header_comment=f"manifest_digest={digest}")
+        table = save_sweep(curve, out / "sweep.csv", header_comment=f"manifest_digest={digest}")
         sweep_json = canonical_json(
             {"points": [ucm_as_dict(p.ucm) for p in curve], "manifest_digest": digest}
         )
@@ -272,7 +272,7 @@ def cmd_sweep(args) -> Run:
         if args.format == "json":
             return sweep_json
         if args.format == "csv":
-            return SWEEP_HEADER + "\n" + render_sweep_rows(curve)
+            return table
         return f"wrote {out / 'sweep.csv'} and sweep.svg ({len(curve)} thresholds)"
 
     return Run({"summaries": args.summaries, "labels": args.labels}, write)
@@ -285,13 +285,13 @@ def cmd_ece(args) -> Run:
     def write(out: Path, digest: str) -> str:
         payload = canonical_json({**calibration_as_dict(report), "manifest_digest": digest})
         write_artifact(out / "calibration.json", payload)
-        save_reliability(report, out / "reliability.csv",
-                         header_comment=f"manifest_digest={digest}")
+        table = save_reliability(report, out / "reliability.csv",
+                                 header_comment=f"manifest_digest={digest}")
         write_artifact(out / "reliability.svg", reliability_svg(report, digest))
         if args.format == "json":
             return payload
         if args.format == "csv":
-            return (out / "reliability.csv").read_text()
+            return table
         return f"ECE {report.ece:.6f} over {report.n} samples in {report.n_bins} bins"
 
     return Run({"summaries": args.summaries, "labels": args.labels}, write)

@@ -1,7 +1,7 @@
-"""Synthetic 2-D binary datasets so the pipeline runs without external data.
+"""A synthetic 2-D binary dataset so the pipeline runs without external data.
 
-Two generators: interleaved half-circles ("two-moons", linearly inseparable)
-and a pair of Gaussian blobs centred at (-2, 0) and (2, 0). Points get a
+Two interleaved half-circles ("two-moons", linearly inseparable), each point
+moved by Gaussian noise of standard deviation ``noise``. Points get a
 deterministic stratified train/test split, 75/25 in each class, and stable
 row ids.
 """
@@ -13,12 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import (class_indices, require_choice, require_integer, require_real, require_seed,
-                     write_artifact)
+from .tensor import class_indices, require_integer, require_real, require_seed, write_artifact
 
-GENERATORS = ("two-moons", "gaussian-blobs")
 TRAIN_FRACTION = 0.75
-BLOB_CENTERS = ((-2.0, 0.0), (2.0, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,22 +69,12 @@ class SyntheticDataset:
         return tuple(self.ids[i] for i in self.test_idx)
 
 
-def generate_dataset(kind: str, n: int, noise: float, seed: int) -> SyntheticDataset:
-    """Deterministic synthetic dataset with a stratified split."""
-    require_choice(kind, "dataset kind", GENERATORS)
+def generate_dataset(n: int, noise: float, seed: int) -> SyntheticDataset:
+    """Deterministic two-moons dataset with a stratified split."""
     require_integer(n, "n", 20, f"need at least 20 points, got {n}")
     noise = require_real(noise, "noise", 0.0, np.inf, "{name} must be nonnegative")
     ss = np.random.SeedSequence(require_seed(seed))
     points_rng, split_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    if kind == "two-moons":
-        x, y = _two_moons(n, noise, points_rng)
-    else:
-        x, y = _gaussian_blobs(n, noise, points_rng)
-    train_idx, test_idx = _stratified_split(y, split_rng)
-    return SyntheticDataset(x=x, y=y, train_idx=train_idx, test_idx=test_idx)
-
-
-def _two_moons(n: int, noise: float, rng: np.random.Generator):
     n_upper = n // 2
     n_lower = n - n_upper
     t_upper = np.linspace(0.0, np.pi, n_upper)
@@ -95,20 +82,10 @@ def _two_moons(n: int, noise: float, rng: np.random.Generator):
     upper = np.column_stack([np.cos(t_upper), np.sin(t_upper)])
     lower = np.column_stack([1.0 - np.cos(t_lower), 0.5 - np.sin(t_lower)])
     x = np.vstack([upper, lower])
-    x += rng.normal(0.0, noise, size=x.shape) if noise > 0 else 0.0
+    x += points_rng.normal(0.0, noise, size=x.shape) if noise > 0 else 0.0
     y = np.concatenate([np.zeros(n_upper, dtype=np.int64), np.ones(n_lower, dtype=np.int64)])
-    return x, y
-
-
-def _gaussian_blobs(n: int, noise: float, rng: np.random.Generator):
-    n_a = n // 2
-    n_b = n - n_a
-    scale = noise if noise > 0 else 1e-12
-    a = rng.normal(0.0, scale, size=(n_a, 2)) + np.asarray(BLOB_CENTERS[0])
-    b = rng.normal(0.0, scale, size=(n_b, 2)) + np.asarray(BLOB_CENTERS[1])
-    x = np.vstack([a, b])
-    y = np.concatenate([np.zeros(n_a, dtype=np.int64), np.ones(n_b, dtype=np.int64)])
-    return x, y
+    train_idx, test_idx = _stratified_split(y, split_rng)
+    return SyntheticDataset(x=x, y=y, train_idx=train_idx, test_idx=test_idx)
 
 
 def _stratified_split(y: np.ndarray, rng: np.random.Generator):

@@ -66,12 +66,11 @@ DEMO_ARTIFACTS = (
 DEFAULT_THRESHOLD = 0.3
 DEFAULT_GRID = tuple(round(0.1 * k, 12) for k in range(1, 10))
 
-# The same in every demo run: the dataset's generator and noise, the
+# The same in every demo run: the two-moons dataset's noise, the
 # MC-dropout network's hidden widths, the dropout rate of it and of the
 # ensemble members, the minibatch size of every fit, the hidden widths of the
 # comparison heads, the calibration bins, and the names of the comparison's two
 # sides, in the order compare_models pairs them.
-DATASET_KIND = "two-moons"
 DATASET_NOISE = 0.28
 MCD_HIDDEN = (32, 16, 4)
 DROPOUT_RATE = 0.25
@@ -142,7 +141,7 @@ def _sub_seeds(seed: int) -> dict[str, int]:
 def _model_jobs(seed: int, preset: DemoPreset):
     """Seeds, dataset, labels, and the pool jobs of the MC-dropout model and members."""
     seeds = _sub_seeds(require_seed(seed))
-    dataset = generate_dataset(DATASET_KIND, preset.n_points, DATASET_NOISE, seeds["data"])
+    dataset = generate_dataset(preset.n_points, DATASET_NOISE, seeds["data"])
     labels = LabelSet(dataset.test_ids, dataset.test_y)
 
     mcd_spec = MlpSpec(

@@ -13,10 +13,11 @@ masked pre-activation equals the unmasked one.
 Parameter layout: each :class:`Mlp` keeps every parameter in one float64
 buffer, ``Mlp.flat``, layer by layer: layer ``i``'s weight matrix
 (``fan_in x fan_out``, row-major) followed by its bias (``fan_out``).
-``Mlp.weights`` and ``Mlp.biases`` are tuples of reshaped views into that
-buffer. Writing through a view writes the buffer; rebinding either tuple, or
-assigning one of its items, raises, so no parameter can come loose from the
-buffer that training updates.
+A model is a frozen dataclass of its spec, that buffer and its loss history.
+``Mlp.weights`` and ``Mlp.biases`` build tuples of reshaped views into the
+buffer on each access, so writing through a view writes the buffer, a copy's
+views are into its own copy, and no parameter can come loose from the
+buffer that training updates: rebinding ``flat`` raises.
 
 Lockstep training: :func:`_train_stack` is the one entry into the Adam
 engine. It checks, then trains, a list of jobs ``(spec, config, x, y,
@@ -67,7 +68,7 @@ with fewer numpy calls per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -242,41 +243,48 @@ def _backprop(weights_t, activations, pre, masks, targets, grads_w, grads_b) -> 
             delta *= pre[i - 1] > 0.0
 
 
+@dataclass(frozen=True, eq=False)
 class Mlp:
     """Fully connected ReLU network with a softmax output head.
 
-    Every parameter lives in the one buffer :attr:`flat`; :attr:`weights`
-    and :attr:`biases` are read-only tuples of views into it.
+    Every parameter lives in the one buffer ``flat``: a copy of the given
+    buffer, or one drawn from ``spec.seed``. :attr:`weights` and
+    :attr:`biases` are tuples of views into it.
     """
 
-    def __init__(self, spec: MlpSpec):
-        self.spec = spec
-        widths = spec.layer_widths
-        self._flat = np.zeros(_parameter_count(widths))
-        self._weights, self._biases = _layer_views(self._flat, widths)
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-        for w in self._weights:
-            limit = math.sqrt(6.0 / w.shape[0])
-            w[...] = rng.uniform(-limit, limit, size=w.shape)
-        self.loss_history: list[float] = []
+    spec: MlpSpec
+    flat: np.ndarray | None = None
+    loss_history: list[float] = field(default_factory=list, init=False)
 
-    def __reduce__(self):
-        # copies and pickles rebuild the views on the copied buffer; by default
-        # each view would become an array of its own, cut loose from ``flat``
-        return _rebuild_mlp, (self.spec, self._flat, self.loss_history)
+    def __post_init__(self):
+        widths = self.spec.layer_widths
+        count = _parameter_count(widths)
+        if self.flat is None:
+            flat = np.zeros(count)
+            rng = np.random.default_rng(np.random.SeedSequence(self.spec.seed))
+            for w in _layer_views(flat, widths)[0]:
+                limit = math.sqrt(6.0 / w.shape[0])
+                w[...] = rng.uniform(-limit, limit, size=w.shape)
+        else:
+            flat = np.array(self.flat, dtype=np.float64)
+            if flat.shape != (count,):
+                raise ValidationError(f"init of shape {flat.shape} does not match the model's "
+                                      f"{count} parameters")
+        object.__setattr__(self, "flat", flat)
 
-    @property
-    def flat(self) -> np.ndarray:
-        """All parameters, layer by layer: weights (row-major), then bias."""
-        return self._flat
+    def __copy__(self) -> Mlp:
+        # a shallow copy owns its buffer and history, as a deep copy does
+        twin = Mlp(self.spec, self.flat)
+        twin.loss_history.extend(self.loss_history)
+        return twin
 
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
-        return self._weights
+        return _layer_views(self.flat, self.spec.layer_widths)[0]
 
     @property
     def biases(self) -> tuple[np.ndarray, ...]:
-        return self._biases
+        return _layer_views(self.flat, self.spec.layer_widths)[1]
 
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None) -> np.ndarray:
         """Class probabilities; pass a generator to sample dropout masks."""
@@ -286,20 +294,11 @@ class Mlp:
         if dropout_rng is not None and rate > 0.0:
             divisors = _draw_masks([dropout_rng], rate, np.empty((1, len(x) * sum(hidden))))
             masks = _mask_views(divisors[0], hidden, len(x))
-        return _forward(self._weights, self._biases, x, masks)[0][-1]
+        return _forward(*_layer_views(self.flat, self.spec.layer_widths), x, masks)[0][-1]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Deterministic forward pass (dropout off)."""
         return self.forward(x)
-
-
-def _rebuild_mlp(spec: MlpSpec, flat, loss_history) -> Mlp:
-    model = Mlp.__new__(Mlp)
-    model.spec = spec
-    model._flat = np.array(flat, dtype=np.float64)
-    model._weights, model._biases = _layer_views(model._flat, spec.layer_widths)
-    model.loss_history = list(loss_history)
-    return model
 
 
 def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> None:
@@ -310,7 +309,7 @@ def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> N
     """
     (trained,) = _train_stack([(model.spec, config, x, y, model.flat)])
     model.flat[...] = trained.flat
-    model.loss_history += trained.loss_history
+    model.loss_history.extend(trained.loss_history)
 
 
 def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
@@ -334,8 +333,8 @@ def _train_job(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:
 def _train_stack(jobs: list[tuple]) -> list[Mlp]:
     """The models of jobs ``(spec, config, x, y, init)``, trained in lockstep as one stack.
 
-    Every job's data is checked (:func:`_training_arrays`), and so is the
-    shape of its ``init``; the models must have one shape, the configs may
+    Every job's data is checked (:func:`_training_arrays`), and :class:`Mlp`
+    checks its ``init``; the models must have one shape, the configs may
     differ only in their seed, and every job needs as many samples. A fresh
     model's loss history starts with its untrained loss; each epoch appends
     the full-data loss. Each epoch gathers each model's shuffled rows and
@@ -347,15 +346,9 @@ def _train_stack(jobs: list[tuple]) -> list[Mlp]:
     models, xs, ys = [], [], []
     for spec, config, x, y, init in jobs:
         x, y = _training_arrays(x, y, spec)
-        model = Mlp(spec)
+        model = Mlp(spec, init)
         if init is None:
             model.loss_history.append(cross_entropy(model.predict_proba(x), y))
-        else:
-            init = np.asarray(init, dtype=np.float64)
-            if init.shape != model.flat.shape:
-                raise ValidationError(f"init of shape {init.shape} does not match the model's "
-                                      f"{model.flat.size} parameters")
-            model.flat[...] = init
         models.append(model)
         xs.append(x)
         ys.append(y)

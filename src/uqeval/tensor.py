@@ -141,10 +141,11 @@ def artifact_file(path, header_comment: str | None = None):
         raise
 
 
-def write_artifact(path, text: str, header_comment: str | None = None) -> None:
-    """Write ``text`` through :func:`artifact_file`."""
+def write_artifact(path, text: str, header_comment: str | None = None) -> str:
+    """Write ``text`` through :func:`artifact_file`, and return it."""
     with artifact_file(path, header_comment) as fh:
         fh.write(text)
+    return text
 
 
 def _map_jobs(jobs: list[tuple], max_workers: int | None = None):
@@ -664,7 +665,7 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
     samples are cut into contiguous jobs of about :data:`SAVE_JOB_VALUES`
     probabilities, each formatted by :func:`_sample_rows` on the workers of
     :func:`_map_jobs`, one for every :data:`SAVE_WORKER_VALUES`; each job's
-    text is written in job order, a sample at a time, through :func:`artifact_file`.
+    text is written in job order, one write a job, through :func:`artifact_file`.
     """
     fmt = require_choice(format or infer_format(path), "predictions format", PREDICTION_FORMATS)
     values = [PROB_FORMAT] * tensor.n_classes
@@ -682,13 +683,12 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
             for i in range(0, tensor.n_samples, step)]
     with artifact_file(path, header_comment) as fh:
         fh.write(header)
-        for texts in _map_jobs(jobs, tensor.probs.size // SAVE_WORKER_VALUES):
-            for text in texts:
-                fh.write(text)
+        for text in _map_jobs(jobs, tensor.probs.size // SAVE_WORKER_VALUES):
+            fh.write(text)
 
 
-def _sample_rows(prefixes: list[str], tails: list[str], probs: np.ndarray) -> list[str]:
-    """The text of each sample's rows, for row prefixes ``prefixes`` and probabilities ``probs``.
+def _sample_rows(prefixes: list[str], tails: list[str], probs: np.ndarray) -> str:
+    """The text of the samples' rows, for row prefixes ``prefixes`` and probabilities ``probs``.
 
     Row t of a sample is its prefix then ``tails[t]``, whose ``%`` fields take
     that row's probabilities.
@@ -698,7 +698,7 @@ def _sample_rows(prefixes: list[str], tails: list[str], probs: np.ndarray) -> li
     for prefix, rows in zip(prefixes, probs):
         prefix = prefix.replace("%", "%%")
         texts.append((prefix + prefix.join(tails)) % tuple(rows.ravel().tolist()))
-    return texts
+    return "".join(texts)
 
 
 def load_labels(path) -> LabelSet:

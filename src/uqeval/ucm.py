@@ -229,8 +229,8 @@ def format_metric(value: float | None) -> str:
 
 
 def save_sweep(curves: SweepCurve | dict[str, SweepCurve], path,
-               header_comment: str | None = None) -> None:
-    """Sweep CSV with ``n/a`` for undefined ratios.
+               header_comment: str | None = None) -> str:
+    """Sweep CSV with ``n/a`` for undefined ratios; returns the text written after the header comment.
 
     ``curves`` is one curve, or a dict of curves by scheme name; a dict adds
     a leading ``scheme`` column so the sweeps share one file.
@@ -241,7 +241,7 @@ def save_sweep(curves: SweepCurve | dict[str, SweepCurve], path,
         text = "scheme," + SWEEP_HEADER + "\n" + "".join(
             render_sweep_rows(curve, scheme) for scheme, curve in curves.items()
         )
-    write_artifact(path, text, header_comment)
+    return write_artifact(path, text, header_comment)
 
 
 def render_sweep_rows(curve: SweepCurve, scheme: str | None = None) -> str:

@@ -548,6 +548,29 @@ class TestCsvFormat:
         out = capsys.readouterr().out
         assert "bin,lo,hi,count,accuracy,confidence,gap" in out
 
+    @pytest.mark.parametrize("command, artifact", [
+        ("aggregate", "summaries.csv"), ("sweep", "sweep.csv"), ("ece", "reliability.csv"),
+        ("compare", "comparison_values.csv"),
+    ])
+    def test_csv_view_is_the_artifact_without_its_stamp(self, workdir, capsys, command,
+                                                        artifact):
+        tmp, _, _ = workdir
+        run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
+        rng = np.random.default_rng(72)
+        write_run_dir(tmp / "ra", make_runs(rng, 2))
+        write_run_dir(tmp / "rb", make_runs(rng, 2))
+        args = {
+            "aggregate": ["--in", tmp / "p.csv"],
+            "compare": ["--a", tmp / "ra", "--b", tmp / "rb"],
+        }.get(command, ["--summaries", tmp / "summaries.csv", "--labels", tmp / "l.csv"])
+        capsys.readouterr()
+        assert run_cli([command, *args, "--format", "csv", "--out", tmp / "v"]) == 0
+        out = capsys.readouterr().out
+        stamp, *table = (tmp / "v" / artifact).read_text().splitlines(keepends=True)
+        assert stamp.startswith("# manifest_digest=")
+        assert not any(line.startswith("#") for line in out.splitlines())
+        assert out == "".join(table)
+
     def test_sweep_json_mirror_written(self, workdir):
         tmp, _, _ = workdir
         run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])

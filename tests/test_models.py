@@ -265,7 +265,7 @@ class TestTraining:
 
     def test_noise_free_moons_reach_full_train_accuracy(self):
         # tiny net needs more optimizer steps than the large-scale defaults give
-        ds = generate_dataset("two-moons", 80, 0.0, 3)
+        ds = generate_dataset(80, 0.0, 3)
         model = train_mlp(
             MlpSpec((2, 3, 2), dropout_rate=0.0, seed=0),
             TrainConfig(learning_rate=0.01, epochs=300, batch_size=8, seed=0),
@@ -367,6 +367,36 @@ def assert_same_parameters(a, b):
         assert np.array_equal(wa, wb)
     for ba, bb in zip(a.biases, b.biases):
         assert np.array_equal(ba, bb)
+
+
+class TestGivenBuffer:
+    """``Mlp(spec, flat)`` holds a float64 copy of a buffer as long as the model's parameters."""
+
+    @pytest.mark.parametrize("flat", [np.zeros(21), np.zeros(23), np.zeros((1, 22)),
+                                      np.zeros((2, 11))], ids=["short", "long", "row", "2-D"])
+    def test_wrong_shape_rejected(self, flat):
+        with pytest.raises(ValidationError, match=r"init of shape .* does not match the "
+                                                   r"model's 22 parameters"):
+            Mlp(TRAIN_SPEC, flat)
+
+    def test_list_buffer(self):
+        values = np.arange(22) / 22
+        model = Mlp(TRAIN_SPEC, values.tolist())
+        assert model.flat.dtype == np.float64 and np.array_equal(model.flat, values)
+        assert np.array_equal(model.weights[0].ravel(), values[:8])
+        assert np.array_equal(model.biases[-1], values[-2:])
+        assert model.loss_history == []
+
+    def test_training_the_copy_leaves_the_buffer(self):
+        x, y = xor_data()
+        backbone = train_mlp(TRAIN_SPEC, ONE_EPOCH, (x, y))
+        before = backbone.flat.copy()
+        head = Mlp(backbone.spec, backbone.flat)
+        assert not np.shares_memory(head.flat, backbone.flat)
+        fit_adam(head, TrainConfig(epochs=2, seed=5), x, y)
+        assert not np.array_equal(head.flat, before)
+        assert np.array_equal(backbone.flat, before)
+        assert len(head.loss_history) == 2
 
 
 ENGINE_CASES = {
@@ -548,6 +578,7 @@ class TestStackedEngine:
 
 
 COPIES = {
+    "copy": copy.copy,
     "deepcopy": copy.deepcopy,
     "pickle": lambda model: pickle.loads(pickle.dumps(model)),
 }
@@ -670,7 +701,7 @@ class TestEnsemble:
         assert np.array_equal(tensor.probs[:, 0, :], model.predict_proba(x))
 
     def test_ensemble_not_much_worse_than_best_member(self):
-        ds = generate_dataset("two-moons", 200, 0.15, 21)
+        ds = generate_dataset(200, 0.15, 21)
         spec = EnsembleSpec(member_count=5, master_seed=22)
         models = train_ensemble(spec, TrainConfig(epochs=60, seed=1), (ds.train_x, ds.train_y))
         tensor = ensemble_predict(models, ds.test_x, ds.test_ids)

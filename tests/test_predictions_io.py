@@ -336,8 +336,8 @@ def _tensor(seed):
 
 # (file name, writer(path, version), successful writes before the disk fills)
 WRITERS = [
-    ("p.csv", lambda path, v: save_predictions(_tensor(v), path, header_comment="m"), 3),
-    ("p.jsonl", lambda path, v: save_predictions(_tensor(v), path), 2),
+    ("p.csv", lambda path, v: save_predictions(_tensor(v), path, header_comment="m"), 2),
+    ("p.jsonl", lambda path, v: save_predictions(_tensor(v), path), 1),
     ("s.csv", lambda path, v: save_summaries(aggregate(_tensor(v), MCD), path), 0),
     ("l.csv", lambda path, v: save_labels(LabelSet(("a", "b"), np.array([v, 1])), path, "m"), 1),
     ("a.txt", lambda path, v: write_artifact(path, f"version {v}\n" * 100), 0),

@@ -54,7 +54,7 @@ REAL_ENTRIES = {
     "MlpSpec.dropout_rate": ("dropout rate", lambda v, tmp: MlpSpec((2, 4, 2), dropout_rate=v)),
     "EnsembleSpec.dropout_rate": ("dropout rate", lambda v, tmp: EnsembleSpec(dropout_rate=v)),
     "TrainConfig.learning_rate": ("learning rate", lambda v, tmp: TrainConfig(learning_rate=v)),
-    "generate_dataset noise": ("noise", lambda v, tmp: generate_dataset("two-moons", 40, v, 0)),
+    "generate_dataset noise": ("noise", lambda v, tmp: generate_dataset(40, v, 0)),
     "build_ucm threshold": ("threshold", lambda v, tmp: build_ucm(SUMMARIES, LABELS, v)),
     "build_ucm raw threshold": (
         "threshold", lambda v, tmp: build_ucm(SUMMARIES, LABELS, v, normalized=False)),
@@ -85,7 +85,6 @@ CHOICE_ENTRIES = {
         "log base", lambda v, tmp: Summaries.from_means(("a",), [[0.5, 0.5]], v)),
     "evaluate_demo log base": (
         "log base", lambda v, tmp: evaluate_demo(0, QUICK_PRESET, log_base=v)),
-    "generate_dataset kind": ("dataset kind", lambda v, tmp: generate_dataset(v, 40, 0.1, 0)),
     "load_predictions format": (
         "predictions format", lambda v, tmp: load_predictions(tmp / "p.csv", v)),
     "save_predictions format": (
@@ -173,8 +172,8 @@ def test_numpy_scalars_are_kept_as_python_floats(entry, value):
 
 
 def test_a_numpy_noise_gives_the_dataset_of_its_float():
-    a = generate_dataset("two-moons", 40, np.float32(0.25), 3)
-    b = generate_dataset("two-moons", 40, float(np.float32(0.25)), 3)
+    a = generate_dataset(40, np.float32(0.25), 3)
+    b = generate_dataset(40, float(np.float32(0.25)), 3)
     assert np.array_equal(a.x, b.x)
 
 
