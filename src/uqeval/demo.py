@@ -30,6 +30,7 @@ from .models import (
     MlpSpec,
     TrainConfig,
     _ensemble_jobs,
+    _map_jobs,
     _train_job,
     _train_stack,
     derived_seed,
@@ -39,8 +40,8 @@ from .models import (
 )
 from .stats import compare_models, comparison_as_dict, comparison_values_csv, point_metrics
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
-from .tensor import (LabelSet, _map_jobs, require_choice, require_integer, require_real,
-                     require_seed, save_labels, save_predictions, write_artifact)
+from .tensor import (LabelSet, require_choice, require_integer, require_real, require_seed,
+                     save_labels, save_predictions, write_artifact)
 from .ucm import (
     NORMALIZED_THRESHOLDS,
     build_ucm,

@@ -43,11 +43,10 @@ suite keeps that list-of-arrays engine as its reference.
 Parallel training: every model of an ensemble, and of the demo, depends only
 on its own seeds and, for a warm start, on the buffer it starts from, so
 :func:`train_ensemble` and the demo train them in forked worker processes,
-one per usable CPU. :func:`uqeval.tensor._map_jobs`, the job map that
-``save_predictions`` also formats its rows on, runs a list of ``(fn, *args)``
-jobs, where ``fn`` is a plain module-level function, since pickle sends it
-by name, and yields the results in job order; a model is the job
-``(_train_job, spec, config, x, y, init=None)``.
+one per usable CPU. :func:`_map_jobs`, the job map, runs a list of
+``(fn, *args)`` jobs, where ``fn`` is a plain module-level function, since
+pickle sends it by name, and yields the results in job order; a model is
+the job ``(_train_job, spec, config, x, y, init=None)``.
 Each job seeds itself as it would inline, and a model comes back through
 pickle as its spec, buffer and loss history, so the weights do not depend
 on the number of workers or the order they run in. An ensemble's master
@@ -68,14 +67,17 @@ with fewer numpy calls per step.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from .aggregate import AggregationScheme, emcd_scheme
 from .errors import TrainingDivergedError, ValidationError
-from .tensor import (PredictionTensor, _map_jobs, class_sums, int64_labels, require_integer,
-                     require_real, require_seed, require_sequence)
+from .tensor import (PredictionTensor, class_sums, int64_labels, require_integer, require_real,
+                     require_seed, require_sequence)
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
@@ -320,6 +322,46 @@ def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
     """
     x, y = data
     return _train_job(spec, config, x, y)
+
+
+def _map_jobs(jobs: list[tuple]):
+    """Yield ``fn(*args)`` for each job ``(fn, *args)``, in job order, run on forked workers.
+
+    The jobs start at the first ``next``; one pool of one worker per usable
+    CPU, and at most one per job, runs them in list order. At most two
+    jobs a worker are submitted ahead of the result to be yielded next, and
+    one more each time a result is yielded, so this process holds at most
+    that many results, whatever the number of jobs; a yielded result is not
+    held here. The first job to raise, in job order, raises here; jobs not
+    yet started by then, or when the caller stops iterating, are cancelled.
+    The jobs run inline, one at a time as they are asked for, when fewer than
+    two workers would run, when the platform cannot fork, or in a daemon
+    process, which may not have children. A forked worker starts from this
+    process's memory, so it needs no imports; each ``fn`` is a module-level
+    function, and it, its arguments and the results travel by pickle.
+    """
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(jobs))
+    if (workers < 2 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        for fn, *args in jobs:
+            yield fn(*args)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        unsubmitted = iter(jobs)
+        futures = deque(pool.submit(*job) for job in islice(unsubmitted, 2 * workers))
+        try:
+            while futures:
+                future = futures.popleft()
+                futures.extend(pool.submit(*job) for job in islice(unsubmitted, 1))
+                yield future.result()
+        finally:
+            for future in futures:  # after a failure, start no further job
+                future.cancel()
 
 
 def _train_job(spec: MlpSpec, config: TrainConfig, x, y, init=None) -> Mlp:

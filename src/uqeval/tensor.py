@@ -25,9 +25,9 @@ module's minimal rules, so ids such as ``a,1`` or ``#x`` load back
 unchanged. Only a ``#`` line at the very top of a file is a comment:
 the CLI uses it to stamp a run-manifest digest into CSV artifacts. Every
 artifact is written through :func:`artifact_file`, so it replaces an earlier
-file at its path only once it is complete. A large predictions file is
-formatted on the usable CPUs by :func:`_map_jobs`, the job map that model
-training also runs on, and written in order by this process.
+file at its path only once it is complete. A predictions file is rendered
+with array operations by :func:`_render_rows`, a job of rows at a time, in
+this process.
 
 Labels meet predictions in one place, :func:`aligned_labels`, which every
 evaluation calls once to reorder a :class:`LabelSet` to its sample order and
@@ -37,11 +37,12 @@ to reject ids that do not match and labels outside the class range.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import os
-from collections import Counter, deque
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, cycle, islice, repeat
@@ -63,15 +64,10 @@ PROB_FORMAT = "%.9g"
 # Python objects a predictions load holds at once.
 CHUNK_ROWS = 8192
 
-# Probability values formatted by one save_predictions job, and by one worker
-# at least: a tensor gets a worker for every SAVE_WORKER_VALUES values, up to
-# one per usable CPU (:func:`_map_jobs`). A tensor of fewer than two workers'
-# values, as every demo tensor is, is formatted inline, a job at a time, since
-# there forking the pool costs about what it saves. A worker has at least 8
-# jobs, so the results in flight, at most two jobs a worker and the one being
-# written, hold about a quarter of the file's values at most.
-SAVE_JOB_VALUES = 2**14
-SAVE_WORKER_VALUES = 2**17
+# Probability values rendered by one save_predictions job. A job is rendered
+# and written before the next starts, and its arrays peak at about 80 bytes a
+# value, so the writer works in under 1 MB; larger jobs are only ~5% faster.
+SAVE_JOB_VALUES = 2**13
 
 
 class SampleIds(tuple):
@@ -117,23 +113,23 @@ def csv_fields(values) -> list[str]:
 
 @contextmanager
 def artifact_file(path, header_comment: str | None = None):
-    """Text handle on an artifact that appears at ``path`` whole or not at all.
+    """Binary handle on an artifact that appears at ``path`` whole or not at all.
 
-    Text is written as UTF-8 with ``\\n`` line ends, after ``# header_comment``
-    if given, to a new temporary file beside ``path``, which replaces ``path``
-    when the block completes. If the block raises, the temporary file is
-    removed and ``path`` keeps what it held before.
+    Bytes are written, after the UTF-8 line ``# header_comment`` if given, to
+    a new temporary file beside ``path``, which replaces ``path`` when the
+    block completes. If the block raises, the temporary file is removed and
+    ``path`` keeps what it held before.
     """
     # the temporary name does not grow with the artifact's, so any name that fits fits here
     tmp = os.path.join(os.path.dirname(os.fspath(path)), f".uqeval-{os.urandom(6).hex()}.tmp")
     try:
-        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        fh = open(tmp, "xb")
     except OSError as exc:  # name the artifact, not its temporary file
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             if header_comment is not None:
-                fh.write(f"# {header_comment}\n")
+                fh.write(f"# {header_comment}\n".encode())
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -142,52 +138,10 @@ def artifact_file(path, header_comment: str | None = None):
 
 
 def write_artifact(path, text: str, header_comment: str | None = None) -> str:
-    """Write ``text`` through :func:`artifact_file`, and return it."""
+    """Write ``text`` as UTF-8 through :func:`artifact_file`, and return it."""
     with artifact_file(path, header_comment) as fh:
-        fh.write(text)
+        fh.write(text.encode())
     return text
-
-
-def _map_jobs(jobs: list[tuple], max_workers: int | None = None):
-    """Yield ``fn(*args)`` for each job ``(fn, *args)``, in job order, run on forked workers.
-
-    The jobs start at the first ``next``; one pool of one worker per usable
-    CPU, and at most ``max_workers``, runs them in list order. At most two
-    jobs a worker are submitted ahead of the result to be yielded next, and
-    one more each time a result is yielded, so this process holds at most
-    that many results, whatever the number of jobs; a yielded result is not
-    held here. The first job to raise, in job order, raises here; jobs not
-    yet started by then, or when the caller stops iterating, are cancelled.
-    The jobs run inline, one at a time as they are asked for, when fewer than
-    two workers would run, when the platform cannot fork, or in a daemon
-    process, which may not have children. A forked worker starts from this
-    process's memory, so it needs no imports; each ``fn`` is a module-level
-    function, and it, its arguments and the results travel by pickle.
-    """
-    import multiprocessing
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(jobs))
-    if max_workers is not None:
-        workers = min(workers, max_workers)
-    if (workers < 2 or multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        for fn, *args in jobs:
-            yield fn(*args)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        unsubmitted = iter(jobs)
-        futures = deque(pool.submit(*job) for job in islice(unsubmitted, 2 * workers))
-        try:
-            while futures:
-                future = futures.popleft()
-                futures.extend(pool.submit(*job) for job in islice(unsubmitted, 1))
-                yield future.result()
-        finally:
-            for future in futures:  # after a failure, start no further job
-                future.cancel()
 
 
 # np.sum over an axis of fewer than 8 elements adds them one after another,
@@ -660,45 +614,170 @@ def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
                      header_comment: str | None = None) -> None:
     """Write a tensor in a form :func:`load_predictions` parses back.
 
-    Probabilities render at 9 significant digits. ``header_comment`` (no
-    leading ``#``) is written as the first line for manifest stamping. The
-    samples are cut into contiguous jobs of about :data:`SAVE_JOB_VALUES`
-    probabilities, each formatted by :func:`_sample_rows` on the workers of
-    :func:`_map_jobs`, one for every :data:`SAVE_WORKER_VALUES`; each job's
-    text is written in job order, one write a job, through :func:`artifact_file`.
+    Probabilities read as ``PROB_FORMAT`` renders them, at 9 significant
+    digits. ``header_comment`` (no leading ``#``) is written as the first line
+    for manifest stamping. The samples are cut into contiguous jobs of about
+    :data:`SAVE_JOB_VALUES` probabilities, each rendered by :func:`_render_rows`
+    and written, one write a job, through :func:`artifact_file`.
     """
     fmt = require_choice(format or infer_format(path), "predictions format", PREDICTION_FORMATS)
-    values = [PROB_FORMAT] * tensor.n_classes
-    passes = range(tensor.n_passes)
+    n_samples, n_passes, n_classes = tensor.probs.shape
     if fmt == "csv":
-        header = "sample_id,pass_id," + ",".join(f"p_{c}" for c in range(tensor.n_classes)) + "\n"
+        header = "sample_id,pass_id," + ",".join(f"p_{c}" for c in range(n_classes)) + "\n"
         prefixes = csv_fields(tensor.sample_ids)
-        tails = [f",{t},{','.join(values)}\n" for t in passes]
+        head, separator, tail = ",{},", ",", "\n"
     else:
         header = ""
         prefixes = ['{"sample_id": ' + json.dumps(s) for s in tensor.sample_ids]
-        tails = [f', "pass_id": {t}, "p": [{", ".join(values)}]}}\n' for t in passes]
-    step = max(1, SAVE_JOB_VALUES // (tensor.n_passes * tensor.n_classes))
-    jobs = [(_sample_rows, prefixes[i:i + step], tails, tensor.probs[i:i + step])
-            for i in range(0, tensor.n_samples, step)]
+        head, separator, tail = ', "pass_id": {}, "p": [', ", ", "]}\n"
+    heads = _words([(SAMPLE_MARK if t == 0 else ROW_MARK) + head.format(t).encode()
+                    for t in range(n_passes)])
+    followers = _words([separator.encode()] * (n_classes - 1) + [tail.encode()]).ravel()
+    prefixes = [prefix.encode() for prefix in prefixes]
+    step = max(1, SAVE_JOB_VALUES // (n_passes * n_classes))
     with artifact_file(path, header_comment) as fh:
-        fh.write(header)
-        for text in _map_jobs(jobs, tensor.probs.size // SAVE_WORKER_VALUES):
-            fh.write(text)
+        fh.write(header.encode())
+        for i in range(0, n_samples, step):
+            fh.write(_render_rows(tensor.probs[i:i + step], prefixes[i:i + step], heads, followers))
 
 
-def _sample_rows(prefixes: list[str], tails: list[str], probs: np.ndarray) -> str:
-    """The text of the samples' rows, for row prefixes ``prefixes`` and probabilities ``probs``.
+# The byte that starts each rendered row until its sample's id prefix takes
+# its place: SAMPLE_MARK starts a sample's first row and ROW_MARK each later
+# one. Neither is NUL, the padding, nor a byte of a number or a row's text.
+SAMPLE_MARK, ROW_MARK = b"\x02", b"\x01"
 
-    Row t of a sample is its prefix then ``tails[t]``, whose ``%`` fields take
-    that row's probabilities.
+# A probability x in [1e-4, 1) has z = (x < 0.1) + (x < 0.01) + (x < 0.001)
+# zeros after the point: the double nearest 10^-n lies above 10^-n, so each
+# comparison is exact. Its 9 digits are rint(x * 10^(9 + z)): one correctly
+# rounded product by an exact power of ten, off by less than 6e-8 below 2^30.
+DIGIT_SCALES = 10.0 ** np.arange(9, 13)
+
+# Where a scaled value lies within HALF_MARGIN of a half, rint may round it the
+# other way from the exact product, so SLOT_FORMAT renders the value instead.
+HALF_MARGIN = 1e-6
+
+# PROB_FORMAT padded with spaces to a value's slot of 16 bytes; no rendering
+# is longer than the 15 characters of "4.94065646e-324".
+SLOT_FORMAT = "%-16.9g"
+
+
+def _words(texts: list[bytes]) -> np.ndarray:
+    """``texts`` as rows of 4-byte words, each padded with NUL to the longest."""
+    width = -(-max(map(len, texts)) // 4) * 4
+    padded = b"".join(text.ljust(width, b"\0") for text in texts)
+    return np.frombuffer(padded, np.uint32).reshape(len(texts), -1)
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The lookup tables of fixed-point renderings, built on first use.
+
+    ``leads[10 * z + a]`` is ``0.``, ``z`` zeros and the digit ``a`` as one
+    8-byte word. ``digits[k]`` is ``k`` as a word of four ASCII digits, and
+    ``digits[10**4 + k]`` is the same without its trailing zeros.
     """
-    texts = []
-    # the prefix, spliced into one template of the sample's rows, is escaped for the % format
-    for prefix, rows in zip(prefixes, probs):
-        prefix = prefix.replace("%", "%%")
-        texts.append((prefix + prefix.join(tails)) % tuple(rows.ravel().tolist()))
-    return "".join(texts)
+    k = np.arange(10**4, dtype=np.int16)[:, np.newaxis]
+    ascii_digits = (k // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
+    kept = np.logical_or.accumulate(ascii_digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    digits = np.concatenate([ascii_digits, ascii_digits * kept]).view(np.uint32).ravel()
+    leads = _words([f"0.{'0' * z}{a}".encode() for z in range(4) for a in range(10)])
+    return leads.view(np.uint64).ravel(), digits
+
+
+@functools.cache
+def _exponent_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lookup tables of exponent renderings, built on first use.
+
+    ``firsts[a]`` is ``a.`` and ``firsts[10 + a]`` is ``a``; ``exponents[n]``
+    is ``e-`` and ``n`` in two digits; ``scales[n]`` is the double nearest
+    10^(8 + n), as Python's correctly rounded ``float`` parses it.
+    """
+    firsts = _words([f"{a}{point}".encode() for point in (".", "") for a in range(10)])
+    exponents = _words([f"e-{n:02d}".encode() for n in range(100)])
+    return firsts.ravel(), exponents.ravel(), np.array([float(f"1e{8 + n}") for n in range(100)])
+
+
+def _split_digits(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """9-digit integers as their first digit and two words of the other 8, trailing zeros dropped."""
+    digit_words = _digit_words()[1]
+    high, low = np.divmod(digits.astype(np.int32), 10**4)
+    first, middle = np.divmod(high, 10**4)
+    return first, digit_words[middle + 10**4 * (low == 0)], digit_words[low + 10**4]
+
+
+def _render_rows(probs: np.ndarray, prefixes: list[bytes], heads: np.ndarray,
+                 followers: np.ndarray) -> bytes:
+    """The rows of ``probs``, each led by its sample's prefix.
+
+    Row t of a sample is ``heads[t]``, then a slot of 5 words for each value:
+    4 for the value, then ``followers[c]``, the separator or row tail after
+    it. The slots' NUL padding is dropped, and each sample's prefix replaces
+    its rows' marks, so no prefix byte is ever examined.
+    """
+    # one expression: each copy of the rows is freed once the next is made
+    samples = (_slot_words(probs, heads, followers).tobytes()
+               .translate(None, b"\0").split(SAMPLE_MARK)[1:])
+    led = map(bytes.replace, samples, repeat(ROW_MARK), prefixes)  # every row but the first
+    return b"".join(chain.from_iterable(zip(prefixes, led)))
+
+
+def _slot_words(probs: np.ndarray, heads: np.ndarray, followers: np.ndarray) -> np.ndarray:
+    """The words of each row of ``probs``, laid out as :func:`_render_rows` says.
+
+    A value in [1e-4, 1) whose 9 digits are clear of a rounding tie, and do
+    not carry to 10^9, fills its slot from :func:`_digit_words`; any other
+    value fills it from :func:`_odd_words`. The arrays built on the way are
+    freed on return, before the caller copies the rows.
+    """
+    n_samples, n_passes, n_classes = probs.shape
+    leads = _digit_words()[0]
+    n_head_words = heads.shape[1]
+    rows = np.empty((n_samples, n_passes, n_head_words + 5 * n_classes), np.uint32)
+    rows[:, :, :n_head_words] = heads
+    slots = rows[:, :, n_head_words:].reshape(n_samples, n_passes, n_classes, 5)
+    slots[..., 4] = followers
+    zeros = (probs < 0.1).view(np.int8)
+    zeros += probs < 0.01
+    zeros += probs < 0.001
+    scaled = probs * DIGIT_SCALES[zeros]
+    digits = np.rint(scaled)
+    distance = np.abs(np.subtract(scaled, digits, out=scaled), out=scaled)  # in scaled's memory
+    odd = (probs < 1e-4) | (digits >= 1e9) | (distance > 0.5 - HALF_MARGIN)
+    np.putmask(digits, odd, 1e8)  # any 9 digits: these slots are filled again below
+    first, slots[..., 2], slots[..., 3] = _split_digits(digits)
+    slots[..., :2].view(np.uint64)[..., 0] = leads[10 * zeros + first]
+    where = np.nonzero(odd)
+    if where[0].size:
+        slots[(*where, slice(0, 4))] = _odd_words(probs[where])
+    return rows
+
+
+def _odd_words(values: np.ndarray) -> np.ndarray:
+    """The 4 slot words of each of ``values``, which the fixed-point words leave out.
+
+    A value x in [1e-99, 1e-4) renders as ``a.bbbbbbbbe-n``. Its exponent n
+    is that of ``log10(x)``, and its 9 digits are rint(x * 10^(8 + n)): the
+    power and the product are each correctly rounded, so the digits are off
+    by less than 2.4e-7 below 2^30. Where they are not 9 digits (``log10``
+    was one off near a power of ten, or they carry to 10^9) or lie near a
+    tie, and for any other value, such as 0, 1, -0.0 or a fixed-point one
+    near a tie, ``SLOT_FORMAT`` renders the value itself.
+    """
+    firsts, exponents, scales = _exponent_words()
+    tiny = (values >= 1e-99) & (values < 1e-4)
+    n = np.clip(-np.floor(np.log10(np.where(tiny, values, 1e-5))), 5, 99).astype(np.intp)
+    scaled = values * scales[n]
+    digits = np.rint(scaled)
+    formatted = (~tiny | (digits < 1e8) | (digits >= 1e9)
+                 | (np.abs(scaled - digits) > 0.5 - HALF_MARGIN))
+    np.putmask(digits, formatted, 1e8)
+    first, middle, last = _split_digits(digits)
+    words = np.stack([firsts[first + 10 * (middle == 0)], middle, last, exponents[n]], axis=1)
+    if formatted.any():
+        text = (SLOT_FORMAT * np.count_nonzero(formatted)) % tuple(values[formatted].tolist())
+        words[formatted] = np.frombuffer(text.replace(" ", "\0").encode(),
+                                         np.uint32).reshape(-1, 4)
+    return words
 
 
 def load_labels(path) -> LabelSet:

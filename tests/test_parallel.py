@@ -1,4 +1,4 @@
-"""Forked workers train models and format predictions files with the results of an inline run."""
+"""Forked workers train models with the results of an inline run; predictions files start no worker."""
 
 import concurrent.futures
 import multiprocessing
@@ -13,8 +13,8 @@ import uqeval.tensor
 from uqeval import (EnsembleSpec, MlpSpec, TrainConfig, TrainingDivergedError, ValidationError,
                     save_predictions, train_ensemble)
 from uqeval.demo import QUICK_PRESET, run_demo
-from uqeval.models import Mlp, _train_job
-from uqeval.tensor import PredictionTensor, _map_jobs
+from uqeval.models import Mlp, _map_jobs, _train_job
+from uqeval.tensor import PredictionTensor
 
 from test_models import assert_same_parameters, xor_data
 
@@ -211,115 +211,33 @@ def test_at_most_two_jobs_a_worker_are_submitted_ahead(monkeypatch):
     assert [i for i, _ in results] == list(range(2, 10)) and submitted == list(range(10))
 
 
-def test_max_workers_caps_the_pool(monkeypatch, pools):
-    usable_cpus(monkeypatch, 4)
-    jobs = [(worker_pid, i) for i in range(6)]
-    assert list(_map_jobs(jobs, 1)) == [(i, os.getpid()) for i in range(6)]
-    assert pools == []
-    assert [i for i, _ in _map_jobs(jobs, 3)] == list(range(6))
-    assert [args[0] for args in pools] == [3]
-
-
-# ids that the csv module quotes, that hold a % format, or that JSON escapes
-ODD_IDS = ["a,1", '"q"', "#x", "50%", "%s", "%%d", "é", "tab\t", "s8", "s9", "s10"]
-
-
-def odd_tensor(n_samples=11, n_passes=3, n_classes=2, ids=ODD_IDS):
-    rng = np.random.default_rng(4)
-    return PredictionTensor(rng.dirichlet(np.ones(n_classes), size=(n_samples, n_passes)),
-                            ids[:n_samples] if ids else [f"s{i}" for i in range(n_samples)])
-
-
-def job_sizes(monkeypatch):
-    """The number of samples of each save_predictions job, one list per call."""
-    calls, real = [], uqeval.tensor._map_jobs
-
-    def recorded(jobs, max_workers):
-        calls.append([len(prefixes) for _, prefixes, *_ in jobs])
-        return real(jobs, max_workers)
-
-    monkeypatch.setattr(uqeval.tensor, "_map_jobs", recorded)
-    return calls
-
-
-def small_jobs(monkeypatch, job_samples=4, worker_jobs=1):
-    """Jobs of ``job_samples`` samples of 3 x 2 values, and a worker for every ``worker_jobs`` jobs."""
-    monkeypatch.setattr(uqeval.tensor, "SAVE_JOB_VALUES", job_samples * 3 * 2)
-    monkeypatch.setattr(uqeval.tensor, "SAVE_WORKER_VALUES", worker_jobs * job_samples * 3 * 2)
-
-
-def save_in_daemon(tensor, path):
-    assert multiprocessing.current_process().daemon
-    save_predictions(tensor, path, header_comment="m")
-    return uqeval.tensor.SAVE_JOB_VALUES
-
-
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
-def test_pooled_writer_writes_the_inline_bytes(tmp_path, monkeypatch, pools, suffix):
-    tensor, sizes = odd_tensor(), job_sizes(monkeypatch)
-    usable_cpus(monkeypatch, 2)
-    save_predictions(tensor, tmp_path / f"one-job{suffix}", header_comment="m")
-    assert sizes == [[11]] and pools == []
-    small_jobs(monkeypatch)
-    save_predictions(tensor, tmp_path / f"pooled{suffix}", header_comment="m")
-    assert sizes[-1] == [4, 4, 3]
-    assert [args[0] for args in pools] == [2]
-    usable_cpus(monkeypatch, 1)
-    save_predictions(tensor, tmp_path / f"one-cpu{suffix}", header_comment="m")
-    assert sizes[-1] == [4, 4, 3] and len(pools) == 1
-    usable_cpus(monkeypatch, 2)
-    with multiprocessing.get_context("fork").Pool(1) as daemon:
-        job_values = daemon.apply(save_in_daemon, (tensor, tmp_path / f"daemon{suffix}"))
-    assert job_values == 4 * 3 * 2 and len(pools) == 1
-    expected = (tmp_path / f"one-job{suffix}").read_bytes()
-    for name in ("pooled", "one-cpu", "daemon"):
-        assert (tmp_path / f"{name}{suffix}").read_bytes() == expected, name
-    assert b'"a,1"' in expected and b"50%" in expected and b"%%d" in expected
+def test_a_failing_job_leaves_the_old_file(tmp_path, monkeypatch, suffix):
+    rendered, real = [], uqeval.tensor._render_rows
 
+    def render(*job):  # the third job fails, after two were written
+        if len(rendered) == 2:
+            raise ValueError("job 3 failed")
+        rendered.append(real(*job))
+        return rendered[-1]
 
-def test_the_writer_starts_a_worker_for_every_worker_values(tmp_path, monkeypatch, pools):
-    tensor = odd_tensor()  # 66 values
-    usable_cpus(monkeypatch, 8)
-    save_predictions(tensor, tmp_path / "inline.csv")
-    small_jobs(monkeypatch, job_samples=1, worker_jobs=3)
-    save_predictions(tensor, tmp_path / "three.csv")
-    assert [args[0] for args in pools] == [3]  # 11 jobs, 8 CPUs, 66 // 18 workers
-    small_jobs(monkeypatch, job_samples=1, worker_jobs=6)
-    save_predictions(tensor, tmp_path / "one.csv")
-    assert len(pools) == 1  # 66 // 36 is one worker, which runs inline
-    for name in ("three.csv", "one.csv"):
-        assert (tmp_path / name).read_bytes() == (tmp_path / "inline.csv").read_bytes(), name
-
-
-def test_a_demo_sized_tensor_is_written_inline(tmp_path, monkeypatch, pools):
-    usable_cpus(monkeypatch, 2)
-    sizes = job_sizes(monkeypatch)
-    save_predictions(odd_tensor(150, 100, 2, ids=None), tmp_path / "p.csv")
-    assert sizes == [[81, 69]]
-    assert pools == []
-
-
-REAL_SAMPLE_ROWS = uqeval.tensor._sample_rows
-
-
-def failing_rows(prefixes, tails, probs):
-    """``_sample_rows``, except that the jobs from ``s4`` (slowly) and ``s8`` raise."""
-    if prefixes[0] == "s4":
-        time.sleep(0.5)  # so that the later job fails first
-    if prefixes[0] in ("s4", "s8"):
-        raise ValueError(f"job from {prefixes[0]} failed")
-    return REAL_SAMPLE_ROWS(prefixes, tails, probs)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_failing_job_leaves_the_old_file(tmp_path, monkeypatch, pools, cpus):
-    usable_cpus(monkeypatch, cpus)
-    small_jobs(monkeypatch)
-    monkeypatch.setattr(uqeval.tensor, "_sample_rows", failing_rows)  # forked workers inherit it
-    path = tmp_path / "p.csv"
+    monkeypatch.setattr(uqeval.tensor, "_render_rows", render)
+    monkeypatch.setattr(uqeval.tensor, "SAVE_JOB_VALUES", 4 * 3 * 2)  # jobs of 4 samples
+    rng = np.random.default_rng(4)
+    tensor = PredictionTensor(rng.dirichlet(np.ones(2), size=(11, 3)), [f"s{i}" for i in range(11)])
+    path = tmp_path / f"p{suffix}"
     path.write_bytes(b"old\n")
-    with pytest.raises(ValueError, match="^job from s4 failed$"):
-        save_predictions(odd_tensor(ids=None), path)
+    with pytest.raises(ValueError, match="^job 3 failed$"):
+        save_predictions(tensor, path, header_comment="m")
+    assert len(rendered) == 2
     assert path.read_bytes() == b"old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
-    assert len(pools) == (cpus > 1)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_an_export_sized_tensor_starts_no_pool(tmp_path, monkeypatch, pools):
+    usable_cpus(monkeypatch, 8)
+    rng = np.random.default_rng(0)
+    tensor = PredictionTensor(rng.dirichlet(np.ones(10), size=(4000, 50)),
+                              [f"s{i}" for i in range(4000)])
+    save_predictions(tensor, tmp_path / "p.csv")
+    assert pools == []

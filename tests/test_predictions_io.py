@@ -106,6 +106,84 @@ class TestWriterBytes:
         assert outcome(oracle.load_predictions, path, fmt) == outcome(load_predictions, path, fmt)
 
 
+def rendered(values) -> bytes:
+    """``values`` as the writer renders them, one ``value\\n`` row each."""
+    values = np.asarray(values, np.float64)
+    marks = [uqeval.tensor.SAMPLE_MARK] + [uqeval.tensor.ROW_MARK] * (len(values) - 1)
+    heads, followers = uqeval.tensor._words(marks), uqeval.tensor._words([b"\n"]).ravel()
+    return uqeval.tensor._render_rows(values.reshape(1, -1, 1), [b""], heads, followers)
+
+
+def formatted(values) -> bytes:
+    """``values`` as ``"%.9g"`` renders them, one ``value\\n`` row each."""
+    return "".join(oracle.render_prob(v) + "\n" for v in np.asarray(values).tolist()).encode()
+
+
+def ulps_around(values, ulps=4):
+    """Each of ``values`` and its neighbours up to ``ulps`` units in the last place away."""
+    bits = np.asarray(values, np.float64).view(np.int64)[:, np.newaxis]
+    return (bits + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
+
+
+class TestProbabilityRendering:
+    """The writer's array renderer against ``"%.9g"`` on every branch it takes."""
+
+    # the fixed-point decades [10^-(d+1), 10^-d) for d = 0..3, then exponent ones
+    @pytest.mark.parametrize("decade", [0, 1, 2, 3, 4, 5, 11, 29, 98])
+    def test_decimal_rounding_ties(self, decade):
+        # x in the decade has its 9th digit at 10^-(d+9), so (m + 0.5) * 10^-(d+9)
+        # is near a tie, and k / 2^(d+10) for odd k is one: it is k * 5^(d+9) / 2 there
+        m = np.random.default_rng(decade).integers(10**8, 10**9, 200)
+        near = (m + 0.5) / 10.0 ** (9 + decade)
+        scale = 2.0 ** (10 + decade)
+        k = np.arange(math.ceil(scale / 10 ** (decade + 1)) | 1, scale / 10**decade, 2)
+        values = np.concatenate([ulps_around(near), ulps_around(k / scale)])
+        values = values[(values >= 10.0 ** -(decade + 1)) & (values < 10.0**-decade)]
+        assert rendered(values) == formatted(values)
+
+    def test_powers_of_ten(self):
+        values = ulps_around([1.0, 0.1, 0.01, 0.001, 1e-4, 1e-5, 1e-6, 1e-22, 1e-23, 1e-99,
+                              1e-100])
+        assert rendered(values[values <= 1.0]) == formatted(values[values <= 1.0])
+
+    def test_carries_to_the_next_power_of_ten(self):
+        values = [0.9999999996, 0.0999999999996, 0.00999999999996, 0.000999999999996,
+                  9.99999999999e-5, 9.99999999996e-6, 9.99999999996e-100, 0.99999999949,
+                  0.0999999999499, 9.99999999e-6]
+        assert rendered(values) == formatted(values)
+        assert formatted(values).split()[:7] == [b"1", b"0.1", b"0.01", b"0.001", b"0.0001",
+                                                 b"1e-05", b"1e-99"]
+
+    def test_zero_one_and_the_smallest_values(self):
+        values = [0.0, 1.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308,
+                  1.23456789e-300, math.nextafter(1e-4, 0.0), 9.99999999e-05, 3e-5,
+                  1.5e-99, 1.23456789e-100, 6.103515625e-05]
+        assert rendered(values) == formatted(values)
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        values = np.concatenate([rng.uniform(1e-6, 1.0, 500_000),
+                                 10.0 ** rng.uniform(-6.0, 0.0, 500_000)])
+        assert rendered(values) == formatted(values)
+
+    def test_seeded_sweep_below_1e_4(self):
+        values = 10.0 ** np.random.default_rng(2025).uniform(-323.0, -4.0, 200_000)
+        assert rendered(values) == formatted(values)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_every_fallback_in_every_column(self, tmp_path, fmt):
+        # each value in each column of both formats: "4.94065646e-324" follows ", " in JSONL
+        odd = [0.0, -0.0, 1e-300, 5e-324, 9.99999999999e-5, 0.0999999999996, 0.5009765625,
+               1.5e-5]
+        row, one = odd + [1.0 - math.fsum(odd)], [1.0] + [0.0] * len(odd)
+        rows = [np.roll(r, i) for r in (row, one) for i in range(len(row))]
+        probs = np.array(rows)[:, np.newaxis, :].repeat(2, axis=1)
+        tensor = PredictionTensor(probs, [f"s{i}" for i in range(len(rows))])
+        path = tmp_path / f"p.{fmt}"
+        save_predictions(tensor, path)
+        assert path.read_bytes() == oracle.predictions_text(tensor, fmt).encode()
+
+
 HEADER = "sample_id,pass_id,p_0,p_1\n"
 
 # Files the CSV reader must treat exactly as the oracle does: every error with
@@ -307,16 +385,16 @@ class TestMalformedFiles:
 
 
 class FullDisk:
-    """A text file whose writes fail with ENOSPC after the first ``good`` calls."""
+    """A binary file whose writes fail with ENOSPC after the first ``good`` calls."""
 
     def __init__(self, fh, good):
         self.fh, self.good = fh, good
 
-    def write(self, text):
+    def write(self, data):
         if self.good == 0:
             raise OSError(errno.ENOSPC, "No space left on device")
         self.good -= 1
-        return self.fh.write(text)
+        return self.fh.write(data)
 
     def close(self):
         self.fh.close()
@@ -406,8 +484,7 @@ class TestWriterMemory:
 
     @pytest.mark.parametrize("fmt, n_samples", [("csv", 2000), ("jsonl", 500)])
     def test_peak_does_not_grow_with_the_cpus(self, tmp_path, monkeypatch, fmt, n_samples):
-        # 8 usable CPUs format the 10^6 CSV values on 7 workers, which hold at
-        # most 15 jobs of 2^14 values in flight, and the 250,000 JSONL values inline
+        # with 8 usable CPUs the writer still renders and writes one job at a time
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         peak, size = self.peak_and_size(tmp_path, fmt, n_samples)
         assert peak < size / 2
