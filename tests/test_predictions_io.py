@@ -172,13 +172,15 @@ class TestProbabilityRendering:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_every_fallback_in_every_column(self, tmp_path, fmt):
-        # each value in each column of both formats: "4.94065646e-324" follows ", " in JSONL
+        # each value in each column of both formats: "4.94065646e-324" follows ", " in JSONL;
+        # the ids hold the writer's row marks, NUL, quotes, commas and a % format
         odd = [0.0, -0.0, 1e-300, 5e-324, 9.99999999999e-5, 0.0999999999996, 0.5009765625,
                1.5e-5]
         row, one = odd + [1.0 - math.fsum(odd)], [1.0] + [0.0] * len(odd)
         rows = [np.roll(r, i) for r in (row, one) for i in range(len(row))]
         probs = np.array(rows)[:, np.newaxis, :].repeat(2, axis=1)
-        tensor = PredictionTensor(probs, [f"s{i}" for i in range(len(rows))])
+        ids = [f"{c}{i}" for i, c in enumerate(["\x02", "\x01", "\x00", '"', ",", "%s", "é"] * 3)]
+        tensor = PredictionTensor(probs, ids[:len(rows)])
         path = tmp_path / f"p.{fmt}"
         save_predictions(tensor, path)
         assert path.read_bytes() == oracle.predictions_text(tensor, fmt).encode()
