@@ -685,24 +685,27 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _exponent_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exponent_words() -> tuple[np.ndarray, ...]:
     """The lookup tables of exponent renderings, built on first use.
 
-    ``firsts[a]`` is ``a.`` and ``firsts[10 + a]`` is ``a``; ``exponents[n]``
-    is ``e-`` and ``n`` in two digits; ``scales[n]`` is the double nearest
-    10^(8 + n), as Python's correctly rounded ``float`` parses it.
+    ``a.bcdefghie-n`` is written as the words ``heads[100 * a + bc]``
+    (``a.bc``), ``defg`` from :func:`_digit_words`, ``tails[hi]`` (``hie-``)
+    and ``exponents[n]`` (``n`` in two digits at least). The fraction's
+    trailing zeros are dropped: ``tails`` drops its own, and
+    ``heads[1000 + 100 * a + bc]`` is ``a.bc`` without them, for a fraction
+    whose ``defghi`` is 0. ``highs[n] * lows[n]`` scales by 10^(8 + n); each
+    factor is the double Python's ``float`` parses for its power of ten,
+    correctly rounded, and ``highs[n]`` is 10^200 past n = 250, where a
+    single factor would overflow.
     """
-    firsts = _words([f"{a}{point}".encode() for point in (".", "") for a in range(10)])
-    exponents = _words([f"e-{n:02d}".encode() for n in range(100)])
-    return firsts.ravel(), exponents.ravel(), np.array([float(f"1e{8 + n}") for n in range(100)])
-
-
-def _split_digits(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """9-digit integers as their first digit and two words of the other 8, trailing zeros dropped."""
-    digit_words = _digit_words()[1]
-    high, low = np.divmod(digits.astype(np.int32), 10**4)
-    first, middle = np.divmod(high, 10**4)
-    return first, digit_words[middle + 10**4 * (low == 0)], digit_words[low + 10**4]
+    fractions = [f"{a}.{bc:02d}" for a in range(10) for bc in range(100)]
+    heads = _words([f.encode() for f in fractions]
+                   + [f.rstrip("0").rstrip(".").encode() for f in fractions])
+    tails = _words([f"{hi:02d}".rstrip("0").encode() + b"e-" for hi in range(100)])
+    exponents = _words([f"{n:02d}".encode() for n in range(325)])
+    highs = np.where(np.arange(325) > 250, 1e200, 1.0)
+    lows = np.array([float(f"1e{8 + n - (200 if n > 250 else 0)}") for n in range(325)])
+    return heads.ravel(), tails.ravel(), exponents.ravel(), highs, lows
 
 
 def _render_rows(probs: np.ndarray, prefixes: list[bytes], heads: np.ndarray,
@@ -730,7 +733,7 @@ def _slot_words(probs: np.ndarray, heads: np.ndarray, followers: np.ndarray) -> 
     freed on return, before the caller copies the rows.
     """
     n_samples, n_passes, n_classes = probs.shape
-    leads = _digit_words()[0]
+    leads, digit_words = _digit_words()
     n_head_words = heads.shape[1]
     rows = np.empty((n_samples, n_passes, n_head_words + 5 * n_classes), np.uint32)
     rows[:, :, :n_head_words] = heads
@@ -744,8 +747,11 @@ def _slot_words(probs: np.ndarray, heads: np.ndarray, followers: np.ndarray) -> 
     distance = np.abs(np.subtract(scaled, digits, out=scaled), out=scaled)  # in scaled's memory
     odd = (probs < 1e-4) | (digits >= 1e9) | (distance > 0.5 - HALF_MARGIN)
     np.putmask(digits, odd, 1e8)  # any 9 digits: these slots are filled again below
-    first, slots[..., 2], slots[..., 3] = _split_digits(digits)
+    high, low = np.divmod(digits.astype(np.int32), 10**4)
+    first, middle = np.divmod(high, 10**4)
     slots[..., :2].view(np.uint64)[..., 0] = leads[10 * zeros + first]
+    slots[..., 2] = digit_words[middle + 10**4 * (low == 0)]  # zeros dropped if the last word is 0
+    slots[..., 3] = digit_words[low + 10**4]
     where = np.nonzero(odd)
     if where[0].size:
         slots[(*where, slice(0, 4))] = _odd_words(probs[where])
@@ -755,24 +761,29 @@ def _slot_words(probs: np.ndarray, heads: np.ndarray, followers: np.ndarray) -> 
 def _odd_words(values: np.ndarray) -> np.ndarray:
     """The 4 slot words of each of ``values``, which the fixed-point words leave out.
 
-    A value x in [1e-99, 1e-4) renders as ``a.bbbbbbbbe-n``. Its exponent n
-    is that of ``log10(x)``, and its 9 digits are rint(x * 10^(8 + n)): the
-    power and the product are each correctly rounded, so the digits are off
-    by less than 2.4e-7 below 2^30. Where they are not 9 digits (``log10``
-    was one off near a power of ten, or they carry to 10^9) or lie near a
-    tie, and for any other value, such as 0, 1, -0.0 or a fixed-point one
-    near a tie, ``SLOT_FORMAT`` renders the value itself.
+    A value x in (0, 1e-4) renders as ``a.bcdefghie-n``. Its exponent n is
+    that of ``log10(x)``, and its 9 digits are rint(x * 10^(8 + n)), scaled
+    as :func:`_exponent_words` says: the factors and the products are each
+    correctly rounded, so the digits are off by less than 5e-7 below 2^30.
+    Where they are not 9 digits (``log10`` was one off near a power of ten,
+    or they carry to 10^9) or lie near a tie, and for any other value, such
+    as 0, 1, -0.0 or a fixed-point one near a tie, ``SLOT_FORMAT`` renders
+    the value itself.
     """
-    firsts, exponents, scales = _exponent_words()
-    tiny = (values >= 1e-99) & (values < 1e-4)
-    n = np.clip(-np.floor(np.log10(np.where(tiny, values, 1e-5))), 5, 99).astype(np.intp)
-    scaled = values * scales[n]
+    heads, tails, exponents, highs, lows = _exponent_words()
+    digit_words = _digit_words()[1]
+    tiny = (values > 0.0) & (values < 1e-4)
+    n = np.clip(-np.floor(np.log10(np.where(tiny, values, 1e-5))), 5, 324).astype(np.intp)
+    scaled = values * highs[n] * lows[n]
     digits = np.rint(scaled)
     formatted = (~tiny | (digits < 1e8) | (digits >= 1e9)
                  | (np.abs(scaled - digits) > 0.5 - HALF_MARGIN))
     np.putmask(digits, formatted, 1e8)
-    first, middle, last = _split_digits(digits)
-    words = np.stack([firsts[first + 10 * (middle == 0)], middle, last, exponents[n]], axis=1)
+    first, fraction = np.divmod(digits.astype(np.int32), 10**8)
+    second, later = np.divmod(fraction, 10**6)
+    middle, last = np.divmod(later, 100)
+    words = np.stack([heads[100 * first + second + 1000 * (later == 0)],
+                      digit_words[middle + 10**4 * (last == 0)], tails[last], exponents[n]], axis=1)
     if formatted.any():
         text = (SLOT_FORMAT * np.count_nonzero(formatted)) % tuple(values[formatted].tolist())
         words[formatted] = np.frombuffer(text.replace(" ", "\0").encode(),

@@ -129,12 +129,12 @@ class TestProbabilityRendering:
     """The writer's array renderer against ``"%.9g"`` on every branch it takes."""
 
     # the fixed-point decades [10^-(d+1), 10^-d) for d = 0..3, then exponent ones
-    @pytest.mark.parametrize("decade", [0, 1, 2, 3, 4, 5, 11, 29, 98])
+    @pytest.mark.parametrize("decade", [0, 1, 2, 3, 4, 5, 11, 29, 98, 99, 199, 250, 251, 290])
     def test_decimal_rounding_ties(self, decade):
         # x in the decade has its 9th digit at 10^-(d+9), so (m + 0.5) * 10^-(d+9)
         # is near a tie, and k / 2^(d+10) for odd k is one: it is k * 5^(d+9) / 2 there
         m = np.random.default_rng(decade).integers(10**8, 10**9, 200)
-        near = (m + 0.5) / 10.0 ** (9 + decade)
+        near = (m + 0.5) * 10.0 ** -(9 + decade)
         scale = 2.0 ** (10 + decade)
         k = np.arange(math.ceil(scale / 10 ** (decade + 1)) | 1, scale / 10**decade, 2)
         values = np.concatenate([ulps_around(near), ulps_around(k / scale)])
@@ -143,7 +143,7 @@ class TestProbabilityRendering:
 
     def test_powers_of_ten(self):
         values = ulps_around([1.0, 0.1, 0.01, 0.001, 1e-4, 1e-5, 1e-6, 1e-22, 1e-23, 1e-99,
-                              1e-100])
+                              1e-100, 1e-250, 1e-251, 1e-300, 1e-308, 1e-320])
         assert rendered(values[values <= 1.0]) == formatted(values[values <= 1.0])
 
     def test_carries_to_the_next_power_of_ten(self):
