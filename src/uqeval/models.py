@@ -45,7 +45,7 @@ on its own seeds and, for a warm start, on the buffer it starts from, so
 :func:`train_ensemble` and the demo train them in forked worker processes,
 one per usable CPU. :func:`_map_jobs`, the job map, runs a list of
 ``(fn, *args)`` jobs, where ``fn`` is a plain module-level function, since
-pickle sends it by name, and yields the results in job order; a model is
+pickle sends it by name, and returns the results in job order; a model is
 the job ``(_train_job, spec, config, x, y, init=None)``.
 Each job seeds itself as it would inline, and a model comes back through
 pickle as its spec, buffer and loss history, so the weights do not depend
@@ -68,9 +68,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -324,21 +322,17 @@ def train_mlp(spec: MlpSpec, config: TrainConfig, data) -> Mlp:
     return _train_job(spec, config, x, y)
 
 
-def _map_jobs(jobs: list[tuple]):
-    """Yield ``fn(*args)`` for each job ``(fn, *args)``, in job order, run on forked workers.
+def _map_jobs(jobs: list[tuple]) -> list:
+    """``[fn(*args) for (fn, *args) in jobs]``, in job order, run on forked workers.
 
-    The jobs start at the first ``next``; one pool of one worker per usable
-    CPU, and at most one per job, runs them in list order. At most two
-    jobs a worker are submitted ahead of the result to be yielded next, and
-    one more each time a result is yielded, so this process holds at most
-    that many results, whatever the number of jobs; a yielded result is not
-    held here. The first job to raise, in job order, raises here; jobs not
-    yet started by then, or when the caller stops iterating, are cancelled.
-    The jobs run inline, one at a time as they are asked for, when fewer than
-    two workers would run, when the platform cannot fork, or in a daemon
-    process, which may not have children. A forked worker starts from this
-    process's memory, so it needs no imports; each ``fn`` is a module-level
-    function, and it, its arguments and the results travel by pickle.
+    One pool of one worker per usable CPU, and at most one per job, runs the
+    jobs in list order. The first job to raise, in job order, raises here,
+    and the jobs not yet started by then are cancelled. The jobs run inline,
+    one at a time, when fewer than two workers would run, when the platform
+    cannot fork, or in a daemon process, which may not have children. A
+    forked worker starts from this process's memory, so it needs no imports;
+    each ``fn`` is a module-level function, and it, its arguments and the
+    results travel by pickle.
     """
     import multiprocessing
 
@@ -346,19 +340,13 @@ def _map_jobs(jobs: list[tuple]):
     workers = min(cpus or 1, len(jobs))
     if (workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
-        for fn, *args in jobs:
-            yield fn(*args)
-        return
+        return [fn(*args) for fn, *args in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        unsubmitted = iter(jobs)
-        futures = deque(pool.submit(*job) for job in islice(unsubmitted, 2 * workers))
+        futures = [pool.submit(*job) for job in jobs]
         try:
-            while futures:
-                future = futures.popleft()
-                futures.extend(pool.submit(*job) for job in islice(unsubmitted, 1))
-                yield future.result()
+            return [future.result() for future in futures]
         finally:
             for future in futures:  # after a failure, start no further job
                 future.cancel()
@@ -596,5 +584,5 @@ def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]
 
 def train_ensemble(spec: EnsembleSpec, config: TrainConfig, data) -> list[Mlp]:
     """Independently train every member on the ``(x, y)`` pair ``data``, in parallel."""
-    return list(_map_jobs(_ensemble_jobs(spec, config, data)))
+    return _map_jobs(_ensemble_jobs(spec, config, data))
 

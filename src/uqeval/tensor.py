@@ -684,30 +684,6 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     return leads.view(np.uint64).ravel(), digits
 
 
-@functools.cache
-def _exponent_words() -> tuple[np.ndarray, ...]:
-    """The lookup tables of exponent renderings, built on first use.
-
-    ``a.bcdefghie-n`` is written as the words ``heads[100 * a + bc]``
-    (``a.bc``), ``defg`` from :func:`_digit_words`, ``tails[hi]`` (``hie-``)
-    and ``exponents[n]`` (``n`` in two digits at least). The fraction's
-    trailing zeros are dropped: ``tails`` drops its own, and
-    ``heads[1000 + 100 * a + bc]`` is ``a.bc`` without them, for a fraction
-    whose ``defghi`` is 0. ``highs[n] * lows[n]`` scales by 10^(8 + n); each
-    factor is the double Python's ``float`` parses for its power of ten,
-    correctly rounded, and ``highs[n]`` is 10^200 past n = 250, where a
-    single factor would overflow.
-    """
-    fractions = [f"{a}.{bc:02d}" for a in range(10) for bc in range(100)]
-    heads = _words([f.encode() for f in fractions]
-                   + [f.rstrip("0").rstrip(".").encode() for f in fractions])
-    tails = _words([f"{hi:02d}".rstrip("0").encode() + b"e-" for hi in range(100)])
-    exponents = _words([f"{n:02d}".encode() for n in range(325)])
-    highs = np.where(np.arange(325) > 250, 1e200, 1.0)
-    lows = np.array([float(f"1e{8 + n - (200 if n > 250 else 0)}") for n in range(325)])
-    return heads.ravel(), tails.ravel(), exponents.ravel(), highs, lows
-
-
 def _render_rows(probs: np.ndarray, prefixes: list[bytes], heads: np.ndarray,
                  followers: np.ndarray) -> bytes:
     """The rows of ``probs``, each led by its sample's prefix.
@@ -728,9 +704,10 @@ def _slot_words(probs: np.ndarray, heads: np.ndarray, followers: np.ndarray) -> 
     """The words of each row of ``probs``, laid out as :func:`_render_rows` says.
 
     A value in [1e-4, 1) whose 9 digits are clear of a rounding tie, and do
-    not carry to 10^9, fills its slot from :func:`_digit_words`; any other
-    value fills it from :func:`_odd_words`. The arrays built on the way are
-    freed on return, before the caller copies the rows.
+    not carry to 10^9, fills its slot from :func:`_digit_words`. Any other
+    value (0, 1, -0.0, one below 1e-4, near a tie or carrying) is rendered
+    by ``SLOT_FORMAT``. The arrays built on the way are freed on return,
+    before the caller copies the rows.
     """
     n_samples, n_passes, n_classes = probs.shape
     leads, digit_words = _digit_words()
@@ -754,41 +731,10 @@ def _slot_words(probs: np.ndarray, heads: np.ndarray, followers: np.ndarray) -> 
     slots[..., 3] = digit_words[low + 10**4]
     where = np.nonzero(odd)
     if where[0].size:
-        slots[(*where, slice(0, 4))] = _odd_words(probs[where])
+        text = (SLOT_FORMAT * where[0].size) % tuple(probs[where].tolist())
+        slots[(*where, slice(0, 4))] = np.frombuffer(text.replace(" ", "\0").encode(),
+                                                     np.uint32).reshape(-1, 4)
     return rows
-
-
-def _odd_words(values: np.ndarray) -> np.ndarray:
-    """The 4 slot words of each of ``values``, which the fixed-point words leave out.
-
-    A value x in (0, 1e-4) renders as ``a.bcdefghie-n``. Its exponent n is
-    that of ``log10(x)``, and its 9 digits are rint(x * 10^(8 + n)), scaled
-    as :func:`_exponent_words` says: the factors and the products are each
-    correctly rounded, so the digits are off by less than 5e-7 below 2^30.
-    Where they are not 9 digits (``log10`` was one off near a power of ten,
-    or they carry to 10^9) or lie near a tie, and for any other value, such
-    as 0, 1, -0.0 or a fixed-point one near a tie, ``SLOT_FORMAT`` renders
-    the value itself.
-    """
-    heads, tails, exponents, highs, lows = _exponent_words()
-    digit_words = _digit_words()[1]
-    tiny = (values > 0.0) & (values < 1e-4)
-    n = np.clip(-np.floor(np.log10(np.where(tiny, values, 1e-5))), 5, 324).astype(np.intp)
-    scaled = values * highs[n] * lows[n]
-    digits = np.rint(scaled)
-    formatted = (~tiny | (digits < 1e8) | (digits >= 1e9)
-                 | (np.abs(scaled - digits) > 0.5 - HALF_MARGIN))
-    np.putmask(digits, formatted, 1e8)
-    first, fraction = np.divmod(digits.astype(np.int32), 10**8)
-    second, later = np.divmod(fraction, 10**6)
-    middle, last = np.divmod(later, 100)
-    words = np.stack([heads[100 * first + second + 1000 * (later == 0)],
-                      digit_words[middle + 10**4 * (last == 0)], tails[last], exponents[n]], axis=1)
-    if formatted.any():
-        text = (SLOT_FORMAT * np.count_nonzero(formatted)) % tuple(values[formatted].tolist())
-        words[formatted] = np.frombuffer(text.replace(" ", "\0").encode(),
-                                         np.uint32).reshape(-1, 4)
-    return words
 
 
 def load_labels(path) -> LabelSet:

@@ -3,7 +3,6 @@
 import concurrent.futures
 import multiprocessing
 import os
-import time
 import warnings
 
 import numpy as np
@@ -46,7 +45,7 @@ def worker_pid(i):
 
 def test_results_come_back_in_job_order_from_workers(monkeypatch, pools):
     usable_cpus(monkeypatch, 2)
-    results = list(_map_jobs([(worker_pid, i) for i in range(7)]))
+    results = _map_jobs([(worker_pid, i) for i in range(7)])
     assert [i for i, _ in results] == list(range(7))
     assert os.getpid() not in {pid for _, pid in results}
     assert [args[0] for args in pools] == [2]
@@ -54,8 +53,8 @@ def test_results_come_back_in_job_order_from_workers(monkeypatch, pools):
 
 def test_one_cpu_runs_inline(monkeypatch, pools):
     usable_cpus(monkeypatch, 1)
-    assert list(_map_jobs([(worker_pid, 0), (worker_pid, 1)])) == [(0, os.getpid()),
-                                                                   (1, os.getpid())]
+    assert _map_jobs([(worker_pid, 0), (worker_pid, 1)]) == [(0, os.getpid()),
+                                                             (1, os.getpid())]
     assert pools == []
 
 
@@ -132,9 +131,9 @@ def test_inline_and_pooled_results_are_equal(monkeypatch, pools):
             train_job((2, 8, 2), 2, 4, data, init=Mlp(MlpSpec((2, 8, 2), seed=9)).flat),
             train_job((2, 6, 2), 4, 5, data)]
     usable_cpus(monkeypatch, 1)
-    inline = list(_map_jobs(jobs))
+    inline = _map_jobs(jobs)
     usable_cpus(monkeypatch, 2)
-    pooled = list(_map_jobs(jobs))
+    pooled = _map_jobs(jobs)
     assert len(pools) == 1
     assert [m.spec for m in pooled] == [job[1] for job in jobs]
     for a, b in zip(inline, pooled):
@@ -152,63 +151,9 @@ def test_first_failure_in_job_order_raises(monkeypatch, cpus):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(TrainingDivergedError, match="non-finite at epoch 0"):
-            list(_map_jobs([fine, diverging, misshapen]))
+            _map_jobs([fine, diverging, misshapen])
         with pytest.raises(ValidationError, match="input width 3 does not match data dim 2"):
-            list(_map_jobs([fine, misshapen, diverging]))
-
-
-def run_then_count(ran, i):
-    ran.append(i)
-    return i
-
-
-def test_inline_jobs_run_as_their_results_are_asked_for(monkeypatch, pools):
-    usable_cpus(monkeypatch, 1)
-    ran = []
-    results = _map_jobs([(run_then_count, ran, i) for i in range(3)])
-    assert ran == []
-    assert next(results) == 0 and ran == [0]
-    assert list(results) == [1, 2] and ran == [0, 1, 2]
-    assert pools == []
-
-
-def wait_for(path, i):
-    """Job ``i``: its result once ``path`` exists."""
-    deadline = time.monotonic() + 30
-    while not os.path.exists(path):
-        if time.monotonic() > deadline:
-            raise TimeoutError(f"{path} did not appear")
-        time.sleep(0.01)
-    return i, os.getpid()
-
-
-def test_pooled_results_are_yielded_before_later_jobs_finish(tmp_path, monkeypatch, pools):
-    usable_cpus(monkeypatch, 2)
-    go = tmp_path / "go"
-    results = _map_jobs([(worker_pid, 0), (wait_for, go, 1), (worker_pid, 2)])
-    assert pools == []  # nothing starts before the first result is asked for
-    first, pid = next(results)  # job 1 cannot finish until this result is in
-    assert first == 0 and pid != os.getpid()
-    assert [args[0] for args in pools] == [2]
-    go.touch()
-    assert [i for i, _ in results] == [1, 2]
-
-
-def test_at_most_two_jobs_a_worker_are_submitted_ahead(monkeypatch):
-    # the results this process may hold do not grow with the number of jobs
-    submitted = []
-
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            submitted.append(args[0])
-            return super().submit(fn, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    usable_cpus(monkeypatch, 2)
-    results = _map_jobs([(worker_pid, i) for i in range(10)])
-    assert next(results)[0] == 0 and submitted == [0, 1, 2, 3, 4]
-    assert next(results)[0] == 1 and submitted == [0, 1, 2, 3, 4, 5]
-    assert [i for i, _ in results] == list(range(2, 10)) and submitted == list(range(10))
+            _map_jobs([fine, misshapen, diverging])
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
