@@ -16,10 +16,15 @@ same bytes print the same digest lines:
     python scripts/artifact_digests.py > after.txt    # in the other
     diff before.txt after.txt
 
-The first line, starting ``#``, names the BLAS numpy was built with, and
-``OPENBLAS_CORETYPE`` if it is set: the trained weights, and so the bytes,
-are the same only under one BLAS kernel, so a diff between two machines
-shows there whether they ran different ones.
+The first line, starting ``#``, names the numpy version, the CPU-dispatch
+targets numpy enabled, the BLAS numpy was built with, and
+``OPENBLAS_CORETYPE`` if it is set. The bytes are the same only under one
+BLAS kernel (it computes the trained weights) and one set of dispatch targets
+(numpy's float64 ``log2``, ``log`` and ``exp`` give other last bits on their
+AVX-512 paths), so a diff between two machines shows there whether they ran
+different ones. ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``
+shows the second on an AVX-512 machine: every demo's summaries and
+``report.json`` change, and so does every evaluation of them.
 """
 
 from __future__ import annotations
@@ -85,18 +90,27 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def blas_line() -> str:
+def environment_line() -> str:
     import numpy as np
+    from numpy._core import _multiarray_umath as umath
 
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    line = (f"# blas {blas.get('name')} {blas.get('version')}"
+    line = (f"# numpy {np.__version__} dispatch {' '.join(targets) or 'none'};"
+            f" blas {blas.get('name')} {blas.get('version')}"
             f" ({blas.get('openblas configuration')})")
     coretype = os.environ.get("OPENBLAS_CORETYPE")
     return line + (f" OPENBLAS_CORETYPE={coretype}" if coretype else "")
 
 
+def digest_lines(root: Path) -> list[str]:
+    """``sha256  path`` for every file under ``root``, sorted by its relative path."""
+    return [f"{digest(path)}  {path.relative_to(root).as_posix()}"
+            for path in sorted(p for p in root.rglob("*") if p.is_file())]
+
+
 def main() -> int:
-    print(blas_line())
+    print(environment_line())
     path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     with tempfile.TemporaryDirectory() as tmp:
@@ -110,8 +124,7 @@ def main() -> int:
         done = subprocess.run([sys.executable, "-c", EXPORT], cwd=root / "export", env=env,
                               capture_output=True, check=True)
         (root / "export" / "stdout.txt").write_bytes(done.stdout)
-        for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            print(f"{digest(path)}  {path.relative_to(root).as_posix()}")
+        print(*digest_lines(root), sep="\n")
     return 0
 
 

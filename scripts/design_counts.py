@@ -9,7 +9,7 @@ line for each of:
 * ``cli_flags``: the options of every subcommand, ``-h`` aside;
 * ``settable_values``: the ``init`` fields of ``DemoPreset``, ``EnsembleSpec``
   and ``SyntheticDataset``, plus the parameters of ``generate_dataset``,
-  ``_stratified_split``, ``evaluate_demo``, ``run_demo`` and ``histogram_svg``;
+  ``_stratified_split``, ``evaluate_demo`` and ``histogram_svg``;
 * ``exports``: the public names of ``uqeval`` that are not modules.
 """
 
@@ -30,7 +30,7 @@ from uqeval import cli, datasets, demo, models, svg  # noqa: E402
 
 SETTABLE_CLASSES = (demo.DemoPreset, models.EnsembleSpec, datasets.SyntheticDataset)
 SETTABLE_FUNCTIONS = (datasets.generate_dataset, datasets._stratified_split,
-                      demo.evaluate_demo, demo.run_demo, svg.histogram_svg)
+                      demo.evaluate_demo, svg.histogram_svg)
 
 
 def src_lines() -> int:

@@ -379,9 +379,9 @@ def cmd_demo(args) -> Run:
     result, comparison = evaluate_demo(args.seed, preset, args.log_base, args.threshold)
 
     def write(out: Path, digest: str) -> str:
-        write_demo_artifacts(result, comparison, out, digest)
+        report_json = write_demo_artifacts(result, comparison, out, digest)
         if args.format == "json":
-            return canonical_json({**result.report, "manifest_digest": digest})
+            return report_json
         lines = []
         for name, block in result.report["schemes"].items():
             u = block["ucm"]

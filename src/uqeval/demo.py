@@ -1,11 +1,10 @@
 """End-to-end demo: synthetic data, three prediction schemes, full evaluation.
 
-One :func:`run_demo` call generates a two-moons dataset, trains an
-MC-dropout network and a heterogeneous ensemble, produces prediction
-tensors under all three schemes, and writes the declared artifact files
-plus plots and a manifest into an output directory. Everything derives
-from a single seed, so reruns are byte-identical (manifest timestamp
-aside).
+:func:`build_demo_models` generates a two-moons dataset, trains an MC-dropout
+network and a heterogeneous ensemble, and produces prediction tensors under
+all three schemes; :func:`evaluate_demo` scores them. The CLI's ``demo``
+writes the declared artifact files, plots and a manifest. Everything derives
+from a single seed, so reruns are byte-identical (manifest timestamp aside).
 
 The model comparison mirrors the repeated-runs protocol at toy scale:
 a warm-start head (fine-tuned from a pretrained backbone) against a
@@ -139,50 +138,6 @@ def _sub_seeds(seed: int) -> dict[str, int]:
     return {name: derived_seed(child) for name, child in zip(names, children)}
 
 
-def _model_jobs(seed: int, preset: DemoPreset):
-    """Seeds, dataset, labels, and the pool jobs of the MC-dropout model and members."""
-    seeds = _sub_seeds(require_seed(seed))
-    dataset = generate_dataset(preset.n_points, DATASET_NOISE, seeds["data"])
-    labels = LabelSet(dataset.test_ids, dataset.test_y)
-
-    mcd_spec = MlpSpec(
-        layer_widths=(2, *MCD_HIDDEN, 2),
-        dropout_rate=DROPOUT_RATE,
-        seed=seeds["mcd_train"],
-    )
-    config = TrainConfig(epochs=preset.epochs, batch_size=BATCH_SIZE, seed=seeds["mcd_train"])
-    ensemble_spec = EnsembleSpec(
-        member_count=preset.ensemble_members,
-        dropout_rate=DROPOUT_RATE,
-        master_seed=seeds["ensemble"],
-    )
-    train = (dataset.train_x, dataset.train_y)
-    jobs = [(_train_job, mcd_spec, config, *train), *_ensemble_jobs(ensemble_spec, config, train)]
-    return seeds, dataset, labels, jobs
-
-
-def _predictions(dataset, seeds: dict, preset: DemoPreset, mcd_model: Mlp, members: list[Mlp]):
-    """Each scheme's prediction tensor and aggregation scheme on the test split."""
-    test_x, test_ids = dataset.test_x, dataset.test_ids
-    mcd_tensor = mc_dropout_predict(mcd_model, test_x, preset.mcd_passes,
-                                    seeds["mcd_passes"], test_ids)
-    ens_tensor = ensemble_predict(members, test_x, test_ids)
-    emcd_tensor, emcd_sch = emcd_predict(members, test_x, preset.emcd_passes_per_member,
-                                         seeds["emcd_passes"], test_ids)
-
-    tensors = {"mcd": mcd_tensor, "ensemble": ens_tensor, "emcd": emcd_tensor}
-    schemes = {"mcd": MCD, "ensemble": ENSEMBLE, "emcd": emcd_sch}
-    return tensors, schemes
-
-
-def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
-    """Dataset, labels, trained models, and each scheme's tensor and aggregation scheme."""
-    seeds, dataset, labels, jobs = _model_jobs(seed, preset)
-    mcd_model, *members = _map_jobs(jobs)
-    tensors, schemes = _predictions(dataset, seeds, preset, mcd_model, members)
-    return dataset, labels, tensors, schemes, seeds, (mcd_model, members)
-
-
 def _comparison_heads(dataset, seed: int, preset: DemoPreset) -> list[Mlp]:
     """Each run's warm-start and cold-start heads, alternating, trained as one stack.
 
@@ -217,6 +172,35 @@ def _comparison_heads(dataset, seed: int, preset: DemoPreset) -> list[Mlp]:
     return _train_stack(head_jobs)
 
 
+def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
+    """Seeds, dataset, labels, each scheme's tensor and aggregation scheme, and comparison heads.
+
+    Every model trains in one :func:`_map_jobs` call: the comparison (one job),
+    then the MC-dropout network, then the ensemble members.
+    """
+    seeds = _sub_seeds(require_seed(seed))
+    dataset = generate_dataset(preset.n_points, DATASET_NOISE, seeds["data"])
+    labels = LabelSet(dataset.test_ids, dataset.test_y)
+    mcd_spec = MlpSpec((2, *MCD_HIDDEN, 2), DROPOUT_RATE, seeds["mcd_train"])
+    config = TrainConfig(epochs=preset.epochs, batch_size=BATCH_SIZE, seed=seeds["mcd_train"])
+    train = (dataset.train_x, dataset.train_y)
+    heads, mcd_model, *members = _map_jobs([
+        (_comparison_heads, dataset, seeds["compare"], preset),
+        (_train_job, mcd_spec, config, *train),
+        *_ensemble_jobs(EnsembleSpec(preset.ensemble_members, DROPOUT_RATE, seeds["ensemble"]),
+                        config, train),
+    ])
+    test_x, test_ids = dataset.test_x, dataset.test_ids
+    mcd_tensor = mc_dropout_predict(mcd_model, test_x, preset.mcd_passes, seeds["mcd_passes"],
+                                    test_ids)
+    ens_tensor = ensemble_predict(members, test_x, test_ids)
+    emcd_tensor, emcd_sch = emcd_predict(members, test_x, preset.emcd_passes_per_member,
+                                         seeds["emcd_passes"], test_ids)
+    tensors = {"mcd": mcd_tensor, "ensemble": ens_tensor, "emcd": emcd_tensor}
+    schemes = {"mcd": MCD, "ensemble": ENSEMBLE, "emcd": emcd_sch}
+    return seeds, dataset, labels, tensors, schemes, heads
+
+
 def _comparison_runs(heads: list[Mlp], dataset, labels: LabelSet):
     """The warm-start and the cold-start runs, ``(run seed, summaries, labels)`` each.
 
@@ -233,15 +217,12 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
                   threshold: float = DEFAULT_THRESHOLD):
     """All analyses of one demo run, as plain data (no files).
 
-    The comparison (one job), the MC-dropout model and the ensemble members
-    all train in one :func:`_map_jobs` call, after ``threshold`` and ``log_base`` are checked.
+    Every model trains in :func:`build_demo_models`, after ``threshold`` and
+    ``log_base`` are checked.
     """
     threshold = require_real(threshold, "threshold", *NORMALIZED_THRESHOLDS)
     require_choice(log_base, "log base", LOG_BASES)
-    seeds, dataset, labels, jobs = _model_jobs(seed, preset)
-    comparison_job = (_comparison_heads, dataset, seeds["compare"], preset)
-    heads, mcd_model, *members = _map_jobs([comparison_job, *jobs])
-    tensors, schemes = _predictions(dataset, seeds, preset, mcd_model, members)
+    seeds, dataset, labels, tensors, schemes, heads = build_demo_models(seed, preset)
     summaries = {name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEME_KINDS}
     per_scheme, sweeps, calibrations, separations = {}, {}, {}, {}
     for name in SCHEME_KINDS:
@@ -280,8 +261,8 @@ def write_comparison(comparison, sides, out: Path, digest: str) -> None:
         write_artifact(out / f"comparison_{metric}.svg", violin_svg(groups, metric, digest))
 
 
-def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -> None:
-    """Write the declared artifact files plus labels, the comparison values and plots."""
+def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -> str:
+    """Write the declared artifact files, labels, comparison values and plots; return the report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stamp = f"manifest_digest={digest}"
@@ -296,7 +277,8 @@ def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -
     save_sweep({name: result.sweeps[name] for name in SCHEME_KINDS}, out / "sweep.csv",
                header_comment=stamp)
 
-    write_artifact(out / "report.json", canonical_json({**result.report, "manifest_digest": digest}))
+    report = write_artifact(out / "report.json",
+                            canonical_json({**result.report, "manifest_digest": digest}))
 
     for name in SCHEME_KINDS:
         write_artifact(out / f"sweep_{name}.svg", sweep_svg(result.sweeps[name], digest))
@@ -306,10 +288,4 @@ def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -
                        separation_svg(result.separations[name], digest))
 
     write_comparison(comparison, VARIANTS, out, digest)
-
-
-def run_demo(seed: int, out_dir, preset: DemoPreset = DemoPreset()) -> DemoResult:
-    """Full pipeline into ``out_dir``, with base-2 entropies and the digest ``none``."""
-    result, comparison = evaluate_demo(seed, preset)
-    write_demo_artifacts(result, comparison, out_dir, "none")
-    return result
+    return report

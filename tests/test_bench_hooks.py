@@ -63,16 +63,31 @@ def test_size_readers_find_their_parameters(tracer):
             assert name in parameters, (module, attr, name)
 
 
-def test_traced_demo_pools_its_jobs(tracer, monkeypatch):
+@pytest.fixture(scope="module")
+def traced_quick_demo(tracer):
+    """The tracer and the result of one traced quick demo, trained on a pool of two workers."""
+    from uqeval import demo
+
+    hooks = tracer.Tracer()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        hooks.install()
+        try:
+            result, _ = demo.evaluate_demo(7, demo.QUICK_PRESET)
+        finally:
+            hooks.uninstall()
+    return hooks, result
+
+
+def test_traced_demo_pools_its_jobs(traced_quick_demo):
     # the pool pickles each job's function by name; a job function the tracer
     # wraps would be its closure, which pickle cannot find
-    from uqeval.demo import QUICK_PRESET, evaluate_demo
-
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    hooks = tracer.Tracer()
-    hooks.install()
-    try:
-        result, _ = evaluate_demo(7, QUICK_PRESET)
-    finally:
-        hooks.uninstall()
+    _, result = traced_quick_demo
     assert result.report["seed"] == 7
+
+
+def test_traced_demo_reaches_its_training_hook(traced_quick_demo):
+    hooks, _ = traced_quick_demo
+    (build,) = [s for s in hooks.spans if s.name == "demo.build_demo_models"]
+    assert build.parent is not None
+    assert hooks.spans[build.parent].name == "demo.evaluate_demo"

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from uqeval.cli import main
-from uqeval.demo import DEMO_ARTIFACTS, QUICK_PRESET, build_demo_models, evaluate_demo, run_demo
+from uqeval.aggregate import SCHEME_KINDS
+from uqeval.demo import (DEMO_ARTIFACTS, DROPOUT_RATE, MCD_HIDDEN, QUICK_PRESET, _comparison_heads,
+                         build_demo_models, evaluate_demo)
 from uqeval.errors import ValidationError
-from uqeval.tensor import load_predictions
+from uqeval.models import EnsembleSpec, _ensemble_jobs, _map_jobs, _train_job
+from uqeval.tensor import load_labels, load_predictions, save_predictions
 
 import scalar_oracles as oracle
 
@@ -115,25 +118,70 @@ def test_flat_engine_artifacts_match_list_engine(tmp_path, monkeypatch):
     # the stacked flat-buffer engine trains the same weights bit for bit, so
     # every declared artifact matches the one written with every model trained
     # alone by the list engine
-    run_demo(7, tmp_path / "flat", QUICK_PRESET)
+    assert main(["demo", "--quick", "--seed", "7", "--out", str(tmp_path / "flat")]) == 0
     monkeypatch.setattr("uqeval.models._train_stack", oracle.train_stack)
     monkeypatch.setattr("uqeval.demo._train_stack", oracle.train_stack)
-    run_demo(7, tmp_path / "list", QUICK_PRESET)
+    assert main(["demo", "--quick", "--seed", "7", "--out", str(tmp_path / "list")]) == 0
     for name in DEMO_ARTIFACTS:
         assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "list" / name).read_bytes(), name
 
 
+def test_json_stdout_is_the_written_report(tmp_path, capsys):
+    assert main(["demo", "--quick", "--seed", "3", "--format", "json",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (tmp_path / "report.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("seed", [-1, 2.0, 1.5, True, "3", None])
-@pytest.mark.parametrize("entry", ["build_demo_models", "evaluate_demo", "run_demo"])
-def test_library_entry_points_reject_a_bad_seed(entry, seed, tmp_path):
+@pytest.mark.parametrize("entry", ["build_demo_models", "evaluate_demo"])
+def test_library_entry_points_reject_a_bad_seed(entry, seed):
     calls = {
         "build_demo_models": lambda: build_demo_models(seed, QUICK_PRESET),
         "evaluate_demo": lambda: evaluate_demo(seed, QUICK_PRESET),
-        "run_demo": lambda: run_demo(seed, tmp_path / "out", QUICK_PRESET),
     }
     with pytest.raises(ValidationError, match=f"seed must be a non-negative integer, got {seed!r}"):
         calls[entry]()
-    assert not (tmp_path / "out").exists()
+
+
+def test_build_demo_models_makes_what_the_demo_writes(quick_demo_dir, tmp_path):
+    # the seeds, labels and tensors the demo's artifacts hold; the comparison
+    # heads come warm and cold, run by run
+    seeds, dataset, labels, tensors, schemes, heads = build_demo_models(3, QUICK_PRESET)
+    report = json.loads((quick_demo_dir / "report.json").read_text())
+    assert seeds == report["derived_seeds"]
+    written_labels = load_labels(quick_demo_dir / "labels.csv")
+    assert tuple(labels.sample_ids) == tuple(written_labels.sample_ids) == tuple(dataset.test_ids)
+    assert np.array_equal(labels.labels, written_labels.labels)
+    assert set(tensors) == set(schemes) == set(SCHEME_KINDS)
+    for name in SCHEME_KINDS:
+        save_predictions(tensors[name], tmp_path / f"{name}.csv")
+        built = load_predictions(tmp_path / f"{name}.csv")
+        written = load_predictions(quick_demo_dir / f"predictions_{name}.csv")
+        assert tuple(built.sample_ids) == tuple(written.sample_ids), name
+        assert np.array_equal(built.probs, written.probs), name
+    assert len(heads) == 2 * QUICK_PRESET.compare_runs
+
+
+def test_every_model_trains_in_one_map_of_ordered_jobs(monkeypatch):
+    # the comparison, then the MC-dropout network, then the ensemble members
+    calls = []
+
+    def recorded(jobs):
+        calls.append(jobs)
+        return _map_jobs(jobs)
+
+    monkeypatch.setattr("uqeval.demo._map_jobs", recorded)
+    result, _ = evaluate_demo(7, QUICK_PRESET)
+    (jobs,) = calls
+    seeds = result.report["derived_seeds"]
+    comparison, mcd, *members = jobs
+    assert comparison[0] is _comparison_heads and comparison[2] == seeds["compare"]
+    assert mcd[0] is _train_job
+    assert mcd[1].layer_widths == (2, *MCD_HIDDEN, 2) and mcd[1].seed == seeds["mcd_train"]
+    ensemble = EnsembleSpec(QUICK_PRESET.ensemble_members, DROPOUT_RATE, seeds["ensemble"])
+    expected = _ensemble_jobs(ensemble, mcd[2], mcd[3:])
+    assert len(members) == QUICK_PRESET.ensemble_members
+    assert [job[:3] for job in members] == [job[:3] for job in expected]
 
 
 # a preset value no demo can run with, and the error it gives

@@ -11,10 +11,11 @@ import pytest
 import uqeval.tensor
 from uqeval import (EnsembleSpec, MlpSpec, TrainConfig, TrainingDivergedError, ValidationError,
                     save_predictions, train_ensemble)
-from uqeval.demo import QUICK_PRESET, run_demo
+from uqeval.cli import main
 from uqeval.models import Mlp, _map_jobs, _train_job
 from uqeval.tensor import PredictionTensor
 
+from test_golden_digests import artifact_digests
 from test_models import assert_same_parameters, xor_data
 
 ENSEMBLE = EnsembleSpec(member_count=5, master_seed=9)
@@ -104,18 +105,23 @@ def test_daemon_process_trains_inline(monkeypatch):
         assert a.loss_history == b.loss_history
 
 
+def quick_demo_digests(folder, monkeypatch) -> list[str]:
+    """Run ``demo --quick --seed 7 --out demo`` in ``folder``; the digest line of each file."""
+    folder.mkdir()
+    monkeypatch.chdir(folder)
+    assert main(["demo", "--quick", "--seed", "7", "--out", "demo"]) == 0
+    return artifact_digests.digest_lines(folder / "demo")
+
+
 def test_demo_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, pools):
     usable_cpus(monkeypatch, 1)
-    run_demo(7, tmp_path / "one", QUICK_PRESET)
+    one = quick_demo_digests(tmp_path / "one", monkeypatch)
     assert pools == []
     usable_cpus(monkeypatch, 2)
-    run_demo(7, tmp_path / "two", QUICK_PRESET)
+    two = quick_demo_digests(tmp_path / "two", monkeypatch)
     # one pool for the comparison, the MC-dropout model and the ensemble
     assert len(pools) == 1
-    names = sorted(p.name for p in (tmp_path / "one").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
-    for name in names:
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes(), name
+    assert one == two
 
 
 def train_job(widths, epochs, seed, data, init=None, lr=0.01):
