@@ -64,11 +64,14 @@ RUNS.update({f"{command}-{fmt}": [command, *args, "--format", fmt]
 # many jobs. Two samples in every 500 hold, in every column over their passes,
 # the values its digit tables leave to "%.9g": exact 0 and 1, -0.0, 1e-300, a
 # subnormal, one just below 1e-4, a near and an exact rounding tie, and one
-# whose 9 digits carry to the next power of ten.
+# whose 9 digits carry to the next power of ten. Its EMCD summaries (10
+# members of 5 passes) and a label set over its ids are saved too, so the
+# summaries and labels writers also run at this size and on these ids.
 EXPORT = """
 import math
 import numpy as np
-from uqeval import PredictionTensor, save_predictions
+from uqeval import (LabelSet, PredictionTensor, aggregate, emcd_scheme, save_labels,
+                    save_predictions, save_summaries)
 rng = np.random.default_rng(0)
 ids = [f"s{i:04d}" if i % 7 else f"s,{i}%" for i in range(4000)]
 probs = rng.dirichlet(np.ones(10), size=(4000, 50))
@@ -78,6 +81,8 @@ for start, row in ((0, odd + [0.0, 1.0 - math.fsum(odd)]), (1, [1.0] + [0.0] * 9
 tensor = PredictionTensor(probs, ids)
 for suffix in (".csv", ".jsonl"):
     save_predictions(tensor, "predictions" + suffix, header_comment="export")
+save_summaries(aggregate(tensor, emcd_scheme([5] * 10)), "summaries.csv", header_comment="export")
+save_labels(LabelSet(ids, np.arange(4000) % 10), "labels.csv", header_comment="export")
 print(tensor.n_samples, tensor.n_passes, tensor.n_classes)
 """
 

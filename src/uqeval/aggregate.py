@@ -25,13 +25,16 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .tensor import (
+    FULL_FORMAT,
     ROW_SUM_TOL,
     LabelSet,
     PredictionTensor,
     SampleIds,
     aligned_labels,
+    check_class_columns,
     class_sums,
     csv_fields,
+    csv_table,
     pass_means,
     read_table,
     require_choice,
@@ -222,26 +225,20 @@ def aggregate(tensor: PredictionTensor, scheme: AggregationScheme, base: str = "
     return Summaries.from_means(tensor.sample_ids, means, base)
 
 
-SUMMARY_FLOAT_FORMAT = "%.17g"
 SUMMARY_COLUMNS = ("sample_id", "predicted_class", "confidence", "entropy", "normalized_entropy")
 
 
 def save_summaries(summaries: Summaries, path, header_comment: str | None = None) -> str:
     """CSV export: ``sample_id,predicted_class,confidence,entropy,normalized_entropy,p_0..p_{C-1}``;
     returns the text written after the header comment."""
-    fmt = SUMMARY_FLOAT_FORMAT
-    header = SUMMARY_COLUMNS + tuple(f"p_{c}" for c in range(summaries.n_classes))
-    rows = [",".join(header) + "\n"]
-    for sid, predicted, confidence, entropy, normalized, mean in zip(
-        csv_fields(summaries.sample_ids), summaries.predicted_class.tolist(),
-        summaries.confidence.tolist(), summaries.entropy.tolist(),
-        summaries.normalized_entropy.tolist(), summaries.means.tolist(),
-    ):
-        rendered = ",".join(fmt % v for v in mean)
-        rows.append(
-            f"{sid},{predicted},{fmt % confidence},{fmt % entropy},{fmt % normalized},{rendered}\n"
-        )
-    return write_artifact(path, "".join(rows), header_comment)
+    n_classes = summaries.n_classes
+    text = csv_table(
+        SUMMARY_COLUMNS + tuple(f"p_{c}" for c in range(n_classes)),
+        ("%s", "%d") + (FULL_FORMAT,) * (3 + n_classes),
+        csv_fields(summaries.sample_ids), summaries.predicted_class, summaries.confidence,
+        summaries.entropy, summaries.normalized_entropy, *summaries.means.T,
+    )
+    return write_artifact(path, text, header_comment)
 
 
 def load_summaries(path) -> Summaries:
@@ -250,6 +247,7 @@ def load_summaries(path) -> Summaries:
     fixed = list(SUMMARY_COLUMNS)
     if header[: len(fixed)] != fixed or len(header) < len(fixed) + 2:
         raise FormatError(f"{path}: unexpected summaries header {header}")
+    check_class_columns(path, header[len(fixed):])
     ids, predicted, table = table_columns(header, chunks)
     try:
         summaries = Summaries(

@@ -14,8 +14,7 @@ import numpy as np
 
 from .aggregate import Summaries
 from .errors import ValidationError
-from .tensor import LabelSet, require_integer, write_artifact
-from .ucm import format_metric
+from .tensor import FULL_FORMAT, LabelSet, csv_table, require_integer, write_artifact
 
 
 @dataclass(frozen=True)
@@ -90,18 +89,14 @@ def calibration_report(summaries: Summaries, labels: LabelSet,
     return CalibrationReport(n_bins=n_bins, bins=tuple(bins), ece=ece, n=n)
 
 
-RELIABILITY_HEADER = "bin,lo,hi,count,accuracy,confidence,gap"
-
-
 def save_reliability(report: CalibrationReport, path, header_comment: str | None = None) -> str:
     """Reliability CSV, ``n/a`` for empty bins; its ``gap`` is signed, ``accuracy - confidence``;
     returns the text written after the header comment."""
-    rows = [RELIABILITY_HEADER + "\n"]
-    for b in report.bins:
-        gap = None if b.count == 0 else b.accuracy - b.confidence
-        lo, hi, acc, conf, gap = map(format_metric, (b.lo, b.hi, b.accuracy, b.confidence, gap))
-        rows.append(f"{b.index},{lo},{hi},{b.count},{acc},{conf},{gap}\n")
-    return write_artifact(path, "".join(rows), header_comment)
+    rows = [(b.index, b.lo, b.hi, b.count, b.accuracy, b.confidence,
+             None if b.count == 0 else b.accuracy - b.confidence) for b in report.bins]
+    text = csv_table(("bin", "lo", "hi", "count", "accuracy", "confidence", "gap"),
+                     ("%d", FULL_FORMAT, FULL_FORMAT, "%d") + (FULL_FORMAT,) * 3, *zip(*rows))
+    return write_artifact(path, text, header_comment)
 
 
 def calibration_as_dict(report: CalibrationReport) -> dict:

@@ -33,17 +33,16 @@ from .errors import UqevalError, ValidationError
 from .manifest import build_manifest, canonical_json, manifest_digest, write_manifest
 from .stats import compare_models, comparison_as_dict, comparison_values_csv
 from .svg import reliability_svg, separation_svg, sweep_svg
-from .tensor import is_real, is_seed, json_field, load_labels, load_predictions, write_artifact
+from .tensor import (FULL_FORMAT, csv_table, is_real, is_seed, json_field, load_labels,
+                     load_predictions, write_artifact)
 from .ucm import (
-    SWEEP_HEADER,
     SweepCurve,
     build_ucm,
-    format_metric,
     metrics_point,
-    render_sweep_rows,
     save_sweep,
     separation_as_dict,
     separation_report,
+    sweep_table,
     threshold_sweep,
     ucm_as_dict,
 )
@@ -251,7 +250,7 @@ def cmd_evaluate(args) -> Run:
         if args.format == "json":
             return payload
         if args.format == "csv":
-            return SWEEP_HEADER + "\n" + render_sweep_rows(SweepCurve((metrics_point(ucm),)))
+            return sweep_table(SweepCurve((metrics_point(ucm),)))
         return _ucm_text(ucm, args.normalize_entropy)
 
     return Run({"summaries": args.summaries, "labels": args.labels}, write)
@@ -307,13 +306,11 @@ def cmd_separate(args) -> Run:
         if args.format == "json":
             return payload
         if args.format == "csv":
-            return (
-                "group,count,mean,median\n"
-                f"correct,{report.n_correct},{format_metric(report.correct_mean)},"
-                f"{format_metric(report.correct_median)}\n"
-                f"incorrect,{report.n_incorrect},{format_metric(report.incorrect_mean)},"
-                f"{format_metric(report.incorrect_median)}"
-            )
+            return csv_table(("group", "count", "mean", "median"),
+                             ("%s", "%d", FULL_FORMAT, FULL_FORMAT), ["correct", "incorrect"],
+                             [report.n_correct, report.n_incorrect],
+                             [report.correct_mean, report.incorrect_mean],
+                             [report.correct_median, report.incorrect_median])
         return (
             "mean normalized entropy: correct "
             f"{_val(report.correct_mean)}, incorrect {_val(report.incorrect_mean)}, "

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import class_indices, require_integer, require_real, require_seed, write_artifact
+from .tensor import (FULL_FORMAT, class_indices, csv_table, require_integer, require_real,
+                     require_seed, write_artifact)
 
 TRAIN_FRACTION = 0.75
 
@@ -107,8 +108,6 @@ def save_dataset(dataset: SyntheticDataset, path, header_comment: str | None = N
     split = np.empty(dataset.n, dtype=object)
     split[dataset.train_idx] = "train"
     split[dataset.test_idx] = "test"
-    rows = "".join(
-        "%.17g,%.17g,%d,%s\n" % (dataset.x[i, 0], dataset.x[i, 1], dataset.y[i], split[i])
-        for i in range(dataset.n)
-    )
-    write_artifact(path, "x0,x1,label,split\n" + rows, header_comment)
+    text = csv_table(("x0", "x1", "label", "split"), (FULL_FORMAT, FULL_FORMAT, "%d", "%s"),
+                     dataset.x[:, 0], dataset.x[:, 1], dataset.y, split)
+    write_artifact(path, text, header_comment)

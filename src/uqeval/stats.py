@@ -16,7 +16,8 @@ import numpy as np
 
 from .aggregate import Summaries
 from .errors import ValidationError
-from .tensor import LabelSet, aligned_labels, require_integer, require_real
+from .tensor import (FULL_FORMAT, LabelSet, aligned_labels, csv_fields, csv_table,
+                     require_integer, require_real)
 
 BETA_TOL = 1e-14
 BETA_MAX_ITER = 300
@@ -253,11 +254,11 @@ def comparison_as_dict(comparisons: dict[str, ModelComparison]) -> dict:
 
 def comparison_values_csv(comparisons: dict[str, "ModelComparison"]) -> str:
     """Raw per-run distribution values for external plotting."""
-    lines = ["metric,run_index,seed,value_a,value_b"]
-    for metric, cmp in comparisons.items():
-        for i, (seed, va, vb) in enumerate(zip(cmp.a.run_seeds, cmp.a.values, cmp.b.values)):
-            lines.append(f"{metric},{i},{seed},{'%.17g' % va},{'%.17g' % vb}")
-    return "\n".join(lines) + "\n"
+    rows = [(metric, i, seed, va, vb)
+            for metric, cmp in zip(csv_fields(comparisons), comparisons.values())
+            for i, (seed, va, vb) in enumerate(zip(cmp.a.run_seeds, cmp.a.values, cmp.b.values))]
+    return csv_table(("metric", "run_index", "seed", "value_a", "value_b"),
+                     ("%s", "%d", "%d", FULL_FORMAT, FULL_FORMAT), *zip(*rows))
 
 
 def compare_models(runs_a, runs_b) -> dict[str, ModelComparison]:

@@ -14,7 +14,8 @@ File formats (all UTF-8, ``.`` decimal separator):
 * labels CSV: header ``sample_id,label``.
 
 Predictions CSV, labels and summaries files share one reader,
-:func:`read_table`, for rows of an id, an integer, then floats.
+:func:`read_table`, for rows of an id, an integer, then floats. Every CSV
+table but a predictions file is written by one writer, :func:`csv_table`.
 
 Sample ids are unique strings without line breaks that UTF-8 can encode.
 They are checked once, where they enter the package: a tensor, label set or
@@ -109,6 +110,37 @@ def csv_fields(values) -> list[str]:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(zip(values))
     return buf.getvalue().split("\n")[:-1]
+
+
+# Full precision: float() reads each rendered double back bit for bit.
+FULL_FORMAT = "%.17g"
+
+
+def csv_table(header, fields, *columns) -> str:
+    """CSV text: the ``header`` names, then one line per row of ``columns``.
+
+    ``fields[j]`` is the ``%`` conversion of column ``j`` (``%d``,
+    :data:`FULL_FORMAT`, or ``%s`` for text already rendered as a CSV field,
+    such as :func:`csv_fields` ids). Values fill one template and are never
+    part of it, so an id may hold ``%``. A column given as a list may hold
+    ``None`` for an undefined value, which is written ``n/a``.
+    """
+    fields = list(fields)
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    for j, column in enumerate(columns):
+        if None in column:
+            columns[j] = ["n/a" if v is None else fields[j] % v for v in column]
+            fields[j] = "%s"
+    rows = list(zip(*columns))
+    template = ",".join(fields) + "\n"
+    return ",".join(header) + "\n" + (template * len(rows)) % tuple(chain.from_iterable(rows))
+
+
+def check_class_columns(path, names) -> None:
+    """Require the class columns of a table to be named ``p_0..p_{C-1}``, in order."""
+    for i, name in enumerate(names):
+        if name != f"p_{i}":
+            raise FormatError(f"{path}: probability column {i} named {name!r}, expected p_{i}")
 
 
 @contextmanager
@@ -542,9 +574,7 @@ def load_predictions(path, format: str | None = None, renormalize: bool = False)
             raise FormatError(
                 f"{path}: expected header sample_id,pass_id,p_0,...,p_{{C-1}}, got {header}"
             )
-        for i, name in enumerate(header[2:]):
-            if name != f"p_{i}":
-                raise FormatError(f"{path}: probability column {i} named {name!r}, expected p_{i}")
+        check_class_columns(path, header[2:])
         chunks = ((ids, pass_ids, np.full(len(ids), len(header) - 2), values)
                   for ids, pass_ids, values in table)
     else:
@@ -750,9 +780,8 @@ def load_labels(path) -> LabelSet:
 
 
 def save_labels(labels: LabelSet, path, header_comment: str | None = None) -> None:
-    ids = csv_fields(labels.sample_ids)
-    rows = "".join(f"{sid},{label}\n" for sid, label in zip(ids, labels.labels.tolist()))
-    write_artifact(path, "sample_id,label\n" + rows, header_comment)
+    write_artifact(path, csv_table(("sample_id", "label"), ("%s", "%d"),
+                                   csv_fields(labels.sample_ids), labels.labels), header_comment)
 
 
 def infer_format(path) -> str:

@@ -31,7 +31,8 @@ import numpy as np
 
 from .aggregate import Summaries
 from .errors import ValidationError
-from .tensor import LabelSet, require_real, require_sequence, write_artifact
+from .tensor import (FULL_FORMAT, LabelSet, csv_fields, csv_table, require_real,
+                     require_sequence, write_artifact)
 
 
 @dataclass(frozen=True)
@@ -224,37 +225,33 @@ def _median(values: np.ndarray) -> float:
 SWEEP_HEADER = "threshold,tc,tu,fu,fc,uacc,usen,uspe,upre"
 
 
-def format_metric(value: float | None) -> str:
-    return "n/a" if value is None else "%.17g" % value
-
-
 def save_sweep(curves: SweepCurve | dict[str, SweepCurve], path,
                header_comment: str | None = None) -> str:
-    """Sweep CSV with ``n/a`` for undefined ratios; returns the text written after the header comment.
+    """Write :func:`sweep_table`; returns the text written after the header comment."""
+    return write_artifact(path, sweep_table(curves), header_comment)
+
+
+def sweep_table(curves: SweepCurve | dict[str, SweepCurve]) -> str:
+    """Sweep CSV text with ``n/a`` for undefined ratios.
 
     ``curves`` is one curve, or a dict of curves by scheme name; a dict adds
     a leading ``scheme`` column so the sweeps share one file.
     """
-    if isinstance(curves, SweepCurve):
-        text = SWEEP_HEADER + "\n" + render_sweep_rows(curves)
-    else:
-        text = "scheme," + SWEEP_HEADER + "\n" + "".join(
-            render_sweep_rows(curve, scheme) for scheme, curve in curves.items()
-        )
-    return write_artifact(path, text, header_comment)
+    by_scheme = isinstance(curves, dict)
+    named = zip(csv_fields(curves), curves.values()) if by_scheme else [(None, curves)]
+    rows = [(scheme, threshold_field(p.threshold), p.ucm.tc, p.ucm.tu, p.ucm.fu, p.ucm.fc,
+             p.uacc, p.usen, p.uspe, p.upre) for scheme, curve in named for p in curve]
+    columns = list(zip(*rows))
+    header, fields = SWEEP_HEADER.split(","), ["%s"] + ["%d"] * 4 + [FULL_FORMAT] * 4
+    if by_scheme:
+        return csv_table(["scheme"] + header, ["%s"] + fields, *columns)
+    return csv_table(header, fields, *columns[1:])
 
 
-def render_sweep_rows(curve: SweepCurve, scheme: str | None = None) -> str:
-    rows = []
-    prefix = "" if scheme is None else f"{scheme},"
-    for p in curve:
-        m = p.ucm
-        rows.append(
-            f"{prefix}{'%.12g' % p.threshold},{m.tc},{m.tu},{m.fu},{m.fc},"
-            f"{format_metric(p.uacc)},{format_metric(p.usen)},"
-            f"{format_metric(p.uspe)},{format_metric(p.upre)}"
-        )
-    return "\n".join(rows) + "\n"
+def threshold_field(threshold: float) -> str:
+    """``threshold`` at the fewest significant digits, 12 or more, that read back as it."""
+    return next(text for digits in range(12, 18)
+                if float(text := "%.*g" % (digits, threshold)) == threshold)
 
 
 def ucm_as_dict(ucm: UncertaintyConfusion) -> dict:

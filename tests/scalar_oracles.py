@@ -16,7 +16,8 @@ row. The JSONL reader takes each record's values only in the types the
 format states (a string id, an integer pass id, an array of numbers), as the
 package's reader does since it stopped coercing them. The labels and summaries readers are the ones the package used before
 all three CSV files went through one chunked table reader: one ``csv.reader``
-call per line.
+call per line. The summaries reader requires the class columns to be named
+``p_0..p_{C-1}`` in order, as the package's reader does.
 
 The reductions are the numpy calls the package made before it added short
 axes a slice at a time: ``np.sum``/``mean`` for the aggregation and
@@ -472,6 +473,9 @@ def load_summaries(path) -> Summaries:
     fixed = list(SUMMARY_COLUMNS)
     if header[: len(fixed)] != fixed or len(header) < len(fixed) + 2:
         raise FormatError(f"{path}: unexpected summaries header {header}")
+    for i, name in enumerate(header[len(fixed):]):
+        if name != f"p_{i}":
+            raise FormatError(f"{path}: probability column {i} named {name!r}, expected p_{i}")
     ids, predicted, values = [], [], []
     for lineno, raw in lines[1:]:
         cells = next(csv.reader([raw]))

@@ -337,6 +337,19 @@ class TestSummariesFile:
         assert np.array_equal(back.means, rendered)
         assert np.max(np.abs(back.entropy - summaries.entropy)) < 1e-8
 
+    @pytest.mark.parametrize("classes, message", [
+        ("p_1,p_0", "probability column 0 named 'p_1', expected p_0"),
+        ("foo,bar", "probability column 0 named 'foo', expected p_0"),
+        ("p_0,p_2", "probability column 1 named 'p_2', expected p_1"),
+    ])
+    def test_class_columns_named_in_order(self, tmp_path, classes, message):
+        # read in file order, p_1,p_0 would give class 1's mean to class 0
+        path = tmp_path / "named.csv"
+        path.write_text("sample_id,predicted_class,confidence,entropy,normalized_entropy,"
+                        f"{classes}\na,0,0.9,0.469,0.469,0.9,0.1\n")
+        with pytest.raises(FormatError, match=rf"named\.csv: {message}$"):
+            load_summaries(path)
+
     def test_written_files_pass_the_entropy_check(self, tmp_path):
         rng = np.random.default_rng(43)
         for base in ("2", "e"):

@@ -201,6 +201,19 @@ class TestEvaluateCommand:
         assert row.split(",")[0] == "0.1234567"
         assert json.loads((tmp / "ucm.json").read_text())["threshold"] == 0.1234567
 
+    def test_csv_threshold_keeps_every_digit(self, workdir, capsys):
+        # 14 significant digits, which a 12-digit rendering would cut
+        tmp, _, _ = workdir
+        run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
+        capsys.readouterr()
+        assert run_cli([
+            "evaluate", "--summaries", tmp / "summaries.csv", "--labels", tmp / "l.csv",
+            "--threshold", "0.12345678901234", "--format", "csv", "--out", tmp,
+        ]) == 0
+        _, row = capsys.readouterr().out.splitlines()
+        assert row.split(",")[0] == "0.12345678901234"
+        assert json.loads((tmp / "ucm.json").read_text())["threshold"] == 0.12345678901234
+
     def test_threshold_out_of_range_is_failure(self, workdir):
         tmp, _, _ = workdir
         run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
@@ -257,6 +270,19 @@ class TestSweepCommand:
             if line and not line.startswith("#")
         ]
         assert len(lines) == 102
+
+    def test_raw_thresholds_keep_every_digit(self, workdir):
+        # a raw-entropy grid may start above 1, where 12 digits cut 1.123456789012
+        tmp, _, _ = workdir
+        run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
+        assert run_cli([
+            "sweep", "--summaries", tmp / "summaries.csv", "--labels", tmp / "l.csv",
+            "--normalize-entropy", "false", "--grid", "1.123456789012:0.5:2", "--out", tmp / "sw",
+        ]) == 0
+        rows = (tmp / "sw" / "sweep.csv").read_text().splitlines()[2:]
+        points = json.loads((tmp / "sw" / "sweep.json").read_text())["points"]
+        assert [row.split(",")[0] for row in rows] == ["1.123456789012", "1.623456789012"]
+        assert [float(row.split(",")[0]) for row in rows] == [p["threshold"] for p in points]
 
     def test_matches_library(self, workdir):
         tmp, _, labels = workdir

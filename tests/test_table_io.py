@@ -1,4 +1,4 @@
-"""Labels and summaries files through the chunked CSV table reader.
+"""Labels and summaries files through the chunked CSV table reader and the one table writer.
 
 Both loaders are checked against the line-at-a-time readers in
 ``scalar_oracles``: on every file they must give the same object, or the same
@@ -8,10 +8,14 @@ UTF-8 fails the same way in these and both predictions readers.
 """
 
 import contextlib
+import csv
+import io
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uqeval.tensor
 from uqeval import (
@@ -27,6 +31,8 @@ from uqeval import (
     save_predictions,
     save_summaries,
 )
+
+from uqeval.tensor import FLOAT_MAX, FULL_FORMAT, csv_fields, csv_table
 
 import scalar_oracles as oracle
 from conftest import random_prob_rows
@@ -100,6 +106,10 @@ SUMMARY_CASES = {
     "empty": "",
     "bad header": "sample_id,predicted,confidence,entropy,normalized_entropy,p_0,p_1\n",
     "one class": "sample_id,predicted_class,confidence,entropy,normalized_entropy,p_0\n",
+    "class columns swapped": SUMMARIES.replace("p_0,p_1", "p_1,p_0") + f"s0,{SURE}\n",
+    "class columns misnamed": SUMMARIES.replace("p_0,p_1", "foo,bar") + f"s0,{UNIFORM}\n",
+    "class column misnamed after a bad row":
+        SUMMARIES.replace("p_1", "p_2") + f"s0,{UNIFORM}\ns1,1,x,0,0,0,1\n",
     "too few fields": SUMMARIES + f"s0,{UNIFORM}\ns1,1,1,0,0,0\n",
     "too many fields": SUMMARIES + f"s0,{UNIFORM},0\n",
     "bad float": SUMMARIES + f"s0,{UNIFORM}\ns1,1,x,0,0,0,1\n",
@@ -214,3 +224,24 @@ def test_a_file_that_is_not_utf8_is_a_format_error_naming_it(tmp_path, reader, w
     with chunk_rows(chunk), pytest.raises(FormatError) as info:
         load(path)
     assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+# ids holding what csv quotes or a % template would read, and any finite double
+TABLE_IDS = st.text(st.sampled_from(',"%#') | st.characters(exclude_characters="\r\n",
+                                                             exclude_categories=("Cs",)))
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-320, FLOAT_MAX, -FLOAT_MAX])
+
+
+@given(st.lists(st.tuples(TABLE_IDS, DOUBLES, st.none() | DOUBLES), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_csv_table_reads_back_ids_doubles_and_na(rows):
+    ids, values, optional = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    text = csv_table(("id", "%d", "maybe"), ("%s", FULL_FORMAT, FULL_FORMAT),
+                     csv_fields(ids), np.array(values), optional)
+    header, *body = csv.reader(io.StringIO(text))
+    assert header == ["id", "%d", "maybe"] and len(body) == len(rows)
+    assert [cells[0] for cells in body] == ids
+    assert [float(cells[1]).hex() for cells in body] == [v.hex() for v in values]
+    assert [cells[2] if cells[2] == "n/a" else float(cells[2]).hex() for cells in body] == [
+        "n/a" if v is None else v.hex() for v in optional]

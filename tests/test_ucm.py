@@ -18,7 +18,10 @@ from uqeval import (
     usen,
     uspe,
 )
-from uqeval.ucm import SweepCurve, metrics_point, render_sweep_rows, save_sweep, ucm_as_dict
+from uqeval.cli import _parse_grid
+from uqeval.demo import DEFAULT_GRID
+from uqeval.ucm import (SWEEP_HEADER, SweepCurve, metrics_point, save_sweep, sweep_table,
+                        threshold_field, ucm_as_dict)
 
 from scalar_oracles import classify_outcome, take
 
@@ -283,9 +286,7 @@ class TestSeparation:
 class TestSweepRendering:
     def test_undefined_rendered_na(self):
         curve = SweepCurve((metrics_point(UncertaintyConfusion(0.5, tc=3, tu=0, fu=0, fc=0)),))
-        text = render_sweep_rows(curve)
-        assert "n/a" in text
-        assert text.startswith("0.5,3,0,0,0,")
+        assert sweep_table(curve) == SWEEP_HEADER + "\n0.5,3,0,0,0,1,n/a,1,n/a\n"
 
     def test_save_sweep_single_and_by_scheme(self, tmp_path):
         a = SweepCurve((metrics_point(UncertaintyConfusion(0.5, tc=3, tu=0, fu=0, fc=0)),))
@@ -293,10 +294,25 @@ class TestSweepRendering:
         save_sweep(a, tmp_path / "one.csv", header_comment="manifest_digest=x")
         assert (tmp_path / "one.csv").read_text() == (
             "# manifest_digest=x\nthreshold,tc,tu,fu,fc,uacc,usen,uspe,upre\n"
-            + render_sweep_rows(a)
+            "0.5,3,0,0,0,1,n/a,1,n/a\n"
         )
-        save_sweep({"mcd": a, "emcd": b}, tmp_path / "two.csv")
+        save_sweep({"mcd": a, "e,mcd": b}, tmp_path / "two.csv")
         assert (tmp_path / "two.csv").read_text() == (
             "scheme,threshold,tc,tu,fu,fc,uacc,usen,uspe,upre\n"
-            + render_sweep_rows(a, "mcd") + render_sweep_rows(b, "emcd")
+            'mcd,0.5,3,0,0,0,1,n/a,1,n/a\n"e,mcd",0.5,1,1,1,1,0.5,0.5,0.5,0.5\n'
         )
+
+    def test_grid_thresholds_keep_their_12_digit_text(self):
+        # every threshold the CLI and the demo grids hold reads back from 12 digits
+        grids = [DEFAULT_GRID, _parse_grid("0.1:0.1:0.9"), _parse_grid("0:0.01:1"),
+                 _parse_grid("0:0.001:1"), _parse_grid("0:0.05:3")]
+        for t in (t for grid in grids for t in grid):
+            assert threshold_field(t) == "%.12g" % t
+
+    @given(st.floats(0.0, 1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_field_is_the_shortest_that_reads_back(self, t):
+        text = threshold_field(t)
+        assert float(text) == t
+        digits = next(p for p in range(12, 18) if text == "%.*g" % (p, t))
+        assert all(float("%.*g" % (p, t)) != t for p in range(12, digits))
