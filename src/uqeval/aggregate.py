@@ -89,9 +89,13 @@ def _column(values, dtype) -> np.ndarray:
 
 
 def _require(ok: np.ndarray, ids, message: str, values=None) -> None:
-    """Raise ``message`` for the first sample where ``ok`` is false."""
+    """Raise ``message`` for the first sample where ``ok`` is false.
+
+    ``ok`` has a value, or a row of values, per sample. It is tested whole;
+    only a failed test looks for the first row holding a false value.
+    """
     if not ok.all():
-        i = int(np.argmin(ok))
+        i = int(np.unravel_index(np.argmin(ok), ok.shape)[0])
         value = None if values is None else values[i]
         raise ValidationError(message.format(id=repr(ids[i]), value=value))
 
@@ -130,13 +134,13 @@ class Summaries:
         if {c.shape for c in (predicted, confidence, entropy, normalized)} != {(len(ids),)}:
             raise ValidationError(f"every per-sample column must have shape ({len(ids)},)")
         sums = class_sums(means)
-        _require(np.all(means >= 0.0, axis=1), ids,
+        _require(means >= 0.0, ids,
                  "summary mean for {id} has a negative or NaN component")
         # a mean written at 9 significant digits may sum to 1 +- 5e-9, so
         # summaries take the tolerance of a predictions row
         _require(np.abs(sums - 1.0) <= ROW_SUM_TOL, ids,
                  "summary mean for {id} sums to {value:.12g}", sums)
-        _require(predicted == np.argmax(means, axis=1), ids,
+        _require(predicted == _argmax_rows(means), ids,
                  "predicted_class of {id} is not the argmax of its mean")
         _require(confidence == means[np.arange(len(ids)), predicted], ids,
                  "confidence of {id} is not its mean's argmax component")
@@ -156,7 +160,7 @@ class Summaries:
             raise ValidationError(
                 f"means must have shape (samples, classes >= 2), got {means.shape}"
             )
-        predicted = np.argmax(means, axis=1)
+        predicted = _argmax_rows(means)
         entropy = _entropy(means, base)
         return cls(
             sample_ids=sample_ids,
@@ -177,6 +181,20 @@ class Summaries:
     def correct(self, labels: LabelSet) -> np.ndarray:
         """Whether each predicted class equals its sample's label."""
         return self.predicted_class == aligned_labels(self.sample_ids, labels, self.n_classes)
+
+
+def _argmax_rows(means: np.ndarray) -> np.ndarray:
+    """``np.argmax(means, axis=1)`` of rows without NaN: ties, -0.0 with 0.0 too, break low.
+
+    Taken a class column at a time, like :func:`~uqeval.models.softmax`'s peak,
+    instead of one reduction per row.
+    """
+    best = means[:, 0]
+    index = np.zeros(len(means), dtype=np.intp)
+    for c in range(1, means.shape[1]):
+        index[means[:, c] > best] = c
+        best = np.maximum(best, means[:, c])
+    return index
 
 
 def _entropy(means: np.ndarray, base: str) -> np.ndarray:

@@ -64,24 +64,31 @@ class CalibrationReport:
 
 def calibration_report(summaries: Summaries, labels: LabelSet,
                        n_bins: int = 10) -> CalibrationReport:
-    """Bin samples by confidence and compute per-bin accuracy, confidence, ECE."""
+    """Bin samples by confidence and compute per-bin accuracy, confidence, ECE.
+
+    A bin's confidence is the sum of its values in ascending order over its
+    count, so it does not depend on sample order. Bins are monotone in
+    confidence, so one sort of all confidences holds every bin's values, in
+    that order, as one slice. A bin's accuracy is its exact count of correct
+    predictions over its count.
+    """
     n_bins = require_integer(n_bins, "n_bins", 1, "need at least one bin")
     edges = np.arange(n_bins + 1, dtype=np.float64) / n_bins  # the M+1 boundaries m/M
-    correct = summaries.correct(labels).astype(np.float64)
     confidence = summaries.confidence
     # bin m is the smallest m >= 1 with confidence <= m/M
     indices = np.minimum(np.searchsorted(edges[1:], confidence, side="left") + 1, n_bins)
+    counts = np.bincount(indices, minlength=n_bins + 1)[1:].tolist()
+    hits = np.bincount(indices, summaries.correct(labels), minlength=n_bins + 1)[1:]
+    ordered = np.sort(confidence)
+    starts = np.cumsum([0] + counts).tolist()
 
     n = len(summaries)
     bins = []
     ece = 0.0
-    for m in range(1, n_bins + 1):
-        mask = indices == m
-        count = int(mask.sum())
+    for m, count, hit, start in zip(range(1, n_bins + 1), counts, hits, starts):
         if count:
-            # summing in sorted order makes the result independent of sample order
-            acc = float(np.sort(correct[mask]).sum() / count)
-            conf = float(np.sort(confidence[mask]).sum() / count)
+            acc = float(hit / count)
+            conf = float(ordered[start:start + count].sum() / count)
             ece += (count / n) * abs(acc - conf)
         else:
             acc = conf = None

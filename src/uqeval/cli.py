@@ -31,7 +31,7 @@ from .demo import (
 )
 from .errors import UqevalError, ValidationError
 from .manifest import build_manifest, canonical_json, manifest_digest, write_manifest
-from .stats import compare_models, comparison_as_dict, comparison_values_csv
+from .stats import compare_models, comparison_as_dict
 from .svg import reliability_svg, separation_svg, sweep_svg
 from .tensor import (FULL_FORMAT, csv_table, is_real, is_seed, json_field, load_labels,
                      load_predictions, write_artifact)
@@ -356,11 +356,11 @@ def cmd_compare(args) -> Run:
     def write(out: Path, digest: str) -> str:
         payload = canonical_json({**metrics, "manifest_digest": digest})
         write_artifact(out / "comparison.json", payload)
-        write_comparison(comparison, ("a", "b"), out, digest)
+        values_csv = write_comparison(comparison, ("a", "b"), out, digest)
         if args.format == "json":
             return payload
         if args.format == "csv":
-            return comparison_values_csv(comparison)
+            return values_csv
         return "\n".join(
             f"{metric}: a {d['mean_a']:.4f}±{d['sd_a']:.4f} vs "
             f"b {d['mean_b']:.4f}±{d['sd_b']:.4f}, t={d['t']}, p={d['p']:.3g}"

@@ -252,13 +252,15 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
     return result, comparison
 
 
-def write_comparison(comparison, sides, out: Path, digest: str) -> None:
-    """``comparison_values.csv`` and one violin plot per metric, its two groups named ``sides``."""
-    write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison),
-                   f"manifest_digest={digest}")
+def write_comparison(comparison, sides, out: Path, digest: str) -> str:
+    """``comparison_values.csv`` and one violin plot per metric, its two groups named ``sides``;
+    returns the values text written after the header comment."""
+    text = write_artifact(out / "comparison_values.csv", comparison_values_csv(comparison),
+                          f"manifest_digest={digest}")
     for metric, cmp in comparison.items():
         groups = dict(zip(sides, (cmp.a.values, cmp.b.values)))
         write_artifact(out / f"comparison_{metric}.svg", violin_svg(groups, metric, digest))
+    return text
 
 
 def write_demo_artifacts(result: DemoResult, comparison, out_dir, digest: str) -> str:

@@ -210,13 +210,21 @@ def separation_report(summaries: Summaries, labels: LabelSet) -> SeparationRepor
 
 
 def _median(values: np.ndarray) -> float:
-    """The middle value of a stable sort, or the mean ``(a + b) / 2`` of the middle two.
+    """``statistics.median`` of ``values``, bit for bit, from one unstable sort.
 
-    This is ``statistics.median`` bit for bit. ``np.median`` is not: it turns a
-    -0.0 median (the entropy of a one-hot mean) into 0.0.
+    The middle value, or the mean ``(a + b) / 2`` of the middle two, of the
+    values sorted with equal values kept in input order. An unstable sort
+    differs from that order only among the zeros, since -0.0 == 0.0; so
+    when a zero is in the middle, the zeros are put back in input order.
+    ``np.median`` is neither: it turns a -0.0 median (the entropy of a
+    one-hot mean) into 0.0.
     """
-    ordered = np.sort(values, kind="stable")
+    ordered = np.sort(values)
     middle = len(ordered) // 2
+    if not ordered[middle - 1 + len(ordered) % 2:middle + 1].all():
+        zeros = values[values == 0.0]
+        start = int(np.searchsorted(ordered, 0.0))
+        ordered[start:start + len(zeros)] = zeros
     if len(ordered) % 2:
         return float(ordered[middle])
     return (float(ordered[middle - 1]) + float(ordered[middle])) / 2

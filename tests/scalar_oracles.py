@@ -22,6 +22,11 @@ call per line. The summaries reader requires the class columns to be named
 The reductions are the numpy calls the package made before it added short
 axes a slice at a time: ``np.sum``/``mean`` for the aggregation and
 ``statistics.median`` for the separation medians.
+
+The checks are the ones the package made before it tested whole arrays
+first: the calibration bins with one mask and two sorts per bin, and the
+predictions rows with a finite test, then a range test, then a mask of the
+rows whose sum is off.
 """
 
 from __future__ import annotations
@@ -130,6 +135,44 @@ def bin_assign(confidence: float, n_bins: int) -> int:
     edges = np.arange(n_bins + 1, dtype=np.float64) / n_bins
     idx = int(np.searchsorted(edges[1:], confidence, side="left")) + 1
     return min(idx, n_bins)
+
+
+def calibration_bins(confidence: np.ndarray, correct: np.ndarray,
+                     n_bins: int) -> tuple[list[tuple], float]:
+    """Each bin's ``(count, accuracy, confidence)``, None for an empty bin's
+    means, and the ECE, from one mask and two sorted sums per bin."""
+    edges = np.arange(n_bins + 1, dtype=np.float64) / n_bins
+    correct = np.asarray(correct).astype(np.float64)
+    indices = np.minimum(np.searchsorted(edges[1:], confidence, side="left") + 1, n_bins)
+    bins, ece = [], 0.0
+    for m in range(1, n_bins + 1):
+        mask = indices == m
+        count = int(mask.sum())
+        if count:
+            acc = float(np.sort(correct[mask]).sum() / count)
+            conf = float(np.sort(confidence[mask]).sum() / count)
+            ece += (count / len(confidence)) * abs(acc - conf)
+        else:
+            acc = conf = None
+        bins.append((count, acc, conf))
+    return bins, ece
+
+
+def rows_error(probs: np.ndarray, renormalize: bool) -> str | None:
+    """The message a tensor of these probability rows is rejected with, or None."""
+    if not np.all(np.isfinite(probs)):
+        return "probabilities must be finite"
+    if np.any(probs < 0.0) or np.any(probs > 1.0):
+        return "probabilities must lie in [0, 1]"
+    sums = probs.sum(axis=-1)
+    off = np.abs(sums - 1.0) > (1e-3 if renormalize else 1e-6)
+    if not np.any(off):
+        return None
+    idx = tuple(np.argwhere(off)[0].tolist())
+    if renormalize:
+        return f"row {idx} sums to {sums[idx]:.6g}, outside the renormalization band 1±0.001"
+    return (f"row {idx} sums to {sums[idx]:.9g}, deviating from 1 by more than 1e-06 "
+            "(use renormalize for near-normalized rows)")
 
 
 def pass_variance(rows: np.ndarray) -> np.ndarray:

@@ -162,6 +162,20 @@ class TestAggregate:
         mcd = aggregate(t, MCD, "2")
         assert np.max(np.abs(emcd.means - mcd.means)) < 1e-15
 
+    @pytest.mark.parametrize("faults,first", [
+        ({(3, 1): -0.1, (5, 0): -0.2}, "s3"),
+        ({(2, 1): np.nan, (4, 0): -0.1}, "s2"),
+        ({(4, 0): -0.1, (2, 1): np.nan}, "s2"),
+        ({(0, 0): -0.0, (6, 1): -1e-300}, "s6"),
+    ])
+    def test_first_row_with_a_negative_or_nan_is_named(self, faults, first):
+        means = np.full((8, 2), 0.5)
+        for index, value in faults.items():
+            means[index] = value
+        message = f"^summary mean for '{first}' has a negative or NaN component$"
+        with pytest.raises(ValidationError, match=message):
+            Summaries.from_means([f"s{i}" for i in range(8)], means)
+
     def test_argmax_tie_breaks_low(self):
         summary = Summaries.from_means(["s"], np.array([[0.5, 0.5]]))
         assert summary.predicted_class[0] == 0

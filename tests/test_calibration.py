@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqeval import LabelSet, Summaries, ValidationError, calibration_report
 from uqeval.calibration import CalibrationBin, CalibrationReport, save_reliability
 
-from scalar_oracles import bin_assign, take
+from scalar_oracles import bin_assign, calibration_bins, take
 
 
 def summaries_from_confidences(confidences, correct_flags, prefix="s"):
@@ -174,6 +176,65 @@ class TestCalibrationReport:
         bins = (CalibrationBin(1, 0.0, 1.0, 2, 0.5, 0.9),)
         with pytest.raises(ValidationError):
             CalibrationReport(n_bins=1, bins=bins, ece=0.1, n=2)
+
+
+def summaries_at(confidences, correct_flags, n_classes):
+    """Summaries of ``n_classes`` classes whose class 0 holds each confidence (>= 1/C)."""
+    confidences = np.asarray(confidences, dtype=np.float64)
+    rest = np.minimum((1.0 - confidences) / (n_classes - 1), confidences)
+    means = np.column_stack([confidences] + [rest] * (n_classes - 1))
+    ids = tuple(f"s{i}" for i in range(len(means)))
+    summaries = Summaries.from_means(ids, means)
+    predicted = summaries.predicted_class
+    labels = np.where(correct_flags, predicted, (predicted + 1) % n_classes)
+    return summaries, LabelSet(ids, labels)
+
+
+def assert_bins_equal_oracle(summaries, labels, n_bins):
+    """Every bin's count, accuracy and confidence, and the ECE, as the per-bin sorts give them."""
+    report = calibration_report(summaries, labels, n_bins)
+    bins, ece = calibration_bins(summaries.confidence, summaries.correct(labels), n_bins)
+    assert [(b.count, repr(b.accuracy), repr(b.confidence)) for b in report.bins] == [
+        (count, repr(acc), repr(conf)) for count, acc, conf in bins]
+    assert repr(report.ece) == repr(ece)
+
+
+class TestBinsFromOneSort:
+    """The bins cut from one sort of all confidences hold the per-bin sorts' bits."""
+
+    @given(st.integers(1, 20), st.integers(2, 10), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bins_equal_the_per_bin_sorts(self, n_bins, n_classes, data):
+        floor = 1.0 / n_classes
+        value = st.one_of(st.integers(0, n_bins).map(lambda k: k / n_bins),
+                          st.sampled_from([floor, 1.0]), st.floats(floor, 1.0))
+        confidences = data.draw(st.lists(value.filter(lambda c: c >= floor),
+                                         min_size=1, max_size=80))
+        flags = data.draw(st.lists(st.booleans(), min_size=len(confidences),
+                                   max_size=len(confidences)))
+        assert_bins_equal_oracle(*summaries_at(confidences, flags, n_classes), n_bins)
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 10])
+    @pytest.mark.parametrize("n_bins", range(1, 21))
+    def test_edges_bins_equal_the_per_bin_sorts(self, n_bins, n_classes):
+        # every edge k/M at or above 1/C, 1/C itself and 1.0, three times each
+        floor = 1.0 / n_classes
+        edges = [k / n_bins for k in range(n_bins + 1) if k / n_bins >= floor]
+        confidences = 3 * (edges + [floor, 1.0])
+        flags = [i % 3 > 0 for i in range(len(confidences))]
+        assert_bins_equal_oracle(*summaries_at(confidences, flags, n_classes), n_bins)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_bins_equal_the_per_bin_sorts(self, seed):
+        # bins of thousands of values, summed pairwise in blocks, with repeated values
+        rng = np.random.default_rng(seed)
+        n_classes = int(rng.integers(2, 6))
+        confidences = rng.uniform(1.0 / n_classes, 1.0, 20_000)
+        confidences[rng.random(20_000) < 0.3] = rng.choice([1.0 / n_classes, 0.5, 0.7, 1.0])
+        confidences = np.maximum(confidences, 1.0 / n_classes)
+        summaries, labels = summaries_at(confidences, rng.random(20_000) < 0.8, n_classes)
+        for n_bins in (1, 7, 10, 20):
+            assert_bins_equal_oracle(summaries, labels, n_bins)
 
 
 def reliability_rows(report, path) -> list[dict]:

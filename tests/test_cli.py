@@ -597,6 +597,31 @@ class TestCsvFormat:
         assert not any(line.startswith("#") for line in out.splitlines())
         assert out == "".join(table)
 
+    @pytest.mark.parametrize("command", ["aggregate", "sweep", "ece", "compare"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_each_table_is_rendered_once(self, workdir, monkeypatch, command, fmt):
+        tmp, _, _ = workdir
+        run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
+        rng = np.random.default_rng(72)
+        write_run_dir(tmp / "ra", make_runs(rng, 2))
+        write_run_dir(tmp / "rb", make_runs(rng, 2))
+        args = {
+            "aggregate": ["--in", tmp / "p.csv"],
+            "compare": ["--a", tmp / "ra", "--b", tmp / "rb"],
+        }.get(command, ["--summaries", tmp / "summaries.csv", "--labels", tmp / "l.csv"])
+        real, headers = uqeval.tensor.csv_table, []
+
+        def counted(header, *rest):
+            headers.append(",".join(header))
+            return real(header, *rest)
+
+        # csv_table is the one writer of these tables; count its calls in every module bound to it
+        for module in [m for name, m in sys.modules.items() if name.startswith("uqeval")]:
+            if getattr(module, "csv_table", None) is real:
+                monkeypatch.setattr(module, "csv_table", counted)
+        assert run_cli([command, *args, "--format", fmt, "--out", tmp / "v"]) == 0
+        assert headers and len(headers) == len(set(headers)), headers
+
     def test_sweep_json_mirror_written(self, workdir):
         tmp, _, _ = workdir
         run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])

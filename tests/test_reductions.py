@@ -5,10 +5,12 @@ would reduce once per row; they must equal ``np.sum(axis=-1)`` and
 ``.mean(axis=1)`` bit for bit, signed zeros included, for every layout the
 package hands them: contiguous tensors, EMCD member slices and rescaled
 (``renormalize=True``) rows. The separation median must be
-``statistics.median``'s, bit for bit.
+``statistics.median``'s, bit for bit, and the column-at-a-time argmax must
+be ``np.argmax``'s.
 """
 
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -29,6 +31,7 @@ from uqeval import (
     save_summaries,
     separation_report,
 )
+from uqeval.aggregate import _argmax_rows
 from uqeval.tensor import SampleIds, class_sums, pass_means
 from uqeval.ucm import _median
 
@@ -117,6 +120,25 @@ def tensor_and_rows(seed: int, n_samples: int, n_passes: int, n_classes: int,
     return PredictionTensor(rows, ids, renormalize=renormalize), rows
 
 
+class TestArgmaxRows:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 12))
+    @settings(max_examples=300, deadline=None)
+    @example(0, 1, 2)
+    def test_equals_numpy_argmax(self, seed, n_rows, n_classes):
+        # few distinct values, so most rows hold ties, and -0.0 ties 0.0
+        rng = np.random.default_rng(seed)
+        means = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0, 5e-324], size=(n_rows, n_classes))
+        means[rng.random(means.shape) < 0.2] = rng.random()
+        assert same_bits(_argmax_rows(means), np.argmax(means, axis=1))
+        assert same_bits(_argmax_rows(means[:, ::-1]), np.argmax(means[:, ::-1], axis=1))
+
+    @pytest.mark.parametrize("row", [[0.0, -0.0], [-0.0, 0.0], [-0.0, 0.0, -0.0], [0.5, 0.5],
+                                     [0.25, 0.5, 0.5], [0.0, 0.0, 0.0]])
+    def test_ties_break_low(self, row):
+        means = np.array([row])
+        assert _argmax_rows(means).tolist() == np.argmax(means, axis=1).tolist()
+
+
 class TestAggregateBits:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(1, 12),
            st.integers(2, 12), st.booleans(), st.sampled_from(["2", "e"]), st.data())
@@ -162,6 +184,29 @@ class TestMedian:
     @example([-0.0, 0.0, 0.5, -0.0])
     def test_equals_statistics_median(self, values):
         assert bits(_median(np.array(values))) == bits(oracle.median(values))
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, 0.0, 0.25, 0.5],          # odd: a zero in the middle
+        [-0.0, -0.0, 0.0, 0.5, 0.75],
+        [-0.0, 0.0, 0.0, 0.5],                # even: two zeros in the middle
+        [-0.0, -0.0, 0.0, 0.0],
+        [-0.0, 0.0, 0.5, 1.0],                # even: a zero and a number in the middle
+        [-0.5, -0.0, 0.0, -0.0, 0.5],         # zeros between negatives and positives
+    ])
+    def test_signed_zeros_in_the_middle_in_every_order(self, values):
+        for order in set(itertools.permutations(values, len(values))):
+            assert bits(_median(np.array(order))) == bits(oracle.median(order)), order
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [9_999, 10_000])
+    def test_many_signed_zeros(self, seed, n):
+        # thousands of zeros of both signs, enough for an unstable sort to reorder them;
+        # with fewer than half of the values positive, the middle is a zero
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        positive = rng.random(n) < rng.uniform(0.0, 0.45)
+        values[positive] = rng.random(int(positive.sum()))
+        assert bits(_median(values)) == bits(oracle.median(values.tolist()))
 
     @pytest.mark.parametrize("correct,incorrect", [
         ([], [0.3]),                          # empty correct group, singleton incorrect
@@ -231,6 +276,25 @@ class TestIdsCheckedOnce:
     def test_ids_are_strings(self):
         assert SampleIds([1, "b"]) == ("1", "b")
         assert PredictionTensor(np.full((1, 1, 2), 0.5), [7]).sample_ids == ("7",)
+
+    class Id(str):
+        pass
+
+    @pytest.mark.parametrize("ids,expected", [
+        (np.array(["a", "b"]), ("a", "b")),
+        ([np.str_("a"), "b"], ("a", "b")),
+        ([Id("a"), Id("b,1")], ("a", "b,1")),
+        ([1, 2.5, "c"], ("1", "2.5", "c")),
+        ((i for i in ("x", "y")), ("x", "y")),
+    ], ids=["numpy array", "numpy str_", "str subclass", "int and float", "generator"])
+    def test_ids_are_held_as_exact_str(self, ids, expected):
+        held = SampleIds(ids)
+        assert held == expected
+        assert [type(s) for s in held] == [str] * len(expected)
+
+    def test_an_int_and_its_string_are_one_id(self):
+        with pytest.raises(ValidationError, match="^duplicate sample id '1'$"):
+            SampleIds((1, "1"))
 
     @pytest.mark.parametrize("copier", [
         copy.copy,

@@ -32,7 +32,7 @@ from uqeval.tensor import (is_integer, is_real, is_seed, require_choice, require
                            require_real, require_seed, require_sequence)
 
 from conftest import random_prob_rows
-from scalar_oracles import quantize_probs
+from scalar_oracles import quantize_probs, rows_error
 
 
 def align(tensor, labels):
@@ -100,6 +100,41 @@ class TestConstruction:
         probs[1, 3] = bad_row
         with pytest.raises(ValidationError, match=re.escape("row (1, 3) sums to 0.9")):
             make_tensor(probs, ids=("a", "b"), renormalize=renormalize)
+
+    @pytest.mark.parametrize("faults,message", [
+        ({(0, 1, 0): np.nan, (1, 0, 1): -0.5}, "probabilities must be finite"),
+        ({(1, 0, 1): -0.5, (0, 1, 0): np.nan}, "probabilities must be finite"),
+        ({(0, 0, 0): 1.5, (1, 1, 1): np.inf}, "probabilities must be finite"),
+        ({(1, 1, 0): -np.inf}, "probabilities must be finite"),
+        ({(1, 0, 1): -0.5}, "probabilities must lie in [0, 1]"),
+        ({(0, 1, 1): 1.5}, "probabilities must lie in [0, 1]"),
+        ({(0, 1, 1): -0.0}, "row (0, 1) sums to 0.5"),
+    ])
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_each_fault_keeps_its_message(self, faults, message, renormalize):
+        probs = np.full((2, 2, 2), 0.5)
+        for index, value in faults.items():
+            probs[index] = value
+        assert rows_error(probs, renormalize).startswith(message)
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            make_tensor(probs, renormalize=renormalize)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_messages_equal_the_check_by_check_oracle(self, seed, renormalize):
+        # a few values made bad in one of six ways, at random places
+        rng = np.random.default_rng(seed)
+        probs = random_prob_rows(rng, 24, 3).reshape(4, 6, 3)
+        for _ in range(int(rng.integers(0, 4))):
+            i, t, c = (int(rng.integers(0, n)) for n in probs.shape)
+            probs[i, t, c] = rng.choice([np.nan, np.inf, -0.25, 1.25, probs[i, t, c] * 0.9,
+                                         probs[i, t, c] * 0.9999])
+        expected = rows_error(probs, renormalize)
+        if expected is None:
+            make_tensor(probs, renormalize=renormalize)
+        else:
+            with pytest.raises(ValidationError, match="^" + re.escape(expected) + "$"):
+                make_tensor(probs, renormalize=renormalize)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
