@@ -24,6 +24,7 @@ from .calibration import calibration_as_dict, calibration_report
 from .datasets import generate_dataset, save_dataset
 from .manifest import canonical_json
 from .models import (
+    DROPOUT_RATE,
     EnsembleSpec,
     Mlp,
     MlpSpec,
@@ -67,13 +68,12 @@ DEFAULT_THRESHOLD = 0.3
 DEFAULT_GRID = tuple(round(0.1 * k, 12) for k in range(1, 10))
 
 # The same in every demo run: the two-moons dataset's noise, the
-# MC-dropout network's hidden widths, the dropout rate of it and of the
-# ensemble members, the minibatch size of every fit, the hidden widths of the
-# comparison heads, the calibration bins, and the names of the comparison's two
-# sides, in the order compare_models pairs them.
+# MC-dropout network's hidden widths (its dropout rate is models.DROPOUT_RATE),
+# the minibatch size of every fit, the hidden widths of the comparison heads,
+# the calibration bins, and the names of the comparison's two sides, in the
+# order compare_models pairs them.
 DATASET_NOISE = 0.28
 MCD_HIDDEN = (32, 16, 4)
-DROPOUT_RATE = 0.25
 BATCH_SIZE = 32
 COMPARE_HEAD_HIDDEN = (16, 8)
 CALIBRATION_BINS = 10
@@ -187,7 +187,7 @@ def build_demo_models(seed: int, preset: DemoPreset = DemoPreset()):
     heads, mcd_model, *members = _map_jobs([
         (_comparison_heads, dataset, seeds["compare"], preset),
         (_train_job, mcd_spec, config, *train),
-        *_ensemble_jobs(EnsembleSpec(preset.ensemble_members, DROPOUT_RATE, seeds["ensemble"]),
+        *_ensemble_jobs(EnsembleSpec(preset.ensemble_members, seeds["ensemble"]),
                         config, train),
     ])
     test_x, test_ids = dataset.test_x, dataset.test_ids

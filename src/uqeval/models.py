@@ -84,6 +84,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 DROPOUT_RATES = (0.0, math.nextafter(1.0, 0.0), "{name} {value} outside [0, 1)")
+DROPOUT_RATE = 0.25  # an MlpSpec's by default, and every ensemble member's
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class MlpSpec:
     """Architecture: layer widths (input, hidden..., output), dropout, init seed."""
 
     layer_widths: tuple[int, ...]
-    dropout_rate: float = 0.25
+    dropout_rate: float = DROPOUT_RATE
     seed: int = 0
 
     def __post_init__(self):
@@ -287,7 +288,7 @@ class Mlp:
         return _layer_views(self.flat, self.spec.layer_widths)[1]
 
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None) -> np.ndarray:
-        """Class probabilities; pass a generator to sample dropout masks."""
+        """Class probabilities, dropout off; pass a generator to sample dropout masks."""
         x = np.asarray(x, dtype=np.float64)
         rate, hidden = self.spec.dropout_rate, self.spec.layer_widths[1:-1]
         masks = None
@@ -295,10 +296,6 @@ class Mlp:
             divisors = _draw_masks([dropout_rng], rate, np.empty((1, len(x) * sum(hidden))))
             masks = _mask_views(divisors[0], hidden, len(x))
         return _forward(*_layer_views(self.flat, self.spec.layer_widths), x, masks)[0][-1]
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic forward pass (dropout off)."""
-        return self.forward(x)
 
 
 def fit_adam(model: Mlp, config: TrainConfig, x: np.ndarray, y: np.ndarray) -> None:
@@ -378,7 +375,7 @@ def _train_stack(jobs: list[tuple]) -> list[Mlp]:
         x, y = _training_arrays(x, y, spec)
         model = Mlp(spec, init)
         if init is None:
-            model.loss_history.append(cross_entropy(model.predict_proba(x), y))
+            model.loss_history.append(cross_entropy(model.forward(x), y))
         models.append(model)
         xs.append(x)
         ys.append(y)
@@ -557,14 +554,11 @@ class EnsembleSpec:
     """Heterogeneous ensemble: depths and widths drawn from a master seed."""
 
     member_count: int = 30
-    dropout_rate: float = 0.25
     master_seed: int = 0
 
     def __post_init__(self):
         require_integer(self.member_count, "member_count", 2, "an ensemble needs at least 2 members")
         require_seed(self.master_seed, "master_seed")
-        object.__setattr__(self, "dropout_rate",
-                           require_real(self.dropout_rate, "dropout rate", *DROPOUT_RATES))
 
 
 def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]:
@@ -576,7 +570,7 @@ def _ensemble_jobs(spec: EnsembleSpec, config: TrainConfig, data) -> list[tuple]
     for seq in train_seqs:
         depth = int(rng.choice(DEPTH_CHOICES))
         hidden = [int(rng.integers(lo, hi + 1)) for lo, hi in WIDTH_RANGES[:depth]]
-        member = MlpSpec((x.shape[1], *hidden, int(y.max()) + 1), spec.dropout_rate,
+        member = MlpSpec((x.shape[1], *hidden, int(y.max()) + 1), DROPOUT_RATE,
                          seed=int(rng.integers(0, 2**63 - 1)))
         jobs.append((_train_job, member, replace(config, seed=derived_seed(seq)), x, y))
     return jobs

@@ -457,9 +457,9 @@ def read_table(path, kind: str):
 
     Returns ``(header, chunks)``. ``chunks`` parses the rows ``CHUNK_ROWS`` lines
     at a time and yields ``(ids, integers, values)`` for each, with the floats
-    of all its rows in ``values``, row by row. Every row must have as many
-    fields as the header, and the first malformed line is named. ``kind``
-    names the file in the error for an empty one.
+    of its rows as a ``(rows, fields - 2)`` array in ``values``. Every row must
+    have as many fields as the header, and the first malformed line is named.
+    ``kind`` names the file in the error for an empty one.
     """
     chunks = data_line_chunks(path)
     numbers, lines = next(chunks, ((), ()))
@@ -488,7 +488,7 @@ def _table_chunks(path, header, chunks):
             except (ValueError, OverflowError):
                 pass
             else:
-                yield fields[::width], integers, values
+                yield fields[::width], integers, values.reshape(n, width - 2)
                 continue
         yield _table_rows_by_line(path, numbers, lines, header)
 
@@ -508,18 +508,17 @@ def _table_rows_by_line(path, numbers, lines, header):
             raise FormatError(f"{path}:{lineno}: malformed row: {exc}") from exc
         _check_int64(path, lineno, column, integers[-1])
         ids.append(cells[0])
-    return ids, np.array(integers, np.int64), np.array(values, np.float64)
+    return ids, np.array(integers, np.int64), np.array(values, np.float64).reshape(len(ids), width - 2)
 
 
 def table_columns(header, chunks):
     """All the rows :func:`read_table` parses: ids, integers, and a (rows, fields - 2) float array."""
-    ids, integers, values = [], [np.empty(0, np.int64)], [np.empty(0)]
+    ids, integers, values = [], [np.empty(0, np.int64)], [np.empty((0, len(header) - 2))]
     for chunk_ids, chunk_integers, chunk_values in chunks:
         ids.extend(chunk_ids)
         integers.append(chunk_integers)
         values.append(chunk_values)
-    values = np.concatenate(values).reshape(len(ids), len(header) - 2)
-    return tuple(ids), np.concatenate(integers), values
+    return tuple(ids), np.concatenate(integers), np.concatenate(values)
 
 
 JSON_TYPES = {  # the types a JSON field can be required to have; true and false are not numbers
@@ -538,14 +537,21 @@ def json_field(record: dict, key: str, kind: str):
 
 
 def _jsonl_chunks(path):
-    """Rows of a predictions JSONL file, a chunk at a time: ``(ids, pass ids, class counts, values)``."""
+    """Rows of a predictions JSONL file, a chunk at a time: ``(ids, pass ids, rows)``.
+
+    ``rows`` is ``(rows, C)``, C the first record's class count; a record with
+    another class count is malformed, and named at its line.
+    """
+    n_classes = None  # not known until the first record, whose p may be empty
     for numbers, lines in data_line_chunks(path):
-        yield _jsonl_rows_by_line(path, numbers, lines)
+        ids, pass_ids, rows = _jsonl_rows_by_line(path, numbers, lines, n_classes)
+        n_classes = rows.shape[1]
+        yield ids, pass_ids, rows
 
 
-def _jsonl_rows_by_line(path, numbers, lines):
+def _jsonl_rows_by_line(path, numbers, lines, n_classes):
     """The rows of one chunk of a JSONL file; names the first malformed line."""
-    ids, pass_ids, widths, values = [], [], [], []
+    ids, pass_ids, values = [], [], []
     for lineno, line in zip(numbers, lines):
         try:
             obj = json.loads(line)
@@ -559,8 +565,12 @@ def _jsonl_rows_by_line(path, numbers, lines):
         except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
         _check_int64(path, lineno, "pass id", pass_ids[-1])
-        widths.append(len(p))
-    return ids, np.array(pass_ids, np.int64), np.array(widths), np.array(values, np.float64)
+        if n_classes is None:
+            n_classes = len(p)
+        elif len(p) != n_classes:
+            raise FormatError(f"{path}:{lineno}: sample {ids[-1]!r} pass {pass_ids[-1]} has "
+                              f"{len(p)} probabilities, expected {n_classes}")
+    return ids, np.array(pass_ids, np.int64), np.array(values, np.float64).reshape(len(ids), n_classes)
 
 
 def load_predictions(path, format: str | None = None, renormalize: bool = False) -> PredictionTensor:
@@ -568,63 +578,47 @@ def load_predictions(path, format: str | None = None, renormalize: bool = False)
 
     ``format`` is ``"csv"`` or ``"jsonl"``; when omitted it is inferred from
     the file extension. Sample order follows first appearance in the file.
-    The file is parsed ``CHUNK_ROWS`` lines at a time; every row must parse
-    before rows are checked against each other, so a malformed line is
-    reported before a duplicate or missing pass.
+    The file is parsed ``CHUNK_ROWS`` lines at a time; every row, its class
+    count included, must parse before rows are checked against each other,
+    so a malformed line is reported before a duplicate or missing pass.
     """
     fmt = require_choice(format or infer_format(path), "predictions format", PREDICTION_FORMATS)
     if fmt == "csv":
-        header, table = read_table(path, "predictions")
+        header, chunks = read_table(path, "predictions")
         if header[:2] != ["sample_id", "pass_id"] or len(header) < 4:
             raise FormatError(
                 f"{path}: expected header sample_id,pass_id,p_0,...,p_{{C-1}}, got {header}"
             )
         check_class_columns(path, header[2:])
-        chunks = ((ids, pass_ids, np.full(len(ids), len(header) - 2), values)
-                  for ids, pass_ids, values in table)
     else:
         chunks = _jsonl_chunks(path)
     position: dict[str, int] = {}  # sample id -> sample index, by first appearance
     samples, passes, blocks = [], [], []
-    n_rows, n_classes, misfit = 0, None, None
-    for ids, pass_ids, widths, values in chunks:
+    for ids, pass_ids, rows in chunks:
         fresh = [s for s in dict.fromkeys(ids) if s not in position]
         position.update(zip(fresh, range(len(position), len(position) + len(fresh))))
         samples.append(np.fromiter(map(position.__getitem__, ids), np.int64, len(ids)))
         passes.append(pass_ids)
-        if n_classes is None:
-            n_classes = int(widths[0])
-        if misfit is None:
-            off = np.flatnonzero(widths != n_classes)
-            if off.size:
-                i = int(off[0])
-                misfit = n_rows + i, (f"sample {ids[i]!r} pass {pass_ids[i]} has {widths[i]} "
-                                      f"probabilities, expected {n_classes}")
-            else:
-                blocks.append(values.reshape(len(ids), n_classes))
-        n_rows += len(ids)
-    if not n_rows:
+        blocks.append(rows)
+    if not position:
         raise FormatError(f"{path}: no prediction rows")
     return _rows_to_tensor(path, tuple(position), np.concatenate(samples),
-                           np.concatenate(passes), blocks, misfit, renormalize)
+                           np.concatenate(passes), blocks, renormalize)
 
 
-def _rows_to_tensor(path, ids, samples, passes, blocks, misfit, renormalize) -> PredictionTensor:
+def _rows_to_tensor(path, ids, samples, passes, blocks, renormalize) -> PredictionTensor:
     """Group rows by sample and pass; reject what the first failing row or sample breaks.
 
     ``samples[r]`` indexes ``ids`` and ``passes[r]`` is the pass id of row ``r``,
-    whose probabilities are the rows of ``blocks`` in order. ``misfit`` is
-    ``(row, message)`` for the first row with another class count than row 0.
+    whose probabilities are the rows of ``blocks`` in order.
     """
     order = np.lexsort((passes, samples))  # stable: equal keys keep file order
     by_sample, by_pass = samples[order], passes[order]
     repeats = order[1:][(by_sample[1:] == by_sample[:-1]) & (by_pass[1:] == by_pass[:-1])]
-    first_repeat = int(repeats.min()) if repeats.size else len(order)
-    if misfit is not None and misfit[0] <= first_repeat:
-        raise FormatError(f"{path}: {misfit[1]}")
     if repeats.size:
+        first = int(repeats.min())
         raise FormatError(f"{path}: duplicate (sample_id, pass_id) "
-                          f"({ids[samples[first_repeat]]!r}, {passes[first_repeat]})")
+                          f"({ids[samples[first]]!r}, {passes[first]})")
     counts = np.bincount(samples)
     if np.any(counts != counts[0]):
         raise FormatError(f"{path}: ragged pass counts across samples: {sorted(set(counts.tolist()))}")

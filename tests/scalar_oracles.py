@@ -14,7 +14,10 @@ before they worked a sample or a chunk at a time: one ``%.9g`` format per
 probability, and one ``csv.reader``/``json.loads`` call and one dict entry per
 row. The JSONL reader takes each record's values only in the types the
 format states (a string id, an integer pass id, an array of numbers), as the
-package's reader does since it stopped coercing them. The labels and summaries readers are the ones the package used before
+package's reader does since it stopped coercing them, and rejects a record
+whose class count differs from the first record's at its line, as the
+package's reader does since it checks every row rule at the row's line.
+The labels and summaries readers are the ones the package used before
 all three CSV files went through one chunked table reader: one ``csv.reader``
 call per line. The summaries reader requires the class columns to be named
 ``p_0..p_{C-1}`` in order, as the package's reader does.
@@ -27,6 +30,11 @@ The checks are the ones the package made before it tested whole arrays
 first: the calibration bins with one mask and two sorts per bin, and the
 predictions rows with a finite test, then a range test, then a mask of the
 rows whose sum is off.
+
+The incomplete beta function is the one the package used before one loop
+ran both Lentz steps of an iteration: the even and the odd step written out
+in turn. Its operations and their order are the package's, so it must agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from uqeval import (
     ValidationError,
 )
 from uqeval.aggregate import SUMMARY_COLUMNS, _check_stored_entropies
+from uqeval.stats import BETA_MAX_ITER, BETA_TOL, log_beta
 from uqeval.tensor import csv_fields
 
 MEAN_SUM_TOL = 1e-9
@@ -380,15 +389,9 @@ def _rows_to_tensor(rows, path, renormalize):
     # rows: list of (sample_id, pass_id, [floats])
     if not rows:
         raise FormatError(f"{path}: no prediction rows")
-    n_classes = len(rows[0][2])
     order: list[str] = []
     per_sample: dict[str, dict[int, list[float]]] = {}
     for sample_id, pass_id, p in rows:
-        if len(p) != n_classes:
-            raise FormatError(
-                f"{path}: sample {sample_id!r} pass {pass_id} has {len(p)} "
-                f"probabilities, expected {n_classes}"
-            )
         if sample_id not in per_sample:
             per_sample[sample_id] = {}
             order.append(sample_id)
@@ -449,6 +452,7 @@ def _parse_csv_predictions(path):
 
 def _parse_jsonl_predictions(path):
     rows = []
+    n_classes = None
     for lineno, raw in data_lines(path):
         try:
             obj = json.loads(raw)
@@ -467,6 +471,13 @@ def _parse_jsonl_predictions(path):
             rows.append((sample_id, pass_id, [float(v) for v in p]))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        if n_classes is None:
+            n_classes = len(p)
+        if len(p) != n_classes:
+            raise FormatError(
+                f"{path}:{lineno}: sample {sample_id!r} pass {pass_id} has {len(p)} "
+                f"probabilities, expected {n_classes}"
+            )
     return rows
 
 
@@ -544,3 +555,49 @@ def load_summaries(path) -> Summaries:
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return summaries
+
+
+def beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Modified Lentz evaluation of the incomplete-beta continued fraction (NaN if unconverged)."""
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, BETA_MAX_ITER + 1):
+        m2 = 2 * m
+        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + numerator * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + numerator / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + numerator * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + numerator / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < BETA_TOL:
+            return h
+    return math.nan
+
+
+def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
+    """I_x(a, b) for floats a, b > 0 and x in (0, 1); NaN where the fraction does not converge."""
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * beta_continued_fraction(a, b, x) / a
+    return 1.0 - front * beta_continued_fraction(b, a, 1.0 - x) / b

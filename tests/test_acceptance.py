@@ -161,9 +161,9 @@ def test_criterion_05_gradient_check():
                     idx = it.multi_index
                     original = p[idx]
                     p[idx] = original + h
-                    up = cross_entropy(model.predict_proba(x), y)
+                    up = cross_entropy(model.forward(x), y)
                     p[idx] = original - h
-                    down = cross_entropy(model.predict_proba(x), y)
+                    down = cross_entropy(model.forward(x), y)
                     p[idx] = original
                     numeric = (up - down) / (2 * h)
                     worst = max(

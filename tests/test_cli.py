@@ -28,7 +28,7 @@ from uqeval import (
 )
 from uqeval.aggregate import emcd_scheme
 from uqeval.cli import build_parser, main, _parse_grid
-from uqeval.demo import QUICK_PRESET, DemoPreset
+from uqeval.demo import DEFAULT_GRID, QUICK_PRESET, DemoPreset
 from uqeval.errors import ValidationError
 from uqeval.manifest import canonical_json
 from uqeval.tensor import LabelSet, PredictionTensor
@@ -328,6 +328,11 @@ class TestSweepCommand:
         for text in ("nan:0.1:1", "0:nan:1", "0:0.1:inf", "0:inf:1", "-inf:0.1:0"):
             with pytest.raises(ValidationError, match="finite"):
                 _parse_grid(text)
+
+    def test_default_grid_is_the_demo_grid(self):
+        # the flag's default text is recorded in every sweep manifest, so it stays text
+        default = subparsers()["sweep"].get_default("grid")
+        assert _parse_grid(default) == list(DEFAULT_GRID)
 
     def test_non_finite_grid_is_failure(self, workdir, capsys):
         tmp, _, _ = workdir

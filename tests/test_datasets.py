@@ -95,7 +95,7 @@ class TestBlobs:
             TrainConfig(epochs=200, seed=11),
             (ds.train_x, ds.train_y),
         )
-        probs = model.predict_proba(ds.test_x)
+        probs = model.forward(ds.test_x)
         assert (probs.argmax(axis=1) == ds.test_y).mean() == 1.0
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from uqeval.cli import main
 from uqeval.aggregate import SCHEME_KINDS
-from uqeval.demo import (DEMO_ARTIFACTS, DROPOUT_RATE, MCD_HIDDEN, QUICK_PRESET, _comparison_heads,
+from uqeval.demo import (DEMO_ARTIFACTS, MCD_HIDDEN, QUICK_PRESET, _comparison_heads,
                          build_demo_models, evaluate_demo)
 from uqeval.errors import ValidationError
 from uqeval.models import EnsembleSpec, _ensemble_jobs, _map_jobs, _train_job
@@ -178,7 +178,7 @@ def test_every_model_trains_in_one_map_of_ordered_jobs(monkeypatch):
     assert comparison[0] is _comparison_heads and comparison[2] == seeds["compare"]
     assert mcd[0] is _train_job
     assert mcd[1].layer_widths == (2, *MCD_HIDDEN, 2) and mcd[1].seed == seeds["mcd_train"]
-    ensemble = EnsembleSpec(QUICK_PRESET.ensemble_members, DROPOUT_RATE, seeds["ensemble"])
+    ensemble = EnsembleSpec(QUICK_PRESET.ensemble_members, seeds["ensemble"])
     expected = _ensemble_jobs(ensemble, mcd[2], mcd[3:])
     assert len(members) == QUICK_PRESET.ensemble_members
     assert [job[:3] for job in members] == [job[:3] for job in expected]

@@ -133,7 +133,7 @@ class TestForward:
     def test_softmax_rows_normalized(self):
         model = Mlp(MlpSpec((2, 16, 8, 3), seed=3))
         x = np.random.default_rng(0).normal(size=(50, 2))
-        probs = model.predict_proba(x)
+        probs = model.forward(x)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
         assert np.all(probs >= 0)
 
@@ -197,9 +197,9 @@ class TestGradients:
                     idx = it.multi_index
                     original = p[idx]
                     p[idx] = original + h
-                    up = cross_entropy(model.predict_proba(x), y)
+                    up = cross_entropy(model.forward(x), y)
                     p[idx] = original - h
-                    down = cross_entropy(model.predict_proba(x), y)
+                    down = cross_entropy(model.forward(x), y)
                     p[idx] = original
                     numeric = (up - down) / (2 * h)
                     denom = max(abs(numeric) + abs(g[idx]), 1e-8)
@@ -271,7 +271,7 @@ class TestTraining:
             TrainConfig(learning_rate=0.01, epochs=300, batch_size=8, seed=0),
             (ds.train_x, ds.train_y),
         )
-        probs = model.predict_proba(ds.train_x)
+        probs = model.forward(ds.train_x)
         assert (probs.argmax(axis=1) == ds.train_y).mean() == 1.0
 
 
@@ -607,14 +607,14 @@ class TestCopies:
         model = train_mlp(MlpSpec((2, 8, 4, 2), dropout_rate=0.25, seed=64),
                           TrainConfig(epochs=3, seed=3), (x, y))
         twin = COPIES[how](model)
-        before = model.predict_proba(x)
+        before = model.forward(x)
         config = TrainConfig(epochs=4, batch_size=8, seed=4)
         fit_adam(model, config, x, y)
         fit_adam(twin, config, x, y)
         assert_same_parameters(twin, model)
         assert twin.loss_history == model.loss_history
-        assert np.array_equal(twin.predict_proba(x), model.predict_proba(x))
-        assert not np.array_equal(twin.predict_proba(x), before)
+        assert np.array_equal(twin.forward(x), model.forward(x))
+        assert not np.array_equal(twin.forward(x), before)
 
 
 def test_diverged_error_pickles_with_epoch():
@@ -630,7 +630,7 @@ class TestMcDropout:
         model = Mlp(MlpSpec((2, 8, 2), dropout_rate=0.0, seed=41))
         x = np.random.default_rng(7).normal(size=(5, 2))
         tensor = mc_dropout_predict(model, x, 6, seed=1)
-        deterministic = model.predict_proba(x)
+        deterministic = model.forward(x)
         for t in range(6):
             assert np.array_equal(tensor.probs[:, t, :], deterministic)
 
@@ -698,7 +698,7 @@ class TestEnsemble:
         x = np.random.default_rng(11).normal(size=(6, 2))
         tensor = ensemble_predict([model], x)
         assert tensor.n_passes == 1
-        assert np.array_equal(tensor.probs[:, 0, :], model.predict_proba(x))
+        assert np.array_equal(tensor.probs[:, 0, :], model.forward(x))
 
     def test_ensemble_not_much_worse_than_best_member(self):
         ds = generate_dataset(200, 0.15, 21)
@@ -709,7 +709,7 @@ class TestEnsemble:
         predicted = summaries.predicted_class
         ensemble_acc = (predicted == ds.test_y).mean()
         member_accs = [
-            (m.predict_proba(ds.test_x).argmax(axis=1) == ds.test_y).mean()
+            (m.forward(ds.test_x).argmax(axis=1) == ds.test_y).mean()
             for m in models
         ]
         assert ensemble_acc >= max(member_accs) - 0.05

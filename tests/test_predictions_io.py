@@ -261,6 +261,23 @@ JSONL_CASES = {
     "null sample id": '{"sample_id": null, "pass_id": 0, "p": [0.7, 0.3]}\n',
     "p text and bool": '{"sample_id": "s0", "pass_id": 0, "p": ["0.5", true]}\n',
     "p bools": '{"sample_id": "s0", "pass_id": 0, "p": [true, false]}\n',
+    "empty p first": '{"sample_id": "s0", "pass_id": 0, "p": []}\n'
+                     '{"sample_id": "s1", "pass_id": 0, "p": [0.5, 0.5]}\n',
+    "every p empty": '{"sample_id": "s0", "pass_id": 0, "p": []}\n'
+                     '{"sample_id": "s1", "pass_id": 0, "p": []}\n',
+}
+
+# A record whose class count differs from the first record's is malformed at
+# its line, like a CSV row with a wrong field count, so it is reported before
+# a duplicate pass wherever that sits and before any later malformed line. An
+# empty first p sets the class count to 0, not to "not known yet".
+JSONL_CLASS_COUNTS = {
+    "class counts differ": "p.jsonl:2: sample 's1' pass 0 has 3 probabilities, expected 2",
+    "duplicate before class count": "p.jsonl:3: sample 's1' pass 0 has 3 probabilities, expected 2",
+    "class count before duplicate": "p.jsonl:2: sample 's0' pass 0 has 3 probabilities, expected 2",
+    "class count then bad JSON": "p.jsonl:2: sample 's1' pass 0 has 1 probabilities, expected 2",
+    "empty p first": "p.jsonl:2: sample 's1' pass 0 has 2 probabilities, expected 0",
+    "every p empty": "p.jsonl: need at least two classes",
 }
 
 # Records of the right shape whose values have another type than the grammar
@@ -305,6 +322,15 @@ class TestMalformedFiles:
         with chunk_rows(chunk):
             assert outcome(load_predictions, path, "jsonl") == (
                 "FormatError", f"{path}:{JSONL_REJECTED[name]}")
+
+    @pytest.mark.parametrize("chunk", [1, 2, None])
+    @pytest.mark.parametrize("name", JSONL_CLASS_COUNTS)
+    def test_jsonl_class_count_named_at_its_line(self, tmp_path, name, chunk):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(JSONL_CASES[name].encode("utf-8"))
+        with chunk_rows(chunk):
+            assert outcome(load_predictions, path, "jsonl") == (
+                "FormatError", f"{tmp_path}/{JSONL_CLASS_COUNTS[name]}")
 
     def test_errors_name_their_line(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -15,7 +15,6 @@ import pytest
 from uqeval import (
     MCD,
     AggregationScheme,
-    EnsembleSpec,
     MetricDistribution,
     MlpSpec,
     PairedTestResult,
@@ -52,7 +51,6 @@ def no_training(monkeypatch):
 # to ``value``, writing nothing outside ``tmp``
 REAL_ENTRIES = {
     "MlpSpec.dropout_rate": ("dropout rate", lambda v, tmp: MlpSpec((2, 4, 2), dropout_rate=v)),
-    "EnsembleSpec.dropout_rate": ("dropout rate", lambda v, tmp: EnsembleSpec(dropout_rate=v)),
     "TrainConfig.learning_rate": ("learning rate", lambda v, tmp: TrainConfig(learning_rate=v)),
     "generate_dataset noise": ("noise", lambda v, tmp: generate_dataset(40, v, 0)),
     "build_ucm threshold": ("threshold", lambda v, tmp: build_ucm(SUMMARIES, LABELS, v)),
@@ -120,7 +118,6 @@ def test_a_named_choice_rejects_what_is_not_one_of_its_names(entry, value, tmp_p
 # a value outside each real setting's range, and the error it gives
 OUT_OF_RANGE = {
     "MlpSpec.dropout_rate": (1.0, "dropout rate 1.0 outside [0, 1)"),
-    "EnsembleSpec.dropout_rate": (-0.25, "dropout rate -0.25 outside [0, 1)"),
     "TrainConfig.learning_rate": (-1e-3, "learning rate must be nonnegative"),
     "generate_dataset noise": (-0.1, "noise must be nonnegative"),
     "build_ucm threshold": (1.5, "threshold 1.5 outside [0, 1]"),
@@ -154,7 +151,6 @@ def test_a_real_setting_outside_its_range_gives_its_message(entry, tmp_path):
 # each stored real setting, read back after it is set to ``value``
 STORED = {
     "MlpSpec.dropout_rate": lambda v: MlpSpec((2, 4, 2), dropout_rate=v).dropout_rate,
-    "EnsembleSpec.dropout_rate": lambda v: EnsembleSpec(dropout_rate=v).dropout_rate,
     "TrainConfig.learning_rate": lambda v: TrainConfig(learning_rate=v).learning_rate,
     "build_ucm threshold": lambda v: build_ucm(SUMMARIES, LABELS, v).threshold,
     "build_ucm raw threshold": lambda v: build_ucm(SUMMARIES, LABELS, v, False).threshold,
@@ -180,7 +176,6 @@ def test_a_numpy_noise_gives_the_dataset_of_its_float():
 def test_the_largest_float_below_one_is_a_dropout_rate():
     rate = math.nextafter(1.0, 0.0)
     assert MlpSpec((2, 4, 2), dropout_rate=rate).dropout_rate == rate
-    assert EnsembleSpec(dropout_rate=0).dropout_rate == 0.0
 
 
 @pytest.mark.parametrize("rate", [np.float32(1.0), np.float16(1.0), np.int8(1)])

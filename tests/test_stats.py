@@ -21,6 +21,7 @@ from uqeval import (
 )
 from uqeval.stats import _average_ranks, positive_class_scores
 
+import scalar_oracles as oracle
 from conftest import t_cdf
 
 
@@ -164,6 +165,26 @@ class TestIncompleteBeta:
             assert regularized_incomplete_beta(x, a, b) == pytest.approx(
                 betainc_oracle(x, a, b), abs=1e-13, rel=1e-12
             )
+
+    def test_same_bits_as_two_step_oracle(self):
+        # one loop over the even and the odd Lentz step makes the same operations in the same order
+        rng = np.random.default_rng(29)
+        below = 0
+        for _ in range(2000):
+            x = float(rng.uniform(0, 1))
+            a, b = (float(v) for v in 10.0 ** rng.uniform(-1, 2.5, 2))
+            below += x < (a + 1.0) / (a + b + 2.0)
+            assert repr(regularized_incomplete_beta(x, a, b)) == repr(
+                oracle.regularized_incomplete_beta(x, a, b))
+        assert 0 < below < 2000  # both branches of the fraction ran
+
+    def test_demo_t_tests_same_bits_as_two_step_oracle(self, demo_run):
+        _, comparison = demo_run
+        for cmp in comparison.values():
+            t, df = cmp.test.t_statistic, cmp.test.degrees_of_freedom
+            assert df == 11 and not cmp.test.degenerate
+            assert repr(cmp.test.p_value) == repr(
+                oracle.regularized_incomplete_beta(df / (df + t * t), 0.5 * df, 0.5))
 
     def test_half_degree_shapes(self):
         # the shapes used by the t distribution: (df/2, 1/2)
