@@ -63,8 +63,4 @@ from .ucm import (
     build_ucm,
     separation_report,
     threshold_sweep,
-    uacc,
-    upre,
-    usen,
-    uspe,
 )

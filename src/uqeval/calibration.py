@@ -45,26 +45,32 @@ class CalibrationBin:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    n_bins: int
-    bins: tuple[CalibrationBin, ...]
-    ece: float
-    n: int
+    """Confidence bins in order; the sample count and the ECE are read off them."""
 
-    def __post_init__(self):
-        if sum(b.count for b in self.bins) != self.n:
-            raise ValidationError("bin counts must sum to the sample count")
-        recomputed = sum(
-            (b.count / self.n) * b.gap for b in self.bins if b.count > 0
-        )
-        if abs(recomputed - self.ece) > 1e-12:
-            raise ValidationError(
-                f"ece {self.ece} disagrees with its bin recomposition {recomputed}"
-            )
+    bins: tuple[CalibrationBin, ...]
+
+    @property
+    def n_bins(self) -> int:
+        return len(self.bins)
+
+    @property
+    def n(self) -> int:
+        return sum(b.count for b in self.bins)
+
+    @property
+    def ece(self) -> float:
+        """Each nonempty bin's count share times its gap, added in bin order with ``+=``
+        (from Python 3.12 ``sum()`` compensates rounding, which would change the bits)."""
+        ece, n = 0.0, self.n
+        for b in self.bins:
+            if b.count:
+                ece += (b.count / n) * b.gap
+        return ece
 
 
 def calibration_report(summaries: Summaries, labels: LabelSet,
                        n_bins: int = 10) -> CalibrationReport:
-    """Bin samples by confidence and compute per-bin accuracy, confidence, ECE.
+    """Bin samples by confidence and compute per-bin accuracy and confidence.
 
     A bin's confidence is the sum of its values in ascending order over its
     count, so it does not depend on sample order. Bins are monotone in
@@ -82,18 +88,15 @@ def calibration_report(summaries: Summaries, labels: LabelSet,
     ordered = np.sort(confidence)
     starts = np.cumsum([0] + counts).tolist()
 
-    n = len(summaries)
     bins = []
-    ece = 0.0
     for m, count, hit, start in zip(range(1, n_bins + 1), counts, hits, starts):
         if count:
             acc = float(hit / count)
             conf = float(ordered[start:start + count].sum() / count)
-            ece += (count / n) * abs(acc - conf)
         else:
             acc = conf = None
         bins.append(CalibrationBin(m, float(edges[m - 1]), float(edges[m]), count, acc, conf))
-    return CalibrationReport(n_bins=n_bins, bins=tuple(bins), ece=ece, n=n)
+    return CalibrationReport(tuple(bins))
 
 
 def save_reliability(report: CalibrationReport, path, header_comment: str | None = None) -> str:

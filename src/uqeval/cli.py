@@ -37,8 +37,8 @@ from .tensor import (FULL_FORMAT, csv_table, is_real, is_seed, json_field, load_
                      load_predictions, write_artifact)
 from .ucm import (
     SweepCurve,
+    SweepPoint,
     build_ucm,
-    metrics_point,
     save_sweep,
     separation_as_dict,
     separation_report,
@@ -76,6 +76,9 @@ _finite_float = _checked(float, "float", is_real, "a finite number")
 _seed = _checked(int, "int", is_seed, "a non-negative integer")
 
 
+MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(text: str) -> list[float]:
     """``start:step:stop`` inclusive grid, e.g. 0.1:0.1:0.9."""
     try:
@@ -86,6 +89,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ValidationError(f"bad grid {text!r}: start, step and stop must be finite")
     if step <= 0 or stop < start:
         raise ValidationError(f"bad grid {text!r}: need step > 0 and stop >= start")
+    if not (stop - start) / step < MAX_GRID_POINTS:  # also an infinite quotient
+        raise ValidationError(f"bad grid {text!r}: more than {MAX_GRID_POINTS} points")
     count = int(round((stop - start) / step))
     grid = [round(start + i * step, 12) for i in range(count + 1)]
     if grid[-1] > stop + 1e-12:
@@ -250,7 +255,7 @@ def cmd_evaluate(args) -> Run:
         if args.format == "json":
             return payload
         if args.format == "csv":
-            return sweep_table(SweepCurve((metrics_point(ucm),)))
+            return sweep_table(SweepCurve((SweepPoint(ucm),)))
         return _ucm_text(ucm, args.normalize_entropy)
 
     return Run({"summaries": args.summaries, "labels": args.labels}, write)

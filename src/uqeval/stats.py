@@ -134,7 +134,6 @@ def student_t_two_sided_p(t: float, df: float) -> float:
 class MetricDistribution:
     """Values of one scalar metric across repeated seeded runs."""
 
-    name: str
     values: tuple[float, ...]
     run_seeds: tuple[int, ...]
 
@@ -265,11 +264,11 @@ def compare_models(runs_a, runs_b) -> dict[str, ModelComparison]:
             f"cannot pair {len(runs_a)} runs with {len(runs_b)} runs"
         )
 
-    def distributions(runs, side):
+    def distributions(runs):
         seeds = tuple(require_integer(seed, "run seed") for seed, _, _ in runs)
         points = [point_metrics(summaries, labels) for _, summaries, labels in runs]
-        return {m: MetricDistribution(f"{m}_{side}", tuple(p[m] for p in points), seeds)
+        return {m: MetricDistribution(tuple(p[m] for p in points), seeds)
                 for m in POINT_METRICS}
 
-    a, b = distributions(runs_a, "a"), distributions(runs_b, "b")
+    a, b = distributions(runs_a), distributions(runs_b)
     return {m: ModelComparison(m, a[m], b[m], paired_t_test(a[m], b[m])) for m in POINT_METRICS}

@@ -111,10 +111,10 @@ class _Axes:
 def sweep_svg(curve, digest: str | None = None) -> str:
     """Four panels (UAcc, USen, USpe, UPre vs. threshold), one polyline each."""
     metrics = (
-        ("uncertainty accuracy", lambda p: p.uacc),
-        ("uncertainty sensitivity", lambda p: p.usen),
-        ("uncertainty specificity", lambda p: p.uspe),
-        ("uncertainty precision", lambda p: p.upre),
+        ("uncertainty accuracy", lambda p: p.ucm.uacc),
+        ("uncertainty sensitivity", lambda p: p.ucm.usen),
+        ("uncertainty specificity", lambda p: p.ucm.uspe),
+        ("uncertainty precision", lambda p: p.ucm.upre),
     )
     width = 2 * PANEL_W
     height = 2 * PANEL_H

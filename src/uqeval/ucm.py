@@ -9,9 +9,9 @@ one of four outcomes:
 * FU - correct and uncertain (fortunate: flagged but right);
 * FC - incorrect and certain (the worst cell: confidently wrong).
 
-From the counts: USen = TU/(TU+FC), USpe = TC/(TC+FU), UPre = TU/(TU+FU),
-UAcc = (TU+TC)/n. A 0/0 ratio is reported as ``None`` (rendered ``n/a`` in
-text and ``null`` in JSON), never coerced to a number.
+The four ratios are properties of the matrix: USen = TU/(TU+FC), USpe =
+TC/(TC+FU), UPre = TU/(TU+FU), UAcc = (TU+TC)/n, read off its counts. A 0/0
+ratio is ``None`` (rendered ``n/a`` in text, ``null`` in JSON), never a number.
 
 Thresholds are interpreted on the normalized-entropy scale by default;
 ``normalized=False`` switches to raw entropy for binary-task emulation.
@@ -54,25 +54,11 @@ class UncertaintyConfusion:
     def n(self) -> int:
         return self.tc + self.tu + self.fu + self.fc
 
-
-def usen(ucm: UncertaintyConfusion) -> float | None:
-    """TU over all incorrect predictions; None when there are none."""
-    return _ratio(ucm.tu, ucm.tu + ucm.fc)
-
-
-def uspe(ucm: UncertaintyConfusion) -> float | None:
-    """TC over all correct predictions; None when there are none."""
-    return _ratio(ucm.tc, ucm.tc + ucm.fu)
-
-
-def upre(ucm: UncertaintyConfusion) -> float | None:
-    """TU over all uncertain predictions; None when there are none."""
-    return _ratio(ucm.tu, ucm.tu + ucm.fu)
-
-
-def uacc(ucm: UncertaintyConfusion) -> float | None:
-    """Diagonal outcomes (TU+TC) over all outcomes."""
-    return _ratio(ucm.tu + ucm.tc, ucm.n)
+    # the four ratios of the counts; each is None when its denominator is 0
+    usen = property(lambda u: _ratio(u.tu, u.tu + u.fc), doc="TU over all incorrect predictions")
+    uspe = property(lambda u: _ratio(u.tc, u.tc + u.fu), doc="TC over all correct predictions")
+    upre = property(lambda u: _ratio(u.tu, u.tu + u.fu), doc="TU over all uncertain predictions")
+    uacc = property(lambda u: _ratio(u.tu + u.tc, u.n), doc="TU + TC over all predictions")
 
 
 def _ratio(num: int, den: int) -> float | None:
@@ -111,17 +97,18 @@ def build_ucm(summaries: Summaries, labels: LabelSet, threshold: float,
 
 @dataclass(frozen=True)
 class SweepPoint:
-    threshold: float
+    """One threshold of a sweep: its confusion matrix."""
+
     ucm: UncertaintyConfusion
-    uacc: float | None
-    usen: float | None
-    uspe: float | None
-    upre: float | None
+
+    @property
+    def threshold(self) -> float:
+        return self.ucm.threshold
 
 
 @dataclass(frozen=True)
 class SweepCurve:
-    """Per-threshold confusion counts and metrics along an increasing grid."""
+    """Per-threshold confusion matrices along an increasing grid."""
 
     points: tuple[SweepPoint, ...]
 
@@ -129,10 +116,10 @@ class SweepCurve:
         thresholds = [p.threshold for p in self.points]
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValidationError("sweep thresholds must be strictly increasing")
-        uspes = [p.uspe for p in self.points if p.uspe is not None]
+        uspes = [u for p in self.points if (u := p.ucm.uspe) is not None]
         if any(b < a for a, b in zip(uspes, uspes[1:])):
             raise ValidationError("uspe must be nondecreasing along the sweep")
-        usens = [p.usen for p in self.points if p.usen is not None]
+        usens = [u for p in self.points if (u := p.ucm.usen) is not None]
         if any(b > a for a, b in zip(usens, usens[1:])):
             raise ValidationError("usen must be nonincreasing along the sweep")
 
@@ -143,17 +130,13 @@ class SweepCurve:
         return len(self.points)
 
 
-def metrics_point(ucm: UncertaintyConfusion) -> SweepPoint:
-    return SweepPoint(ucm.threshold, ucm, uacc(ucm), usen(ucm), uspe(ucm), upre(ucm))
-
-
 def threshold_sweep(summaries: Summaries, labels: LabelSet, thresholds,
                     normalized: bool = True) -> SweepCurve:
     """Evaluate the confusion metrics at every threshold of an increasing grid."""
     if not (thresholds := require_sequence(thresholds, "thresholds")):
         raise ValidationError("empty threshold grid")
     return SweepCurve(tuple(
-        metrics_point(ucm) for ucm in _confusions(summaries, labels, thresholds, normalized)
+        SweepPoint(ucm) for ucm in _confusions(summaries, labels, thresholds, normalized)
     ))
 
 
@@ -247,8 +230,8 @@ def sweep_table(curves: SweepCurve | dict[str, SweepCurve]) -> str:
     """
     by_scheme = isinstance(curves, dict)
     named = zip(csv_fields(curves), curves.values()) if by_scheme else [(None, curves)]
-    rows = [(scheme, threshold_field(p.threshold), p.ucm.tc, p.ucm.tu, p.ucm.fu, p.ucm.fc,
-             p.uacc, p.usen, p.uspe, p.upre) for scheme, curve in named for p in curve]
+    rows = [(scheme, threshold_field(u.threshold), u.tc, u.tu, u.fu, u.fc, u.uacc, u.usen,
+             u.uspe, u.upre) for scheme, curve in named for u in (p.ucm for p in curve)]
     columns = list(zip(*rows))
     header, fields = SWEEP_HEADER.split(","), ["%s"] + ["%d"] * 4 + [FULL_FORMAT] * 4
     if by_scheme:
@@ -264,16 +247,16 @@ def threshold_field(threshold: float) -> str:
 
 def ucm_as_dict(ucm: UncertaintyConfusion) -> dict:
     """JSON-ready mirror of one confusion matrix with nulls for 0/0 ratios."""
-    acc = uacc(ucm)
+    acc = ucm.uacc
     return {
         "threshold": ucm.threshold,
         "counts": {"tc": ucm.tc, "tu": ucm.tu, "fu": ucm.fu, "fc": ucm.fc},
         "n": ucm.n,
         "uacc": acc,
         "uacc_percent": None if acc is None else 100.0 * acc,
-        "usen": usen(ucm),
-        "uspe": uspe(ucm),
-        "upre": upre(ucm),
+        "usen": ucm.usen,
+        "uspe": ucm.uspe,
+        "upre": ucm.upre,
     }
 
 

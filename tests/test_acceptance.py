@@ -21,10 +21,6 @@ from uqeval import (
     calibration_report,
     paired_t_test,
     threshold_sweep,
-    uacc,
-    upre,
-    usen,
-    uspe,
 )
 from uqeval.cli import main
 from uqeval.demo import DEMO_ARTIFACTS
@@ -70,10 +66,10 @@ def test_criterion_01_metric_oracle_suite():
                 tc = 1
             ucm = UncertaintyConfusion(0.3, tc=tc, tu=tu, fu=fu, fc=fc)
             for got, num, den in (
-                (usen(ucm), tu, tu + fc),
-                (uspe(ucm), tc, tc + fu),
-                (upre(ucm), tu, tu + fu),
-                (uacc(ucm), tu + tc, ucm.n),
+                (ucm.usen, tu, tu + fc),
+                (ucm.uspe, tc, tc + fu),
+                (ucm.upre, tu, tu + fu),
+                (ucm.uacc, tu + tc, ucm.n),
             ):
                 if den == 0:
                     assert got is None
@@ -96,14 +92,14 @@ def test_criterion_02_sweep_monotonicity(demo_run):
             summaries = random_binary_summaries(rng, n)
             labels = LabelSet(summaries.sample_ids, rng.integers(0, 2, n))
             curve = threshold_sweep(summaries, labels, grid)
-            uspes = [p.uspe for p in curve if p.uspe is not None]
-            usens = [p.usen for p in curve if p.usen is not None]
+            uspes = [p.ucm.uspe for p in curve if p.ucm.uspe is not None]
+            usens = [p.ucm.usen for p in curve if p.ucm.usen is not None]
             assert all(b >= a for a, b in zip(uspes, uspes[1:]))
             assert all(b <= a for a, b in zip(usens, usens[1:]))
         result, _ = demo_run
         for name, curve in result.sweeps.items():
-            uspes = [p.uspe for p in curve if p.uspe is not None]
-            usens = [p.usen for p in curve if p.usen is not None]
+            uspes = [p.ucm.uspe for p in curve if p.ucm.uspe is not None]
+            usens = [p.ucm.usen for p in curve if p.ucm.usen is not None]
             assert all(b >= a for a, b in zip(uspes, uspes[1:])), name
             assert all(b <= a for a, b in zip(usens, usens[1:])), name
 
@@ -202,8 +198,8 @@ def test_criterion_08_statistical_test():
         rng = np.random.default_rng(42)
         d = rng.normal(0.02, 0.05, size=10)
         seeds = tuple(range(10))
-        a = MetricDistribution("m", tuple(0.8 + d), seeds)
-        b = MetricDistribution("m", (0.8,) * 10, seeds)
+        a = MetricDistribution(tuple(0.8 + d), seeds)
+        b = MetricDistribution((0.8,) * 10, seeds)
         result = paired_t_test(a, b)
         with mpmath.workdps(60):
             dd = [mpmath.mpf(float(v)) for v in d]
@@ -221,8 +217,8 @@ def test_criterion_08_statistical_test():
         for _ in range(50):
             n = int(rng.integers(2, 15))
             seeds = tuple(range(n))
-            a = MetricDistribution("m", tuple(rng.uniform(0, 1, n)), seeds)
-            b = MetricDistribution("m", tuple(rng.uniform(0, 1, n)), seeds)
+            a = MetricDistribution(tuple(rng.uniform(0, 1, n)), seeds)
+            b = MetricDistribution(tuple(rng.uniform(0, 1, n)), seeds)
             ab = paired_t_test(a, b)
             ba = paired_t_test(b, a)
             assert abs(ab.t_statistic + ba.t_statistic) <= 1e-12

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqeval import LabelSet, Summaries, ValidationError, calibration_report
-from uqeval.calibration import CalibrationBin, CalibrationReport, save_reliability
+from uqeval.calibration import save_reliability
 
 from scalar_oracles import bin_assign, calibration_bins, take
 
@@ -171,11 +171,6 @@ class TestCalibrationReport:
             oracle = np.bincount([bin_assign(float(c), m_bins) for c in summaries.confidence],
                                  minlength=m_bins + 1)[1:]
             assert [b.count for b in report.bins] == oracle.tolist()
-
-    def test_report_recomposition_enforced(self):
-        bins = (CalibrationBin(1, 0.0, 1.0, 2, 0.5, 0.9),)
-        with pytest.raises(ValidationError):
-            CalibrationReport(n_bins=1, bins=bins, ece=0.1, n=2)
 
 
 def summaries_at(confidences, correct_flags, n_classes):

@@ -61,6 +61,15 @@ def subparsers() -> dict:
     return action.choices
 
 
+def design_counts():
+    """``scripts/design_counts.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "design_counts", Path(__file__).resolve().parents[1] / "scripts" / "design_counts.py")
+    counts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counts)
+    return counts
+
+
 def options(parser) -> dict:
     """A parser's flags, by destination, without ``--help``."""
     return {a.dest: a.option_strings for a in parser._actions
@@ -756,11 +765,7 @@ class TestFlagSets:
         readme = (root / "README.md").read_text(encoding="utf-8")
         (total,) = re.findall(r"Each subcommand takes only the flags it reads\s+\((\d+) in all\)",
                               readme)
-        spec = importlib.util.spec_from_file_location("design_counts",
-                                                      root / "scripts" / "design_counts.py")
-        counts = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(counts)
-        assert int(total) == counts.cli_flags()
+        assert int(total) == design_counts().cli_flags()
 
 
 def test_every_demo_preset_field_has_a_caller():
@@ -790,7 +795,7 @@ def test_every_export_is_used_or_documented():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     unused = [name for name in exported
               if name not in used and not re.search(rf"\b{name}\b", readme)]
-    assert len(exported) > 50 and unused == []
+    assert len(exported) == design_counts().exports() and unused == []
 
 
 class TestSeedFlag:

@@ -96,7 +96,7 @@ class TestDemoFindings:
         result, _ = demo_run
         for name, curve in result.sweeps.items():
             for metric in ("uacc", "upre"):
-                values = [getattr(p, metric) for p in curve if getattr(p, metric) is not None]
+                values = [v for p in curve if (v := getattr(p.ucm, metric)) is not None]
                 ranks = np.argsort(np.argsort(values))
                 thr_ranks = np.arange(len(values))
                 rho = np.corrcoef(ranks, thr_ranks)[0, 1]

@@ -13,7 +13,6 @@ import pytest
 
 from uqeval import (
     CalibrationBin,
-    CalibrationReport,
     LabelSet,
     MetricDistribution,
     MlpSpec,
@@ -50,12 +49,10 @@ def dataset(x=np.zeros((4, 2)), y=(0, 1, 0, 1), train=(0, 1), test=(2, 3)):
     return SyntheticDataset(np.asarray(x), np.asarray(y), np.asarray(train), np.asarray(test))
 
 
-def sweep_point(threshold, usen):
-    ucm = UncertaintyConfusion(threshold, 1, 1, 1, 1)
-    return SweepPoint(threshold, ucm, 0.5, usen, None, None)
+def sweep_point(threshold, fc):
+    """A point whose USen is 1 / (1 + fc)."""
+    return SweepPoint(UncertaintyConfusion(threshold, 1, 1, 1, fc))
 
-
-BIN = CalibrationBin(0, 0.0, 1.0, 1, 1.0, 0.5)
 
 ERRORS = {
     "Summaries means shape": (lambda: summaries(means=[[1.0]]),
@@ -70,8 +67,6 @@ ERRORS = {
                                 "accuracy must be set exactly when the bin is nonempty"),
     "CalibrationBin confidence": (lambda: CalibrationBin(0, 0.0, 0.1, 1, 1.0, None),
                                   "confidence must be set exactly when the bin is nonempty"),
-    "CalibrationReport counts": (lambda: CalibrationReport(1, (BIN,), 0.5, 2),
-                                 "bin counts must sum to the sample count"),
     "SyntheticDataset shapes": (lambda: dataset(x=np.zeros((4, 3))),
                                 "bad dataset shapes x(4, 3) y(4,)"),
     "SyntheticDataset partition": (lambda: dataset(test=(2,)),
@@ -86,7 +81,7 @@ ERRORS = {
     "auc_binary shape": (lambda: auc_binary([0.5, 0.5], [0, 1, 1]),
                          "scores and labels must be parallel 1-D arrays"),
     "auc_binary finite": (lambda: auc_binary([0.5, np.nan], [0, 1]), "scores must be finite"),
-    "MetricDistribution parallel": (lambda: MetricDistribution("accuracy", (0.5, 0.6), (0,)),
+    "MetricDistribution parallel": (lambda: MetricDistribution((0.5, 0.6), (0,)),
                                     "values and run_seeds must be parallel"),
     "PairedTestResult df": (lambda: PairedTestResult(0.0, 0, 1.0, 0.0),
                             "paired test needs at least 2 runs"),
@@ -99,7 +94,7 @@ ERRORS = {
     "LabelSet shape": (lambda: LabelSet(("a", "b"), [0]), "(1,) labels for 2 sample ids"),
     "aligned_labels extra labels": (lambda: aligned_labels(("a",), LABELS, 2),
                                     "labels without predictions for ['b']"),
-    "SweepCurve usen order": (lambda: SweepCurve((sweep_point(0.1, 0.2), sweep_point(0.2, 0.5))),
+    "SweepCurve usen order": (lambda: SweepCurve((sweep_point(0.1, fc=4), sweep_point(0.2, fc=1))),
                               "usen must be nonincreasing along the sweep"),
     "threshold_sweep empty grid": (lambda: threshold_sweep(SUMMARIES, LABELS, []),
                                    "empty threshold grid"),
@@ -125,6 +120,7 @@ def inputs(tmp_path):
 
 
 EVALUATE = ["evaluate", "--summaries", "{tmp}/s.csv", "--labels", "{tmp}/l.csv"]
+SWEEP = ["sweep", "--summaries", "{tmp}/s.csv", "--labels", "{tmp}/l.csv"]
 
 # a command line with its exit code and the last line it prints on stderr
 CLI_ERRORS = {
@@ -135,6 +131,11 @@ CLI_ERRORS = {
                            "uqeval: error: {tmp}/empty: missing runs.json index"),
     "no runs": (["compare", "--a", "{tmp}/no_runs", "--b", "{tmp}/no_runs"], 1,
                 "uqeval: error: {tmp}/no_runs: no runs declared"),
+    # 1 / 5e-324 is infinite; 1 / 1e-10 would be a list of 10^10 thresholds
+    "grid step underflow": (SWEEP + ["--grid", "0:5e-324:1"], 1,
+                            "uqeval: error: bad grid '0:5e-324:1': more than 1000000 points"),
+    "grid too fine": (SWEEP + ["--grid", "0:1e-10:1"], 1,
+                      "uqeval: error: bad grid '0:1e-10:1': more than 1000000 points"),
 }
 
 

@@ -71,7 +71,7 @@ REAL_ENTRIES = {
     "student_t_two_sided_p df": (
         "degrees of freedom", lambda v, tmp: student_t_two_sided_p(1.0, v)),
     "MetricDistribution value": (
-        "metric value", lambda v, tmp: MetricDistribution("accuracy", (0.5, v), (0, 1))),
+        "metric value", lambda v, tmp: MetricDistribution((0.5, v), (0, 1))),
     "PairedTestResult.p_value": ("p-value", lambda v, tmp: PairedTestResult(1.0, 1, v, 0.5)),
 }
 
@@ -156,7 +156,7 @@ STORED = {
     "build_ucm raw threshold": lambda v: build_ucm(SUMMARIES, LABELS, v, False).threshold,
     "threshold_sweep threshold":
         lambda v: threshold_sweep(SUMMARIES, LABELS, [v]).points[0].threshold,
-    "MetricDistribution value": lambda v: MetricDistribution("accuracy", (v,), (0,)).values[0],
+    "MetricDistribution value": lambda v: MetricDistribution((v,), (0,)).values[0],
 }
 
 
@@ -226,7 +226,7 @@ def test_an_unsorted_grid_is_rejected_by_the_curve(grid):
 @pytest.mark.parametrize("value", [math.nan, True, "0.5"])
 def test_metric_values_are_reals(value):
     with pytest.raises(ValidationError, match=f"^metric value {re.escape(repr(value))} is not"):
-        MetricDistribution("accuracy", (0.5, value), (0, 1))
+        MetricDistribution((0.5, value), (0, 1))
 
 
 @pytest.mark.parametrize("name", ["p.txt", "p", "p.csv.gz", "csv"])

@@ -219,29 +219,29 @@ class TestStudentT:
         assert 0.0 < student_t_two_sided_p(2.5, 5) < 0.1
 
 
-def dist(name, values, seeds=None):
+def dist(values, seeds=None):
     seeds = tuple(range(len(values))) if seeds is None else tuple(seeds)
-    return MetricDistribution(name, tuple(values), seeds)
+    return MetricDistribution(tuple(values), seeds)
 
 
 class TestPairedTTest:
     def test_identical_runs_degenerate(self):
-        a = dist("accuracy", [0.9, 0.8, 0.85])
-        result = paired_t_test(a, dist("accuracy", [0.9, 0.8, 0.85]))
+        a = dist([0.9, 0.8, 0.85])
+        result = paired_t_test(a, dist([0.9, 0.8, 0.85]))
         assert result.t_statistic == 0.0
         assert result.p_value == 1.0
         assert result.degenerate
 
     def test_symmetric_differences(self):
-        a = dist("m", [1.0, 0.0])
-        b = dist("m", [0.0, 1.0])
+        a = dist([1.0, 0.0])
+        b = dist([0.0, 1.0])
         result = paired_t_test(a, b)
         assert result.t_statistic == 0.0
         assert result.p_value == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_nonzero_difference(self):
-        a = dist("m", [1.0, 1.0, 1.0])
-        b = dist("m", [0.5, 0.5, 0.5])
+        a = dist([1.0, 1.0, 1.0])
+        b = dist([0.5, 0.5, 0.5])
         result = paired_t_test(a, b)
         assert result.t_statistic == math.inf
         assert result.p_value == 0.0
@@ -250,8 +250,8 @@ class TestPairedTTest:
     def test_fixed_vector_against_oracle(self):
         rng = np.random.default_rng(42)
         d = rng.normal(0.02, 0.05, size=10)
-        a = dist("m", 0.8 + d)
-        b = dist("m", [0.8] * 10)
+        a = dist(0.8 + d)
+        b = dist([0.8] * 10)
         result = paired_t_test(a, b)
         assert result.degrees_of_freedom == 9
         assert result.p_value == pytest.approx(paired_p_oracle(d), abs=1e-9)
@@ -260,8 +260,8 @@ class TestPairedTTest:
         rng = np.random.default_rng(43)
         for _ in range(30):
             n = int(rng.integers(2, 20))
-            a = dist("m", rng.uniform(0, 1, n))
-            b = dist("m", rng.uniform(0, 1, n))
+            a = dist(rng.uniform(0, 1, n))
+            b = dist(rng.uniform(0, 1, n))
             ab = paired_t_test(a, b)
             ba = paired_t_test(b, a)
             assert ab.t_statistic == pytest.approx(-ba.t_statistic, abs=1e-12)
@@ -270,30 +270,30 @@ class TestPairedTTest:
     def test_ten_sd_separation_tiny_p(self):
         rng = np.random.default_rng(44)
         base = rng.normal(0.0, 0.01, size=20)
-        a = dist("m", 0.9 + base)
-        b = dist("m", 0.9 + base - 10 * 0.01)
+        a = dist(0.9 + base)
+        b = dist(0.9 + base - 10 * 0.01)
         result = paired_t_test(a, b)
         assert result.p_value < 1e-6
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValidationError):
-            paired_t_test(dist("m", [1, 2]), dist("m", [1, 2, 3]))
+            paired_t_test(dist([1, 2]), dist([1, 2, 3]))
 
     def test_mismatched_seeds_rejected(self):
-        a = dist("m", [1.0, 2.0], seeds=(0, 1))
-        b = dist("m", [1.0, 2.0], seeds=(1, 0))
+        a = dist([1.0, 2.0], seeds=(0, 1))
+        b = dist([1.0, 2.0], seeds=(1, 0))
         with pytest.raises(ValidationError):
             paired_t_test(a, b)
 
     def test_single_run_rejected(self):
         with pytest.raises(ValidationError):
-            paired_t_test(dist("m", [1.0]), dist("m", [2.0]))
+            paired_t_test(dist([1.0]), dist([2.0]))
 
     @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3", None])
     def test_distribution_run_seeds_must_be_integers(self, seed):
         with pytest.raises(ValidationError,
                            match=re.escape(f"run seed must be an integer, got {seed!r}")):
-            dist("m", [1.0, 2.0], seeds=(0, seed))
+            dist([1.0, 2.0], seeds=(0, seed))
 
 
 class TestCompareModels:
@@ -360,7 +360,7 @@ class TestCompareModels:
 
 class TestCrossModule:
     def test_uacc_equals_accuracy_above_max_uncertainty(self):
-        from uqeval import build_ucm, uacc
+        from uqeval import build_ucm
 
         rng = np.random.default_rng(48)
         p1 = rng.uniform(0.55, 0.99, 60)  # confidences > 0.55 keep entropy < 1
@@ -370,4 +370,4 @@ class TestCrossModule:
         max_u = max(summaries.normalized_entropy)
         threshold = min(1.0, max_u + 1e-9)
         ucm = build_ucm(summaries, labels, threshold)
-        assert uacc(ucm) == accuracy(summaries, labels)
+        assert ucm.uacc == accuracy(summaries, labels)

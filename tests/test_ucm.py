@@ -13,14 +13,10 @@ from uqeval import (
     build_ucm,
     separation_report,
     threshold_sweep,
-    uacc,
-    upre,
-    usen,
-    uspe,
 )
 from uqeval.cli import _parse_grid
 from uqeval.demo import DEFAULT_GRID
-from uqeval.ucm import (SWEEP_HEADER, SweepCurve, metrics_point, save_sweep, sweep_table,
+from uqeval.ucm import (SWEEP_HEADER, SweepCurve, SweepPoint, save_sweep, sweep_table,
                         threshold_field, ucm_as_dict)
 
 from scalar_oracles import classify_outcome, take
@@ -141,14 +137,14 @@ class TestBuildUcm:
 class TestMetrics:
     def test_reported_ratio(self):
         ucm = UncertaintyConfusion(0.3, tc=0, tu=5, fu=0, fc=1)
-        assert usen(ucm) == pytest.approx(5 / 6, abs=1e-15)
+        assert ucm.usen == pytest.approx(5 / 6, abs=1e-15)
 
     def test_perfect_certain_classifier(self):
         ucm = UncertaintyConfusion(0.3, tc=10, tu=0, fu=0, fc=0)
-        assert uacc(ucm) == 1.0
-        assert uspe(ucm) == 1.0
-        assert usen(ucm) is None
-        assert upre(ucm) is None
+        assert ucm.uacc == 1.0
+        assert ucm.uspe == 1.0
+        assert ucm.usen is None
+        assert ucm.upre is None
 
     def test_undefined_rendered_not_zero(self):
         ucm = UncertaintyConfusion(0.3, tc=10, tu=0, fu=0, fc=0)
@@ -164,10 +160,10 @@ class TestMetrics:
                 continue
             ucm = UncertaintyConfusion(0.5, tc=tc, tu=tu, fu=fu, fc=fc)
             for got, num, den in (
-                (usen(ucm), tu, tu + fc),
-                (uspe(ucm), tc, tc + fu),
-                (upre(ucm), tu, tu + fu),
-                (uacc(ucm), tu + tc, tc + tu + fu + fc),
+                (ucm.usen, tu, tu + fc),
+                (ucm.uspe, tc, tc + fu),
+                (ucm.upre, tu, tu + fu),
+                (ucm.uacc, tu + tc, tc + tu + fu + fc),
             ):
                 if den == 0:
                     assert got is None
@@ -234,20 +230,25 @@ class TestThresholdSweep:
         summaries, labels = make_case(rng.uniform(0, 1, 50), ok)
         ucm = build_ucm(summaries, labels, 0.0)
         error_rate = float(np.mean(~ok))
-        assert uacc(ucm) == pytest.approx(error_rate, abs=1e-15)
+        assert ucm.uacc == pytest.approx(error_rate, abs=1e-15)
         if (~ok).any():
-            assert usen(ucm) == 1.0
+            assert ucm.usen == 1.0
 
     def test_threshold_one_with_all_below(self):
         rng = np.random.default_rng(56)
         ok = rng.random(50) < 0.7
         summaries, labels = make_case(rng.uniform(0.0, 0.99, 50), ok)
         ucm = build_ucm(summaries, labels, 1.0)
-        assert uacc(ucm) == pytest.approx(float(np.mean(ok)), abs=1e-15)
+        assert ucm.uacc == pytest.approx(float(np.mean(ok)), abs=1e-15)
+
+    def test_sweep_point_reads_its_matrix(self):
+        point = SweepPoint(UncertaintyConfusion(0.1, 1, 1, 1, 1))
+        assert point.threshold == 0.1
+        assert (point.ucm.uacc, point.ucm.usen, point.ucm.uspe, point.ucm.upre) == (0.5,) * 4
 
     def test_curve_invariant_enforced(self):
-        good = metrics_point(UncertaintyConfusion(0.2, tc=1, tu=1, fu=3, fc=1))
-        bad = metrics_point(UncertaintyConfusion(0.5, tc=0, tu=1, fu=4, fc=1))
+        good = SweepPoint(UncertaintyConfusion(0.2, tc=1, tu=1, fu=3, fc=1))
+        bad = SweepPoint(UncertaintyConfusion(0.5, tc=0, tu=1, fu=4, fc=1))
         with pytest.raises(ValidationError, match="uspe"):
             SweepCurve((good, bad))
 
@@ -285,12 +286,12 @@ class TestSeparation:
 
 class TestSweepRendering:
     def test_undefined_rendered_na(self):
-        curve = SweepCurve((metrics_point(UncertaintyConfusion(0.5, tc=3, tu=0, fu=0, fc=0)),))
+        curve = SweepCurve((SweepPoint(UncertaintyConfusion(0.5, tc=3, tu=0, fu=0, fc=0)),))
         assert sweep_table(curve) == SWEEP_HEADER + "\n0.5,3,0,0,0,1,n/a,1,n/a\n"
 
     def test_save_sweep_single_and_by_scheme(self, tmp_path):
-        a = SweepCurve((metrics_point(UncertaintyConfusion(0.5, tc=3, tu=0, fu=0, fc=0)),))
-        b = SweepCurve((metrics_point(UncertaintyConfusion(0.5, tc=1, tu=1, fu=1, fc=1)),))
+        a = SweepCurve((SweepPoint(UncertaintyConfusion(0.5, tc=3, tu=0, fu=0, fc=0)),))
+        b = SweepCurve((SweepPoint(UncertaintyConfusion(0.5, tc=1, tu=1, fu=1, fc=1)),))
         save_sweep(a, tmp_path / "one.csv", header_comment="manifest_digest=x")
         assert (tmp_path / "one.csv").read_text() == (
             "# manifest_digest=x\nthreshold,tc,tu,fu,fc,uacc,usen,uspe,upre\n"
