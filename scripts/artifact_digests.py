@@ -60,8 +60,8 @@ RUNS.update({f"{command}-{fmt}": [command, *args, "--format", fmt]
              for command, args in EVALUATIONS.items() for fmt in ("text", "json", "csv")})
 
 # A seeded 4000 x 50 x 10 tensor, with ids that need csv quoting or hold a %,
-# saved as CSV and JSONL: large enough that save_predictions renders it in
-# many jobs. Two samples in every 500 hold, in every column over their passes,
+# saved as CSV: large enough that save_predictions renders it in many jobs.
+# Two samples in every 500 hold, in every column over their passes,
 # the values its digit tables leave to "%.9g": exact 0 and 1, -0.0, 1e-300, a
 # subnormal, one just below 1e-4, a near and an exact rounding tie, and one
 # whose 9 digits carry to the next power of ten. Its EMCD summaries (10
@@ -79,8 +79,7 @@ odd = [0.0, -0.0, 1e-300, 5e-324, 9.99999999999e-5, 0.1234567885, 0.5009765625, 
 for start, row in ((0, odd + [0.0, 1.0 - math.fsum(odd)]), (1, [1.0] + [0.0] * 9)):
     probs[start::500] = [np.roll(row, t) for t in range(50)]
 tensor = PredictionTensor(probs, ids)
-for suffix in (".csv", ".jsonl"):
-    save_predictions(tensor, "predictions" + suffix, header_comment="export")
+save_predictions(tensor, "predictions.csv", header_comment="export")
 save_summaries(aggregate(tensor, emcd_scheme([5] * 10)), "summaries.csv", header_comment="export")
 save_labels(LabelSet(ids, np.arange(4000) % 10), "labels.csv", header_comment="export")
 print(tensor.n_samples, tensor.n_passes, tensor.n_classes)

@@ -95,6 +95,8 @@ def _parse_grid(text: str) -> list[float]:
     grid = [round(start + i * step, 12) for i in range(count + 1)]
     if grid[-1] > stop + 1e-12:
         grid.pop()
+    if len(set(grid)) < len(grid):
+        raise ValidationError(f"bad grid {text!r}: thresholds repeat once rounded to 12 decimals")
     return grid
 
 
@@ -145,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **SHARED_FLAGS[flag])
 
     p = command("aggregate", cmd_aggregate, "collapse a prediction tensor into summaries")
-    p.add_argument("--in", dest="input", required=True, help="predictions CSV/JSONL")
-    p.add_argument("--in-format", choices=("csv", "jsonl"), default=None)
+    p.add_argument("--in", dest="input", required=True, help="predictions CSV")
     p.add_argument("--scheme", choices=SCHEME_KINDS, default="mcd")
     p.add_argument("--partition", default=None,
                    help="emcd pass partition: KxT or comma list")
@@ -199,7 +200,7 @@ def cmd_aggregate(args) -> Run:
         raise ValidationError("emcd needs --partition (KxT or comma list)")
     partition = None if args.partition is None else _parse_partition(args.partition)
     scheme = AggregationScheme(args.scheme, partition)
-    tensor = load_predictions(args.input, args.in_format, renormalize=args.renormalize)
+    tensor = load_predictions(args.input, renormalize=args.renormalize)
     summaries = aggregate(tensor, scheme, args.log_base)
 
     def write(out: Path, digest: str) -> str:

@@ -5,15 +5,14 @@ dense (sample, pass, class) array of probability rows. A :class:`LabelSet`
 holds ground-truth class indices keyed by the same sample ids. Both are
 immutable after construction and validate their invariants eagerly.
 
-File formats (all UTF-8, ``.`` decimal separator):
+File formats (all CSV, UTF-8, ``.`` decimal separator):
 
-* predictions CSV: header ``sample_id,pass_id,p_0,...,p_{C-1}``; pass ids
-  are the contiguous integers ``0..T-1`` within each sample;
-* predictions JSONL: one ``{"sample_id": str, "pass_id": int, "p": [numbers]}``
-  object per line; a value of another type is rejected, not converted;
-* labels CSV: header ``sample_id,label``.
+* predictions: header ``sample_id,pass_id,p_0,...,p_{C-1}``; pass ids are
+  the contiguous integers ``0..T-1`` within each sample; the path must end
+  in ``.csv``, in any case;
+* labels: header ``sample_id,label``.
 
-Predictions CSV, labels and summaries files share one reader,
+Predictions, labels and summaries files share one reader,
 :func:`read_table`, for rows of an id, an integer, then floats. Every CSV
 table but a predictions file is written by one writer, :func:`csv_table`.
 
@@ -54,7 +53,6 @@ from .errors import AlignmentError, FormatError, ValidationError
 
 ROW_SUM_TOL = 1e-6
 RENORMALIZE_BAND = 1e-3
-PREDICTION_FORMATS = ("csv", "jsonl")
 FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # Probabilities render at 9 significant digits; parsing a rendered value and
@@ -447,11 +445,6 @@ def data_line_chunks(path):
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _check_int64(path, lineno: int, column: str, value: int) -> None:
-    if not -2**63 <= value < 2**63:
-        raise FormatError(f"{path}:{lineno}: {column} {value} does not fit in 64 bits")
-
-
 def read_table(path, kind: str):
     """The header and rows of a CSV file whose rows are an id, an integer, then floats.
 
@@ -506,7 +499,8 @@ def _table_rows_by_line(path, numbers, lines, header):
             values.extend(map(float, cells[2:]))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed row: {exc}") from exc
-        _check_int64(path, lineno, column, integers[-1])
+        if not -2**63 <= integers[-1] < 2**63:
+            raise FormatError(f"{path}:{lineno}: {column} {integers[-1]} does not fit in 64 bits")
         ids.append(cells[0])
     return ids, np.array(integers, np.int64), np.array(values, np.float64).reshape(len(ids), width - 2)
 
@@ -521,10 +515,9 @@ def table_columns(header, chunks):
     return tuple(ids), np.concatenate(integers), np.concatenate(values)
 
 
-JSON_TYPES = {  # the types a JSON field can be required to have; true and false are not numbers
+JSON_TYPES = {  # the types a JSON field can be required to have; true and false are not integers
     "a string": lambda v: type(v) is str,
     "an integer": lambda v: type(v) is int,
-    "an array of numbers": lambda v: type(v) is list and set(map(type, v)) <= {int, float},
 }
 
 
@@ -536,62 +529,21 @@ def json_field(record: dict, key: str, kind: str):
     return value
 
 
-def _jsonl_chunks(path):
-    """Rows of a predictions JSONL file, a chunk at a time: ``(ids, pass ids, rows)``.
+def load_predictions(path, renormalize: bool = False) -> PredictionTensor:
+    """Parse a predictions CSV file, whose path ends in ``.csv``, into a validated tensor.
 
-    ``rows`` is ``(rows, C)``, C the first record's class count; a record with
-    another class count is malformed, and named at its line.
+    Sample order follows first appearance in the file. The file is parsed
+    ``CHUNK_ROWS`` lines at a time; every row must parse, with as many fields
+    as the header, before rows are checked against each other, so a malformed
+    line is reported before a duplicate or missing pass.
     """
-    n_classes = None  # not known until the first record, whose p may be empty
-    for numbers, lines in data_line_chunks(path):
-        ids, pass_ids, rows = _jsonl_rows_by_line(path, numbers, lines, n_classes)
-        n_classes = rows.shape[1]
-        yield ids, pass_ids, rows
-
-
-def _jsonl_rows_by_line(path, numbers, lines, n_classes):
-    """The rows of one chunk of a JSONL file; names the first malformed line."""
-    ids, pass_ids, values = [], [], []
-    for lineno, line in zip(numbers, lines):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-        try:
-            ids.append(json_field(obj, "sample_id", "a string"))
-            pass_ids.append(json_field(obj, "pass_id", "an integer"))
-            p = json_field(obj, "p", "an array of numbers")
-            values.extend(map(float, p))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        _check_int64(path, lineno, "pass id", pass_ids[-1])
-        if n_classes is None:
-            n_classes = len(p)
-        elif len(p) != n_classes:
-            raise FormatError(f"{path}:{lineno}: sample {ids[-1]!r} pass {pass_ids[-1]} has "
-                              f"{len(p)} probabilities, expected {n_classes}")
-    return ids, np.array(pass_ids, np.int64), np.array(values, np.float64).reshape(len(ids), n_classes)
-
-
-def load_predictions(path, format: str | None = None, renormalize: bool = False) -> PredictionTensor:
-    """Parse a predictions CSV or JSONL file into a validated tensor.
-
-    ``format`` is ``"csv"`` or ``"jsonl"``; when omitted it is inferred from
-    the file extension. Sample order follows first appearance in the file.
-    The file is parsed ``CHUNK_ROWS`` lines at a time; every row, its class
-    count included, must parse before rows are checked against each other,
-    so a malformed line is reported before a duplicate or missing pass.
-    """
-    fmt = require_choice(format or infer_format(path), "predictions format", PREDICTION_FORMATS)
-    if fmt == "csv":
-        header, chunks = read_table(path, "predictions")
-        if header[:2] != ["sample_id", "pass_id"] or len(header) < 4:
-            raise FormatError(
-                f"{path}: expected header sample_id,pass_id,p_0,...,p_{{C-1}}, got {header}"
-            )
-        check_class_columns(path, header[2:])
-    else:
-        chunks = _jsonl_chunks(path)
+    infer_format(path)
+    header, chunks = read_table(path, "predictions")
+    if header[:2] != ["sample_id", "pass_id"] or len(header) < 4:
+        raise FormatError(
+            f"{path}: expected header sample_id,pass_id,p_0,...,p_{{C-1}}, got {header}"
+        )
+    check_class_columns(path, header[2:])
     position: dict[str, int] = {}  # sample id -> sample index, by first appearance
     samples, passes, blocks = [], [], []
     for ids, pass_ids, rows in chunks:
@@ -639,30 +591,23 @@ def _rows_to_tensor(path, ids, samples, passes, blocks, renormalize) -> Predicti
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def save_predictions(tensor: PredictionTensor, path, format: str | None = None,
-                     header_comment: str | None = None) -> None:
-    """Write a tensor in a form :func:`load_predictions` parses back.
+def save_predictions(tensor: PredictionTensor, path, header_comment: str | None = None) -> None:
+    """Write a tensor as a predictions CSV file, whose path ends in ``.csv``.
 
-    Probabilities read as ``PROB_FORMAT`` renders them, at 9 significant
-    digits. ``header_comment`` (no leading ``#``) is written as the first line
-    for manifest stamping. The samples are cut into contiguous jobs of about
-    :data:`SAVE_JOB_VALUES` probabilities, each rendered by :func:`_render_rows`
-    and written, one write a job, through :func:`artifact_file`.
+    :func:`load_predictions` parses it back. Probabilities read as
+    ``PROB_FORMAT`` renders them, at 9 significant digits. ``header_comment``
+    (no leading ``#``) is written as the first line for manifest stamping. The
+    samples are cut into contiguous jobs of about :data:`SAVE_JOB_VALUES`
+    probabilities, each rendered by :func:`_render_rows` and written, one write
+    a job, through :func:`artifact_file`.
     """
-    fmt = require_choice(format or infer_format(path), "predictions format", PREDICTION_FORMATS)
+    infer_format(path)
     n_samples, n_passes, n_classes = tensor.probs.shape
-    if fmt == "csv":
-        header = "sample_id,pass_id," + ",".join(f"p_{c}" for c in range(n_classes)) + "\n"
-        prefixes = csv_fields(tensor.sample_ids)
-        head, separator, tail = ",{},", ",", "\n"
-    else:
-        header = ""
-        prefixes = ['{"sample_id": ' + json.dumps(s) for s in tensor.sample_ids]
-        head, separator, tail = ', "pass_id": {}, "p": [', ", ", "]}\n"
-    heads = _words([(SAMPLE_MARK if t == 0 else ROW_MARK) + head.format(t).encode()
+    header = "sample_id,pass_id," + ",".join(f"p_{c}" for c in range(n_classes)) + "\n"
+    heads = _words([(SAMPLE_MARK if t == 0 else ROW_MARK) + f",{t},".encode()
                     for t in range(n_passes)])
-    followers = _words([separator.encode()] * (n_classes - 1) + [tail.encode()]).ravel()
-    prefixes = [prefix.encode() for prefix in prefixes]
+    followers = _words([b","] * (n_classes - 1) + [b"\n"]).ravel()
+    prefixes = [prefix.encode() for prefix in csv_fields(tensor.sample_ids)]
     step = max(1, SAVE_JOB_VALUES // (n_passes * n_classes))
     with artifact_file(path, header_comment) as fh:
         fh.write(header.encode())
@@ -784,5 +729,6 @@ def save_labels(labels: LabelSet, path, header_comment: str | None = None) -> No
 
 
 def infer_format(path) -> str:
+    """``"csv"``, if ``path`` ends in ``.csv`` in any case: the one predictions format."""
     _, dot, extension = str(path).lower().rpartition(".")
-    return require_choice(dot + extension, f"the extension of {path}", (".csv", ".jsonl"))[1:]
+    return require_choice(dot + extension, f"the extension of {path}", (".csv",))[1:]

@@ -9,14 +9,9 @@ The training functions are the list-of-tensors engine the package used
 before parameters moved into one flat buffer: a forward/backward pass over
 separate weight and bias arrays and an Adam loop run once per tensor.
 
-The predictions-file functions are the writer and reader the package used
-before they worked a sample or a chunk at a time: one ``%.9g`` format per
-probability, and one ``csv.reader``/``json.loads`` call and one dict entry per
-row. The JSONL reader takes each record's values only in the types the
-format states (a string id, an integer pass id, an array of numbers), as the
-package's reader does since it stopped coercing them, and rejects a record
-whose class count differs from the first record's at its line, as the
-package's reader does since it checks every row rule at the row's line.
+The predictions-file functions are the CSV writer and reader the package
+used before they worked a sample or a chunk at a time: one ``%.9g`` format
+per probability, and one ``csv.reader`` call and one dict entry per row.
 The labels and summaries readers are the ones the package used before
 all three CSV files went through one chunked table reader: one ``csv.reader``
 call per line. The summaries reader requires the class columns to be named
@@ -41,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from statistics import median
 from typing import NamedTuple
@@ -351,27 +345,17 @@ def quantize_probs(values: np.ndarray) -> np.ndarray:
     return np.array(flat, dtype=np.float64).reshape(np.shape(values))
 
 
-def predictions_text(tensor: PredictionTensor, fmt: str,
-                     header_comment: str | None = None) -> str:
+def predictions_text(tensor: PredictionTensor, header_comment: str | None = None) -> str:
     """The full text of a predictions file, rendered one probability at a time."""
     buf = io.StringIO()
     if header_comment is not None:
         buf.write(f"# {header_comment}\n")
-    if fmt == "csv":
-        cols = ",".join(f"p_{c}" for c in range(tensor.n_classes))
-        buf.write(f"sample_id,pass_id,{cols}\n")
-        for i, sid in enumerate(csv_fields(tensor.sample_ids)):
-            for t in range(tensor.n_passes):
-                rendered = ",".join(render_prob(v) for v in tensor.probs[i, t])
-                buf.write(f"{sid},{t},{rendered}\n")
-    elif fmt == "jsonl":
-        for i, sample_id in enumerate(tensor.sample_ids):
-            sid = json.dumps(sample_id)
-            for t in range(tensor.n_passes):
-                p = "[" + ", ".join(render_prob(v) for v in tensor.probs[i, t]) + "]"
-                buf.write('{"sample_id": %s, "pass_id": %d, "p": %s}\n' % (sid, t, p))
-    else:
-        raise ValueError(f"unknown predictions format {fmt!r}")
+    cols = ",".join(f"p_{c}" for c in range(tensor.n_classes))
+    buf.write(f"sample_id,pass_id,{cols}\n")
+    for i, sid in enumerate(csv_fields(tensor.sample_ids)):
+        for t in range(tensor.n_passes):
+            rendered = ",".join(render_prob(v) for v in tensor.probs[i, t])
+            buf.write(f"{sid},{t},{rendered}\n")
     return buf.getvalue()
 
 
@@ -450,41 +434,9 @@ def _parse_csv_predictions(path):
     return rows
 
 
-def _parse_jsonl_predictions(path):
-    rows = []
-    n_classes = None
-    for lineno, raw in data_lines(path):
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-        try:
-            sample_id, pass_id, p = obj["sample_id"], obj["pass_id"], obj["p"]
-            if not isinstance(sample_id, str):
-                raise TypeError(f"sample_id must be a string, got {json.dumps(sample_id)}")
-            if isinstance(pass_id, bool) or not isinstance(pass_id, int):
-                raise TypeError(f"pass_id must be an integer, got {json.dumps(pass_id)}")
-            if not isinstance(p, list) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in p
-            ):
-                raise TypeError(f"p must be an array of numbers, got {json.dumps(p)}")
-            rows.append((sample_id, pass_id, [float(v) for v in p]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        if n_classes is None:
-            n_classes = len(p)
-        if len(p) != n_classes:
-            raise FormatError(
-                f"{path}:{lineno}: sample {sample_id!r} pass {pass_id} has {len(p)} "
-                f"probabilities, expected {n_classes}"
-            )
-    return rows
-
-
-def load_predictions(path, fmt: str, renormalize: bool = False) -> PredictionTensor:
+def load_predictions(path, renormalize: bool = False) -> PredictionTensor:
     """Parse a predictions file one line at a time, grouping rows in a dict of dicts."""
-    rows = _parse_csv_predictions(path) if fmt == "csv" else _parse_jsonl_predictions(path)
-    return _rows_to_tensor(rows, path, renormalize)
+    return _rows_to_tensor(_parse_csv_predictions(path), path, renormalize)
 
 
 def load_labels(path) -> LabelSet:

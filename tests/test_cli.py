@@ -677,7 +677,6 @@ class TestErrorContract:
     CASES = {
         "unknown extension": ["aggregate", "--in", "{tmp}/preds.txt"],
         "predictions csv not utf-8": ["aggregate", "--in", "{tmp}/bad.csv"],
-        "predictions jsonl not utf-8": ["aggregate", "--in", "{tmp}/bad.jsonl"],
         "summaries not utf-8": ["evaluate", "--summaries", "{tmp}/bad.csv",
                                 "--labels", "{tmp}/l.csv"],
         "labels not utf-8": ["evaluate", "--summaries", "{tmp}/summaries.csv",
@@ -691,7 +690,6 @@ class TestErrorContract:
         assert run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp]) == 0
         (tmp / "preds.txt").write_bytes((tmp / "p.csv").read_bytes())
         (tmp / "bad.csv").write_bytes(b"\xff" + (tmp / "p.csv").read_bytes())
-        (tmp / "bad.jsonl").write_bytes(b'{"sample_id": "\xff", "pass_id": 0, "p": [0.5, 0.5]}\n')
         monkeypatch.setattr("uqeval.demo._map_jobs", lambda jobs: pytest.fail("a model trained"))
         capsys.readouterr()
         code = run_cli([a.format(tmp=tmp) for a in self.CASES[case]] + ["--out", tmp / "out"])

@@ -136,6 +136,17 @@ CLI_ERRORS = {
                             "uqeval: error: bad grid '0:5e-324:1': more than 1000000 points"),
     "grid too fine": (SWEEP + ["--grid", "0:1e-10:1"], 1,
                       "uqeval: error: bad grid '0:1e-10:1': more than 1000000 points"),
+    # 10001 points, but thresholds are kept to 12 decimals, so only 1001 distinct ones
+    "grid finer than its rounding": (SWEEP + ["--grid", "0:1e-13:1e-9"], 1,
+                                     "uqeval: error: bad grid '0:1e-13:1e-9': "
+                                     "thresholds repeat once rounded to 12 decimals"),
+    # CSV is the one predictions format: no flag picks another, and a .jsonl path is
+    # rejected before it is opened (this one does not exist)
+    "predictions format flag": (["aggregate", "--in", "{tmp}/p.csv", "--in-format", "csv"], 2,
+                                "uqeval: error: unrecognized arguments: --in-format csv"),
+    "predictions extension": (["aggregate", "--in", "{tmp}/p.jsonl"], 1,
+                              "uqeval: error: the extension of {tmp}/p.jsonl must be one of "
+                              "('.csv',), got '.jsonl'"),
 }
 
 

@@ -2,12 +2,12 @@
 
 A seeded 300 x 20 x 3 predictions tensor and its labels are made with numpy
 alone (no training, so no BLAS), with ids that need CSV quoting and hold a
-``%``, and saved as CSV and JSONL. ``aggregate`` (MCD from the CSV, EMCD with
-a partition from the JSONL), then ``evaluate``, ``sweep``, ``ece`` and
-``separate`` on each summaries file, run in every ``--format`` through
-``cli.main`` in process, in a temporary directory, with relative paths. Each
-file and each stdout is hashed by ``scripts/artifact_digests.py``'s rule (a
-manifest's timestamp dropped) and compared with the golden file.
+``%``, and saved as CSV. ``aggregate`` (MCD, and EMCD with a partition, both
+from that CSV), then ``evaluate``, ``sweep``, ``ece`` and ``separate`` on each
+summaries file, run in every ``--format`` through ``cli.main`` in process, in
+a temporary directory, with relative paths. Each file and each stdout is
+hashed by ``scripts/artifact_digests.py``'s rule (a manifest's timestamp
+dropped) and compared with the golden file.
 
 The bytes hold per numpy build and CPU-dispatch targets: the golden file's
 first line records the environment that wrote it, and a mismatch names both.
@@ -52,7 +52,7 @@ artifact_digests = _load_script()
 
 
 def write_inputs() -> None:
-    """``predictions.csv``, ``predictions.jsonl`` and ``labels.csv`` in the working directory.
+    """``predictions.csv`` and ``labels.csv`` in the working directory.
 
     Each sample's passes are Dirichlet draws centred on one class: its label
     for four samples in five, another class otherwise, so the chain sees
@@ -70,8 +70,7 @@ def write_inputs() -> None:
     probs = np.stack([rng.dirichlet(0.5 + sharpness[i] * np.eye(N_CLASSES)[centre[i]], N_PASSES)
                       for i in range(N_SAMPLES)])
     tensor = PredictionTensor(probs, ids)
-    for name in ("predictions.csv", "predictions.jsonl"):
-        save_predictions(tensor, name, header_comment="golden")
+    save_predictions(tensor, "predictions.csv", header_comment="golden")
     save_labels(LabelSet(ids, labels), "labels.csv", header_comment="golden")
 
 
@@ -79,7 +78,7 @@ def chain_runs() -> dict[str, list[str]]:
     """Each run's output folder and its ``cli.main`` arguments, ``--out`` aside."""
     aggregates = {
         "mcd": ["--in", "predictions.csv", "--scheme", "mcd"],
-        "emcd": ["--in", "predictions.jsonl", "--scheme", "emcd", "--partition", PARTITION],
+        "emcd": ["--in", "predictions.csv", "--scheme", "emcd", "--partition", PARTITION],
     }
     runs = {}
     for scheme, args in aggregates.items():

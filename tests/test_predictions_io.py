@@ -12,6 +12,7 @@ import errno
 import math
 import os
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -36,8 +37,6 @@ from uqeval.tensor import write_artifact
 
 import scalar_oracles as oracle
 from conftest import random_prob_rows
-
-FORMATS = ("csv", "jsonl")
 
 # Any text UTF-8 can encode, without a line break, is a valid sample id.
 ID_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=6)
@@ -71,39 +70,39 @@ def chunk_rows(size):
         yield
 
 
-def outcome(load, path, fmt):
+def outcome(load, path):
     """What loading ``path`` gives: the tensor's ids and probabilities, or the error."""
     try:
-        tensor = load(path, fmt)
+        tensor = load(path)
     except Exception as exc:  # compared, never hidden: both loaders must agree
         return type(exc).__name__, str(exc)
     return tensor.sample_ids, tensor.probs.shape, tensor.probs.tobytes()
 
 
 class TestWriterBytes:
-    @given(prediction_tensors(), st.sampled_from(FORMATS), st.none() | ID_TEXT)
+    @given(prediction_tensors(), st.none() | ID_TEXT)
     @settings(max_examples=150, deadline=None)
     @example(PredictionTensor(np.array([[[1.0, 0.0]], [[5e-324, 1.0]], [[3e-5, 0.99997]]]),
-                              ("a,1", '"q"', "%d%s")), "csv", "manifest_digest=sha256:x")
+                              ("a,1", '"q"', "%d%s")), "manifest_digest=sha256:x")
     @example(PredictionTensor(np.array([[[0.5, 0.5]], [[0.25, 0.75]], [[1e-10, 1.0]]]),
-                              ("#x", "\x00", "%%")), "jsonl", "100%")
-    def test_same_bytes_as_oracle(self, tmp_path_factory, tensor, fmt, comment):
-        path = tmp_path_factory.mktemp("w") / f"p.{fmt}"
+                              ("#x", "\x00", "%%")), "100%")
+    def test_same_bytes_as_oracle(self, tmp_path_factory, tensor, comment):
+        path = tmp_path_factory.mktemp("w") / "p.csv"
         save_predictions(tensor, path, header_comment=comment)
-        assert path.read_bytes() == oracle.predictions_text(tensor, fmt, comment).encode("utf-8")
+        assert path.read_bytes() == oracle.predictions_text(tensor, comment).encode("utf-8")
 
-    @given(prediction_tensors(), st.sampled_from(FORMATS), st.sampled_from([1, 2, 5, None]))
+    @given(prediction_tensors(), st.sampled_from([1, 2, 5, None]))
     @settings(max_examples=150, deadline=None)
-    def test_load_of_save_is_exact(self, tmp_path_factory, tensor, fmt, chunk):
+    def test_load_of_save_is_exact(self, tmp_path_factory, tensor, chunk):
         # 9-significant-digit values are the ones a file states exactly
         tensor = PredictionTensor(oracle.quantize_probs(tensor.probs), tensor.sample_ids)
-        path = tmp_path_factory.mktemp("rt") / f"p.{fmt}"
+        path = tmp_path_factory.mktemp("rt") / "p.csv"
         save_predictions(tensor, path, header_comment="manifest_digest=sha256:x")
         with chunk_rows(chunk):
             back = load_predictions(path)
         assert back.sample_ids == tensor.sample_ids
         assert np.array_equal(back.probs, tensor.probs)
-        assert outcome(oracle.load_predictions, path, fmt) == outcome(load_predictions, path, fmt)
+        assert outcome(oracle.load_predictions, path) == outcome(load_predictions, path)
 
 
 def rendered(values) -> bytes:
@@ -162,10 +161,9 @@ class TestProbabilityRendering:
                                  10.0 ** rng.uniform(-6.0, 0.0, 500_000)])
         assert rendered(values) == formatted(values)
 
-    @pytest.mark.parametrize("fmt", FORMATS)
-    def test_every_fallback_in_every_column(self, tmp_path, fmt):
-        # each value in each column of both formats: "4.94065646e-324" follows ", " in JSONL;
-        # the ids hold the writer's row marks, NUL, quotes, commas and a % format
+    def test_every_fallback_in_every_column(self, tmp_path):
+        # each value in each column; the ids hold the writer's row marks, NUL, quotes, commas
+        # and a % format
         odd = [0.0, -0.0, 1e-300, 5e-324, 9.99999999999e-5, 0.0999999999996, 0.5009765625,
                1.5e-5]
         row, one = odd + [1.0 - math.fsum(odd)], [1.0] + [0.0] * len(odd)
@@ -173,12 +171,13 @@ class TestProbabilityRendering:
         probs = np.array(rows)[:, np.newaxis, :].repeat(2, axis=1)
         ids = [f"{c}{i}" for i, c in enumerate(["\x02", "\x01", "\x00", '"', ",", "%s", "é"] * 3)]
         tensor = PredictionTensor(probs, ids[:len(rows)])
-        path = tmp_path / f"p.{fmt}"
+        path = tmp_path / "p.csv"
         save_predictions(tensor, path)
-        assert path.read_bytes() == oracle.predictions_text(tensor, fmt).encode()
+        assert path.read_bytes() == oracle.predictions_text(tensor).encode()
 
 
 HEADER = "sample_id,pass_id,p_0,p_1\n"
+ROW = "s0,0,0.7,0.3\n"
 
 # Files the CSV reader must treat exactly as the oracle does: every error with
 # its message and line, and every accepted quirk of csv/float()/int().
@@ -218,119 +217,108 @@ CSV_CASES = {
     "nan": HEADER + "s0,0,nan,0.5\n",
     "out of range": HEADER + "s0,0,1.5,-0.5\n",
     "pass ids 1 and 0 order": HEADER + "b,1,0.7,0.3\na,1,0.2,0.8\nb,0,0.6,0.4\na,0,1,0\n",
+    # a field of another type than its column states
+    "pass id float": HEADER + "s0,0.9,0.7,0.3\n",
+    "integral float pass id": HEADER + ROW + "s0,1.0,0.7,0.3\n",
+    "pass id bool": HEADER + "s0,true,0.7,0.3\n",
+    "pass id empty": HEADER + "s0,,0.7,0.3\n",
+    "pass id exponent": HEADER + "s0,1e0,0.7,0.3\n",
+    "pass id infinite": HEADER + "s0,inf,0.7,0.3\n",
+    "pass id nan": HEADER + "s0,nan,0.7,0.3\n",
+    "pass id hex": HEADER + "s0,0x0,0.7,0.3\n",
+    "pass id leading zeros": HEADER + "s0,00,0.7,0.3\ns0,01,0.6,0.4\n",
+    "pass id other digits": HEADER + "s0,\u0660,0.7,0.3\ns0,\u0661,0.6,0.4\n",
+    "probability empty": HEADER + "s0,0,,0.3\n",
+    "probability bools": HEADER + "s0,0,true,false\n",
+    "hex probability": HEADER + "s0,0,0x1p-1,0.5\n",
+    "header repeated": HEADER + ROW + HEADER,
+    # probabilities that parse but fail the row checks, or pass them
+    "infinite probability": HEADER + "s0,0,inf,0.3\n",
+    "probability beyond float": HEADER + "s0,0,1e400,0.3\n",
+    "Infinity words": HEADER + "s0,0,Infinity,-Infinity\n",
+    "negative zero": HEADER + "s0,0,-0.0,1\n",
+    "sum off by 1e-7": HEADER + "s0,0,0.7000001,0.3\n",
+    "sum off by 1e-5": HEADER + "s0,0,0.70001,0.3\n",
+    "nearly normalized": HEADER + "s0,0,0.7004,0.3\n",
+    # sample ids are kept as written
+    "empty sample id": HEADER + ",0,0.7,0.3\n,1,0.6,0.4\n",
+    "padded sample id": HEADER + " s0 ,0,0.7,0.3\ns0,0,0.5,0.5\n",
+    "non-ASCII ids": HEADER + "\u00e9,0,0.7,0.3\n\u4e2d,0,0.5,0.5\n",
+    "quoted line break in id": HEADER + '"a\nb",0,0.7,0.3\n',
+    # a malformed line is reported before a duplicate, wherever that sits
+    "duplicate before short row": HEADER + ROW + ROW + "s1,0,0.5\n",
+    "short row before duplicate": HEADER + ROW + "s1,0,0.5\n" + ROW,
+    "short row then unclosed quote": HEADER + ROW + "s1,0,1.0\n\"\n",
+    "bad pass id before duplicate": HEADER + ROW + ROW + "s1,x,0.5,0.5\n",
+    "trailing comma": HEADER + "s0,0,0.7,0.3,\n",
+    # headers
+    "single class": "sample_id,pass_id,p_0\ns0,0,1\n",
+    "no class columns": "sample_id,pass_id\ns0,0\n",
+    "header without rows": HEADER,
+    "byte order mark": "\ufeff" + HEADER + ROW,
+    "classes out of order": "sample_id,pass_id,p_1,p_0\n" + ROW,
+    "quoted header": '"sample_id","pass_id","p_0","p_1"\n' + ROW,
+    "tab separated": HEADER.replace(",", "\t") + ROW.replace(",", "\t"),
+    "only blank lines": "\n\n\r\n",
+    "comment then blank line": "# c\n\n" + HEADER + ROW,
+    # well-formed files
+    "one row": HEADER + "s0,0,1,0\n",
+    "three classes": "sample_id,pass_id,p_0,p_1,p_2\ns0,0,0.2,0.3,0.5\ns0,1,0.1,0.1,0.8\n",
+    "passes out of order": HEADER + "s0,2,0.1,0.9\ns0,0,0.7,0.3\ns0,1,0.6,0.4\n",
+    "interleaved samples": HEADER + "a,0,0.7,0.3\nb,0,0.4,0.6\na,1,0.6,0.4\nb,1,0.5,0.5\n",
+    "missing pass 0": HEADER + "s0,1,0.7,0.3\n",
+    "no final line end": HEADER + "s0,0,0.7,0.3",
 }
 
-JSONL_ROW = '{"sample_id": "s0", "pass_id": 0, "p": [0.7, 0.3]}\n'
-
-JSONL_CASES = {
-    "bad JSON": JSONL_ROW + '{"sample_id": "s0", "pass_id": 1, "p": [0.7, 0.3}\n',
-    "two values on a line": JSONL_ROW.rstrip("\n") + " " + JSONL_ROW,
-    "value split over lines":
-        '{"sample_id": "s0", "pass_id": 0,\n "p": [0.7, 0.3]}\n',
-    "missing key": '{"sample_id": "s0", "p": [0.7, 0.3]}\n',
-    "not an object": "[1, 2]\n",
-    "p a number": '{"sample_id": "s0", "pass_id": 0, "p": 1}\n',
-    "p a string": '{"sample_id": "s0", "pass_id": 0, "p": "01"}\n',
-    "p an object": '{"sample_id": "s0", "pass_id": 0, "p": {"1": 0, "0": 1}}\n',
-    "pass id text": '{"sample_id": "s0", "pass_id": "0", "p": [0.7, 0.3]}\n',
-    "pass id bad text": '{"sample_id": "s0", "pass_id": "x", "p": [0.7, 0.3]}\n',
-    "pass id float and bool": '{"sample_id": "s0", "pass_id": 0.9, "p": [0.7, 0.3]}\n'
-                              '{"sample_id": "s0", "pass_id": true, "p": [0.7, 0.3]}\n',
-    "pass id null": '{"sample_id": "s0", "pass_id": null, "p": [0.7, 0.3]}\n',
-    "numeric sample id": '{"sample_id": 5, "pass_id": 0, "p": [0.7, 0.3]}\n',
-    "surrogate sample id": '{"sample_id": "\\ud800", "pass_id": 0, "p": [0.7, 0.3]}\n',
-    "line break in sample id": '{"sample_id": "a\\nb", "pass_id": 0, "p": [0.7, 0.3]}\n',
-    "class counts differ": JSONL_ROW + '{"sample_id": "s1", "pass_id": 0, "p": [0.2, 0.3, 0.5]}\n',
-    "duplicate before class count":
-        JSONL_ROW + JSONL_ROW + '{"sample_id": "s1", "pass_id": 0, "p": [0.2, 0.3, 0.5]}\n',
-    "class count before duplicate":
-        JSONL_ROW + '{"sample_id": "s0", "pass_id": 0, "p": [0.2, 0.3, 0.5]}\n' + JSONL_ROW,
-    "class count then bad JSON":
-        JSONL_ROW + '{"sample_id": "s1", "pass_id": 0, "p": [1.0]}\n{\n',
-    "ragged": JSONL_ROW + JSONL_ROW.replace('"pass_id": 0', '"pass_id": 1')
-              + JSONL_ROW.replace('"s0"', '"s1"'),
-    "non-contiguous": JSONL_ROW.replace('"pass_id": 0', '"pass_id": 3'),
-    "blank lines and CRLF": "\r\n" + JSONL_ROW.replace("\n", "\r\n") + "\r\r\n",
-    "leading comment": "# manifest\n" + JSONL_ROW,
-    "NaN probability": '{"sample_id": "s0", "pass_id": 0, "p": [NaN, 0.3]}\n',
-    "empty": "\n\n",
-    "fractional pass id after pass 0":
-        JSONL_ROW + '{"sample_id": "s0", "pass_id": 1.7, "p": [0.7, 0.3]}\n',
-    "integral float pass id": JSONL_ROW + '{"sample_id": "s0", "pass_id": 1.0, "p": [0.7, 0.3]}\n',
-    "pass id bool": '{"sample_id": "s0", "pass_id": true, "p": [0.7, 0.3]}\n',
-    "null sample id": '{"sample_id": null, "pass_id": 0, "p": [0.7, 0.3]}\n',
-    "p text and bool": '{"sample_id": "s0", "pass_id": 0, "p": ["0.5", true]}\n',
-    "p bools": '{"sample_id": "s0", "pass_id": 0, "p": [true, false]}\n',
-    "empty p first": '{"sample_id": "s0", "pass_id": 0, "p": []}\n'
-                     '{"sample_id": "s1", "pass_id": 0, "p": [0.5, 0.5]}\n',
-    "every p empty": '{"sample_id": "s0", "pass_id": 0, "p": []}\n'
-                     '{"sample_id": "s1", "pass_id": 0, "p": []}\n',
+# The first malformed line of a file is named with the csv/int()/float()
+# message, at every chunk size, before any check across rows.
+CSV_MESSAGES = {
+    "too many fields": "3: expected 4 fields, got 5",
+    "trailing comma": "2: expected 4 fields, got 5",
+    "quoted line break in id": "2: expected 4 fields, got 1",
+    "duplicate before short row": "4: expected 4 fields, got 3",
+    "short row before duplicate": "3: expected 4 fields, got 3",
+    "short row then unclosed quote": "3: expected 4 fields, got 3",
+    "bad float before short row": "2: malformed row: could not convert string to float: 'x'",
+    "short row before bad float": "2: expected 4 fields, got 3",
+    "bad pass id before duplicate": "4: malformed row: invalid literal for int() with base 10: 'x'",
+    "pass id float": "2: malformed row: invalid literal for int() with base 10: '0.9'",
+    "integral float pass id": "3: malformed row: invalid literal for int() with base 10: '1.0'",
+    "pass id bool": "2: malformed row: invalid literal for int() with base 10: 'true'",
+    "pass id empty": "2: malformed row: invalid literal for int() with base 10: ''",
+    "probability empty": "2: malformed row: could not convert string to float: ''",
+    "probability bools": "2: malformed row: could not convert string to float: 'true'",
+    "header repeated": "3: malformed row: invalid literal for int() with base 10: 'pass_id'",
 }
 
-# A record whose class count differs from the first record's is malformed at
-# its line, like a CSV row with a wrong field count, so it is reported before
-# a duplicate pass wherever that sits and before any later malformed line. An
-# empty first p sets the class count to 0, not to "not known yet".
-JSONL_CLASS_COUNTS = {
-    "class counts differ": "p.jsonl:2: sample 's1' pass 0 has 3 probabilities, expected 2",
-    "duplicate before class count": "p.jsonl:3: sample 's1' pass 0 has 3 probabilities, expected 2",
-    "class count before duplicate": "p.jsonl:2: sample 's0' pass 0 has 3 probabilities, expected 2",
-    "class count then bad JSON": "p.jsonl:2: sample 's1' pass 0 has 1 probabilities, expected 2",
-    "empty p first": "p.jsonl:2: sample 's1' pass 0 has 2 probabilities, expected 0",
-    "every p empty": "p.jsonl: need at least two classes",
-}
-
-# Records of the right shape whose values have another type than the grammar
-# states. The reader used to coerce them (pass id 1.7 or true became 1, sample
-# id 5 became "5", p "01" became [0.0, 1.0]); it now rejects them, naming the
-# line. The oracle follows the same rule, because the line-edit fuzz below can
-# quote a number into a string.
-JSONL_REJECTED = {
-    "p a number": "1: malformed record: p must be an array of numbers, got 1",
-    "p a string": '1: malformed record: p must be an array of numbers, got "01"',
-    "p an object": '1: malformed record: p must be an array of numbers, got {"1": 0, "0": 1}',
-    "pass id text": '1: malformed record: pass_id must be an integer, got "0"',
-    "pass id bad text": '1: malformed record: pass_id must be an integer, got "x"',
-    "pass id float and bool": "1: malformed record: pass_id must be an integer, got 0.9",
-    "pass id null": "1: malformed record: pass_id must be an integer, got null",
-    "numeric sample id": "1: malformed record: sample_id must be a string, got 5",
-    "fractional pass id after pass 0": "2: malformed record: pass_id must be an integer, got 1.7",
-    "integral float pass id": "2: malformed record: pass_id must be an integer, got 1.0",
-    "pass id bool": "1: malformed record: pass_id must be an integer, got true",
-    "null sample id": "1: malformed record: sample_id must be a string, got null",
-    "p text and bool": '1: malformed record: p must be an array of numbers, got ["0.5", true]',
-    "p bools": "1: malformed record: p must be an array of numbers, got [true, false]",
-}
-
+# Files whose rows parse, so that the row checks decide, and with them renormalize.
+ROW_CHECKED = ["not normalized", "nan", "out of range", "infinite probability",
+               "probability beyond float", "Infinity words", "negative zero", "sum off by 1e-7",
+               "sum off by 1e-5", "nearly normalized", "exponent and subnormal"]
 
 class TestMalformedFiles:
     @pytest.mark.parametrize("chunk", [1, 2, None])
-    @pytest.mark.parametrize("fmt, text", [("csv", t) for t in CSV_CASES.values()]
-                             + [("jsonl", t) for t in JSONL_CASES.values()],
-                             ids=[f"csv-{k}" for k in CSV_CASES] + [f"jsonl-{k}" for k in JSONL_CASES])
-    def test_same_outcome_as_oracle(self, tmp_path, fmt, text, chunk):
-        path = tmp_path / f"p.{fmt}"
-        path.write_bytes(text.encode("utf-8"))
+    @pytest.mark.parametrize("name", CSV_CASES)
+    def test_same_outcome_as_oracle(self, tmp_path, name, chunk):
+        path = tmp_path / "p.csv"
+        path.write_bytes(CSV_CASES[name].encode("utf-8"))
         with chunk_rows(chunk):
-            assert outcome(load_predictions, path, fmt) == outcome(oracle.load_predictions, path, fmt)
-
-    @pytest.mark.parametrize("chunk", [1, None])
-    @pytest.mark.parametrize("name", JSONL_REJECTED)
-    def test_jsonl_values_of_another_type_rejected(self, tmp_path, name, chunk):
-        path = tmp_path / "p.jsonl"
-        path.write_bytes(JSONL_CASES[name].encode("utf-8"))
-        with chunk_rows(chunk):
-            assert outcome(load_predictions, path, "jsonl") == (
-                "FormatError", f"{path}:{JSONL_REJECTED[name]}")
+            assert outcome(load_predictions, path) == outcome(oracle.load_predictions, path)
 
     @pytest.mark.parametrize("chunk", [1, 2, None])
-    @pytest.mark.parametrize("name", JSONL_CLASS_COUNTS)
-    def test_jsonl_class_count_named_at_its_line(self, tmp_path, name, chunk):
-        path = tmp_path / "p.jsonl"
-        path.write_bytes(JSONL_CASES[name].encode("utf-8"))
+    @pytest.mark.parametrize("name", CSV_MESSAGES)
+    def test_malformed_line_named(self, tmp_path, name, chunk):
+        path = tmp_path / "p.csv"
+        path.write_bytes(CSV_CASES[name].encode("utf-8"))
         with chunk_rows(chunk):
-            assert outcome(load_predictions, path, "jsonl") == (
-                "FormatError", f"{tmp_path}/{JSONL_CLASS_COUNTS[name]}")
+            assert outcome(load_predictions, path) == ("FormatError", f"{path}:{CSV_MESSAGES[name]}")
+
+    @pytest.mark.parametrize("name", ROW_CHECKED)
+    def test_renormalized_same_outcome_as_oracle(self, tmp_path, name):
+        path = tmp_path / "p.csv"
+        path.write_bytes(CSV_CASES[name].encode("utf-8"))
+        load, load_oracle = (partial(f, renormalize=True) for f in (load_predictions, oracle.load_predictions))
+        assert outcome(load, path) == outcome(load_oracle, path)
 
     def test_errors_name_their_line(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -344,30 +332,13 @@ class TestMalformedFiles:
             with pytest.raises(FormatError, match=message):
                 load_predictions(path)
 
-    @pytest.mark.parametrize("fmt, text, message", [
-        ("csv", HEADER + "s0,99999999999999999999,0.7,0.3\n", r"p\.csv:2: pass id 9{20} "),
-        ("jsonl", '{"sample_id": "s0", "pass_id": -99999999999999999999, "p": [0.7, 0.3]}\n',
-         r"p\.jsonl:1: pass id -9{20} "),
-    ])
-    def test_pass_id_beyond_64_bits(self, tmp_path, fmt, text, message):
+    @pytest.mark.parametrize("pass_id", ["99999999999999999999", "-99999999999999999999",
+                                         str(2**63), str(-2**63 - 1)])
+    def test_pass_id_beyond_64_bits(self, tmp_path, pass_id):
         # the oracle reports such a file as non-contiguous; this names the line
-        path = tmp_path / f"p.{fmt}"
-        path.write_text(text)
-        with pytest.raises(FormatError, match=message + "does not fit in 64 bits"):
-            load_predictions(path)
-
-    @pytest.mark.parametrize("text, message", [
-        ('{"sample_id": "s0", "pass_id": Infinity, "p": [0.7, 0.3]}\n',
-         "pass_id must be an integer, got Infinity"),
-        ('{"sample_id": "s0", "pass_id": 0, "p": [1' + "0" * 400 + ', 0.3]}\n',
-         "int too large to convert to float"),
-    ], ids=["pass id infinite", "probability beyond float"])
-    def test_jsonl_overflow_names_its_line(self, tmp_path, text, message):
-        # the oracle lets OverflowError escape; the reader reports it like any malformed
-        # record, and an infinite pass id is a float, not an integer
-        path = tmp_path / "p.jsonl"
-        path.write_text(text)
-        with pytest.raises(FormatError, match=r"p\.jsonl:1: malformed record: " + message):
+        path = tmp_path / "p.csv"
+        path.write_text(HEADER + ROW + f"s0,{pass_id},0.7,0.3\n")
+        with pytest.raises(FormatError, match=rf"p\.csv:3: pass id {pass_id} does not fit in 64 bits"):
             load_predictions(path)
 
     # Line edits applied to a valid file: drop, repeat, swap, blank, re-end, corrupt.
@@ -375,10 +346,10 @@ class TestMalformedFiles:
                                                 "corrupt", "comma", "quote"]),
                                st.integers(0, 50), st.integers(0, 50)), min_size=1, max_size=3)
 
-    @given(prediction_tensors(), st.sampled_from(FORMATS), EDITS, st.sampled_from([1, 3, None]))
+    @given(prediction_tensors(), EDITS, st.sampled_from([1, 3, None]))
     @settings(max_examples=200, deadline=None)
-    def test_edited_files_same_outcome_as_oracle(self, tmp_path_factory, tensor, fmt, edits, chunk):
-        lines = oracle.predictions_text(tensor, fmt, "manifest_digest=sha256:x").splitlines(True)
+    def test_edited_files_same_outcome_as_oracle(self, tmp_path_factory, tensor, edits, chunk):
+        lines = oracle.predictions_text(tensor, "manifest_digest=sha256:x").splitlines(True)
         for edit, i, j in edits:
             i, j = i % len(lines), j % len(lines)
             if edit == "drop":
@@ -398,10 +369,10 @@ class TestMalformedFiles:
                 lines[i] = lines[i][:cut] + ("," if edit == "comma" else '"') + lines[i][cut:]
             if not lines:
                 break
-        path = tmp_path_factory.mktemp("edit") / f"p.{fmt}"
+        path = tmp_path_factory.mktemp("edit") / "p.csv"
         path.write_bytes("".join(lines).encode("utf-8"))
         with chunk_rows(chunk):
-            assert outcome(load_predictions, path, fmt) == outcome(oracle.load_predictions, path, fmt)
+            assert outcome(load_predictions, path) == outcome(oracle.load_predictions, path)
 
 
 class FullDisk:
@@ -435,7 +406,6 @@ def _tensor(seed):
 # (file name, writer(path, version), successful writes before the disk fills)
 WRITERS = [
     ("p.csv", lambda path, v: save_predictions(_tensor(v), path, header_comment="m"), 2),
-    ("p.jsonl", lambda path, v: save_predictions(_tensor(v), path), 1),
     ("s.csv", lambda path, v: save_summaries(aggregate(_tensor(v), MCD), path), 0),
     ("l.csv", lambda path, v: save_labels(LabelSet(("a", "b"), np.array([v, 1])), path, "m"), 1),
     ("a.txt", lambda path, v: write_artifact(path, f"version {v}\n" * 100), 0),
@@ -481,12 +451,12 @@ class TestAtomicWrites:
 
 class TestWriterMemory:
     @staticmethod
-    def peak_and_size(tmp_path, fmt, n_samples):
+    def peak_and_size(tmp_path, n_samples):
         """The traced peak of saving a seeded n_samples x 50 x 10 tensor, and the file's size."""
         rng = np.random.default_rng(0)
         tensor = PredictionTensor(rng.dirichlet(np.ones(10), size=(n_samples, 50)),
                                   [f"s{i}" for i in range(n_samples)])
-        path = tmp_path / f"p.{fmt}"
+        path = tmp_path / "p.csv"
         tracemalloc.start()
         try:
             save_predictions(tensor, path)
@@ -495,16 +465,13 @@ class TestWriterMemory:
             tracemalloc.stop()
         return peak, os.path.getsize(path)
 
-    # JSONL shares the CSV's per-sample loop; a smaller tensor keeps the traced run short
-    @pytest.mark.parametrize("fmt, n_samples", [("csv", 2000), ("jsonl", 500)])
-    def test_peak_below_file_size(self, tmp_path, fmt, n_samples):
+    def test_peak_below_file_size(self, tmp_path):
         # streamed: no whole-file buffer and no whole-tensor list of floats
-        peak, size = self.peak_and_size(tmp_path, fmt, n_samples)
+        peak, size = self.peak_and_size(tmp_path, 2000)
         assert peak < size
 
-    @pytest.mark.parametrize("fmt, n_samples", [("csv", 2000), ("jsonl", 500)])
-    def test_peak_does_not_grow_with_the_cpus(self, tmp_path, monkeypatch, fmt, n_samples):
+    def test_peak_does_not_grow_with_the_cpus(self, tmp_path, monkeypatch):
         # with 8 usable CPUs the writer still renders and writes one job at a time
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        peak, size = self.peak_and_size(tmp_path, fmt, n_samples)
+        peak, size = self.peak_and_size(tmp_path, 2000)
         assert peak < size / 2

@@ -83,10 +83,6 @@ CHOICE_ENTRIES = {
         "log base", lambda v, tmp: Summaries.from_means(("a",), [[0.5, 0.5]], v)),
     "evaluate_demo log base": (
         "log base", lambda v, tmp: evaluate_demo(0, QUICK_PRESET, log_base=v)),
-    "load_predictions format": (
-        "predictions format", lambda v, tmp: load_predictions(tmp / "p.csv", v)),
-    "save_predictions format": (
-        "predictions format", lambda v, tmp: save_predictions(TENSOR, tmp / "p.csv", v)),
 }
 
 NOT_REAL = [math.nan, math.inf, -math.inf, True, "0.3", None]
@@ -102,9 +98,7 @@ def test_a_real_setting_rejects_what_is_not_a_finite_number(entry, value, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-# a format of None is inferred from the file's extension
-NOT_CHOICES = [(entry, value) for entry in CHOICE_ENTRIES for value in NOT_REAL + ["CSV", "mcd "]
-               if value is not None or not entry.endswith("format")]
+NOT_CHOICES = [(entry, value) for entry in CHOICE_ENTRIES for value in NOT_REAL + ["CSV", "mcd "]]
 
 
 @pytest.mark.parametrize("entry, value", NOT_CHOICES)
@@ -229,7 +223,8 @@ def test_metric_values_are_reals(value):
         MetricDistribution((0.5, value), (0, 1))
 
 
-@pytest.mark.parametrize("name", ["p.txt", "p", "p.csv.gz", "csv"])
+@pytest.mark.parametrize("name", ["p.txt", "p", "p.csv.gz", "csv", "p.jsonl", "p.JSONL", ".jsonl",
+                                  "p.json", "p.tsv", "p.csv.bak", "p.csv ", "p."])
 def test_an_unknown_extension_is_a_validation_error(name, tmp_path):
     with pytest.raises(ValidationError, match=f"^the extension of .*{re.escape(name)} must be one of"):
         load_predictions(tmp_path / name)
@@ -238,7 +233,7 @@ def test_an_unknown_extension_is_a_validation_error(name, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["p.CSV", "p.JsonL", ".jsonl", "a.b.csv"])
+@pytest.mark.parametrize("name", ["p.CSV", "a.b.csv", "p.Csv", ".csv", "a.jsonl.csv"])
 def test_a_known_extension_in_any_case_is_inferred(name, tmp_path):
     save_predictions(TENSOR, tmp_path / name)
     assert np.array_equal(load_predictions(tmp_path / name).probs, TENSOR.probs)

@@ -205,7 +205,6 @@ def test_summaries_round_trip(tmp_path, chunk, base):
 # each reader, and a writer of a file it loads; all four share one line reader
 READERS = {
     "predictions csv": (load_predictions, "p.csv", lambda t, path: save_predictions(t, path)),
-    "predictions jsonl": (load_predictions, "p.jsonl", lambda t, path: save_predictions(t, path)),
     "labels": (load_labels, "l.csv",
                lambda t, path: save_labels(LabelSet(t.sample_ids, [0] * t.n_samples), path)),
     "summaries": (load_summaries, "s.csv", lambda t, path: save_summaries(aggregate(t, MCD), path)),

@@ -213,26 +213,15 @@ class TestRoundTrip:
         save_predictions(load_predictions(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_jsonl_round_trip_identical(self, tmp_path):
-        rng = np.random.default_rng(5)
-        probs = quantize_probs(random_prob_rows(rng, 12, 2)).reshape(4, 3, 2)
-        t = make_tensor(probs)
-        path = tmp_path / "t.jsonl"
-        save_predictions(t, path, "jsonl")
-        back = load_predictions(path, "jsonl")
-        assert back.sample_ids == t.sample_ids
-        assert np.array_equal(back.probs, t.probs)
-
     def test_large_random_round_trip_exact(self, tmp_path):
         # on quantized (9-significant-digit) values the round trip is lossless
         rng = np.random.default_rng(99)
         probs = quantize_probs(random_prob_rows(rng, 1000, 4)).reshape(250, 4, 4)
         t = make_tensor(probs)
-        for fmt in ("csv", "jsonl"):
-            path = tmp_path / f"t.{fmt}"
-            save_predictions(t, path, fmt)
-            back = load_predictions(path, fmt)
-            assert np.max(np.abs(back.probs - t.probs)) == 0.0
+        path = tmp_path / "t.csv"
+        save_predictions(t, path)
+        back = load_predictions(path)
+        assert np.max(np.abs(back.probs - t.probs)) == 0.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
