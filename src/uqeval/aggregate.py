@@ -13,8 +13,9 @@ own :class:`~uqeval.tensor.SampleIds`, checked when the tensor was built and
 shared, not checked again. :meth:`Summaries.correct` matches it to labels
 through :func:`uqeval.tensor.aligned_labels`.
 
-Entropy defaults to base 2 and is reported both raw and normalized by
-``log2(C)`` so uncertainty thresholds live on [0, 1] for any class count.
+Entropy is in bits, and is reported both raw and normalized by ``log2(C)``
+so uncertainty thresholds live on [0, 1] for any class count. For two
+classes the two are the same.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .tensor import (
 LOG_CLAMP = 1e-300
 
 SCHEME_KINDS = ("mcd", "ensemble", "emcd")
-LOG_BASES = ("2", "e")
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,9 @@ class Summaries:
 
     ``means`` is the (samples, classes) predictive mean, ``predicted_class``
     its argmax (ties break low), ``confidence`` the argmax component, and
-    ``entropy``/``normalized_entropy`` its predictive entropy, raw and divided
-    by ``log(C)``. Columns are read-only copies, checked against each other
-    on construction.
+    ``entropy``/``normalized_entropy`` its predictive entropy in bits, raw and
+    divided by ``log2(C)``. Columns are read-only copies, checked against each
+    other on construction.
     """
 
     sample_ids: tuple[str, ...]
@@ -153,7 +153,7 @@ class Summaries:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_means(cls, sample_ids, means, base: str = "2") -> Summaries:
+    def from_means(cls, sample_ids, means) -> Summaries:
         """Summaries of already-aggregated mean rows, each summing to 1."""
         means = np.asarray(means, dtype=np.float64)
         if means.ndim != 2 or means.shape[1] < 2:
@@ -161,14 +161,14 @@ class Summaries:
                 f"means must have shape (samples, classes >= 2), got {means.shape}"
             )
         predicted = _argmax_rows(means)
-        entropy = _entropy(means, base)
+        entropy = _entropy(means)
         return cls(
             sample_ids=sample_ids,
             means=means,
             predicted_class=predicted,
             confidence=means[np.arange(len(means)), predicted],
             entropy=entropy,
-            normalized_entropy=_normalized(entropy, means.shape[1], base),
+            normalized_entropy=_normalized(entropy, means.shape[1]),
         )
 
     def __len__(self) -> int:
@@ -197,34 +197,24 @@ def _argmax_rows(means: np.ndarray) -> np.ndarray:
     return index
 
 
-def _entropy(means: np.ndarray, base: str) -> np.ndarray:
-    """Entropy along the last axis; a rounding-negative value becomes 0.
+def _entropy(means: np.ndarray) -> np.ndarray:
+    """Entropy in bits along the last axis; a rounding-negative value becomes 0.
 
     ``0.0 - sum`` rather than ``-sum``: a one-hot mean sums to +0.0, and its
     entropy is then +0.0, not -0.0.
     """
-    log = _log_fn(base)
-    value = 0.0 - class_sums(means * log(np.clip(means, LOG_CLAMP, 1.0)))
+    value = 0.0 - class_sums(means * np.log2(np.clip(means, LOG_CLAMP, 1.0)))
     return np.where(0.0 > value, 0.0, value)
 
 
-def max_entropy(n_classes: int, base: str = "2") -> float:
-    return float(_log_fn(base)(n_classes))
-
-
-def _normalized(entropy: np.ndarray, n_classes: int, base: str) -> np.ndarray:
-    """Entropy divided by ``log(C)``, a rounding excess over 1 clipped to 1."""
-    normalized = entropy / max_entropy(n_classes, base)
+def _normalized(entropy: np.ndarray, n_classes: int) -> np.ndarray:
+    """Entropy divided by ``log2(C)``, a rounding excess over 1 clipped to 1."""
+    normalized = entropy / np.log2(n_classes)
     return np.where(normalized > 1.0, 1.0, normalized)
 
 
-def _log_fn(base: str):
-    return np.log2 if require_choice(base, "log base", LOG_BASES) == "2" else np.log
-
-
-def aggregate(tensor: PredictionTensor, scheme: AggregationScheme, base: str = "2") -> Summaries:
+def aggregate(tensor: PredictionTensor, scheme: AggregationScheme) -> Summaries:
     """The :class:`Summaries` of every sample under the given scheme."""
-    require_choice(base, "log base", LOG_BASES)
     if scheme.kind == "emcd":
         parts = scheme.member_pass_counts
         if sum(parts) != tensor.n_passes:
@@ -240,7 +230,7 @@ def aggregate(tensor: PredictionTensor, scheme: AggregationScheme, base: str = "
     else:
         means = pass_means(tensor.probs)
     means = means / class_sums(means)[:, np.newaxis]
-    return Summaries.from_means(tensor.sample_ids, means, base)
+    return Summaries.from_means(tensor.sample_ids, means)
 
 
 SUMMARY_COLUMNS = ("sample_id", "predicted_class", "confidence", "entropy", "normalized_entropy")
@@ -290,22 +280,11 @@ ENTROPY_TOL = 1e-6
 
 
 def _check_stored_entropies(summaries: Summaries) -> None:
-    """Require the entropy columns to be those of the means, in one log base.
-
-    The normalized entropy is checked against the one recomputed from the
-    means, which is the same in every base; the raw entropy must then be the
-    normalized one times ``log(C)`` in the same base for every row.
-    """
-    ids, n_classes = summaries.sample_ids, summaries.n_classes
-    expected = _normalized(_entropy(summaries.means, "2"), n_classes, "2")
-    normalized = summaries.normalized_entropy
-    _require(np.abs(normalized - expected) <= ENTROPY_TOL, ids,
-             "normalized entropy {value:.9g} of {id} is not that of its mean", normalized)
-    fits = [
-        np.abs(summaries.entropy - normalized * max_entropy(n_classes, base)) <= ENTROPY_TOL
-        for base in LOG_BASES
-    ]
-    # the base that fits the most rows; it fits all of them if the file is consistent
-    _require(max(fits, key=np.count_nonzero), ids,
-             "entropy {value:.9g} of {id} is not its normalized entropy times log2(C) or "
-             "ln(C) in the log base of the rest of the file", summaries.entropy)
+    """Require both entropy columns to be those of the means, in bits."""
+    ids, entropy = summaries.sample_ids, _entropy(summaries.means)
+    for stored, expected, message in (
+            (summaries.normalized_entropy, _normalized(entropy, summaries.n_classes),
+             "normalized entropy {value:.9g} of {id} is not that of its mean"),
+            (summaries.entropy, entropy,
+             "entropy {value:.9g} of {id} is not that of its mean in bits")):
+        _require(np.abs(stored - expected) <= ENTROPY_TOL, ids, message, stored)

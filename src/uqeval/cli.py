@@ -13,7 +13,6 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .aggregate import (
-    LOG_BASES,
     SCHEME_KINDS,
     AggregationScheme,
     aggregate,
@@ -33,8 +32,8 @@ from .errors import UqevalError, ValidationError
 from .manifest import build_manifest, canonical_json, manifest_digest, write_manifest
 from .stats import compare_models, comparison_as_dict
 from .svg import reliability_svg, separation_svg, sweep_svg
-from .tensor import (FULL_FORMAT, csv_table, is_real, is_seed, json_field, load_labels,
-                     load_predictions, write_artifact)
+from .tensor import (FULL_FORMAT, csv_table, is_real, is_seed, load_labels, load_predictions,
+                     write_artifact)
 from .ucm import (
     SweepCurve,
     SweepPoint,
@@ -46,15 +45,6 @@ from .ucm import (
     threshold_sweep,
     ucm_as_dict,
 )
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
 def _checked(parse, name: str, valid, wanted: str):
@@ -76,6 +66,7 @@ _finite_float = _checked(float, "float", is_real, "a finite number")
 _seed = _checked(int, "int", is_seed, "a non-negative integer")
 
 
+# a sweep grid or an ECE binning must have fewer points than this
 MAX_GRID_POINTS = 10**6
 
 
@@ -119,9 +110,6 @@ SHARED_FLAGS = {
     "--summaries": dict(required=True),
     "--labels": dict(required=True),
     "--threshold": dict(type=_finite_float, default=DEFAULT_THRESHOLD),
-    "--normalize-entropy": dict(type=_parse_bool, default=True, metavar="BOOL",
-                                help="threshold on normalized entropy"),
-    "--log-base": dict(choices=LOG_BASES, default="2", help="entropy log base"),
     "--seed": dict(type=_seed, default=0, help="master seed"),
     "--format": dict(choices=("text", "json", "csv"), default="text", help="stdout rendering"),
     "--out": dict(default=".", help="output directory"),
@@ -151,16 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=SCHEME_KINDS, default="mcd")
     p.add_argument("--partition", default=None,
                    help="emcd pass partition: KxT or comma list")
-    shared(p, "--format", "--out", "--log-base")
+    shared(p, "--format", "--out")
     p.add_argument("--renormalize", action="store_true",
                    help="rescale near-normalized probability rows on load")
 
     p = command("evaluate", cmd_evaluate, "uncertainty confusion matrix at one threshold")
-    shared(p, "--summaries", "--labels", "--threshold", "--format", "--out", "--normalize-entropy")
+    shared(p, "--summaries", "--labels", "--threshold", "--format", "--out")
     p = command("sweep", cmd_sweep, "confusion metrics across a threshold grid")
     shared(p, "--summaries", "--labels")
     p.add_argument("--grid", default="0.1:0.1:0.9", help="start:step:stop")
-    shared(p, "--format", "--out", "--normalize-entropy")
+    shared(p, "--format", "--out")
     p = command("ece", cmd_ece, "expected calibration error and reliability data")
     shared(p, "--summaries", "--labels")
     p.add_argument("--bins", type=int, default=10)
@@ -177,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", help="small preset for smoke runs")
     shared(p, "--threshold", "--seed")
     p.add_argument("--format", choices=("text", "json"), default="text", help="stdout rendering")
-    shared(p, "--out", "--log-base")
+    shared(p, "--out")
 
     return parser
 
@@ -201,7 +189,7 @@ def cmd_aggregate(args) -> Run:
     partition = None if args.partition is None else _parse_partition(args.partition)
     scheme = AggregationScheme(args.scheme, partition)
     tensor = load_predictions(args.input, renormalize=args.renormalize)
-    summaries = aggregate(tensor, scheme, args.log_base)
+    summaries = aggregate(tensor, scheme)
 
     def write(out: Path, digest: str) -> str:
         table = save_summaries(summaries, out / "summaries.csv",
@@ -220,11 +208,10 @@ def cmd_aggregate(args) -> Run:
     return Run({"predictions": args.input}, write)
 
 
-def _ucm_text(ucm, normalized: bool) -> str:
+def _ucm_text(ucm) -> str:
     d = ucm_as_dict(ucm)
-    scale = "normalized entropy" if normalized else "raw entropy"
     lines = [
-        f"uncertainty confusion matrix @ threshold {ucm.threshold:g} ({scale})",
+        f"uncertainty confusion matrix @ threshold {ucm.threshold:g} (normalized entropy)",
         "                 certain      uncertain",
         f"  correct        TC {ucm.tc:6d}    FU {ucm.fu:6d}",
         f"  incorrect      FC {ucm.fc:6d}    TU {ucm.tu:6d}",
@@ -248,7 +235,7 @@ def _pct(value) -> str:
 
 def cmd_evaluate(args) -> Run:
     summaries, labels = load_summaries(args.summaries), load_labels(args.labels)
-    ucm = build_ucm(summaries, labels, args.threshold, normalized=args.normalize_entropy)
+    ucm = build_ucm(summaries, labels, args.threshold)
 
     def write(out: Path, digest: str) -> str:
         payload = canonical_json({**ucm_as_dict(ucm), "manifest_digest": digest})
@@ -257,15 +244,14 @@ def cmd_evaluate(args) -> Run:
             return payload
         if args.format == "csv":
             return sweep_table(SweepCurve((SweepPoint(ucm),)))
-        return _ucm_text(ucm, args.normalize_entropy)
+        return _ucm_text(ucm)
 
     return Run({"summaries": args.summaries, "labels": args.labels}, write)
 
 
 def cmd_sweep(args) -> Run:
     summaries, labels = load_summaries(args.summaries), load_labels(args.labels)
-    curve = threshold_sweep(summaries, labels, _parse_grid(args.grid),
-                            normalized=args.normalize_entropy)
+    curve = threshold_sweep(summaries, labels, _parse_grid(args.grid))
 
     def write(out: Path, digest: str) -> str:
         table = save_sweep(curve, out / "sweep.csv", header_comment=f"manifest_digest={digest}")
@@ -284,6 +270,8 @@ def cmd_sweep(args) -> Run:
 
 
 def cmd_ece(args) -> Run:
+    if args.bins >= MAX_GRID_POINTS:
+        raise ValidationError(f"--bins {args.bins}: need fewer than {MAX_GRID_POINTS} bins")
     report = calibration_report(load_summaries(args.summaries), load_labels(args.labels),
                                 args.bins)
 
@@ -324,6 +312,20 @@ def cmd_separate(args) -> Run:
         )
 
     return Run({"summaries": args.summaries, "labels": args.labels}, write)
+
+
+JSON_TYPES = {  # the types a JSON field can be required to have; true and false are not integers
+    "a string": lambda v: type(v) is str,
+    "an integer": lambda v: type(v) is int,
+}
+
+
+def json_field(record: dict, key: str, kind: str):
+    """``record[key]``, which must be ``kind`` (a ``JSON_TYPES`` key); raises KeyError or TypeError."""
+    value = record[key]
+    if not JSON_TYPES[kind](value):
+        raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")
+    return value
 
 
 def _load_run_dir(path: str, side: str):
@@ -379,7 +381,7 @@ def cmd_compare(args) -> Run:
 
 def cmd_demo(args) -> Run:
     preset = QUICK_PRESET if args.quick else DemoPreset()
-    result, comparison = evaluate_demo(args.seed, preset, args.log_base, args.threshold)
+    result, comparison = evaluate_demo(args.seed, preset, args.threshold)
 
     def write(out: Path, digest: str) -> str:
         report_json = write_demo_artifacts(result, comparison, out, digest)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import ENSEMBLE, LOG_BASES, MCD, SCHEME_KINDS, aggregate, save_summaries
+from .aggregate import ENSEMBLE, MCD, SCHEME_KINDS, aggregate, save_summaries
 from .calibration import calibration_as_dict, calibration_report
 from .datasets import generate_dataset, save_dataset
 from .manifest import canonical_json
@@ -40,8 +40,8 @@ from .models import (
 )
 from .stats import compare_models, comparison_as_dict, comparison_values_csv, point_metrics
 from .svg import reliability_svg, separation_svg, sweep_svg, violin_svg
-from .tensor import (LabelSet, require_choice, require_integer, require_real, require_seed,
-                     save_labels, save_predictions, write_artifact)
+from .tensor import (LabelSet, require_integer, require_real, require_seed, save_labels,
+                     save_predictions, write_artifact)
 from .ucm import (
     NORMALIZED_THRESHOLDS,
     build_ucm,
@@ -213,17 +213,15 @@ def _comparison_runs(heads: list[Mlp], dataset, labels: LabelSet):
     return [evaluate(m) for m in heads[0::2]], [evaluate(m) for m in heads[1::2]]
 
 
-def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = "2",
+def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(),
                   threshold: float = DEFAULT_THRESHOLD):
     """All analyses of one demo run, as plain data (no files).
 
-    Every model trains in :func:`build_demo_models`, after ``threshold`` and
-    ``log_base`` are checked.
+    Every model trains in :func:`build_demo_models`, after ``threshold`` is checked.
     """
     threshold = require_real(threshold, "threshold", *NORMALIZED_THRESHOLDS)
-    require_choice(log_base, "log base", LOG_BASES)
     seeds, dataset, labels, tensors, schemes, heads = build_demo_models(seed, preset)
-    summaries = {name: aggregate(tensors[name], schemes[name], log_base) for name in SCHEME_KINDS}
+    summaries = {name: aggregate(tensors[name], schemes[name]) for name in SCHEME_KINDS}
     per_scheme, sweeps, calibrations, separations = {}, {}, {}, {}
     for name in SCHEME_KINDS:
         s = summaries[name]
@@ -242,7 +240,6 @@ def evaluate_demo(seed: int, preset: DemoPreset = DemoPreset(), log_base: str = 
         "seed": seed,
         "derived_seeds": seeds,
         "threshold": threshold,
-        "log_base": log_base,
         "schemes": per_scheme,
         "comparison": {"variant_a": VARIANTS[0], "variant_b": VARIANTS[1],
                        **comparison_as_dict(comparison)},

@@ -13,7 +13,8 @@ File formats (all CSV, UTF-8, ``.`` decimal separator):
 * labels: header ``sample_id,label``.
 
 Predictions, labels and summaries files share one reader,
-:func:`read_table`, for rows of an id, an integer, then floats. Every CSV
+:func:`read_table`, and one concatenation of its chunks,
+:func:`table_columns`, for rows of an id, an integer, then floats. Every CSV
 table but a predictions file is written by one writer, :func:`csv_table`.
 
 Sample ids are unique strings without line breaks that UTF-8 can encode.
@@ -39,7 +40,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import math
 import os
 from collections import Counter
@@ -515,20 +515,6 @@ def table_columns(header, chunks):
     return tuple(ids), np.concatenate(integers), np.concatenate(values)
 
 
-JSON_TYPES = {  # the types a JSON field can be required to have; true and false are not integers
-    "a string": lambda v: type(v) is str,
-    "an integer": lambda v: type(v) is int,
-}
-
-
-def json_field(record: dict, key: str, kind: str):
-    """``record[key]``, which must be ``kind`` (a ``JSON_TYPES`` key); raises KeyError or TypeError."""
-    value = record[key]
-    if not JSON_TYPES[kind](value):
-        raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")
-    return value
-
-
 def load_predictions(path, renormalize: bool = False) -> PredictionTensor:
     """Parse a predictions CSV file, whose path ends in ``.csv``, into a validated tensor.
 
@@ -537,32 +523,28 @@ def load_predictions(path, renormalize: bool = False) -> PredictionTensor:
     as the header, before rows are checked against each other, so a malformed
     line is reported before a duplicate or missing pass.
     """
-    infer_format(path)
+    _check_extension(path)
     header, chunks = read_table(path, "predictions")
     if header[:2] != ["sample_id", "pass_id"] or len(header) < 4:
         raise FormatError(
             f"{path}: expected header sample_id,pass_id,p_0,...,p_{{C-1}}, got {header}"
         )
     check_class_columns(path, header[2:])
-    position: dict[str, int] = {}  # sample id -> sample index, by first appearance
-    samples, passes, blocks = [], [], []
-    for ids, pass_ids, rows in chunks:
-        fresh = [s for s in dict.fromkeys(ids) if s not in position]
-        position.update(zip(fresh, range(len(position), len(position) + len(fresh))))
-        samples.append(np.fromiter(map(position.__getitem__, ids), np.int64, len(ids)))
-        passes.append(pass_ids)
-        blocks.append(rows)
-    if not position:
+    row_ids, passes, values = table_columns(header, chunks)
+    if not row_ids:
         raise FormatError(f"{path}: no prediction rows")
-    return _rows_to_tensor(path, tuple(position), np.concatenate(samples),
-                           np.concatenate(passes), blocks, renormalize)
+    # sample id -> sample index, by first appearance
+    position = dict(zip(dict.fromkeys(row_ids), range(len(row_ids))))
+    samples = np.fromiter(map(position.__getitem__, row_ids), np.int64, len(row_ids))
+    del row_ids  # a string a row: freed before the rows are reordered
+    return _rows_to_tensor(path, tuple(position), samples, passes, values, renormalize)
 
 
-def _rows_to_tensor(path, ids, samples, passes, blocks, renormalize) -> PredictionTensor:
+def _rows_to_tensor(path, ids, samples, passes, values, renormalize) -> PredictionTensor:
     """Group rows by sample and pass; reject what the first failing row or sample breaks.
 
-    ``samples[r]`` indexes ``ids`` and ``passes[r]`` is the pass id of row ``r``,
-    whose probabilities are the rows of ``blocks`` in order.
+    ``samples[r]`` indexes ``ids``, ``passes[r]`` is the pass id of row ``r``
+    and ``values[r]`` its probabilities.
     """
     order = np.lexsort((passes, samples))  # stable: equal keys keep file order
     by_sample, by_pass = samples[order], passes[order]
@@ -583,7 +565,6 @@ def _rows_to_tensor(path, ids, samples, passes, blocks, renormalize) -> Predicti
             f"{path}: sample {ids[i]!r} pass ids {grid[i].tolist()} are not "
             f"the contiguous range 0..{n_passes - 1}"
         )
-    values = np.concatenate(blocks)
     probs = values[order].reshape(len(ids), n_passes, values.shape[1])
     try:
         return PredictionTensor(probs, ids, renormalize=renormalize)
@@ -601,7 +582,7 @@ def save_predictions(tensor: PredictionTensor, path, header_comment: str | None 
     probabilities, each rendered by :func:`_render_rows` and written, one write
     a job, through :func:`artifact_file`.
     """
-    infer_format(path)
+    _check_extension(path)
     n_samples, n_passes, n_classes = tensor.probs.shape
     header = "sample_id,pass_id," + ",".join(f"p_{c}" for c in range(n_classes)) + "\n"
     heads = _words([(SAMPLE_MARK if t == 0 else ROW_MARK) + f",{t},".encode()
@@ -728,7 +709,7 @@ def save_labels(labels: LabelSet, path, header_comment: str | None = None) -> No
                                    csv_fields(labels.sample_ids), labels.labels), header_comment)
 
 
-def infer_format(path) -> str:
-    """``"csv"``, if ``path`` ends in ``.csv`` in any case: the one predictions format."""
+def _check_extension(path) -> None:
+    """Require ``path`` to end in ``.csv``, in any case: the one predictions format."""
     _, dot, extension = str(path).lower().rpartition(".")
-    return require_choice(dot + extension, f"the extension of {path}", (".csv",))[1:]
+    require_choice(dot + extension, f"the extension of {path}", (".csv",))

@@ -13,8 +13,8 @@ The four ratios are properties of the matrix: USen = TU/(TU+FC), USpe =
 TC/(TC+FU), UPre = TU/(TU+FU), UAcc = (TU+TC)/n, read off its counts. A 0/0
 ratio is ``None`` (rendered ``n/a`` in text, ``null`` in JSON), never a number.
 
-Thresholds are interpreted on the normalized-entropy scale by default;
-``normalized=False`` switches to raw entropy for binary-task emulation.
+Thresholds are on the normalized-entropy scale, entropy over ``log2(C)``,
+which for the binary task is the entropy in bits.
 
 Every evaluation aligns labels once. A sweep then counts all thresholds
 from one sort of each correctness group: the certain members of a group at
@@ -68,16 +68,13 @@ def _ratio(num: int, den: int) -> float | None:
 
 
 NORMALIZED_THRESHOLDS = (0.0, 1.0)
-RAW_THRESHOLDS = (0.0, np.inf, "raw-entropy threshold {value} is negative")
 
 
-def _confusions(summaries: Summaries, labels: LabelSet, thresholds,
-                normalized: bool) -> list[UncertaintyConfusion]:
+def _confusions(summaries: Summaries, labels: LabelSet, thresholds) -> list[UncertaintyConfusion]:
     """Outcome counts at each threshold; uncertain iff ``u >= threshold``."""
-    bounds = NORMALIZED_THRESHOLDS if normalized else RAW_THRESHOLDS
-    thresholds = [require_real(t, "threshold", *bounds) for t in thresholds]
+    thresholds = [require_real(t, "threshold", *NORMALIZED_THRESHOLDS) for t in thresholds]
     correct = summaries.correct(labels)
-    u = summaries.normalized_entropy if normalized else summaries.entropy
+    u = summaries.normalized_entropy
     # searchsorted(side="left") counts the values strictly below each threshold
     certain_right = np.searchsorted(np.sort(u[correct]), thresholds, side="left").tolist()
     certain_wrong = np.searchsorted(np.sort(u[~correct]), thresholds, side="left").tolist()
@@ -89,10 +86,9 @@ def _confusions(summaries: Summaries, labels: LabelSet, thresholds,
     ]
 
 
-def build_ucm(summaries: Summaries, labels: LabelSet, threshold: float,
-              normalized: bool = True) -> UncertaintyConfusion:
+def build_ucm(summaries: Summaries, labels: LabelSet, threshold: float) -> UncertaintyConfusion:
     """Count the four outcomes over all samples at one threshold."""
-    return _confusions(summaries, labels, [threshold], normalized)[0]
+    return _confusions(summaries, labels, [threshold])[0]
 
 
 @dataclass(frozen=True)
@@ -130,13 +126,12 @@ class SweepCurve:
         return len(self.points)
 
 
-def threshold_sweep(summaries: Summaries, labels: LabelSet, thresholds,
-                    normalized: bool = True) -> SweepCurve:
+def threshold_sweep(summaries: Summaries, labels: LabelSet, thresholds) -> SweepCurve:
     """Evaluate the confusion metrics at every threshold of an increasing grid."""
     if not (thresholds := require_sequence(thresholds, "thresholds")):
         raise ValidationError("empty threshold grid")
     return SweepCurve(tuple(
-        SweepPoint(ucm) for ucm in _confusions(summaries, labels, thresholds, normalized)
+        SweepPoint(ucm) for ucm in _confusions(summaries, labels, thresholds)
     ))
 
 

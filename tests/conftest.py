@@ -20,10 +20,10 @@ def random_prob_rows(rng: np.random.Generator, n_rows: int, n_classes: int) -> n
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def entropy_of(rows, base: str = "2") -> np.ndarray:
+def entropy_of(rows) -> np.ndarray:
     """The ``entropy`` column that ``aggregate`` writes for these mean rows, one per row."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    return Summaries.from_means(tuple(f"s{i}" for i in range(len(rows))), rows, base).entropy
+    return Summaries.from_means(tuple(f"s{i}" for i in range(len(rows))), rows).entropy
 
 
 def t_cdf(x: float, df: float) -> float:

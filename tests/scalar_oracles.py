@@ -82,21 +82,19 @@ def predictive_mean(rows: np.ndarray) -> np.ndarray:
     return mean / total
 
 
-def summarize_mean(sample_id: str, mean: np.ndarray, n_classes: int,
-                   base: str = "2") -> ScalarSummary:
-    """One sample's summary from its mean row: argmax, confidence, entropies."""
+def summarize_mean(sample_id: str, mean: np.ndarray, n_classes: int) -> ScalarSummary:
+    """One sample's summary from its mean row: argmax, confidence, entropies in bits."""
     mean = np.asarray(mean, dtype=np.float64)
     if abs(float(mean.sum()) - 1.0) > MEAN_SUM_TOL or np.any(mean < 0):
         raise ValidationError(f"mean for {sample_id!r} is not a probability vector")
-    log = {"2": np.log2, "e": np.log}[base]
     predicted = int(np.argmax(mean))
-    entropy = max(float(-np.sum(mean * log(np.clip(mean, LOG_CLAMP, 1.0)))), 0.0)
-    normalized = min(entropy / float(log(n_classes)), 1.0)
+    entropy = max(float(-np.sum(mean * np.log2(np.clip(mean, LOG_CLAMP, 1.0)))), 0.0)
+    normalized = min(entropy / float(np.log2(n_classes)), 1.0)
     return ScalarSummary(str(sample_id), mean, predicted, float(mean[predicted]),
                          entropy, normalized)
 
 
-def numpy_aggregate(tensor: PredictionTensor, scheme, base: str = "2") -> dict:
+def numpy_aggregate(tensor: PredictionTensor, scheme) -> dict:
     """The columns ``aggregate`` gives, with every reduction made by numpy."""
     probs = tensor.probs
     if scheme.kind == "emcd":
@@ -105,10 +103,9 @@ def numpy_aggregate(tensor: PredictionTensor, scheme, base: str = "2") -> dict:
     else:
         means = probs.mean(axis=1)
     means = means / means.sum(axis=1, keepdims=True)
-    log = {"2": np.log2, "e": np.log}[base]
-    entropy = 0.0 - np.sum(means * log(np.clip(means, LOG_CLAMP, 1.0)), axis=-1)
+    entropy = 0.0 - np.sum(means * np.log2(np.clip(means, LOG_CLAMP, 1.0)), axis=-1)
     entropy = np.where(0.0 > entropy, 0.0, entropy)
-    normalized = entropy / float(log(means.shape[1]))
+    normalized = entropy / float(np.log2(means.shape[1]))
     predicted = np.argmax(means, axis=1)
     return {
         "means": means,

@@ -106,16 +106,16 @@ def test_criterion_02_sweep_monotonicity(demo_run):
 
 def test_criterion_03_entropy_correctness():
     with criterion(3, "entropy exact at extremes and matches 60-digit oracle", 5):
-        assert entropy_of([0.5, 0.5], "2")[0] == 1.0
-        assert entropy_of([1.0, 0.0], "2")[0] == 0.0
-        assert entropy_of([0.0, 1.0, 0.0], "e")[0] == 0.0
+        assert entropy_of([0.5, 0.5])[0] == 1.0
+        assert entropy_of([1.0, 0.0])[0] == 0.0
+        assert entropy_of([0.0, 1.0, 0.0])[0] == 0.0
         rng = np.random.default_rng(103)
         with mpmath.workdps(60):
             log2 = mpmath.log(2)
             for _ in range(10_000):
                 n_classes = int(rng.integers(2, 6))
                 row = random_prob_rows(rng, 1, n_classes)[0]
-                got = entropy_of(row, "2")[0]
+                got = entropy_of(row)[0]
                 expected = -mpmath.fsum(
                     mpmath.mpf(float(p)) * mpmath.log(mpmath.mpf(float(p)))
                     for p in row if p > 0

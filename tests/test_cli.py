@@ -84,7 +84,7 @@ class TestAggregateCommand:
         tmp, tensor, _ = workdir
         assert run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp / "agg"]) == 0
         got = load_summaries(tmp / "agg" / "summaries.csv")
-        expected = aggregate(tensor, MCD, "2")
+        expected = aggregate(tensor, MCD)
         assert np.array_equal(got.means, expected.means)
         assert np.array_equal(got.entropy, expected.entropy)
 
@@ -96,7 +96,7 @@ class TestAggregateCommand:
         ])
         assert code == 0
         got = load_summaries(tmp / "agg2" / "summaries.csv")
-        expected = aggregate(tensor, emcd_scheme((3, 3)), "2")
+        expected = aggregate(tensor, emcd_scheme((3, 3)))
         assert np.array_equal(got.means, expected.means)
 
     def test_unknown_scheme_is_usage_error(self, workdir, capsys):
@@ -128,17 +128,6 @@ class TestAggregateCommand:
         summary = load_summaries(tmp_path / "summaries.csv")
         assert len(summary) == 1
         assert abs(summary.means[0].sum() - 1.0) <= 1e-12
-
-    def test_natural_log_base(self, workdir):
-        import math
-
-        tmp, tensor, _ = workdir
-        assert run_cli([
-            "aggregate", "--in", tmp / "p.csv", "--log-base", "e", "--out", tmp / "ln",
-        ]) == 0
-        s = load_summaries(tmp / "ln" / "summaries.csv")
-        assert np.all(np.abs(s.normalized_entropy - s.entropy / math.log(2)) <= 1e-12)
-        assert np.all((0.0 <= s.normalized_entropy) & (s.normalized_entropy <= 1.0))
 
     def test_malformed_runs_index_is_failure(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
@@ -280,19 +269,6 @@ class TestSweepCommand:
         ]
         assert len(lines) == 102
 
-    def test_raw_thresholds_keep_every_digit(self, workdir):
-        # a raw-entropy grid may start above 1, where 12 digits cut 1.123456789012
-        tmp, _, _ = workdir
-        run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
-        assert run_cli([
-            "sweep", "--summaries", tmp / "summaries.csv", "--labels", tmp / "l.csv",
-            "--normalize-entropy", "false", "--grid", "1.123456789012:0.5:2", "--out", tmp / "sw",
-        ]) == 0
-        rows = (tmp / "sw" / "sweep.csv").read_text().splitlines()[2:]
-        points = json.loads((tmp / "sw" / "sweep.json").read_text())["points"]
-        assert [row.split(",")[0] for row in rows] == ["1.123456789012", "1.623456789012"]
-        assert [float(row.split(",")[0]) for row in rows] == [p["threshold"] for p in points]
-
     def test_matches_library(self, workdir):
         tmp, _, labels = workdir
         run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
@@ -371,6 +347,15 @@ class TestEceCommand:
         assert payload["ece"] == pytest.approx(0.3, abs=1e-12)
         assert payload["M"] == 1
 
+    @pytest.mark.parametrize("bins", [10**6, 10**6 + 1, 10**12])
+    def test_too_many_bins_rejected_before_inputs_are_read(self, tmp_path, capsys, bins):
+        # neither input exists: the count is checked first
+        assert run_cli(["ece", "--summaries", tmp_path / "none.csv", "--labels",
+                        tmp_path / "none_l.csv", "--bins", bins, "--out", tmp_path / "cal"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"uqeval: error: --bins {bins}: need fewer than 1000000 bins")
+        assert not (tmp_path / "cal").exists()
+
     def test_default_bins_match_library(self, workdir):
         tmp, _, labels = workdir
         run_cli(["aggregate", "--in", tmp / "p.csv", "--out", tmp])
@@ -413,7 +398,7 @@ def write_run_dir(path, runs):
         l_name = f"run_{i}_labels.csv"
         from uqeval import save_summaries
 
-        save_summaries(aggregate(tensor, MCD, "2"), path / s_name)
+        save_summaries(aggregate(tensor, MCD), path / s_name)
         save_labels(labels, path / l_name)
         index.append({"seed": seed, "summaries": s_name, "labels": l_name})
     (path / "runs.json").write_text(canonical_json({"runs": index}))
@@ -457,7 +442,7 @@ class TestCompareCommand:
         assert run_cli(args) == 0
         before = json.loads(manifest.read_text())["digest"]
         _, tensor, _ = make_runs(rng, 1)[0]
-        save_summaries(aggregate(tensor, MCD, "2"), tmp_path / "a" / "run_1_summaries.csv")
+        save_summaries(aggregate(tensor, MCD), tmp_path / "a" / "run_1_summaries.csv")
         assert run_cli(args) == 0
         assert json.loads(manifest.read_text())["digest"] != before
 
@@ -471,6 +456,21 @@ class TestCompareCommand:
                         "--out", tmp_path / "cmp"]) == 1
         assert capsys.readouterr().err.endswith(
             f"runs.json: malformed run index: seed must be an integer, got {json.dumps(seed)}\n")
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("value", [1, None, True, ["s.csv"], {"name": "s.csv"}],
+                             ids=["integer", "null", "bool", "list", "object"])
+    @pytest.mark.parametrize("field", ["summaries", "labels"])
+    def test_file_name_of_another_type_is_malformed(self, tmp_path, capsys, field, value):
+        write_run_dir(tmp_path / "a", make_runs(np.random.default_rng(72), 2))
+        index = tmp_path / "a" / "runs.json"
+        spec = json.loads(index.read_text())
+        spec["runs"][1][field] = value
+        index.write_text(json.dumps(spec))
+        assert run_cli(["compare", "--a", tmp_path / "a", "--b", tmp_path / "a",
+                        "--out", tmp_path / "cmp"]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"runs.json: malformed run index: {field} must be a string, got {json.dumps(value)}\n")
         assert not (tmp_path / "cmp").exists()
 
     def test_mismatched_run_counts_fail(self, tmp_path):
@@ -649,7 +649,7 @@ class TestCsvFormat:
 
 class TestFloatFlags:
     @pytest.mark.parametrize("args", [
-        ["evaluate", "--normalize-entropy", "false", "--threshold", "nan"],
+        ["evaluate", "--threshold", "nan"],
         ["evaluate", "--threshold", "inf"],
         ["demo", "--quick", "--threshold", "nan"],
     ], ids=["evaluate-nan", "evaluate-inf", "demo-nan"])
@@ -718,14 +718,29 @@ class TestEntryPoint:
         assert proc.returncode == 2
 
 
+# the inputs each subcommand requires, with {tmp} for the directory they are in
+COMMAND_INPUTS = {
+    "aggregate": ["--in", "{tmp}/p.csv"],
+    "evaluate": ["--summaries", "{tmp}/s.csv", "--labels", "{tmp}/l.csv"],
+    "sweep": ["--summaries", "{tmp}/s.csv", "--labels", "{tmp}/l.csv"],
+    "ece": ["--summaries", "{tmp}/s.csv", "--labels", "{tmp}/l.csv"],
+    "separate": ["--summaries", "{tmp}/s.csv", "--labels", "{tmp}/l.csv"],
+    "compare": ["--a", "{tmp}/ra", "--b", "{tmp}/rb"],
+    "demo": ["--quick"],
+}
+
+
 class TestFlagSets:
+    def test_every_command_has_its_inputs(self):
+        assert set(COMMAND_INPUTS) == set(subparsers())
+
     @pytest.mark.parametrize("args", [
-        ["separate", "--normalize-entropy", "false"],
-        ["evaluate", "--log-base", "e"],
+        ["separate", "--threshold", "0.3"],
+        ["evaluate", "--grid", "0:0.1:1"],
         ["ece", "--renormalize"],
         ["compare", "--seed", "1"],
         ["demo", "--format", "csv"],
-        ["demo", "--normalize-entropy", "false"],
+        ["demo", "--bins", "5"],
     ], ids=lambda args: " ".join(args))
     def test_unread_flag_is_usage_error(self, workdir, capsys, args):
         tmp, _, _ = workdir
@@ -741,6 +756,23 @@ class TestFlagSets:
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp / "unread").exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--log-base", "2"], ["--log-base", "e"],
+        ["--normalize-entropy", "true"], ["--normalize-entropy", "false"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("command", sorted(COMMAND_INPUTS))
+    def test_retired_entropy_flag_is_usage_error(self, workdir, capsys, command, flag):
+        # entropy is in bits and thresholds are on normalized entropy, with no flag for
+        # either: even the old default value stops before anything is written
+        tmp, _, _ = workdir
+        inputs = [str(a).format(tmp=tmp) for a in COMMAND_INPUTS[command]]
+        with pytest.raises(SystemExit) as info:
+            run_cli([command, *inputs, *flag, "--out", tmp / "retired"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"uqeval: error: unrecognized arguments: {' '.join(flag)}")
+        assert not (tmp / "retired").exists()
 
     def test_retired_command_is_usage_error(self, tmp_path, capsys):
         # train-demo wrote model files nothing read; it is no longer a subcommand

@@ -214,10 +214,8 @@ def test_unrunnable_preset_rejected_before_training(field, no_training):
     ({"threshold": 1.5}, "threshold 1.5 outside [0, 1]"),
     ({"threshold": float("nan")}, "threshold nan is not a finite number"),
     ({"threshold": "0.3"}, "threshold '0.3' is not a finite number"),
-    ({"log_base": "10"}, "log base must be one of ('2', 'e'), got '10'"),
-    ({"log_base": 2}, "log base must be one of ('2', 'e'), got 2"),
 ])
-def test_threshold_and_log_base_checked_before_training(setting, message, no_training, tmp_path):
+def test_threshold_checked_before_training(setting, message, no_training, tmp_path):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         evaluate_demo(0, QUICK_PRESET, **setting)
 

@@ -121,12 +121,15 @@ def inputs(tmp_path):
 
 EVALUATE = ["evaluate", "--summaries", "{tmp}/s.csv", "--labels", "{tmp}/l.csv"]
 SWEEP = ["sweep", "--summaries", "{tmp}/s.csv", "--labels", "{tmp}/l.csv"]
+ECE = ["ece", "--summaries", "{tmp}/s.csv", "--labels", "{tmp}/l.csv"]
 
 # a command line with its exit code and the last line it prints on stderr
 CLI_ERRORS = {
-    "bool flag": (EVALUATE + ["--normalize-entropy", "maybe"], 2,
-                  "uqeval evaluate: error: argument --normalize-entropy: "
-                  "expected a boolean, got 'maybe'"),
+    # entropy is in bits and every threshold is on normalized entropy: no flag picks another
+    "log base flag": (["aggregate", "--in", "{tmp}/p.csv", "--log-base", "e"], 2,
+                      "uqeval: error: unrecognized arguments: --log-base e"),
+    "entropy scale flag": (EVALUATE + ["--normalize-entropy", "false"], 2,
+                           "uqeval: error: unrecognized arguments: --normalize-entropy false"),
     "missing runs index": (["compare", "--a", "{tmp}/empty", "--b", "{tmp}/no_runs"], 1,
                            "uqeval: error: {tmp}/empty: missing runs.json index"),
     "no runs": (["compare", "--a", "{tmp}/no_runs", "--b", "{tmp}/no_runs"], 1,
@@ -140,6 +143,9 @@ CLI_ERRORS = {
     "grid finer than its rounding": (SWEEP + ["--grid", "0:1e-13:1e-9"], 1,
                                      "uqeval: error: bad grid '0:1e-13:1e-9': "
                                      "thresholds repeat once rounded to 12 decimals"),
+    # like a sweep's grid; a count this large would be read, binned and written in full
+    "too many bins": (ECE + ["--bins", "1000000"], 1,
+                      "uqeval: error: --bins 1000000: need fewer than 1000000 bins"),
     # CSV is the one predictions format: no flag picks another, and a .jsonl path is
     # rejected before it is opened (this one does not exist)
     "predictions format flag": (["aggregate", "--in", "{tmp}/p.csv", "--in-format", "csv"], 2,
@@ -165,11 +171,3 @@ def test_each_cli_check_gives_its_message(name, inputs, capsys):
     assert run(args, inputs) == code
     assert capsys.readouterr().err.splitlines()[-1] == message.format(tmp=inputs)
     assert not (inputs / "out").exists()
-
-
-@pytest.mark.parametrize("text", ["true", " YES ", "on", "1"])
-def test_a_true_bool_flag_is_the_default(text, inputs):
-    assert run(EVALUATE, inputs) == 0
-    default = (inputs / "out" / "ucm.json").read_bytes()
-    assert run(EVALUATE + ["--normalize-entropy", text], inputs) == 0
-    assert (inputs / "out" / "ucm.json").read_bytes() == default

@@ -141,18 +141,18 @@ class TestArgmaxRows:
 
 class TestAggregateBits:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(1, 12),
-           st.integers(2, 12), st.booleans(), st.sampled_from(["2", "e"]), st.data())
+           st.integers(2, 12), st.booleans(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_summaries_equal_numpy_reductions(self, seed, n_samples, n_passes, n_classes,
-                                              renormalize, base, data):
+                                              renormalize, data):
         tensor, rows = tensor_and_rows(seed, n_samples, n_passes, n_classes, renormalize)
         if renormalize:
             assert same_bits(tensor.probs, rows / rows.sum(axis=-1)[..., np.newaxis])
         cuts = sorted(data.draw(st.sets(st.integers(1, n_passes - 1), max_size=4))) if n_passes > 1 else []
         parts = tuple(np.diff([0, *cuts, n_passes]).tolist())
         for scheme in (MCD, ENSEMBLE, emcd_scheme(parts)):
-            got = aggregate(tensor, scheme, base)
-            for column, expected in oracle.numpy_aggregate(tensor, scheme, base).items():
+            got = aggregate(tensor, scheme)
+            for column, expected in oracle.numpy_aggregate(tensor, scheme).items():
                 assert same_bits(getattr(got, column), expected), (scheme, column)
 
     def test_one_hot_mean_entropy_keeps_its_sign(self):

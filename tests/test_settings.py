@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from uqeval import (
-    MCD,
     AggregationScheme,
     MetricDistribution,
     MlpSpec,
     PairedTestResult,
     Summaries,
     TrainConfig,
-    aggregate,
     build_ucm,
     generate_dataset,
     load_predictions,
@@ -54,12 +52,8 @@ REAL_ENTRIES = {
     "TrainConfig.learning_rate": ("learning rate", lambda v, tmp: TrainConfig(learning_rate=v)),
     "generate_dataset noise": ("noise", lambda v, tmp: generate_dataset(40, v, 0)),
     "build_ucm threshold": ("threshold", lambda v, tmp: build_ucm(SUMMARIES, LABELS, v)),
-    "build_ucm raw threshold": (
-        "threshold", lambda v, tmp: build_ucm(SUMMARIES, LABELS, v, normalized=False)),
     "threshold_sweep threshold": (
         "threshold", lambda v, tmp: threshold_sweep(SUMMARIES, LABELS, [0.1, v])),
-    "threshold_sweep raw threshold": (
-        "threshold", lambda v, tmp: threshold_sweep(SUMMARIES, LABELS, [v], normalized=False)),
     "evaluate_demo threshold": (
         "threshold", lambda v, tmp: evaluate_demo(0, QUICK_PRESET, threshold=v)),
     "regularized_incomplete_beta x": (
@@ -78,11 +72,6 @@ REAL_ENTRIES = {
 # each named choice: the name its errors give, and a call that sets it to ``value``
 CHOICE_ENTRIES = {
     "AggregationScheme.kind": ("scheme kind", lambda v, tmp: AggregationScheme(v)),
-    "aggregate log base": ("log base", lambda v, tmp: aggregate(TENSOR, MCD, v)),
-    "Summaries.from_means log base": (
-        "log base", lambda v, tmp: Summaries.from_means(("a",), [[0.5, 0.5]], v)),
-    "evaluate_demo log base": (
-        "log base", lambda v, tmp: evaluate_demo(0, QUICK_PRESET, log_base=v)),
 }
 
 NOT_REAL = [math.nan, math.inf, -math.inf, True, "0.3", None]
@@ -115,9 +104,7 @@ OUT_OF_RANGE = {
     "TrainConfig.learning_rate": (-1e-3, "learning rate must be nonnegative"),
     "generate_dataset noise": (-0.1, "noise must be nonnegative"),
     "build_ucm threshold": (1.5, "threshold 1.5 outside [0, 1]"),
-    "build_ucm raw threshold": (-0.5, "raw-entropy threshold -0.5 is negative"),
     "threshold_sweep threshold": (np.float32(1.5), "threshold 1.5 outside [0, 1]"),
-    "threshold_sweep raw threshold": (-1, "raw-entropy threshold -1.0 is negative"),
     "evaluate_demo threshold": (-0.1, "threshold -0.1 outside [0, 1]"),
     "regularized_incomplete_beta x": (1.5, "incomplete beta argument 1.5 outside [0, 1]"),
     "regularized_incomplete_beta a": (0.0, "incomplete beta parameter a 0.0 is not positive"),
@@ -147,7 +134,6 @@ STORED = {
     "MlpSpec.dropout_rate": lambda v: MlpSpec((2, 4, 2), dropout_rate=v).dropout_rate,
     "TrainConfig.learning_rate": lambda v: TrainConfig(learning_rate=v).learning_rate,
     "build_ucm threshold": lambda v: build_ucm(SUMMARIES, LABELS, v).threshold,
-    "build_ucm raw threshold": lambda v: build_ucm(SUMMARIES, LABELS, v, False).threshold,
     "threshold_sweep threshold":
         lambda v: threshold_sweep(SUMMARIES, LABELS, [v]).points[0].threshold,
     "MetricDistribution value": lambda v: MetricDistribution((v,), (0,)).values[0],
@@ -177,10 +163,6 @@ def test_a_bound_is_compared_as_a_python_float(rate):
     # in float32 the largest float64 below 1 rounds to 1
     with pytest.raises(ValidationError, match=re.escape("dropout rate 1.0 outside [0, 1)")):
         MlpSpec((2, 4, 2), dropout_rate=rate)
-
-
-def test_a_raw_threshold_has_no_upper_bound():
-    assert build_ucm(SUMMARIES, LABELS, 5.0, normalized=False).threshold == 5.0
 
 
 # a value that should be a sequence but is not, at each entry that takes one

@@ -189,11 +189,12 @@ def test_labels_round_trip(tmp_path, chunk):
     assert outcome(load_labels, path) == outcome(oracle.load_labels, path)
 
 
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
 @pytest.mark.parametrize("chunk", [1, 2, 5, None])
-@pytest.mark.parametrize("base", ["2", "e"])
-def test_summaries_round_trip(tmp_path, chunk, base):
-    probs = random_prob_rows(np.random.default_rng(4), len(IDS) * 3, 4).reshape(len(IDS), 3, 4)
-    summaries = aggregate(PredictionTensor(probs, IDS), MCD, base)
+def test_summaries_round_trip(tmp_path, chunk, n_classes):
+    probs = random_prob_rows(np.random.default_rng(4), len(IDS) * 3, n_classes).reshape(
+        len(IDS), 3, n_classes)
+    summaries = aggregate(PredictionTensor(probs, IDS), MCD)
     path = tmp_path / "s.csv"
     save_summaries(summaries, path, header_comment="manifest_digest=sha256:x")
     with chunk_rows(chunk):

@@ -385,11 +385,11 @@ class TestRealAndChoiceRules:
             require_real(value, "x", 0.0, 1.0)
 
     def test_choice_rule(self):
-        assert require_choice("e", "log base", ("2", "e")) == "e"
-        for value in ("E", "", 2, None, True, ("2",)):
+        assert require_choice("emcd", "scheme kind", ("mcd", "emcd")) == "emcd"
+        for value in ("EMCD", "", 2, None, True, ("mcd",)):
             with pytest.raises(ValidationError, match=re.escape(
-                    f"log base must be one of ('2', 'e'), got {value!r}")):
-                require_choice(value, "log base", ("2", "e"))
+                    f"scheme kind must be one of ('mcd', 'emcd'), got {value!r}")):
+                require_choice(value, "scheme kind", ("mcd", "emcd"))
 
     def test_sequence_rule(self):
         assert require_sequence([1, 2], "xs") == (1, 2)

@@ -124,14 +124,13 @@ class TestBuildUcm:
         again = build_ucm(shuffled, labels, 0.4)
         assert (base.tc, base.tu, base.fu, base.fc) == (again.tc, again.tu, again.fu, again.fc)
 
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_nan_threshold_rejected(self, normalized):
+    def test_nan_threshold_rejected(self):
         # a NaN threshold compares false with every entropy: all samples would count as certain
         summaries, labels = make_case([0.2, 0.6], [True, False])
         with pytest.raises(ValidationError, match="threshold nan "):
-            build_ucm(summaries, labels, float("nan"), normalized=normalized)
+            build_ucm(summaries, labels, float("nan"))
         with pytest.raises(ValidationError, match="threshold nan "):
-            threshold_sweep(summaries, labels, [0.1, float("nan")], normalized=normalized)
+            threshold_sweep(summaries, labels, [0.1, float("nan")])
 
 
 class TestMetrics:
@@ -252,13 +251,26 @@ class TestThresholdSweep:
         with pytest.raises(ValidationError, match="uspe"):
             SweepCurve((good, bad))
 
-    def test_raw_entropy_mode(self):
-        rng = np.random.default_rng(57)
-        summaries, labels = make_case(rng.uniform(0, 1, 30), rng.random(30) < 0.7)
-        # binary base-2: raw == normalized, so both modes must agree
-        a = build_ucm(summaries, labels, 0.4, normalized=True)
-        b = build_ucm(summaries, labels, 0.4, normalized=False)
-        assert (a.tc, a.tu, a.fu, a.fc) == (b.tc, b.tu, b.fu, b.fc)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 1)), min_size=1, max_size=40),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_binary_thresholds_are_on_entropy_in_bits(self, rows, threshold):
+        # for two classes, entropy over log2(2) is the entropy in bits, so thresholds on
+        # normalized entropy count what thresholds on the raw entropy would
+        means = np.array([[p, 1.0 - p] for p, _ in rows])
+        ids = tuple(f"s{i}" for i in range(len(rows)))
+        labels = [label for _, label in rows]
+        summaries = Summaries.from_means(ids, means)
+        assert np.array_equal(summaries.normalized_entropy.view(np.uint64),
+                              np.minimum(summaries.entropy, 1.0).view(np.uint64))
+        cell = {(True, False): "TC", (False, True): "TU", (True, True): "FU", (False, False): "FC"}
+        cells = {"TC": 0, "TU": 0, "FU": 0, "FC": 0}
+        for mean, label, entropy in zip(means.tolist(), labels, summaries.entropy.tolist()):
+            correct = (mean[1] > mean[0]) == (label == 1)  # a tie predicts class 0
+            cells[cell[correct, entropy >= threshold]] += 1
+        ucm = build_ucm(summaries, LabelSet(ids, labels), threshold)
+        assert (ucm.tc, ucm.tu, ucm.fu, ucm.fc) == (cells["TC"], cells["TU"], cells["FU"],
+                                                    cells["FC"])
 
 
 class TestSeparation:
